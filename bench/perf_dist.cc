@@ -119,13 +119,15 @@ struct Fleet {
   std::vector<ShardChannel*> raw;
 };
 
+/// One worker per in-memory cut of a range partition.
 Fleet MakeFleet(const CsrGraph& graph, size_t shards, bool loopback) {
+  auto partition = GraphPartition::Build(graph, {.num_shards = shards});
+  D2PR_CHECK(partition.ok()) << partition.status().ToString();
   Fleet fleet;
   for (size_t s = 0; s < shards; ++s) {
-    ShardWorkerOptions worker_options;
-    worker_options.shard_id = s;
-    worker_options.num_shards = shards;
-    auto worker = ShardWorker::Create(graph, worker_options);
+    auto cut = CutShard(graph, *partition, s);
+    D2PR_CHECK(cut.ok()) << cut.status().ToString();
+    auto worker = ShardWorker::Create(std::move(cut).value(), {});
     D2PR_CHECK(worker.ok()) << worker.status().ToString();
     fleet.workers.push_back(std::move(*worker));
     if (loopback) {
@@ -154,6 +156,7 @@ void RunDistributed(const CsrGraph& graph, size_t shards, bool loopback,
   options.num_nodes = graph.num_nodes();
   options.graph_fingerprint = GraphFingerprint(graph);
   options.key = ResolveTransitionKey(graph, {});
+  options.metric_values = MetricValues(graph, options.key.metric);
   DistributedCoordinator coordinator(fleet.raw, options);
   D2PR_CHECK(coordinator.Handshake().ok());
 
@@ -295,12 +298,12 @@ int Run(const Flags& flags) {
         RunCutFleet(graph, shards, teleport, sweep.repeats));
   }
 
-  // The memory story: what one pre-cut worker holds vs a worker handed
-  // the whole graph. `whole_graph_input` is the bytes a Create() worker
-  // ingests (and keeps resident) regardless of shard count.
-  ShardWorkerOptions whole_options;
-  auto whole = ShardWorker::Create(graph, whole_options);
-  D2PR_CHECK(whole.ok()) << whole.status().ToString();
+  // The memory story: what one pre-cut worker holds vs the whole
+  // graph's CSR bytes, which a worker built from the graph would have to
+  // ingest regardless of shard count.
+  const int64_t whole_graph_input =
+      static_cast<int64_t>((graph.num_nodes() + 1) * sizeof(EdgeIndex)) +
+      graph.num_arcs() * static_cast<int64_t>(sizeof(NodeId));
   std::printf(
       "\npre-cut fleet memory (hash scheme; resident measured after the "
       "first solve, when the loaded cut has been dropped):\n\n"
@@ -313,7 +316,7 @@ int Run(const Flags& flags) {
                 static_cast<long long>(row.cut_file_bytes),
                 static_cast<long long>(row.max_build_input),
                 static_cast<long long>(row.max_resident),
-                static_cast<long long>((*whole)->build_input_bytes()));
+                static_cast<long long>(whole_graph_input));
   }
   return 0;
 }

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "core/transition_slices.h"
 #include "graph/graph_fingerprint.h"
 
 namespace d2pr {
@@ -145,21 +146,15 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionResolver::Resolve(
 
 Result<std::shared_ptr<const TransitionSlices>> TransitionResolver::ResolveSlices(
     const TransitionKey& key, const GraphPartition& partition,
-    SliceBuild build, Outcome* outcome) {
-  // kFromMatrix resolves the whole-graph matrix FIRST, so the cache /
-  // store / spill behavior and every counter an owner reads off the
-  // Outcome are exactly the unsliced path's; the slice cache below then
-  // only adds (never replaces) work. kSubgraph must not touch the matrix
-  // machinery at all — that path's whole point is that no whole-graph
-  // matrix exists.
-  std::shared_ptr<const TransitionMatrix> matrix;
-  if (build == SliceBuild::kFromMatrix) {
-    auto resolved = Resolve(key, outcome);
-    if (!resolved.ok()) return resolved.status();
-    matrix = std::move(resolved).value();
-  } else {
-    *outcome = Outcome{};
-  }
+    Outcome* outcome) {
+  // Resolve the whole-graph matrix FIRST, so the cache / store / spill
+  // behavior and every counter an owner reads off the Outcome are
+  // exactly the unsliced path's; the slice cache below then only adds
+  // (never replaces) work.
+  auto resolved = Resolve(key, outcome);
+  if (!resolved.ok()) return resolved.status();
+  const std::shared_ptr<const TransitionMatrix> matrix =
+      std::move(resolved).value();
 
   // Same discipline as ResolveBounds: no cache, no single-flight.
   const bool caching = cache_.capacity() > 0;
@@ -172,7 +167,6 @@ Result<std::shared_ptr<const TransitionSlices>> TransitionResolver::ResolveSlice
       if (hit != slices_cache_.end()) {
         auto slices = hit->second;
         std::rotate(slices_cache_.begin(), hit, hit + 1);  // MRU to front.
-        if (build == SliceBuild::kSubgraph) outcome->cache_hit = true;
         return slices;
       }
       if (std::find(slices_building_.begin(), slices_building_.end(), key) ==
@@ -187,17 +181,7 @@ Result<std::shared_ptr<const TransitionSlices>> TransitionResolver::ResolveSlice
   Status error;
   std::shared_ptr<const TransitionSlices> shared;
   {
-    Result<TransitionSlices> built =
-        build == SliceBuild::kFromMatrix
-            ? BuildTransitionSlices(partition, *matrix)
-            : [&] {
-                TransitionConfig config;
-                config.p = key.p;
-                config.beta = key.beta;
-                config.metric = key.metric;
-                outcome->built = true;
-                return BuildTransitionSlicesLocal(*graph_, partition, config);
-              }();
+    Result<TransitionSlices> built = BuildTransitionSlices(partition, *matrix);
     ++slice_builds_;
     if (built.ok()) {
       shared =

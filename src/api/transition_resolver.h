@@ -39,7 +39,6 @@
 #include "api/transition_store.h"
 #include "common/result.h"
 #include "core/transition.h"
-#include "core/transition_slices.h"
 #include "graph/csr_graph.h"
 #include "graph/partition.h"
 #include "topk/degree_bound.h"
@@ -123,18 +122,13 @@ class TransitionResolver {
   /// owner's), so callers must pass the same partition on every call.
   ///
   /// Persistence contract: slices have NO sections of their own in the
-  /// TransitionStore. Under SliceBuild::kFromMatrix the whole-graph
-  /// matrix is resolved first — cache, store, spill, and every Outcome /
-  /// counter observable exactly as Resolve — and the slices are a cheap
-  /// permutation of it, rebuilt after any cache eviction. Under
-  /// SliceBuild::kSubgraph no whole-graph matrix is ever materialized
-  /// (and therefore nothing can touch the store): the slices build
-  /// shard-locally, a slice-cache hit reports Outcome::cache_hit, a
-  /// local build reports Outcome::built, and only slice_builds()
-  /// advances — builds()/store counters stay put.
+  /// TransitionStore. The whole-graph matrix is resolved first — cache,
+  /// store, spill, and every Outcome / counter observable exactly as
+  /// Resolve — and the slices are a cheap permutation of it, rebuilt
+  /// after any cache eviction.
   Result<std::shared_ptr<const TransitionSlices>> ResolveSlices(
       const TransitionKey& key, const GraphPartition& partition,
-      SliceBuild build, Outcome* outcome);
+      Outcome* outcome);
 
   /// \brief Returns the DegreeBoundIndex for `key`'s transition — the
   /// per-node score upper bounds the top-k solver prunes with — building
@@ -190,7 +184,7 @@ class TransitionResolver {
   int64_t bound_builds() const {
     return bound_builds_.load(std::memory_order_relaxed);
   }
-  /// Slice constructions (cache misses in ResolveSlices, either path).
+  /// Slice constructions (cache misses in ResolveSlices).
   int64_t slice_builds() const {
     return slice_builds_.load(std::memory_order_relaxed);
   }

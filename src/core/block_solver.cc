@@ -1,9 +1,7 @@
 #include "core/block_solver.h"
 
-#include <cmath>
 #include <vector>
 
-#include "common/string_util.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
@@ -21,23 +19,8 @@ void RunShards(const BlockParallelFor& parallel_for, size_t count,
   for (size_t i = 0; i < count; ++i) fn(i);
 }
 
-/// The single-graph solvers' shared validation plus the
-/// partition/transition agreement check the block solvers add.
-Status ValidateBlockInputs(const TransitionMatrix& transition,
-                           const GraphPartition& partition,
-                           std::span<const double> teleport,
-                           const PagerankOptions& options) {
-  D2PR_RETURN_NOT_OK(ValidatePagerankOptions(options));
-  if (partition.num_nodes() != transition.num_nodes()) {
-    return Status::InvalidArgument(
-        StrCat("partition covers ", partition.num_nodes(),
-               " nodes but transition matrix has ", transition.num_nodes()));
-  }
-  return ValidateTeleportVector(teleport, transition.num_nodes());
-}
-
-/// Sliced-overload validation: option/teleport checks plus the slice
-/// shape contract (GraphPartition::ValidateSlices).
+/// The single-graph solvers' shared option/teleport validation plus the
+/// slice shape contract (GraphPartition::ValidateSlices).
 Status ValidateBlockSliceInputs(const TransitionSlices& slices,
                                 const GraphPartition& partition,
                                 std::span<const double> teleport,
@@ -64,88 +47,6 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling) {
 }
 
 Result<PagerankResult> SolvePagerankPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockInputs(transition, partition, teleport, options));
-  const NodeId n = transition.num_nodes();
-
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  const auto probs = transition.probs();
-  std::vector<double> current(teleport.begin(), teleport.end());
-  NormalizeL1(current);  // mirrors the reference's defensive normalize
-  std::vector<double> next(static_cast<size_t>(n), 0.0);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Dangling mass of the previous iterate, folded over the ascending
-    // dangling list exactly as the reference does. Known before the
-    // sweeps start, so each shard can finish its owned slice end-to-end.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) dangling_mass += current[static_cast<size_t>(v)];
-
-    // One block sweep: every shard folds each owned destination's in-row
-    // in ascending global source order — the accumulation order
-    // TransitionMatrix::Multiply produces — then applies the dangling
-    // policy and teleport blend element-wise. Shards write disjoint owned
-    // slices of `next` and read only the frozen `current`, so the sweeps
-    // compose in any order (or concurrently) without changing a bit.
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double value = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          value += current[static_cast<size_t>(
-                       shard.in_sources[static_cast<size_t>(idx)])] *
-                   probs[static_cast<size_t>(
-                       shard.in_arc_index[static_cast<size_t>(idx)])];
-        }
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            if (dangling_mass > 0.0) {
-              value += dangling_mass * teleport[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value += current[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        next[static_cast<size_t>(dst)] =
-            options.alpha * value +
-            (1.0 - options.alpha) * teleport[static_cast<size_t>(dst)];
-      }
-    });
-    if (options.dangling == DanglingPolicy::kRenormalize) {
-      NormalizeL1(next);
-    }
-
-    result.iterations = iter;
-    result.residual = DiffL1(next, current);
-    current.swap(next);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(current);
-  return result;
-}
-
-Result<PagerankResult> SolvePagerankPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
@@ -164,19 +65,22 @@ Result<PagerankResult> SolvePagerankPartitioned(
   std::vector<double> next(static_cast<size_t>(n), 0.0);
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Same ascending dangling fold as the matrix overload (the slices
-    // carry the list so no TransitionMatrix is needed).
+    // Dangling mass of the previous iterate, folded over the ascending
+    // dangling list exactly as the reference does. Known before the
+    // sweeps start, so each shard can finish its owned slice end-to-end.
     double dangling_mass = 0.0;
     for (NodeId v : slices.dangling) {
       dangling_mass += current[static_cast<size_t>(v)];
     }
 
-    // One block sweep, streaming form: the in-row fold is unchanged —
-    // ascending global source order, bitwise the matrix overload's sum —
-    // but the per-arc probability now comes off the shard's contiguous
-    // slice in lockstep with in_sources, so the two hot arrays advance
-    // sequentially instead of one of them gathering through the global
-    // arc index.
+    // One block sweep: every shard folds each owned destination's in-row
+    // in ascending global source order — the accumulation order
+    // TransitionMatrix::Multiply produces — then applies the dangling
+    // policy and teleport blend element-wise. The per-arc probability
+    // streams off the shard's contiguous slice in lockstep with
+    // in_sources. Shards write disjoint owned slices of `next` and read
+    // only the frozen `current`, so the sweeps compose in any order (or
+    // concurrently) without changing a bit.
     RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
       const double* slice = slices.in_probs[s].data();
@@ -227,91 +131,6 @@ Result<PagerankResult> SolvePagerankPartitioned(
 }
 
 Result<PagerankResult> SolveGaussSeidelPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockInputs(transition, partition, teleport, options));
-  D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  const NodeId n = transition.num_nodes();
-
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  const auto probs = transition.probs();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  std::vector<double> x(teleport.begin(), teleport.end());
-  std::vector<double> frozen(x);
-  std::vector<double> previous(x);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Lagged dangling mass, as in the single-graph Gauss-Seidel sweep.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) dangling_mass += x[static_cast<size_t>(v)];
-
-    // Exchange step: publish the whole iterate; each shard reads remote
-    // slices from this frozen copy (block Jacobi across shards) while
-    // sweeping its own slice Gauss-Seidel style (owned sources read the
-    // in-place updated values).
-    frozen = x;
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double incoming = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          const NodeId src = shard.in_sources[static_cast<size_t>(idx)];
-          // Interior sources read the live (in-sweep updated) iterate,
-          // boundary sources the frozen exchange copy; the precomputed
-          // flag keeps ownership resolution out of the inner loop.
-          const double value = shard.in_interior[static_cast<size_t>(idx)]
-                                   ? x[static_cast<size_t>(src)]
-                                   : frozen[static_cast<size_t>(src)];
-          incoming +=
-              probs[static_cast<size_t>(
-                  shard.in_arc_index[static_cast<size_t>(idx)])] *
-              value;
-        }
-        double value = options.alpha * incoming +
-                       (1.0 - options.alpha) *
-                           teleport[static_cast<size_t>(dst)];
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            value += options.alpha * dangling_mass *
-                     teleport[static_cast<size_t>(dst)];
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value /= (1.0 - options.alpha);
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        x[static_cast<size_t>(dst)] = value;
-      }
-    });
-    NormalizeL1(x);
-
-    result.iterations = iter;
-    result.residual = DiffL1(x, previous);
-    previous = x;
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(x);
-  return result;
-}
-
-Result<PagerankResult> SolveGaussSeidelPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
@@ -331,14 +150,16 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
   std::vector<double> previous(x);
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Lagged dangling mass, folded over the slices' ascending list.
+    // Lagged dangling mass, as in the single-graph Gauss-Seidel sweep.
     double dangling_mass = 0.0;
     for (NodeId v : slices.dangling) {
       dangling_mass += x[static_cast<size_t>(v)];
     }
 
-    // Exchange + sweep exactly as the matrix overload; the probability
-    // read streams off the shard's slice.
+    // Exchange step: publish the whole iterate; each shard reads remote
+    // slices from this frozen copy (block Jacobi across shards) while
+    // sweeping its own slice Gauss-Seidel style (owned sources read the
+    // in-place updated values).
     frozen = x;
     RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
@@ -351,7 +172,8 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
         for (EdgeIndex idx = begin; idx < end; ++idx) {
           const NodeId src = shard.in_sources[static_cast<size_t>(idx)];
           // Interior sources read the live (in-sweep updated) iterate,
-          // boundary sources the frozen exchange copy.
+          // boundary sources the frozen exchange copy; the precomputed
+          // flag keeps ownership resolution out of the inner loop.
           const double value = shard.in_interior[static_cast<size_t>(idx)]
                                    ? x[static_cast<size_t>(src)]
                                    : frozen[static_cast<size_t>(src)];

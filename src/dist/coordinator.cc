@@ -155,12 +155,12 @@ Status DistributedCoordinator::Handshake() {
       }
     }
     if (ack.needs_metric_values) {
-      // A cut-loaded shard will not accept a solve begin without the
-      // metric vector; fail HERE, before any solve moves an iterate.
+      // A shard without a slice will not accept a solve begin without
+      // the metric vector; fail HERE, before any solve moves an iterate.
       if (options_.metric_values.size() != static_cast<size_t>(n)) {
         return Status::FailedPrecondition(StrCat(
             "shard ", s,
-            " was loaded from a cut file and needs the global metric "
+            " has no transition slice yet and needs the global metric "
             "vector, but the coordinator holds ",
             options_.metric_values.size(), " metric values for a ", n,
             "-node graph (set CoordinatorOptions::metric_values)"));
@@ -243,7 +243,7 @@ Result<PagerankResult> DistributedCoordinator::Solve(
       begin.teleport.push_back(teleport[static_cast<size_t>(v)]);
     }
     if (needs_metric_[s]) {
-      // One O(|V|) broadcast, once per cut-loaded shard ever: the shard
+      // One O(|V|) broadcast, once per shard ever: the shard
       // builds its transition slice from it and never asks again.
       begin.metric_values = options_.metric_values;
       stats_.metric_values_sent +=

@@ -72,11 +72,11 @@ struct CoordinatorOptions {
   TransitionKey key;
   /// The FULL global per-node metric vector (MetricValues under
   /// key.metric), broadcast in the first kSolveBegin to any shard whose
-  /// handshake ack set needs_metric_values — i.e. shards loaded from
-  /// pre-cut files, which hold no whole-graph structure to derive it
-  /// from. Must hold num_nodes values when any shard will ask; may stay
-  /// empty for whole-graph fleets (Handshake rejects the mismatch, not
-  /// Solve, so misconfiguration surfaces before any iterate moves).
+  /// handshake ack set needs_metric_values — every worker asks until its
+  /// first slice build, since a shard cut holds no whole-graph structure
+  /// to derive it from. Must hold num_nodes values whenever a shard asks
+  /// (Handshake rejects the mismatch, not Solve, so misconfiguration
+  /// surfaces before any iterate moves).
   std::vector<double> metric_values;
   /// Per-call deadline for every shard round-trip, in milliseconds;
   /// 0 = wait forever (the in-process fleets run without deadlines).

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "core/block_solver.h"
 #include "core/transition_slices.h"
-#include "graph/graph_fingerprint.h"
 #include "net/shard_wire.h"
 
 namespace d2pr {
@@ -35,65 +34,36 @@ int64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.size() * sizeof(T));
 }
 
-int64_t ShardBytes(const PartitionShard& shard) {
-  return VectorBytes(shard.owned) + VectorBytes(shard.out_offsets) +
-         VectorBytes(shard.out_targets) + VectorBytes(shard.out_arc_begin) +
-         VectorBytes(shard.in_offsets) + VectorBytes(shard.in_sources) +
-         VectorBytes(shard.in_arc_index) + VectorBytes(shard.in_interior) +
-         VectorBytes(shard.dangling_owned);
+/// Frees a vector's storage (clear() keeps the capacity).
+template <typename T>
+void Release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
 }
 
 }  // namespace
 
-ShardWorker::ShardWorker(ShardWorkerOptions options, uint64_t fingerprint,
+ShardWorker::ShardWorker(ShardCut cut, const TransitionConfig& config,
                          ResolvedKey key)
-    : options_(std::move(options)),
-      graph_fingerprint_(fingerprint),
-      key_(key) {}
+    : cut_(std::move(cut)), config_(config), key_(key) {}
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
-    const CsrGraph& graph, const ShardWorkerOptions& options) {
-  if (options.shard_id >= options.num_shards) {
-    return Status::InvalidArgument(
-        StrCat("shard_id ", options.shard_id, " not below num_shards ",
-               options.num_shards));
-  }
-
-  PartitionOptions popts;
-  popts.scheme = options.scheme;
-  popts.num_shards = options.num_shards;
-  // The pull-side block sweep never reads the forward slice.
-  popts.build_out_csr = false;
-  Result<GraphPartition> partition = GraphPartition::Build(graph, popts);
-  if (!partition.ok()) return partition.status();
-
-  TransitionSlices slices;
-  D2PR_ASSIGN_OR_RETURN(
-      slices, BuildTransitionSlicesLocal(graph, *partition, options.config));
+    ShardCut cut, const TransitionConfig& config) {
+  // Fail a bad config at create time, not at the first solve.
+  D2PR_RETURN_NOT_OK(ValidateTransitionConfig(cut.meta.weighted, config));
 
   // Normalize the transition key exactly as D2prEngine does before cache
   // lookups, so the coordinator's handshake key (normalized the same
-  // way) compares bitwise.
+  // way, from the graph the cut came from) compares bitwise.
   ResolvedKey key;
-  key.p = options.config.p;
-  key.beta = graph.weighted() ? options.config.beta : 0.0;
-  key.metric = ResolveMetric(graph, options.config.metric);
+  key.p = config.p;
+  key.beta = cut.meta.weighted ? config.beta : 0.0;
+  key.metric = ResolveMetric(cut.meta.weighted, config.metric);
 
+  const int64_t input_bytes = cut.payload_bytes();
   auto worker = std::unique_ptr<ShardWorker>(
-      new ShardWorker(options, GraphFingerprint(graph), key));
-  worker->num_nodes_ = static_cast<uint64_t>(graph.num_nodes());
-  worker->num_arcs_ = static_cast<uint64_t>(graph.num_arcs());
-  worker->shard_ = partition->shard(options.shard_id);
-  worker->probs_ = std::move(slices.in_probs[options.shard_id]);
-  worker->slice_ready_ = true;
-  // The whole graph's CSR bytes: what this path forces every shard
-  // process to ingest (the cut path's build_input_bytes is its cut).
-  worker->build_input_bytes_ =
-      static_cast<int64_t>((graph.num_nodes() + 1) * sizeof(EdgeIndex)) +
-      static_cast<int64_t>(graph.num_arcs()) *
-          static_cast<int64_t>(sizeof(NodeId) +
-                               (graph.weighted() ? sizeof(double) : 0));
-  worker->InitDerivedIndexes(worker->shard_);
+      new ShardWorker(std::move(cut), config, key));
+  worker->build_input_bytes_ = input_bytes;
+  worker->InitDerivedIndexes();
   return worker;
 }
 
@@ -101,59 +71,18 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateFromCutFile(
     const std::string& path, const TransitionConfig& config) {
   Result<ShardCut> loaded = LoadShardCut(path);
   if (!loaded.ok()) return loaded.status();
-  auto cut = std::make_unique<ShardCut>(std::move(*loaded));
-
-  // Fail a bad config at create time, not at the first solve.
-  if (Status s = ValidateTransitionConfig(cut->meta.weighted, config);
-      !s.ok()) {
-    return s;
-  }
-
-  ShardWorkerOptions options;
-  options.shard_id = cut->meta.shard_id;
-  options.num_shards = cut->meta.num_shards;
-  options.scheme = cut->meta.scheme;
-  options.config = config;
-
-  // Same normalization as the graph path, resolved from the cut's
-  // weightedness — bitwise the key Create() would compute for the
-  // source graph.
-  ResolvedKey key;
-  key.p = config.p;
-  key.beta = cut->meta.weighted ? config.beta : 0.0;
-  key.metric = ResolveMetric(cut->meta.weighted, config.metric);
-
-  auto worker = std::unique_ptr<ShardWorker>(
-      new ShardWorker(options, cut->meta.graph_fingerprint, key));
-  worker->num_nodes_ = static_cast<uint64_t>(cut->meta.num_nodes);
-  worker->num_arcs_ = static_cast<uint64_t>(cut->meta.num_arcs);
-  worker->build_input_bytes_ = cut->payload_bytes();
-  worker->InitDerivedIndexes(cut->shard);
-  // The cut stays intact (ghost rows + weights next to the shard) until
-  // the first solve begin ships the metric vector and the slice builds;
-  // until then live_shard() reads through it.
-  worker->cut_ = std::move(cut);
-  return worker;
+  return Create(std::move(loaded).value(), config);
 }
 
-void ShardWorker::InitDerivedIndexes(const PartitionShard& shard) {
+void ShardWorker::InitDerivedIndexes() {
+  const PartitionShard& shard = cut_.shard;
+  const std::vector<NodeId>& boundary = cut_.boundary_sources;
   owned_dangling_.assign(shard.owned.size(), 0);
   for (NodeId v : shard.dangling_owned) {
     const auto it =
         std::lower_bound(shard.owned.begin(), shard.owned.end(), v);
     owned_dangling_[static_cast<size_t>(it - shard.owned.begin())] = 1;
   }
-
-  // Distinct boundary sources, ascending — the published order of every
-  // sweep request's boundary vector.
-  std::vector<NodeId> boundary;
-  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-    if (!shard.in_interior[idx]) boundary.push_back(shard.in_sources[idx]);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
-  boundary_sources_ = std::move(boundary);
 
   // Slot of each in-CSR position in the [owned | boundary] scratch.
   src_slot_.resize(shard.in_sources.size());
@@ -164,10 +93,9 @@ void ShardWorker::InitDerivedIndexes(const PartitionShard& shard) {
           std::lower_bound(shard.owned.begin(), shard.owned.end(), src);
       src_slot_[idx] = static_cast<size_t>(it - shard.owned.begin());
     } else {
-      const auto it = std::lower_bound(boundary_sources_.begin(),
-                                       boundary_sources_.end(), src);
+      const auto it = std::lower_bound(boundary.begin(), boundary.end(), src);
       src_slot_[idx] = shard.owned.size() +
-                       static_cast<size_t>(it - boundary_sources_.begin());
+                       static_cast<size_t>(it - boundary.begin());
     }
   }
 }
@@ -209,24 +137,25 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
   const ShardHandshake& h = *decoded;
 
   // Distinct rejection codes, checked most-specific first (see header).
-  if (h.shard_id != options_.shard_id) {
+  const ShardCutMetadata& meta = cut_.meta;
+  if (h.shard_id != meta.shard_id) {
     return StatusReply(
         request.request_id,
-        Status::NotFound(StrCat("this worker hosts shard ", options_.shard_id,
+        Status::NotFound(StrCat("this worker hosts shard ", meta.shard_id,
                                 ", not shard ", h.shard_id)));
   }
-  if (h.num_shards != options_.num_shards) {
+  if (h.num_shards != meta.num_shards) {
     return StatusReply(
         request.request_id,
-        Status::OutOfRange(StrCat("worker partitioned for ",
-                                  options_.num_shards, " shards, handshake ",
-                                  "declares ", h.num_shards)));
+        Status::OutOfRange(StrCat("worker partitioned for ", meta.num_shards,
+                                  " shards, handshake declares ",
+                                  h.num_shards)));
   }
-  if (h.scheme != options_.scheme) {
+  if (h.scheme != meta.scheme) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(StrCat(
                            "worker partitioned with scheme ",
-                           PartitionSchemeName(options_.scheme),
+                           PartitionSchemeName(meta.scheme),
                            ", handshake declares ",
                            PartitionSchemeName(h.scheme))));
   }
@@ -236,11 +165,12 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
                            "shard workers build slices shard-locally "
                            "(SliceBuild::kSubgraph only)"));
   }
-  if (h.graph_fingerprint != graph_fingerprint_) {
+  if (h.graph_fingerprint != meta.graph_fingerprint) {
     return StatusReply(
         request.request_id,
         Status::FailedPrecondition(StrCat(
-            "graph fingerprint mismatch: worker holds ", graph_fingerprint_,
+            "graph fingerprint mismatch: worker holds ",
+            meta.graph_fingerprint,
             ", handshake declares ", h.graph_fingerprint)));
   }
   if (!SameBits(h.p, key_.p) || !SameBits(h.beta, key_.beta) ||
@@ -261,21 +191,20 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
   if (claimed_by_ != 0 && claimed_by_ != session_id) {
     return StatusReply(
         request.request_id,
-        Status::AlreadyExists(StrCat("shard ", options_.shard_id,
+        Status::AlreadyExists(StrCat("shard ", meta.shard_id,
                                      " already claimed by a live session")));
   }
   claimed_by_ = session_id;
 
-  const PartitionShard& shard = live_shard();
+  const PartitionShard& shard = cut_.shard;
   ShardHandshakeAck ack;
-  ack.num_nodes = num_nodes_;
-  ack.num_arcs = num_arcs_;
+  ack.num_nodes = static_cast<uint64_t>(meta.num_nodes);
+  ack.num_arcs = static_cast<uint64_t>(meta.num_arcs);
   ack.num_owned = shard.owned.size();
   ack.boundary_in_arcs = static_cast<uint64_t>(shard.boundary_in_arcs);
   ack.dangling_owned = shard.dangling_owned;
-  ack.boundary_sources = boundary_sources_;
-  // A cut-loaded worker asks for the metric vector until its first
-  // slice build; a whole-graph worker never does.
+  ack.boundary_sources = cut_.boundary_sources;
+  // The worker asks for the metric vector until its first slice build.
   ack.needs_metric_values = !slice_ready_;
 
   ShardFrame reply;
@@ -297,13 +226,14 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   if (!decoded.ok()) return StatusReply(request.request_id, decoded.status());
   ShardSolveBegin begin = std::move(*decoded);
 
-  if (begin.initial.size() != live_shard().owned.size()) {
+  const size_t num_owned = cut_.shard.owned.size();
+  if (begin.initial.size() != num_owned) {
     return StatusReply(
         request.request_id,
-        Status::InvalidArgument(StrCat(
-            "solve begin carries ", begin.initial.size(),
-            " owned values, shard owns ", live_shard().owned.size(),
-            " nodes")));
+        Status::InvalidArgument(StrCat("solve begin carries ",
+                                       begin.initial.size(),
+                                       " owned values, shard owns ",
+                                       num_owned, " nodes")));
   }
   if (begin.method == static_cast<uint32_t>(SolverMethod::kGaussSeidel)) {
     if (Status s = ValidateBlockGaussSeidelPolicy(begin.dangling); !s.ok()) {
@@ -312,29 +242,32 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   }
 
   if (!slice_ready_) {
-    // Cut-loaded worker, first solve: build the slice from the cut plus
-    // the broadcast metric vector the ack asked for. Wrong-sized (or
-    // otherwise bad) vectors reject from BuildShardSliceFromCut with
-    // its own message.
+    // First solve: build the slice from the cut plus the broadcast
+    // metric vector the ack asked for. Wrong-sized or non-finite vectors
+    // reject from BuildShardSliceFromCut with its own message, leaving
+    // the worker unbuilt for a well-formed retry.
     if (begin.metric_values.empty()) {
       return StatusReply(
           request.request_id,
           Status::FailedPrecondition(
-              "worker loaded from a cut file has no transition slice yet; "
-              "solve begin must carry the global metric vector the "
-              "handshake ack requested (needs_metric_values)"));
+              "worker has no transition slice yet; solve begin must carry "
+              "the global metric vector the handshake ack requested "
+              "(needs_metric_values)"));
     }
     Result<std::vector<double>> slice =
-        BuildShardSliceFromCut(*cut_, begin.metric_values, options_.config);
+        BuildShardSliceFromCut(cut_, begin.metric_values, config_);
     if (!slice.ok()) return StatusReply(request.request_id, slice.status());
     probs_ = std::move(*slice);
-    // The cut has served its purpose: keep the shard, drop the ghost
-    // rows, weights, and the forward slice the sweeps never read.
-    shard_ = std::move(cut_->shard);
-    cut_.reset();
-    shard_.out_offsets = std::vector<EdgeIndex>();
-    shard_.out_targets = std::vector<NodeId>();
-    shard_.out_arc_begin = std::vector<EdgeIndex>();
+    // The slice is built: drop the ghost rows, weights, and the forward
+    // slice the sweeps never read.
+    Release(cut_.shard.out_offsets);
+    Release(cut_.shard.out_targets);
+    Release(cut_.shard.out_arc_begin);
+    Release(cut_.ghost_offsets);
+    Release(cut_.ghost_targets);
+    Release(cut_.out_weights);
+    Release(cut_.in_weights);
+    Release(cut_.ghost_weights);
     slice_ready_ = true;
   }
 
@@ -344,9 +277,9 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   dangling_policy_ = begin.dangling;
   alpha_ = begin.alpha;
   teleport_ = std::move(begin.teleport);
-  vals_.assign(shard_.owned.size() + boundary_sources_.size(), 0.0);
+  vals_.assign(num_owned + cut_.boundary_sources.size(), 0.0);
   std::copy(begin.initial.begin(), begin.initial.end(), vals_.begin());
-  next_.assign(shard_.owned.size(), 0.0);
+  next_.assign(num_owned, 0.0);
   last_sweep_ = 0;
   cached_reply_.clear();
 
@@ -370,12 +303,12 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
                        Status::FailedPrecondition(StrCat(
                            "sweep for unknown solve ", sweep.solve_id)));
   }
-  if (sweep.boundary.size() != boundary_sources_.size()) {
+  if (sweep.boundary.size() != cut_.boundary_sources.size()) {
     return StatusReply(
         request.request_id,
         Status::InvalidArgument(StrCat(
             "sweep carries ", sweep.boundary.size(), " boundary values, ",
-            "shard pulls ", boundary_sources_.size(), " sources")));
+            "shard pulls ", cut_.boundary_sources.size(), " sources")));
   }
   if (sweep.sweep == last_sweep_ && !cached_reply_.empty()) {
     // Idempotent retry: the coordinator (or a duplicating transport)
@@ -427,7 +360,8 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
 void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
                                double rescale,
                                const std::vector<double>& boundary) {
-  const size_t num_owned = shard_.owned.size();
+  const PartitionShard& shard = cut_.shard;
+  const size_t num_owned = shard.owned.size();
   if (has_rescale) {
     // Replay the coordinator's NormalizeL1 on the retained slice:
     // Scale(1.0/norm) multiplies every element by the same scalar, so
@@ -445,8 +379,8 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
     // overload, with current[src] read through the slot map.
     for (size_t k = 0; k < num_owned; ++k) {
       double value = 0.0;
-      const EdgeIndex begin = shard_.in_offsets[k];
-      const EdgeIndex end = shard_.in_offsets[k + 1];
+      const EdgeIndex begin = shard.in_offsets[k];
+      const EdgeIndex end = shard.in_offsets[k + 1];
       for (EdgeIndex idx = begin; idx < end; ++idx) {
         value += vals_[src_slot_[static_cast<size_t>(idx)]] *
                  slice[static_cast<size_t>(idx)];
@@ -481,8 +415,8 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
             next_.begin());
   for (size_t k = 0; k < num_owned; ++k) {
     double incoming = 0.0;
-    const EdgeIndex begin = shard_.in_offsets[k];
-    const EdgeIndex end = shard_.in_offsets[k + 1];
+    const EdgeIndex begin = shard.in_offsets[k];
+    const EdgeIndex end = shard.in_offsets[k + 1];
     for (EdgeIndex idx = begin; idx < end; ++idx) {
       incoming += slice[static_cast<size_t>(idx)] *
                   vals_[src_slot_[static_cast<size_t>(idx)]];
@@ -544,15 +478,8 @@ int64_t ShardWorker::sweeps_executed() const {
 
 int64_t ShardWorker::resident_graph_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t bytes = ShardBytes(live_shard()) + VectorBytes(boundary_sources_) +
-                  VectorBytes(src_slot_) + VectorBytes(owned_dangling_);
-  if (cut_) {
-    bytes += VectorBytes(cut_->boundary_sources) +
-             VectorBytes(cut_->ghost_offsets) +
-             VectorBytes(cut_->ghost_targets) + VectorBytes(cut_->out_weights) +
-             VectorBytes(cut_->in_weights) + VectorBytes(cut_->ghost_weights);
-  }
-  return bytes;
+  return cut_.payload_bytes() + VectorBytes(src_slot_) +
+         VectorBytes(owned_dangling_);
 }
 
 }  // namespace d2pr

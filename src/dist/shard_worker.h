@@ -3,19 +3,19 @@
 // DistributedCoordinator drives through the v2 frames of
 // net/shard_wire.h.
 //
-// A worker owns one PartitionShard (in-CSR only) plus its matrix-free
-// transition slice (BuildTransitionSlicesLocal — no whole-graph
-// TransitionMatrix is ever materialized on the shard). It comes into
-// being two ways: Create() derives the shard from a whole CsrGraph
-// in-process (tests, single-machine fleets), and CreateFromCutFile()
-// loads one pre-cut shard file (graph/shard_cut.h) — the deployment
-// path, where no whole-graph structure of ANY kind exists in the
-// process (tests/dist_cut_test.cc pins this via GraphBuilder::
-// BuildCount and TransitionMatrix::BuildCount). A cut-loaded worker
+// A worker hosts one ShardCut (graph/shard_cut.h): the shard's
+// PartitionShard plus the ghost rows and weights its matrix-free
+// transition slice needs. It has one factory, Create(ShardCut, config);
+// CreateFromCutFile() is LoadShardCut followed by Create. The cut comes
+// from a pre-cut file (`d2pr_server --shard-file`, the deployment path,
+// where no whole-graph structure of ANY kind exists in the process —
+// tests/dist_cut_test.cc pins this via GraphBuilder::BuildCount and
+// TransitionMatrix::BuildCount) or from CutShard in memory (tests,
+// `d2pr_server --shard-role` without a file). Either way the worker
 // defers its transition-slice build until the first kSolveBegin, whose
 // trailing section carries the O(|V|) global metric vector the ack
 // requested (needs_metric_values); the slice it builds is bitwise the
-// one the whole-graph path builds. Per solve it
+// whole-graph matrix's slice. Per solve it
 // retains its owned slice of the iterate across sweeps, so a sweep
 // request carries only the O(boundary) remote values, the globally
 // folded dangling mass, and — after iterations the coordinator
@@ -53,44 +53,33 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "core/transition.h"
 #include "dist/channel.h"
-#include "graph/csr_graph.h"
 #include "graph/partition.h"
 #include "graph/shard_cut.h"
 
 namespace d2pr {
 
-/// \brief What a shard worker hosts.
-struct ShardWorkerOptions {
-  size_t shard_id = 0;
-  size_t num_shards = 1;
-  PartitionScheme scheme = PartitionScheme::kRange;
-  /// Transition model; metric may be kAuto (resolved against the graph,
-  /// exactly as the engine normalizes its cache key, so coordinator and
-  /// worker agree on the resolved key bitwise).
-  TransitionConfig config;
-};
-
 /// \brief One shard's solve service.
 class ShardWorker {
  public:
-  /// Builds the worker's shard of `graph` (in-CSR only) and its
-  /// matrix-free transition slice. Errors surface from the partition
-  /// build, the slice build, or shard_id >= num_shards.
+  /// Hosts `cut` under transition model `config` (metric may be kAuto,
+  /// resolved against the cut's weightedness exactly as the engine
+  /// normalizes its cache key, so coordinator and worker agree on the
+  /// resolved key bitwise). Shard id, shard count, scheme, fingerprint,
+  /// and node/arc totals all come from the cut's metadata. The
+  /// transition slice is NOT built here — it needs the global metric
+  /// vector, which the coordinator ships in the first kSolveBegin after
+  /// the handshake ack sets needs_metric_values. Errors: an invalid
+  /// config.
   static Result<std::unique_ptr<ShardWorker>> Create(
-      const CsrGraph& graph, const ShardWorkerOptions& options);
+      ShardCut cut, const TransitionConfig& config);
 
-  /// Loads one pre-cut shard file (`d2pr_partition_cut` output) instead
-  /// of deriving the shard from a whole graph: shard id, shard count,
-  /// scheme, fingerprint, and node/arc totals all come from the cut's
-  /// validated metadata; only the transition config is the caller's.
-  /// The transition slice is NOT built here — it needs the global
-  /// metric vector, which the coordinator ships in the first
-  /// kSolveBegin after the handshake ack sets needs_metric_values.
+  /// LoadShardCut(path) (a `d2pr_partition_cut` output), then Create.
   /// Errors surface from the cut load/validation or an invalid config.
   static Result<std::unique_ptr<ShardWorker>> CreateFromCutFile(
       const std::string& path, const TransitionConfig& config);
@@ -108,25 +97,23 @@ class ShardWorker {
   /// coordinator does not wedge the shard forever.
   void CloseSession(uint64_t session_id);
 
-  uint64_t graph_fingerprint() const { return graph_fingerprint_; }
-  size_t shard_id() const { return options_.shard_id; }
-  const PartitionShard& shard() const { return live_shard(); }
+  uint64_t graph_fingerprint() const { return cut_.meta.graph_fingerprint; }
+  size_t shard_id() const { return cut_.meta.shard_id; }
+  const PartitionShard& shard() const { return cut_.shard; }
 
   /// Sweeps executed (cache hits from retried sweeps excluded).
   int64_t sweeps_executed() const;
 
   /// Bytes of graph-shaped structure resident in this worker right now:
   /// the shard's CSR arrays, boundary/slot indexes, and — until the
-  /// first solve builds the slice — the cut's ghost rows and weights.
-  /// The per-worker evidence behind the ~1/N resident-memory claim
-  /// (tests/dist_cut_test.cc, results/dist_bench.md). Excludes the
+  /// first solve builds the slice — the cut's out-CSR, ghost rows, and
+  /// weights. The per-worker evidence behind the ~1/N resident-memory
+  /// claim (tests/dist_cut_test.cc, results/dist_bench.md). Excludes the
   /// transition slice and iterate (per-key solve state, not graph).
   int64_t resident_graph_bytes() const;
 
-  /// Bytes of graph-shaped INPUT this worker consumed at creation:
-  /// the whole graph's CSR bytes for Create(), the cut file's payload
-  /// for CreateFromCutFile() — the build-time contrast the pre-cut
-  /// pipeline exists to win.
+  /// Bytes of graph-shaped INPUT this worker consumed at creation: its
+  /// cut's payload (ShardCut::payload_bytes).
   int64_t build_input_bytes() const { return build_input_bytes_; }
 
  private:
@@ -138,20 +125,12 @@ class ShardWorker {
     DegreeMetric metric = DegreeMetric::kOutDegree;
   };
 
-  ShardWorker(ShardWorkerOptions options, uint64_t fingerprint,
-              ResolvedKey key);
+  ShardWorker(ShardCut cut, const TransitionConfig& config, ResolvedKey key);
 
-  /// The shard structure to read from: the cut's copy before the first
-  /// slice build (CreateFromCutFile keeps the loaded cut intact so
-  /// BuildShardSliceFromCut sees ghost rows and weights together), the
-  /// worker's own afterwards.
-  const PartitionShard& live_shard() const {
-    return cut_ ? cut_->shard : shard_;
-  }
-
-  /// Fills owned_dangling_, boundary_sources_, and src_slot_ from a
-  /// shard's in-CSR (shared by both factories).
-  void InitDerivedIndexes(const PartitionShard& shard);
+  /// Fills owned_dangling_ and src_slot_ from the cut's in-CSR and its
+  /// boundary sources (the published order of every sweep request's
+  /// boundary vector).
+  void InitDerivedIndexes();
 
   ShardFrame StatusReply(uint64_t request_id, const Status& status) const;
 
@@ -165,29 +144,20 @@ class ShardWorker {
   void ExecuteSweep(double dangling_mass, bool has_rescale, double rescale,
                     const std::vector<double>& boundary);
 
-  ShardWorkerOptions options_;
-  uint64_t graph_fingerprint_ = 0;
+  /// The hosted cut. Its out-CSR, ghost rows, and weights are dropped
+  /// once the first solve begin has built the slice; the in-CSR, owned
+  /// and dangling lists, and boundary sources stay for the sweeps.
+  ShardCut cut_;
+  TransitionConfig config_;
   ResolvedKey key_;
-  uint64_t num_nodes_ = 0;
-  uint64_t num_arcs_ = 0;
-
-  PartitionShard shard_;
-  /// Held only between CreateFromCutFile and the first solve begin;
-  /// its PartitionShard moves into shard_ once the slice is built and
-  /// the ghost rows / weights are dropped.
-  std::unique_ptr<ShardCut> cut_;
-  /// True once probs_ holds this shard's slice (immediately for
-  /// Create(); after the first metric-carrying solve begin for
-  /// CreateFromCutFile()).
+  /// True once probs_ holds this shard's slice (after the first
+  /// metric-carrying solve begin).
   bool slice_ready_ = false;
   int64_t build_input_bytes_ = 0;
   /// This shard's contiguous in-CSR-aligned probability slice.
   std::vector<double> probs_;
   /// dangling flag per owned local index (ascending owned order).
   std::vector<uint8_t> owned_dangling_;
-  /// Distinct boundary sources, ascending global ids (the handshake ack
-  /// publishes this; sweep-request boundary vectors use this order).
-  std::vector<NodeId> boundary_sources_;
   /// Scratch slot of each in-CSR position: local owned index, or
   /// num_owned + boundary index. Precomputed so the sweep's inner loop
   /// never searches.

@@ -35,6 +35,22 @@ size_t PartitionOwnerOf(PartitionScheme scheme, NodeId node, NodeId num_nodes,
   return static_cast<size_t>(extra + (node - pivot) / base);
 }
 
+std::vector<NodeId> BoundarySources(const PartitionShard& shard,
+                                    NodeId num_nodes) {
+  // A bitmap and one ascending scan: O(|V| + in-arcs), no sort.
+  std::vector<uint8_t> seen(static_cast<size_t>(num_nodes), 0);
+  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
+    if (!shard.in_interior[idx]) {
+      seen[static_cast<size_t>(shard.in_sources[idx])] = 1;
+    }
+  }
+  std::vector<NodeId> boundary;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    if (seen[static_cast<size_t>(v)]) boundary.push_back(v);
+  }
+  return boundary;
+}
+
 Result<GraphPartition> GraphPartition::Build(const CsrGraph& graph,
                                              const PartitionOptions& options) {
   if (options.num_shards == 0) {

@@ -149,6 +149,14 @@ struct PartitionShard {
   }
 };
 
+/// \brief The distinct sources of `shard`'s boundary in-arcs, ascending
+/// global ids, for a partition of a `num_nodes`-node graph. The one
+/// derivation of the boundary list: the cut file stores it, the shard
+/// worker's handshake ack publishes it, and a shard-local slice build
+/// folds exactly these foreign rows.
+std::vector<NodeId> BoundarySources(const PartitionShard& shard,
+                                    NodeId num_nodes);
+
 /// \brief Per-shard contiguous transition-probability slices, aligned
 /// position-for-position with each shard's in-CSR.
 ///

@@ -256,8 +256,8 @@ std::string ShardCutFileName(uint64_t graph_fingerprint,
                 num_shards, ".d2psc");
 }
 
-Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
-                    size_t shard_id, const std::string& path) {
+Result<ShardCut> CutShard(const CsrGraph& graph,
+                          const GraphPartition& partition, size_t shard_id) {
   if (shard_id >= partition.num_shards()) {
     return Status::InvalidArgument(
         StrCat("shard id ", shard_id, " not below partition shard count ",
@@ -276,51 +276,58 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
   }
   const bool weighted = graph.weighted();
 
-  // Boundary sources: distinct non-interior in-CSR sources, ascending —
-  // the same derivation ShardWorker publishes in its handshake ack.
-  std::vector<NodeId> boundary;
-  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-    if (!shard.in_interior[idx]) boundary.push_back(shard.in_sources[idx]);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
+  ShardCut cut;
+  cut.meta.graph_fingerprint = GraphFingerprint(graph);
+  cut.meta.num_nodes = graph.num_nodes();
+  cut.meta.num_arcs = graph.num_arcs();
+  cut.meta.scheme = partition.scheme();
+  cut.meta.shard_id = static_cast<uint32_t>(shard_id);
+  cut.meta.num_shards = static_cast<uint32_t>(partition.num_shards());
+  cut.meta.directed = graph.directed();
+  cut.meta.weighted = weighted;
+  cut.shard = shard;
+  cut.boundary_sources = BoundarySources(shard, graph.num_nodes());
 
   // Ghost rows: each boundary source's full out-row, in boundary order.
-  std::vector<EdgeIndex> ghost_offsets;
-  std::vector<NodeId> ghost_targets;
-  std::vector<double> ghost_weights;
-  ghost_offsets.reserve(boundary.size() + 1);
-  ghost_offsets.push_back(0);
-  for (NodeId b : boundary) {
+  cut.ghost_offsets.reserve(cut.boundary_sources.size() + 1);
+  cut.ghost_offsets.push_back(0);
+  for (NodeId b : cut.boundary_sources) {
     const auto row = graph.OutNeighbors(b);
-    ghost_targets.insert(ghost_targets.end(), row.begin(), row.end());
+    cut.ghost_targets.insert(cut.ghost_targets.end(), row.begin(), row.end());
     if (weighted) {
       const auto row_weights = graph.OutWeights(b);
-      ghost_weights.insert(ghost_weights.end(), row_weights.begin(),
-                           row_weights.end());
+      cut.ghost_weights.insert(cut.ghost_weights.end(), row_weights.begin(),
+                               row_weights.end());
     }
-    ghost_offsets.push_back(static_cast<EdgeIndex>(ghost_targets.size()));
+    cut.ghost_offsets.push_back(
+        static_cast<EdgeIndex>(cut.ghost_targets.size()));
   }
 
   // Per-arc weights of the shard's own arc families. in_weights gathers
-  // through the global arc index ONCE, here, so the loaded worker never
-  // needs the global weight array.
-  std::vector<double> out_weights;
-  std::vector<double> in_weights;
+  // through the global arc index ONCE, here, so the worker never needs
+  // the global weight array.
   if (weighted) {
-    out_weights.reserve(shard.out_targets.size());
+    cut.out_weights.reserve(shard.out_targets.size());
     for (NodeId v : shard.owned) {
       const auto row_weights = graph.OutWeights(v);
-      out_weights.insert(out_weights.end(), row_weights.begin(),
-                         row_weights.end());
+      cut.out_weights.insert(cut.out_weights.end(), row_weights.begin(),
+                             row_weights.end());
     }
     const auto weights = graph.weights();
-    in_weights.reserve(shard.in_arc_index.size());
+    cut.in_weights.reserve(shard.in_arc_index.size());
     for (EdgeIndex arc : shard.in_arc_index) {
-      in_weights.push_back(weights[static_cast<size_t>(arc)]);
+      cut.in_weights.push_back(weights[static_cast<size_t>(arc)]);
     }
   }
+  return cut;
+}
+
+Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
+                    size_t shard_id, const std::string& path) {
+  ShardCut cut;
+  D2PR_ASSIGN_OR_RETURN(cut, CutShard(graph, partition, shard_id));
+  const PartitionShard& shard = cut.shard;
+  const ShardCutMetadata& meta = cut.meta;
 
   // --- header ---
   std::vector<uint8_t> header;
@@ -328,20 +335,20 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
   header.insert(header.end(), kMagic, kMagic + sizeof(kMagic));
   AppendU32(header, kFormatVersion);
   AppendU32(header, kHeaderBytes);
-  AppendU64(header, GraphFingerprint(graph));
-  AppendI64(header, static_cast<int64_t>(graph.num_nodes()));
-  AppendI64(header, graph.num_arcs());
-  AppendU32(header, static_cast<uint32_t>(partition.scheme()));
-  AppendU32(header, static_cast<uint32_t>(shard_id));
-  AppendU32(header, static_cast<uint32_t>(partition.num_shards()));
-  AppendU32(header, (graph.directed() ? kFlagDirected : 0) |
-                        (weighted ? kFlagWeighted : 0));
+  AppendU64(header, meta.graph_fingerprint);
+  AppendI64(header, static_cast<int64_t>(meta.num_nodes));
+  AppendI64(header, meta.num_arcs);
+  AppendU32(header, static_cast<uint32_t>(meta.scheme));
+  AppendU32(header, meta.shard_id);
+  AppendU32(header, meta.num_shards);
+  AppendU32(header, (meta.directed ? kFlagDirected : 0) |
+                        (meta.weighted ? kFlagWeighted : 0));
   AppendU64(header, shard.owned.size());
   AppendU64(header, static_cast<uint64_t>(shard.out_targets.size()));
   AppendU64(header, static_cast<uint64_t>(shard.in_sources.size()));
   AppendU64(header, shard.dangling_owned.size());
-  AppendU64(header, boundary.size());
-  AppendU64(header, static_cast<uint64_t>(ghost_targets.size()));
+  AppendU64(header, cut.boundary_sources.size());
+  AppendU64(header, static_cast<uint64_t>(cut.ghost_targets.size()));
 
   struct Section {
     const void* data;
@@ -355,21 +362,23 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
       {shard.in_sources.data(), shard.in_sources.size() * 4},
       {shard.in_arc_index.data(), shard.in_arc_index.size() * 8},
       {shard.dangling_owned.data(), shard.dangling_owned.size() * 4},
-      {boundary.data(), boundary.size() * 4},
-      {ghost_offsets.data(), ghost_offsets.size() * 8},
-      {ghost_targets.data(), ghost_targets.size() * 4},
+      {cut.boundary_sources.data(), cut.boundary_sources.size() * 4},
+      {cut.ghost_offsets.data(), cut.ghost_offsets.size() * 8},
+      {cut.ghost_targets.data(), cut.ghost_targets.size() * 4},
   };
   for (const Section& section : sections) {
     AppendU64(header, Checksum64(section.data, section.bytes));
   }
   // The three weight runs share one chained checksum (section 10).
   uint64_t weights_checksum = 0;
-  if (weighted) {
-    weights_checksum = Checksum64(out_weights.data(), out_weights.size() * 8);
-    weights_checksum = Checksum64(in_weights.data(), in_weights.size() * 8,
-                                  weights_checksum);
-    weights_checksum = Checksum64(ghost_weights.data(),
-                                  ghost_weights.size() * 8, weights_checksum);
+  if (meta.weighted) {
+    weights_checksum =
+        Checksum64(cut.out_weights.data(), cut.out_weights.size() * 8);
+    weights_checksum = Checksum64(cut.in_weights.data(),
+                                  cut.in_weights.size() * 8, weights_checksum);
+    weights_checksum =
+        Checksum64(cut.ghost_weights.data(), cut.ghost_weights.size() * 8,
+                   weights_checksum);
   }
   AppendU64(header, weights_checksum);
   AppendU64(header, Checksum64(header.data(), header.size()));
@@ -392,10 +401,10 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
     };
     put(header.data(), header.size());
     for (const Section& section : sections) put(section.data, section.bytes);
-    if (weighted) {
-      put(out_weights.data(), out_weights.size() * 8);
-      put(in_weights.data(), in_weights.size() * 8);
-      put(ghost_weights.data(), ghost_weights.size() * 8);
+    if (meta.weighted) {
+      put(cut.out_weights.data(), cut.out_weights.size() * 8);
+      put(cut.in_weights.data(), cut.in_weights.size() * 8);
+      put(cut.ghost_weights.data(), cut.ghost_weights.size() * 8);
     }
     out.flush();
     if (!out) {
@@ -616,17 +625,8 @@ Result<ShardCut> LoadShardCut(const std::string& path) {
   }
 
   // Boundary list: must equal the derivation from the in-CSR exactly.
-  {
-    std::vector<NodeId> derived;
-    for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-      if (!shard.in_interior[idx]) derived.push_back(shard.in_sources[idx]);
-    }
-    std::sort(derived.begin(), derived.end());
-    derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
-    if (derived != cut.boundary_sources) {
-      return Corrupt(path,
-                     "boundary-source list disagrees with the in-CSR");
-    }
+  if (BoundarySources(shard, n) != cut.boundary_sources) {
+    return Corrupt(path, "boundary-source list disagrees with the in-CSR");
   }
 
   // Ghost rows: one non-empty ascending in-range row per boundary source

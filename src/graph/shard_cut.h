@@ -3,7 +3,8 @@
 // loading (or regenerating) the whole graph — the memory win
 // distribution is supposed to buy. `d2pr_partition_cut` partitions a
 // graph once and writes one file per shard; ShardWorker loads exactly
-// one.
+// one. CutShard builds the same ShardCut in memory, for fleets that hold
+// the graph anyway (tests, `d2pr_server --shard-role` without a file).
 //
 // What one file carries (everything a ShardWorker needs that is not
 // derivable closed-form from the metadata):
@@ -114,10 +115,16 @@ std::string ShardCutFileName(uint64_t graph_fingerprint,
                              PartitionScheme scheme, size_t num_shards,
                              size_t shard_id);
 
-/// \brief Writes shard `shard_id` of `partition` (which must have been
-/// built from `graph` with build_out_csr = true) to `path`, atomically
-/// (unique temp + fsync + rename). InvalidArgument for a bad shard id or
-/// a partition built without the out-CSR; IoError on filesystem
+/// \brief Cuts shard `shard_id` of `partition` (which must have been
+/// built from `graph` with build_out_csr = true) in memory: the ShardCut
+/// LoadShardCut would return for the file SaveShardCut writes, field for
+/// field. InvalidArgument for a bad shard id, a partition of another
+/// graph, or a partition built without the out-CSR.
+Result<ShardCut> CutShard(const CsrGraph& graph,
+                          const GraphPartition& partition, size_t shard_id);
+
+/// \brief CutShard, then writes the cut to `path` atomically (unique
+/// temp + fsync + rename). CutShard's errors, or IoError on filesystem
 /// failures.
 Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
                     size_t shard_id, const std::string& path);

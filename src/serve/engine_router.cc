@@ -270,16 +270,13 @@ Result<RankResponse> EngineRouter::ExecuteUnits(const RankRequest& request,
 Result<std::shared_ptr<const TransitionSlices>> EngineRouter::PartitionSlices(
     const TransitionKey& key, bool* cache_hit, bool* store_hit) {
   // Row probabilities depend on global destination metrics (a boundary
-  // target's degree is invisible inside one shard), so both SliceBuild
-  // paths consume global state: kFromMatrix resolves one shared
-  // whole-graph matrix (per-key single-flight over cache, store, build —
-  // the same TransitionResolver discipline the whole-graph engines use)
-  // and slices it; kSubgraph broadcasts the O(|V|) metric vector instead
-  // and never materializes a matrix. Either way the sweeps stream
-  // bitwise-identical per-arc probabilities.
+  // target's degree is invisible inside one shard), so the slices come
+  // from one shared whole-graph matrix: per-key single-flight over
+  // cache, store, build — the same TransitionResolver discipline the
+  // whole-graph engines use.
   TransitionResolver::Outcome outcome;
-  auto resolved = partition_resolver_->ResolveSlices(
-      key, *partition_, options_.partition_slice_build, &outcome);
+  auto resolved =
+      partition_resolver_->ResolveSlices(key, *partition_, &outcome);
   *cache_hit = outcome.cache_hit;
   *store_hit = outcome.store_hit;
   return resolved;

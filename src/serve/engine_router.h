@@ -31,14 +31,13 @@
 //     engines exist in this mode (shard() is invalid); the router keys
 //     per-shard TransitionSlices per (p, beta, metric) — contiguous,
 //     in-CSR-aligned probability slices each sweep streams
-//     (core/transition_slices.h). Under the default
-//     SliceBuild::kFromMatrix the slices are cut from one shared
-//     whole-graph TransitionMatrix (resolved through the cache /
-//     persistent store exactly as before); under SliceBuild::kSubgraph
-//     they are built shard-locally from the shard rows plus a broadcast
-//     O(|V|) global-metric vector — global metrics are required either
-//     way because a boundary target's degree is not visible inside one
-//     shard — and no whole-graph matrix (or store access) ever exists.
+//     (core/transition_slices.h). The slices are cut from one shared
+//     whole-graph TransitionMatrix, resolved through the cache /
+//     persistent store exactly as the whole-graph engines resolve it —
+//     a boundary target's degree is not visible inside one shard, so
+//     every slice depends on global state. The matrix-free deployment,
+//     where no process ever holds the whole graph, is the pre-cut shard
+//     fleet (dist/shard_worker.h), not this in-process mode.
 //     Power-iteration responses are BIT-IDENTICAL
 //     to the single-engine reference for any shard count and either
 //     scheme; Gauss-Seidel responses agree within solver tolerance
@@ -125,7 +124,6 @@
 #include "api/rank_request.h"
 #include "common/result.h"
 #include "core/block_solver.h"
-#include "core/transition_slices.h"
 #include "graph/csr_graph.h"
 #include "graph/partition.h"
 #include "serve/score_cache.h"
@@ -188,15 +186,6 @@ struct RouterOptions {
   /// other policies). kHash matches ModuloShardMap, so seed ownership
   /// and subgraph ownership coincide under the default ShardMap.
   PartitionScheme partition_scheme = PartitionScheme::kRange;
-  /// How kPartitionedSubgraph constructs the per-shard transition slices
-  /// its block solves stream (ignored by the other policies).
-  /// kFromMatrix (default) resolves the shared whole-graph matrix
-  /// exactly as before — cache, persistent store, and every counter
-  /// unchanged — and slices it; kSubgraph builds slices shard-locally
-  /// from the partition plus an O(|V|) broadcast metric vector, never
-  /// materializing a whole-graph matrix (and therefore never touching
-  /// the persistent store). Responses are bit-identical either way.
-  SliceBuild partition_slice_build = SliceBuild::kFromMatrix;
   /// Options forwarded to every shard engine. The transition-cache
   /// capacity also sizes the router's virtual reference LRU (diagnostic
   /// normalization).
@@ -280,7 +269,7 @@ class EngineRouter {
     return partition_resolver_ ? partition_resolver_->store_saves() : 0;
   }
   /// Slice constructions in the partitioned-subgraph mode (cache misses
-  /// in the resolver's slice cache, under either SliceBuild path).
+  /// in the resolver's slice cache).
   int64_t partition_slice_builds() const {
     return partition_resolver_ ? partition_resolver_->slice_builds() : 0;
   }
@@ -372,13 +361,11 @@ class EngineRouter {
   Result<RankResponse> RankPartitioned(const RankRequest& request,
                                        bool allow_pool);
 
-  /// Per-shard transition slices for `key`, under the configured
-  /// SliceBuild path. Delegates to the shared TransitionResolver
-  /// (single-flight; concurrent requesters of one key wait rather than
-  /// duplicating the work): kFromMatrix resolves the whole-graph matrix
-  /// exactly as the whole-graph engines do — cache, store, write-through
-  /// spill — then slices it; kSubgraph builds shard-locally and never
-  /// materializes (or persists) a whole-graph matrix.
+  /// Per-shard transition slices for `key`. Delegates to the shared
+  /// TransitionResolver (single-flight; concurrent requesters of one key
+  /// wait rather than duplicating the work), which resolves the
+  /// whole-graph matrix exactly as the whole-graph engines do — cache,
+  /// store, write-through spill — then slices it.
   Result<std::shared_ptr<const TransitionSlices>> PartitionSlices(
       const TransitionKey& key, bool* cache_hit, bool* store_hit);
 

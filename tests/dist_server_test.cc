@@ -53,12 +53,13 @@ bool WaitForCount(const std::atomic<int64_t>& counter, int64_t expected) {
 }
 
 SocketFleet MakeSocketFleet(const CsrGraph& graph, size_t num_shards) {
+  auto partition = GraphPartition::Build(graph, {.num_shards = num_shards});
+  D2PR_CHECK(partition.ok()) << partition.status().ToString();
   SocketFleet fleet;
   for (size_t s = 0; s < num_shards; ++s) {
-    ShardWorkerOptions options;
-    options.shard_id = s;
-    options.num_shards = num_shards;
-    auto worker = ShardWorker::Create(graph, options);
+    auto cut = CutShard(graph, *partition, s);
+    D2PR_CHECK(cut.ok()) << cut.status().ToString();
+    auto worker = ShardWorker::Create(std::move(cut).value(), {});
     D2PR_CHECK(worker.ok()) << worker.status().ToString();
     fleet.workers.push_back(std::move(*worker));
     fleet.servers.push_back(

@@ -1,10 +1,10 @@
 // Shared fixtures of the distributed-block-solve suites
 // (dist_parity_test.cc, dist_fault_test.cc, dist_handshake_test.cc,
-// dist_server_test.cc): an in-process shard fleet — N ShardWorkers over
-// one graph, one InProcessShardChannel each, and the CoordinatorOptions
-// that handshake with them — plus the FaultyChannel decorator the chaos
-// suite wraps around any channel to inject transport faults below the
-// codec layer.
+// dist_server_test.cc, dist_cut_test.cc): an in-process shard fleet — N
+// ShardWorkers over in-memory cuts of one graph, one
+// InProcessShardChannel each, and the CoordinatorOptions that handshake
+// with them — plus the FaultyChannel decorator the chaos suite wraps
+// around any channel to inject transport faults below the codec layer.
 
 #ifndef D2PR_TESTS_DIST_TEST_UTIL_H_
 #define D2PR_TESTS_DIST_TEST_UTIL_H_
@@ -27,6 +27,7 @@
 #include "graph/csr_graph.h"
 #include "graph/graph_fingerprint.h"
 #include "graph/partition.h"
+#include "graph/shard_cut.h"
 
 namespace d2pr {
 
@@ -121,26 +122,35 @@ struct DistFleet {
   std::vector<ShardChannel*> raw;
 };
 
+/// Adds a created `worker` to `fleet`, behind its own in-process channel.
+inline void AddWorker(DistFleet& fleet,
+                      Result<std::unique_ptr<ShardWorker>> worker) {
+  D2PR_CHECK(worker.ok()) << worker.status().ToString();
+  fleet.workers.push_back(std::move(*worker));
+  fleet.channels.push_back(
+      std::make_unique<InProcessShardChannel>(*fleet.workers.back()));
+  fleet.raw.push_back(fleet.channels.back().get());
+}
+
+/// A fleet of workers built by the deployment factory from in-memory
+/// cuts (CutShard) — the same ShardCut a cut file loads to.
 inline DistFleet MakeFleet(const CsrGraph& graph, size_t num_shards,
                            PartitionScheme scheme = PartitionScheme::kRange,
                            const TransitionConfig& config = {}) {
+  auto partition = GraphPartition::Build(
+      graph, {.scheme = scheme, .num_shards = num_shards});
+  D2PR_CHECK(partition.ok()) << partition.status().ToString();
   DistFleet fleet;
   for (size_t s = 0; s < num_shards; ++s) {
-    ShardWorkerOptions options;
-    options.shard_id = s;
-    options.num_shards = num_shards;
-    options.scheme = scheme;
-    options.config = config;
-    auto worker = ShardWorker::Create(graph, options);
-    D2PR_CHECK(worker.ok()) << worker.status().ToString();
-    fleet.workers.push_back(std::move(*worker));
-    fleet.channels.push_back(
-        std::make_unique<InProcessShardChannel>(*fleet.workers.back()));
-    fleet.raw.push_back(fleet.channels.back().get());
+    auto cut = CutShard(graph, *partition, s);
+    D2PR_CHECK(cut.ok()) << cut.status().ToString();
+    AddWorker(fleet, ShardWorker::Create(std::move(cut).value(), config));
   }
   return fleet;
 }
 
+/// Coordinator options for a fleet over `graph`, metric vector included:
+/// every worker asks for it on its first solve.
 inline CoordinatorOptions MakeCoordinatorOptions(
     const CsrGraph& graph, PartitionScheme scheme = PartitionScheme::kRange,
     const TransitionConfig& config = {}) {
@@ -149,6 +159,7 @@ inline CoordinatorOptions MakeCoordinatorOptions(
   options.num_nodes = graph.num_nodes();
   options.graph_fingerprint = GraphFingerprint(graph);
   options.key = ResolveTransitionKey(graph, config);
+  options.metric_values = MetricValues(graph, options.key.metric);
   return options;
 }
 

@@ -99,6 +99,11 @@ TEST(RankFlagsTest, GraphIsRequired) {
 
 TEST(RankFlagsTest, UnknownFlagRejected) {
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partiton=range"}).ok());
+  // The partitioned router always slices the resolved matrix; the old
+  // slice-construction switch is gone.
+  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
+                             "--shards=4", "--slices=matrix"})
+                   .ok());
 }
 
 TEST(RankFlagsTest, PartitionRequiresShards) {
@@ -179,48 +184,6 @@ TEST(RankFlagsTest, PartitionExcludesTuneViaShardsRule) {
                              "--shards=2", "--tune",
                              "--significance=s.txt"})
                    .ok());
-}
-
-TEST(RankFlagsTest, SlicesRequiresPartitionAndValidatesVocabulary) {
-  // --slices selects the partitioned router's slice construction; it is
-  // meaningless without --partition.
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--slices=subgraph"}).ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--slices=matrix",
-                             "--shards=4"})
-                   .ok());
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                            "--shards=4", "--slices=matrix"})
-                  .ok());
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=hash",
-                            "--shards=2", "--slices=subgraph"})
-                  .ok());
-  // Vocabulary: a typo'd mode is exit 2, and a bare --slices (empty
-  // value) is as unknown as any other misspelling.
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=4", "--slices=sliced"})
-                   .ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=4", "--slices"})
-                   .ok());
-  EXPECT_EQ(ParseSliceBuild("").value(), SliceBuild::kFromMatrix);
-  EXPECT_EQ(ParseSliceBuild("matrix").value(), SliceBuild::kFromMatrix);
-  EXPECT_EQ(ParseSliceBuild("subgraph").value(), SliceBuild::kSubgraph);
-  EXPECT_FALSE(ParseSliceBuild("local").ok());
-}
-
-TEST(RankFlagsTest, SlicesComposesWithPartitionServingFlags) {
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=hash",
-                            "--shards=4", "--slices=subgraph",
-                            "--threads=4", "--repeat=16",
-                            "--method=gauss-seidel", "--seeds=1,2,3"})
-                  .ok());
-  // --cache-dir stays legal with --slices=subgraph (the store still
-  // serves warm-start and non-partitioned paths); the subgraph build
-  // simply never touches it for the transition.
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                            "--shards=2", "--slices=subgraph",
-                            "--cache-dir=/tmp/store", "--cache-mode=rw"})
-                  .ok());
 }
 
 TEST(RankFlagsTest, PartitionComposesWithServingAndCacheFlags) {

@@ -5,10 +5,9 @@
 // policies, power and Gauss-Seidel), the partitioned-subgraph router and
 // the block solvers must reproduce the single-engine reference: power
 // bit-identically, Gauss-Seidel within 1e-9 — with total probability
-// mass 1 and top-k ranking agreement on every response. The router mix
-// cycles both slice-construction modes (kFromMatrix and the
-// matrix-free kSubgraph path), and the solver-level sweep feeds the
-// sliced block solver from both construction paths.
+// mass 1 and top-k ranking agreement on every response. The
+// solver-level sweep feeds the block solver from both slice builders
+// (the matrix permutation and the matrix-free kernel).
 
 #include <gtest/gtest.h>
 
@@ -141,16 +140,10 @@ TEST(PartitionFuzzTest, RouterMatchesSingleEngineOnRandomMixes) {
     const PartitionScheme scheme = case_id % 2 == 0
                                        ? PartitionScheme::kRange
                                        : PartitionScheme::kHash;
-    // Cycle the slice-construction mode independently of the scheme so
-    // every (scheme, build) pair recurs across the 50 cases.
-    const SliceBuild slice_build = (case_id / 2) % 2 == 0
-                                       ? SliceBuild::kFromMatrix
-                                       : SliceBuild::kSubgraph;
     EngineRouter router = EngineRouter::Borrowing(
         *graph, {.num_shards = num_shards,
                  .policy = RoutingPolicy::kPartitionedSubgraph,
-                 .partition_scheme = scheme,
-                 .partition_slice_build = slice_build});
+                 .partition_scheme = scheme});
     if (router.partition().BoundaryFraction() > 0.25) ++boundary_heavy_cases;
 
     auto routed = router.RankBatch(requests);
@@ -185,14 +178,6 @@ TEST(PartitionFuzzTest, RouterMatchesSingleEngineOnRandomMixes) {
         ++gs_responses;
       }
       ExpectTopKAgreement(expected.scores, actual.scores);
-    }
-
-    if (slice_build == SliceBuild::kSubgraph) {
-      // Matrix-free by construction: across the whole mix the router
-      // never built (or loaded) a whole-graph transition matrix.
-      EXPECT_EQ(router.partition_transition_builds(), 0);
-      EXPECT_EQ(router.partition_transition_store_loads(), 0);
-      EXPECT_GT(router.partition_slice_builds(), 0);
     }
   }
   // The property is only meaningful if the mix exercised both solvers
@@ -236,17 +221,10 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
     auto partition = GraphPartition::Build(
         *graph, {.scheme = scheme, .num_shards = num_shards});
     ASSERT_TRUE(partition.ok());
-    auto block =
-        SolvePagerankPartitioned(*transition, *partition, teleport, options);
-    ASSERT_TRUE(block.ok());
-    EXPECT_EQ(block->scores, reference->scores);
-    EXPECT_EQ(block->iterations, reference->iterations);
-    EXPECT_EQ(block->residual, reference->residual);
 
-    // The sliced solver inherits the same contract, from either slice
-    // construction path (permutation-of-the-matrix and matrix-free
-    // subgraph builds are themselves bit-identical, so one solve per
-    // path proves the whole chain).
+    // Both slice builders (permutation of the matrix and the matrix-free
+    // kernel) are bit-identical, so one solve per builder proves the
+    // whole chain.
     auto from_matrix = BuildTransitionSlices(*partition, *transition);
     ASSERT_TRUE(from_matrix.ok());
     auto local = BuildTransitionSlicesLocal(*graph, *partition, config);

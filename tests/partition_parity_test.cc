@@ -72,6 +72,14 @@ CsrGraph WeightedDirectedGraph() {
   return std::move(graph).value();
 }
 
+/// `transition` sliced through `partition` — the block solvers' input.
+TransitionSlices Sliced(const GraphPartition& partition,
+                        const TransitionMatrix& transition) {
+  auto slices = BuildTransitionSlices(partition, transition);
+  EXPECT_TRUE(slices.ok()) << slices.status().ToString();
+  return std::move(slices).value();
+}
+
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   EXPECT_EQ(a.size(), b.size());
   double max_diff = 0.0;
@@ -131,8 +139,9 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
               auto partition = GraphPartition::Build(
                   *graph, {.scheme = scheme, .num_shards = shards});
               ASSERT_TRUE(partition.ok());
-              auto block = SolvePagerankPartitioned(*transition, *partition,
-                                                    *teleport, options);
+              auto block = SolvePagerankPartitioned(
+                  Sliced(*partition, *transition), *partition, *teleport,
+                  options);
               ASSERT_TRUE(block.ok()) << block.status().ToString();
               // Bitwise: vector operator== compares every double exactly.
               EXPECT_EQ(block->scores, reference->scores);
@@ -180,8 +189,9 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
           auto partition = GraphPartition::Build(
               *graph, {.scheme = scheme, .num_shards = shards});
           ASSERT_TRUE(partition.ok());
-          auto block = SolveGaussSeidelPartitioned(*transition, *partition,
-                                                   *teleport, options);
+          auto block = SolveGaussSeidelPartitioned(
+              Sliced(*partition, *transition), *partition, *teleport,
+              options);
           ASSERT_TRUE(block.ok());
           EXPECT_TRUE(block->converged);
           EXPECT_LE(MaxAbsDiff(block->scores, reference->scores),
@@ -210,8 +220,8 @@ TEST(PartitionParityTest, SingleShardGaussSeidelEqualsBlockFixedPoint) {
   ASSERT_TRUE(reference.ok());
   auto partition = GraphPartition::Build(graph, {.num_shards = 1});
   ASSERT_TRUE(partition.ok());
-  auto block =
-      SolveGaussSeidelPartitioned(*transition, *partition, teleport, options);
+  auto block = SolveGaussSeidelPartitioned(Sliced(*partition, *transition),
+                                           *partition, teleport, options);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block->scores, reference->scores);
   EXPECT_EQ(block->iterations, reference->iterations);
@@ -224,18 +234,18 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
+  const TransitionSlices slices = Sliced(*partition, *transition);
 
   PagerankOptions bad_alpha;
   bad_alpha.alpha = 1.0;
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *partition, teleport,
-                                     bad_alpha)
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *partition, teleport, bad_alpha)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
 
   PagerankOptions bad_tolerance;
   bad_tolerance.tolerance = 0.0;
-  EXPECT_EQ(SolveGaussSeidelPartitioned(*transition, *partition, teleport,
+  EXPECT_EQ(SolveGaussSeidelPartitioned(slices, *partition, teleport,
                                         bad_tolerance)
                 .status()
                 .code(),
@@ -243,7 +253,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
 
   // Teleport of the wrong size, and a partition of the wrong graph.
   std::vector<double> short_teleport(3, 1.0 / 3.0);
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *partition, short_teleport,
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *partition, short_teleport,
                                      PagerankOptions{})
                 .status()
                 .code(),
@@ -251,7 +261,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   const CsrGraph other = WeightedDirectedGraph();
   auto other_partition = GraphPartition::Build(other, {.num_shards = 2});
   ASSERT_TRUE(other_partition.ok());
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *other_partition, teleport,
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *other_partition, teleport,
                                      PagerankOptions{})
                 .status()
                 .code(),
@@ -263,8 +273,8 @@ TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
   ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(CsrGraph(), {.num_shards = 4});
   ASSERT_TRUE(partition.ok());
-  auto solved = SolvePagerankPartitioned(*transition, *partition, {},
-                                         PagerankOptions{});
+  auto solved = SolvePagerankPartitioned(Sliced(*partition, *transition),
+                                         *partition, {}, PagerankOptions{});
   ASSERT_TRUE(solved.ok());
   EXPECT_TRUE(solved->converged);
   EXPECT_TRUE(solved->scores.empty());
@@ -315,16 +325,12 @@ TEST(PartitionParityTest, RouterMatchesSingleEngineReference) {
 
     for (PartitionScheme scheme : kSchemes) {
       for (size_t shards : kShardCounts) {
-       for (SliceBuild slice_build :
-            {SliceBuild::kFromMatrix, SliceBuild::kSubgraph}) {
         SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x" +
-                     std::to_string(shards) + " slices=" +
-                     SliceBuildName(slice_build));
+                     std::to_string(shards));
         EngineRouter router = EngineRouter::Borrowing(
             *graph, {.num_shards = shards,
                      .policy = RoutingPolicy::kPartitionedSubgraph,
-                     .partition_scheme = scheme,
-                     .partition_slice_build = slice_build});
+                     .partition_scheme = scheme});
         ASSERT_TRUE(router.partitioned_subgraph());
         EXPECT_EQ(router.num_shards(), shards);
         EXPECT_EQ(router.partition().scheme(), scheme);
@@ -352,14 +358,6 @@ TEST(PartitionParityTest, RouterMatchesSingleEngineReference) {
                       kGsTolerance);
           }
         }
-        if (slice_build == SliceBuild::kSubgraph) {
-          // The matrix-free mode served the same bits without ever
-          // building (or store-loading) a whole-graph matrix.
-          EXPECT_EQ(router.partition_transition_builds(), 0);
-          EXPECT_EQ(router.partition_transition_store_loads(), 0);
-          EXPECT_GT(router.partition_slice_builds(), 0);
-        }
-       }
       }
     }
   }
@@ -399,7 +397,8 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   PagerankOptions options;
   options.dangling = DanglingPolicy::kRenormalize;
   auto solved = SolveGaussSeidelPartitioned(
-      *transition, *partition, UniformTeleport(graph.num_nodes()), options);
+      Sliced(*partition, *transition), *partition,
+      UniformTeleport(graph.num_nodes()), options);
   EXPECT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 

@@ -1,6 +1,6 @@
 // Shard-local transition slices: construction parity, the
-// no-whole-graph-matrix guarantee of the subgraph path, sliced solver
-// parity, edge-case shapes, and the serving-stack ownership pin.
+// no-whole-graph-matrix guarantee of the matrix-free kernel, sliced
+// solver parity, edge-case shapes, and the serving-stack ownership pin.
 //
 // The load-bearing claims proven here (see core/transition_slices.h):
 //   * BuildTransitionSlices is a pure permutation of the matrix:
@@ -358,8 +358,8 @@ TEST(PartitionSliceTest, SlicedPowerIsBitIdenticalToTheReference) {
           auto partition = GraphPartition::Build(
               *graph, {.scheme = scheme, .num_shards = shards});
           ASSERT_TRUE(partition.ok());
-          // Both construction paths, both solved; all three results
-          // (matrix overload included) must carry the same bits.
+          // Both builders, both solved; each result must carry the
+          // reference's bits.
           auto from_matrix = BuildTransitionSlices(*partition, *transition);
           ASSERT_TRUE(from_matrix.ok());
           auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
@@ -409,10 +409,13 @@ TEST(PartitionSliceTest, SlicedGaussSeidelAgreesWithinTolerance) {
     EXPECT_LE(MaxAbsDiff(block->scores, reference->scores), 1e-9);
     EXPECT_NEAR(Sum(block->scores), 1.0, 1e-12);
 
-    // And bit-identical to the matrix-overload block solve, which uses
-    // the same frozen-exchange sweep over the same probabilities.
+    // And bit-identical to the block solve over the matrix's slices,
+    // which runs the same frozen-exchange sweep over the same
+    // probabilities.
+    auto from_matrix = BuildTransitionSlices(*partition, *transition);
+    ASSERT_TRUE(from_matrix.ok());
     auto matrix_block =
-        SolveGaussSeidelPartitioned(*transition, *partition, teleport,
+        SolveGaussSeidelPartitioned(*from_matrix, *partition, teleport,
                                     options);
     ASSERT_TRUE(matrix_block.ok());
     EXPECT_EQ(block->scores, matrix_block->scores);
@@ -451,53 +454,10 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
 // Serving stack.
 // ---------------------------------------------------------------------
 
-TEST(PartitionSliceTest, RouterSubgraphSliceModeMatchesSingleEngine) {
-  // kSubgraph end to end: the router serves bit-identical power scores
-  // (and tolerance-close Gauss-Seidel) without ever materializing a
-  // whole-graph matrix.
-  const CsrGraph graph = UnweightedGraph();
-  D2prEngine engine = D2prEngine::Borrowing(graph);
-
-  RouterOptions options;
-  options.num_shards = 4;
-  options.policy = RoutingPolicy::kPartitionedSubgraph;
-  options.partition_scheme = PartitionScheme::kHash;
-  options.partition_slice_build = SliceBuild::kSubgraph;
-  EngineRouter router = EngineRouter::Borrowing(graph, options);
-
-  const uint64_t before = TransitionMatrix::BuildCount();
-  RankRequest request;
-  request.p = 0.6;
-  request.seeds = {3, 11};
-  request.tolerance = 1e-11;
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  auto reference = engine.Rank(request);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(routed->scores, reference->scores);
-  EXPECT_EQ(routed->iterations, reference->iterations);
-  EXPECT_TRUE(routed->served_partitioned);
-
-  // No whole-graph matrix was built by the router (the single-engine
-  // reference built its own — count it out of the delta), and the
-  // matrix-side counters never moved.
-  EXPECT_EQ(TransitionMatrix::BuildCount(), before + 1);
-  EXPECT_EQ(router.partition_transition_builds(), 0);
-  EXPECT_EQ(router.partition_transition_store_loads(), 0);
-  EXPECT_EQ(router.partition_slice_builds(), 1);
-
-  // Second identical request: served from the slice cache.
-  auto again = router.Rank(request);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->scores, reference->scores);
-  EXPECT_TRUE(again->transition_cache_hit);
-  EXPECT_EQ(router.partition_slice_builds(), 1);
-  EXPECT_EQ(TransitionMatrix::BuildCount(), before + 1);
-}
-
 TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
-  // The default kFromMatrix path must keep the historical matrix-side
-  // observables: one build then cache hits, slices riding behind.
+  // The router slices the resolved matrix and keeps the historical
+  // matrix-side observables: one build then cache hits, slices riding
+  // behind.
   const CsrGraph graph = UnweightedGraph();
   RouterOptions options;
   options.num_shards = 2;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -166,6 +167,25 @@ void ExpectShardEqual(const PartitionShard& got, const PartitionShard& want) {
   EXPECT_EQ(got.dangling_owned, want.dangling_owned);
 }
 
+/// Field-for-field equality of two cuts.
+void ExpectCutEqual(const ShardCut& got, const ShardCut& want) {
+  EXPECT_EQ(got.meta.graph_fingerprint, want.meta.graph_fingerprint);
+  EXPECT_EQ(got.meta.num_nodes, want.meta.num_nodes);
+  EXPECT_EQ(got.meta.num_arcs, want.meta.num_arcs);
+  EXPECT_EQ(got.meta.scheme, want.meta.scheme);
+  EXPECT_EQ(got.meta.shard_id, want.meta.shard_id);
+  EXPECT_EQ(got.meta.num_shards, want.meta.num_shards);
+  EXPECT_EQ(got.meta.directed, want.meta.directed);
+  EXPECT_EQ(got.meta.weighted, want.meta.weighted);
+  ExpectShardEqual(got.shard, want.shard);
+  EXPECT_EQ(got.boundary_sources, want.boundary_sources);
+  EXPECT_EQ(got.ghost_offsets, want.ghost_offsets);
+  EXPECT_EQ(got.ghost_targets, want.ghost_targets);
+  EXPECT_EQ(got.out_weights, want.out_weights);
+  EXPECT_EQ(got.in_weights, want.in_weights);
+  EXPECT_EQ(got.ghost_weights, want.ghost_weights);
+}
+
 TEST(ShardCutTest, RoundTripMatchesPartitionerAcrossSchemesAndShardCounts) {
   const CsrGraph graph = DirectedGraphWithDangling(233, 71);
   const std::string dir = FreshDir("roundtrip");
@@ -178,43 +198,51 @@ TEST(ShardCutTest, RoundTripMatchesPartitionerAcrossSchemesAndShardCounts) {
       for (size_t s = 0; s < shards; ++s) {
         SCOPED_TRACE("shard " + std::to_string(s));
         const std::string path = SaveCut(graph, partition, s, dir);
-        auto cut = LoadShardCut(path);
-        ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+        auto loaded = LoadShardCut(path);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        // The in-memory cut is exactly what the file round trip yields.
+        auto in_memory = CutShard(graph, partition, s);
+        ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+        ExpectCutEqual(*in_memory, *loaded);
 
-        EXPECT_EQ(cut->meta.graph_fingerprint, GraphFingerprint(graph));
-        EXPECT_EQ(cut->meta.num_nodes, graph.num_nodes());
-        EXPECT_EQ(cut->meta.num_arcs, graph.num_arcs());
-        EXPECT_EQ(cut->meta.scheme, scheme);
-        EXPECT_EQ(cut->meta.shard_id, s);
-        EXPECT_EQ(cut->meta.num_shards, shards);
-        EXPECT_TRUE(cut->meta.directed);
-        EXPECT_FALSE(cut->meta.weighted);
-        ExpectShardEqual(cut->shard, partition.shard(s));
+        for (const ShardCut* cut : {&*loaded, &*in_memory}) {
+          EXPECT_EQ(cut->meta.graph_fingerprint, GraphFingerprint(graph));
+          EXPECT_EQ(cut->meta.num_nodes, graph.num_nodes());
+          EXPECT_EQ(cut->meta.num_arcs, graph.num_arcs());
+          EXPECT_EQ(cut->meta.scheme, scheme);
+          EXPECT_EQ(cut->meta.shard_id, s);
+          EXPECT_EQ(cut->meta.num_shards, shards);
+          EXPECT_TRUE(cut->meta.directed);
+          EXPECT_FALSE(cut->meta.weighted);
+          ExpectShardEqual(cut->shard, partition.shard(s));
 
-        // Boundary sources: the distinct non-interior in-CSR sources.
-        const PartitionShard& want = partition.shard(s);
-        std::vector<NodeId> boundary;
-        for (size_t idx = 0; idx < want.in_sources.size(); ++idx) {
-          if (!want.in_interior[idx]) boundary.push_back(want.in_sources[idx]);
+          // Boundary sources: the distinct non-interior in-CSR sources.
+          const PartitionShard& want = partition.shard(s);
+          std::vector<NodeId> boundary;
+          for (size_t idx = 0; idx < want.in_sources.size(); ++idx) {
+            if (!want.in_interior[idx]) {
+              boundary.push_back(want.in_sources[idx]);
+            }
+          }
+          std::sort(boundary.begin(), boundary.end());
+          boundary.erase(std::unique(boundary.begin(), boundary.end()),
+                         boundary.end());
+          EXPECT_EQ(cut->boundary_sources, boundary);
+
+          // Ghost rows: each boundary source's full out-row, verbatim.
+          ASSERT_EQ(cut->ghost_offsets.size(), boundary.size() + 1);
+          for (size_t b = 0; b < boundary.size(); ++b) {
+            const auto row = graph.OutNeighbors(boundary[b]);
+            const auto begin = static_cast<size_t>(cut->ghost_offsets[b]);
+            const auto end = static_cast<size_t>(cut->ghost_offsets[b + 1]);
+            ASSERT_EQ(end - begin, row.size());
+            EXPECT_TRUE(std::equal(row.begin(), row.end(),
+                                   cut->ghost_targets.begin() + begin));
+          }
+          EXPECT_TRUE(cut->out_weights.empty());
+          EXPECT_TRUE(cut->in_weights.empty());
+          EXPECT_TRUE(cut->ghost_weights.empty());
         }
-        std::sort(boundary.begin(), boundary.end());
-        boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                       boundary.end());
-        EXPECT_EQ(cut->boundary_sources, boundary);
-
-        // Ghost rows: each boundary source's full out-row, verbatim.
-        ASSERT_EQ(cut->ghost_offsets.size(), boundary.size() + 1);
-        for (size_t b = 0; b < boundary.size(); ++b) {
-          const auto row = graph.OutNeighbors(boundary[b]);
-          const auto begin = static_cast<size_t>(cut->ghost_offsets[b]);
-          const auto end = static_cast<size_t>(cut->ghost_offsets[b + 1]);
-          ASSERT_EQ(end - begin, row.size());
-          EXPECT_TRUE(std::equal(row.begin(), row.end(),
-                                 cut->ghost_targets.begin() + begin));
-        }
-        EXPECT_TRUE(cut->out_weights.empty());
-        EXPECT_TRUE(cut->in_weights.empty());
-        EXPECT_TRUE(cut->ghost_weights.empty());
       }
     }
   }
@@ -301,8 +329,11 @@ TEST(ShardCutTest, SliceFromCutIsBitwiseTheWholeGraphSlice) {
       const size_t shards = 4;
       const GraphPartition partition =
           BuildPartition(c.graph, scheme, shards);
-      auto reference = BuildTransitionSlicesLocal(c.graph, partition,
-                                                  c.config);
+      // The reference shares no code with the kernel: the whole-graph
+      // matrix, permuted into slices.
+      auto matrix = TransitionMatrix::Build(c.graph, c.config);
+      ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+      auto reference = BuildTransitionSlices(partition, *matrix);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       const std::vector<double> metric = MetricValues(
           c.graph, ResolveMetric(c.graph, c.config.metric));
@@ -336,6 +367,21 @@ TEST(ShardCutTest, SliceFromCutRejectsWrongSizedMetricVector) {
   auto slice = BuildShardSliceFromCut(*cut, short_metric, {.p = 0.5});
   ASSERT_FALSE(slice.ok());
   EXPECT_EQ(slice.status().code(), StatusCode::kInvalidArgument);
+
+  // Right-sized, but holding a value no degree or strength can take. At
+  // p = 0 a +inf would fold into NaN probabilities; NaN and negatives
+  // would read as metric 0.
+  for (double bad : {std::nan(""), -1.0, HUGE_VAL}) {
+    SCOPED_TRACE("bad metric " + std::to_string(bad));
+    std::vector<double> metric =
+        MetricValues(graph, ResolveMetric(graph, DegreeMetric::kAuto));
+    metric[5] = bad;
+    for (double p : {0.0, 0.5}) {
+      auto rejected = BuildShardSliceFromCut(*cut, metric, {.p = p});
+      ASSERT_FALSE(rejected.ok());
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(ShardCutTest, SaveRejectsPartitionWithoutOutCsr)

@@ -213,9 +213,9 @@ int Run(const Flags& flags) {
   coord_options.num_nodes = graph->num_nodes();
   coord_options.graph_fingerprint = fingerprint;
   coord_options.key = ResolveTransitionKey(*graph, config);
-  // Always carried: any shard loaded from a cut file will ask for the
-  // global metric vector in its handshake ack (whole-graph shards never
-  // do, and the coordinator only ships it when asked).
+  // Always carried: every shard asks for the global metric vector in its
+  // handshake ack until its first slice build (the coordinator only
+  // ships it when asked).
   coord_options.metric_values = MetricValues(*graph, coord_options.key.metric);
   coord_options.sweep_deadline_ms = *flags.GetInt("deadline-ms", 0);
   coord_options.max_retries = static_cast<int>(*flags.GetInt("retries", 2));

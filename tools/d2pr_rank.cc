@@ -80,12 +80,6 @@ constexpr char kUsage[] =
     "                       cross-shard mass exchange; requires\n"
     "                       --shards, excludes --route and\n"
     "                       --method=forward-push\n"
-    "  --slices=MODE        how --partition builds its per-shard\n"
-    "                       transition slices: matrix (default; slice\n"
-    "                       the shared whole-graph matrix) or subgraph\n"
-    "                       (build shard-locally, never materializing\n"
-    "                       a whole-graph matrix; bypasses --cache-dir\n"
-    "                       for the transition); requires --partition\n"
     "  --cache-dir=DIR      persistent transition store: built matrices\n"
     "                       spill to DIR and later runs map them back\n"
     "                       instead of rebuilding\n"
@@ -150,10 +144,8 @@ int RunOrDie(const Flags& flags) {
   auto route = ParseRoute(flags.GetString("route"));
   const bool partitioned = flags.Has("partition");
   PartitionScheme partition_scheme = PartitionScheme::kRange;
-  SliceBuild slice_build = SliceBuild::kFromMatrix;
   if (partitioned) {
     partition_scheme = *ParsePartitionScheme(flags.GetString("partition"));
-    slice_build = *ParseSliceBuild(flags.GetString("slices"));
   }
   auto cache_mode = ParseCacheMode(flags.GetString("cache-mode"));
   auto method = ParseRankMethod(flags.GetString("method"));
@@ -295,7 +287,6 @@ int RunOrDie(const Flags& flags) {
                                   ? RoutingPolicy::kPartitionedSubgraph
                                   : route->policy;
       router_options.partition_scheme = partition_scheme;
-      router_options.partition_slice_build = slice_build;
       router_options.strategy = route->strategy;
       router_options.score_cache_capacity = 256;
       // Shards share the persistent store: the first run spills each

@@ -13,13 +13,6 @@ Result<PartitionScheme> ParsePartitionScheme(const std::string& name) {
       StrCat("unknown --partition '", name, "' (expected range or hash)"));
 }
 
-Result<SliceBuild> ParseSliceBuild(const std::string& name) {
-  if (name.empty() || name == "matrix") return SliceBuild::kFromMatrix;
-  if (name == "subgraph") return SliceBuild::kSubgraph;
-  return Status::InvalidArgument(
-      StrCat("unknown --slices '", name, "' (expected matrix or subgraph)"));
-}
-
 Result<SolverMethod> ParseRankMethod(const std::string& name) {
   if (name.empty() || name == "power") return SolverMethod::kPower;
   if (name == "gauss-seidel") return SolverMethod::kGaussSeidel;
@@ -58,7 +51,7 @@ Status ValidateRankFlags(const Flags& flags) {
       "method", "seeds",      "scores-out", "tune",
       "significance",         "stats",      "threads",
       "repeat", "shards",     "route",      "cache-dir",
-      "cache-mode",           "partition",  "slices",
+      "cache-mode",           "partition",
   };
   for (const std::string& name : flags.FlagNames()) {
     if (!kKnown.contains(name)) {
@@ -171,24 +164,6 @@ Status ValidateRankFlags(const Flags& flags) {
           "(forward push has no block formulation); use power or "
           "gauss-seidel");
     }
-  }
-
-  // --- slice construction (--slices) ---
-  if (flags.Has("slices")) {
-    if (!flags.Has("partition")) {
-      return Status::InvalidArgument(
-          "--slices is only meaningful with --partition (it selects how "
-          "the partitioned router builds its per-shard slices)");
-    }
-    if (flags.GetString("slices").empty()) {
-      // ParseSliceBuild maps "" to the default so the BINARY can call it
-      // with the flag absent; an explicit bare --slices is still a usage
-      // error, like every other value-carrying flag.
-      return Status::InvalidArgument(
-          "--slices requires a value (matrix or subgraph)");
-    }
-    auto slice_build = ParseSliceBuild(flags.GetString("slices"));
-    if (!slice_build.ok()) return slice_build.status();
   }
 
   if (flags.Has("cache-mode") && !flags.Has("cache-dir")) {

@@ -18,7 +18,6 @@
 #include "api/rank_request.h"
 #include "common/flags.h"
 #include "common/result.h"
-#include "core/transition_slices.h"
 #include "graph/partition.h"
 #include "serve/engine_router.h"
 
@@ -26,15 +25,6 @@ namespace d2pr {
 
 /// \brief Parses a --partition value ("range" or "hash").
 Result<PartitionScheme> ParsePartitionScheme(const std::string& name);
-
-/// \brief Parses a --slices value ("matrix" or "subgraph"); empty means
-/// the default (matrix). Only meaningful with --partition: it selects how
-/// the partitioned router constructs its per-shard transition slices —
-/// "matrix" resolves the shared whole-graph matrix (persistent cache
-/// included) and slices it; "subgraph" builds the slices shard-locally
-/// and never materializes a whole-graph matrix (and therefore never
-/// reads or writes --cache-dir for the transition).
-Result<SliceBuild> ParseSliceBuild(const std::string& name);
 
 /// \brief Parses a --method value; empty means the default (power).
 Result<SolverMethod> ParseRankMethod(const std::string& name);

@@ -24,6 +24,8 @@
 #include "dist/shard_server.h"
 #include "dist/shard_worker.h"
 #include "graph/graph_io.h"
+#include "graph/partition.h"
+#include "graph/shard_cut.h"
 #include "net/server.h"
 #include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
@@ -123,16 +125,22 @@ int Run(const Flags& flags) {
         return ShardWorker::CreateFromCutFile(flags.GetString("shard-file"),
                                               config);
       }
-      ShardWorkerOptions worker_options;
-      worker_options.shard_id =
-          static_cast<size_t>(*flags.GetInt("shard-id", 0));
-      worker_options.num_shards =
+      // No cut file: cut this process's shard from the whole graph in
+      // memory — the same ShardCut a --shard-file worker loads.
+      PartitionOptions partition_options;
+      partition_options.scheme = flags.GetString("scheme") == "hash"
+                                     ? PartitionScheme::kHash
+                                     : PartitionScheme::kRange;
+      partition_options.num_shards =
           static_cast<size_t>(*flags.GetInt("shard-count", 1));
-      worker_options.scheme = flags.GetString("scheme") == "hash"
-                                  ? PartitionScheme::kHash
-                                  : PartitionScheme::kRange;
-      worker_options.config = config;
-      return ShardWorker::Create(std::move(graph).value(), worker_options);
+      Result<GraphPartition> partition =
+          GraphPartition::Build(*graph, partition_options);
+      if (!partition.ok()) return partition.status();
+      Result<ShardCut> cut =
+          CutShard(*graph, *partition,
+                   static_cast<size_t>(*flags.GetInt("shard-id", 0)));
+      if (!cut.ok()) return cut.status();
+      return ShardWorker::Create(std::move(cut).value(), config);
     }();
     if (!worker.ok()) {
       std::fprintf(stderr, "%s\n", worker.status().ToString().c_str());
