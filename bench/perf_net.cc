@@ -1,9 +1,8 @@
 // Loopback serving benchmark for the network front door: stands up an
-// in-process RpcServer per configuration (single-engine runtime at
-// several thread counts, then a replicated router fleet at several shard
-// counts), drives it with the seeded Zipf load generator over 127.0.0.1,
-// and prints one markdown table row per configuration — p50 / p99
-// latency, throughput, coalescing joins, and sheds. Numbers are recorded
+// in-process RpcServer per configuration (the single-engine runtime at
+// several thread counts), drives it with the seeded Zipf load generator
+// over 127.0.0.1, and prints one markdown table row per configuration —
+// p50 / p99 latency, throughput, coalescing joins, and sheds. Numbers are recorded
 // in results/net_bench.md.
 //
 // Not a Google Benchmark microbenchmark: the measured unit is a whole
@@ -24,7 +23,6 @@
 #include "datagen/classic_generators.h"
 #include "net/loadgen.h"
 #include "net/server.h"
-#include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
 
 namespace d2pr {
@@ -60,12 +58,11 @@ LoadGenOptions MixFor(uint16_t port, const SweepConfig& sweep) {
   return options;
 }
 
-void PrintRow(const std::string& label, size_t threads, size_t shards,
+void PrintRow(const std::string& label, size_t threads,
               const LoadGenReport& report, const ServerStats& stats) {
   std::printf(
-      "| %-22s | %7zu | %6zu | %9zu | %8.0f | %8.0f | %9.0f | %9lld | "
-      "%5lld |\n",
-      label.c_str(), threads, shards, report.attempted, report.p50_us,
+      "| %-22s | %7zu | %9zu | %8.0f | %8.0f | %9.0f | %9lld | %5lld |\n",
+      label.c_str(), threads, report.attempted, report.p50_us,
       report.p99_us, report.requests_per_s,
       static_cast<long long>(stats.coalesce_joins.load()),
       static_cast<long long>(stats.shed_unavailable.load()));
@@ -85,28 +82,7 @@ void RunRuntimeConfig(const CsrGraph& graph, size_t threads,
   auto report = RunLoadGen(MixFor(server.port(), sweep));
   D2PR_CHECK(report.ok()) << report.status().ToString();
   D2PR_CHECK_EQ(report->failed, 0u);
-  PrintRow("runtime", threads, 1, report.value(), server.stats());
-}
-
-void RunRouterConfig(const CsrGraph& graph, size_t shards, size_t threads,
-                     const SweepConfig& sweep) {
-  RouterOptions router_options;
-  router_options.num_shards = shards;
-  router_options.worker_threads = threads;
-  // The router ships with its response memo off (parity-pure default);
-  // a serving deployment turns it on, and the runtime rows above have
-  // theirs on, so match — otherwise every hot repeat re-solves here.
-  router_options.score_cache_capacity = 256;
-  EngineRouter router = EngineRouter::Borrowing(graph, router_options);
-  auto backend = MakeBackend(router);
-  RpcServer server(*backend);
-  D2PR_CHECK(server.Start().ok());
-
-  auto report = RunLoadGen(MixFor(server.port(), sweep));
-  D2PR_CHECK(report.ok()) << report.status().ToString();
-  D2PR_CHECK_EQ(report->failed, 0u);
-  PrintRow("router (replicated)", threads, shards, report.value(),
-           server.stats());
+  PrintRow("runtime", threads, report.value(), server.stats());
 }
 
 int Run(const Flags& flags) {
@@ -123,15 +99,12 @@ int Run(const Flags& flags) {
               graph.num_nodes(), static_cast<long long>(graph.num_arcs()),
               sweep.connections, sweep.requests_per_connection);
   std::printf(
-      "| backend                | threads | shards | attempted |  p50_us "
+      "| backend                | threads | attempted |  p50_us "
       "|  p99_us |      ok/s | coalesced |  shed |\n"
-      "|------------------------|--------:|-------:|----------:|--------:"
+      "|------------------------|--------:|----------:|--------:"
       "|--------:|----------:|----------:|------:|\n");
   for (size_t threads : {1, 2, 4}) {
     RunRuntimeConfig(graph, threads, sweep);
-  }
-  for (size_t shards : {2, 4}) {
-    RunRouterConfig(graph, shards, /*threads=*/2, sweep);
   }
   return 0;
 }

@@ -154,7 +154,6 @@ void BM_PartitionedPowerPooled(benchmark::State& state) {
   const CsrGraph& graph = GraphOf(state.range(0));
   EngineRouter router = EngineRouter::Borrowing(
       graph, {.num_shards = static_cast<size_t>(state.range(1)),
-              .policy = RoutingPolicy::kPartitionedSubgraph,
               .partition_scheme = PartitionScheme::kRange});
   RankRequest request;
   request.p = 0.5;

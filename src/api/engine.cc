@@ -116,7 +116,7 @@ Result<std::shared_ptr<const TransitionMatrix>> D2prEngine::GetTransition(
   auto resolved = resolver_.Resolve(key, &outcome);
   // Fold the resolver's outcome into this engine's cumulative stats; the
   // resolver keeps its own counters, but EngineStats is the per-engine
-  // telemetry surface tests and routers read.
+  // telemetry surface tests and tools read.
   *cache_hit = outcome.cache_hit;
   *store_hit = outcome.store_hit;
   if (outcome.cache_hit) ++stats_.transition_cache_hits;
@@ -128,14 +128,6 @@ Result<std::shared_ptr<const TransitionMatrix>> D2prEngine::GetTransition(
 
 Result<RankResponse> D2prEngine::Rank(const RankRequest& request) {
   ++stats_.requests;
-  // Gauge for least-loaded routing (EngineRouter): held for the whole
-  // call, including validation failures, so a router sees every in-flight
-  // request it dispatched.
-  ++stats_.requests_inflight;
-  struct InflightGuard {
-    std::atomic<int64_t>& gauge;
-    ~InflightGuard() { --gauge; }
-  } inflight_guard{stats_.requests_inflight};
   // Parameter checks run before the cache is touched; shared with every
   // other serving front end so the surface errors identically per mode.
   D2PR_RETURN_NOT_OK(ValidateRankRequestParameters(request));

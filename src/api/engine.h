@@ -94,9 +94,10 @@ struct EngineOptions {
   /// Verify store payload checksums on load (forwarded to the store).
   bool persist_verify_checksums = true;
   /// Precomputed GraphFingerprint of *this engine's* graph; 0 = compute
-  /// at construction when a store is attached. EngineRouter sets it so a
-  /// shard fleet over one shared graph hashes the edge arrays once, not
-  /// once per shard. Trusted in release builds — passing another graph's
+  /// at construction when a store is attached. Set it when a graph that
+  /// is already fingerprinted backs another resolver (tools/d2pr_rank
+  /// passes its engine's to the EngineRouter) so the edge arrays hash
+  /// once. Trusted in release builds — passing another graph's
   /// fingerprint would defeat the store's cross-graph replay gate —
   /// so debug builds verify it against the graph.
   uint64_t precomputed_graph_fingerprint = 0;
@@ -121,7 +122,7 @@ class D2prEngine {
 
   const CsrGraph& graph() const { return *graph_; }
   /// The shared handle to the graph, for standing up further engines (or
-  /// an EngineRouter shard fleet, as tools/d2pr_rank does) over this
+  /// an EngineRouter, as tools/d2pr_rank does) over this
   /// engine's graph without copying it. For a borrowing engine the handle
   /// carries a no-op deleter: it is only valid while the borrowed graph
   /// lives.
@@ -251,7 +252,7 @@ class D2prEngine {
   std::shared_ptr<const CsrGraph> graph_;
   EngineOptions options_;
   /// Cache + persistent store + single-flight build resolution, shared
-  /// logic with EngineRouter's partitioned-subgraph mode.
+  /// logic with EngineRouter's partitioned block solve.
   TransitionResolver resolver_;
 
   std::mutex warm_mu_;                 ///< Guards warm_entries_.

@@ -45,7 +45,7 @@ struct RankRequest;
 /// alpha in [0, 1), then the active solver's knobs) with the exact
 /// checks and messages D2prEngine::Rank applies before touching its
 /// caches. Every serving front end (the engine, EngineRouter's
-/// partitioned-subgraph mode) calls this one function, so the surface
+/// partitioned block solve) calls this one function, so the surface
 /// errors identically no matter which mode backs it — a contract
 /// tests/partition_parity_test.cc asserts string-for-string.
 Status ValidateRankRequestParameters(const RankRequest& request);
@@ -113,9 +113,9 @@ struct TruncatedTopK {
 /// \brief Selects the top_k best entries of a full score vector with
 /// deterministic tie handling. An entry is certified when its score
 /// clears the best excluded score by at least `certify_margin` — exact
-/// servers pass 0 (everything selected is certified); EngineRouter's
-/// merge path passes its merge tolerance so boundary-near entries that
-/// float error could reorder are served uncertified instead.
+/// servers pass 0 (everything selected is certified); a caller whose
+/// scores carry a known error bound passes it so boundary-near entries
+/// that float error could reorder are served uncertified instead.
 TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
                              double certify_margin);
 
@@ -141,18 +141,17 @@ struct RankResponse {
   bool transition_cache_hit = false;  ///< Transition served from cache.
   /// Transition mapped from the persistent store (a build was skipped).
   /// As reported by D2prEngine this is mutually exclusive with
-  /// transition_cache_hit; the serve layers (ServingRuntime,
-  /// EngineRouter) normalize transition_cache_hit to the sequential
-  /// reference trace but leave this flag as executed, so a normalized
-  /// response can carry both.
+  /// transition_cache_hit; ServingRuntime normalizes transition_cache_hit
+  /// to the sequential reference trace but leaves this flag as executed,
+  /// so a normalized response can carry both.
   bool transition_store_hit = false;
   bool warm_start_hit = false;        ///< Solve started from a stored
                                       ///< (possibly extrapolated) iterate.
   /// Served by a block solve over an edge-partitioned graph
-  /// (EngineRouter's partitioned-subgraph mode) instead of a whole-graph
-  /// engine. Scores are reference-parity either way (bit-identical for
-  /// power iteration); the flag exists so telemetry can attribute
-  /// latency to the exchange loop.
+  /// (EngineRouter) instead of a whole-graph engine. Scores are
+  /// reference-parity either way (bit-identical for power iteration);
+  /// the flag exists so telemetry can attribute latency to the exchange
+  /// loop.
   bool served_partitioned = false;
 };
 
@@ -166,9 +165,6 @@ struct RankResponse {
 /// matters.
 struct EngineStats {
   std::atomic<int64_t> requests{0};  ///< RankRequests executed (ok or not).
-  /// Rank calls currently executing (a gauge, not a cumulative counter).
-  /// EngineRouter's least-loaded policy routes on a snapshot of this.
-  std::atomic<int64_t> requests_inflight{0};
   std::atomic<int64_t> transition_builds{
       0};  ///< TransitionMatrix::Build invocations.
   std::atomic<int64_t> transition_cache_hits{0};
@@ -190,9 +186,6 @@ struct EngineStats {
   EngineStats& operator=(const EngineStats& other) {
     requests.store(other.requests.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
-    requests_inflight.store(
-        other.requests_inflight.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     transition_builds.store(
         other.transition_builds.load(std::memory_order_relaxed),
         std::memory_order_relaxed);

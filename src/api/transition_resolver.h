@@ -2,7 +2,7 @@
 // transition lookups.
 //
 // Both whole-graph engines (D2prEngine) and the edge-partitioned router
-// mode (EngineRouter::kPartitionedSubgraph) need the same three-layer
+// (EngineRouter) need the same three-layer
 // resolution for a TransitionKey:
 //
 //   1. an in-memory LRU TransitionCache (shared_ptr entries, O(1)-ish),

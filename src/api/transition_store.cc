@@ -118,7 +118,7 @@ Status TransitionStore::Save(uint64_t graph_fingerprint,
   AppendU64(header, 0);  // padding: probs start 8-byte aligned
   D2PR_CHECK_EQ(header.size(), static_cast<size_t>(kHeaderBytes));
 
-  // Unique temp name so concurrent writers (router shards sharing one
+  // Unique temp name so concurrent writers (engines sharing one
   // cache_dir) never interleave into one file; rename is atomic on POSIX.
   static std::atomic<uint64_t> temp_counter{0};
   const std::string path = PathFor(graph_fingerprint, key);

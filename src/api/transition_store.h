@@ -45,8 +45,8 @@
 //   * per-section checksums prove the payload intact (bit flips).
 //
 // Concurrency: Save writes to a unique temp file and renames it into
-// place, so concurrent writers (e.g. EngineRouter shards sharing one
-// cache_dir) race benignly — last rename wins with a complete file, and
+// place, so concurrent writers (e.g. two engines or processes sharing
+// one cache_dir) race benignly — last rename wins with a complete file, and
 // readers only ever map complete files.
 
 #ifndef D2PR_API_TRANSITION_STORE_H_

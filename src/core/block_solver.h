@@ -35,8 +35,8 @@
 //
 // Shard sweeps write disjoint owned slices and read the frozen previous
 // iterate, so they are data-race free and order-independent; pass a
-// `parallel_for` to run them concurrently (serve/EngineRouter passes its
-// worker pool). The global folds (dangling mass, normalization, residual)
+// `parallel_for` to run them concurrently (serve/engine_router.h passes
+// its worker pool). The global folds (dangling mass, normalization, residual)
 // stay sequential on the calling thread — they are O(n) and their
 // summation order is part of the bit-parity contract.
 //

@@ -19,8 +19,6 @@ size_t PartitionOwnerOf(PartitionScheme scheme, NodeId node, NodeId num_nodes,
   D2PR_DCHECK(num_shards > 0);
   D2PR_DCHECK(node >= 0 && node < num_nodes);
   if (scheme == PartitionScheme::kHash) {
-    // Matches serve/ModuloShardMap, so seed ownership and node ownership
-    // agree across the serving stack.
     return static_cast<size_t>(static_cast<uint32_t>(node)) % num_shards;
   }
   // Range, closed-form: the first `extra` shards hold base + 1 nodes

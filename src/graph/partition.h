@@ -36,8 +36,7 @@
 //   * kRange — contiguous, balanced node ranges (locality-preserving for
 //     graphs with id-local structure, e.g. BFS- or time-ordered ids);
 //   * kHash — owner = node id modulo shard count (load-balancing for
-//     adversarial id orders; matches serve/ModuloShardMap, so a router's
-//     seed ownership and a partition's node ownership agree).
+//     adversarial id orders).
 //
 // Degenerate inputs are well-formed, never fatal: an empty graph or a
 // shard count exceeding the node count simply yields shards that own
@@ -87,10 +86,9 @@ struct PartitionOptions {
   /// Materialize each shard's out-CSR (the forward adjacency slice).
   /// The pull-style block solvers consume only the in-CSR — and the
   /// transition slices (TransitionSlices) are in-CSR-aligned too — so
-  /// consumers that exist purely to serve (EngineRouter's
-  /// partitioned-subgraph mode) pass false and save an O(|E|) copy of
-  /// the arc arrays; the boundary/dangling accounting is computed either
-  /// way. Push-style consumers keep the default.
+  /// consumers that exist purely to serve (EngineRouter) pass false and
+  /// save an O(|E|) copy of the arc arrays; the boundary/dangling
+  /// accounting is computed either way. Push-style consumers keep the default.
   bool build_out_csr = true;
 };
 

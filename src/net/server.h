@@ -64,7 +64,7 @@ class EngineRouter;
 
 /// \brief The serving surface RpcServer needs from its backend — the
 /// seam that lets one server front either a single-engine ServingRuntime
-/// or an EngineRouter fleet (any routing policy).
+/// or an edge-partitioned EngineRouter.
 class RankBackend {
  public:
   virtual ~RankBackend() = default;

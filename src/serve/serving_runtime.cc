@@ -13,9 +13,6 @@ namespace {
 ScoreCacheOptions ToScoreCacheOptions(const ServingOptions& options) {
   ScoreCacheOptions cache;
   cache.capacity = options.score_cache_capacity;
-  cache.capacity_bytes = options.score_cache_capacity_bytes;
-  cache.ttl = options.score_cache_ttl;
-  cache.now = options.clock;
   return cache;
 }
 

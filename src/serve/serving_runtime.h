@@ -24,8 +24,11 @@
 //     so repeated identical queries skip the solve outright. Warm-started
 //     requests bypass it (their responses depend on trajectory state).
 //
-// For multi-engine sharding behind this same query surface (replicated
-// or seed-partitioned fleets), see serve/engine_router.h.
+// This is the one whole-graph serving path: more engines per process
+// would cost one transition build and matrix per engine per key and add
+// no concurrency, since D2prEngine::Rank blocks other queries only on a
+// shared transition build. For an edge-partitioned graph behind this
+// same query surface, see serve/engine_router.h.
 //
 // One runtime per engine per process is the intended shape:
 //
@@ -61,16 +64,8 @@ namespace d2pr {
 struct ServingOptions {
   /// Worker threads in the pool (0 is clamped to 1).
   size_t num_threads = 4;
-  /// Response memo entry budget; 0 = no entry limit. The cache is
-  /// disabled only when this and score_cache_capacity_bytes are both 0.
+  /// Response memo entry budget; 0 disables the memo.
   size_t score_cache_capacity = 256;
-  /// Response memo byte budget (see ScoreCacheOptions::capacity_bytes);
-  /// 0 = no byte limit.
-  size_t score_cache_capacity_bytes = 0;
-  /// Response memo TTL; zero means entries never expire by age.
-  std::chrono::nanoseconds score_cache_ttl{0};
-  /// Injectable time source for the score cache (tests).
-  std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
 /// \brief Thread-pool batch/async execution plus response memoization

@@ -3,8 +3,8 @@
 // undercount), concurrent misses on one transition key must build it
 // exactly once (single-flight), per-thread warm-start trajectories on a
 // shared engine must reproduce the single-threaded results, and the
-// EngineRouter's shared ScoreCache must keep exact counters — and never
-// serve a partial per-shard response — under concurrent sharded traffic.
+// partitioned EngineRouter's ScoreCache must keep exact counters — and
+// never serve another request's response — under concurrent traffic.
 
 #include <gtest/gtest.h>
 
@@ -167,8 +167,7 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   ASSERT_TRUE(graph.ok());
 
   // 16 distinct requests, half global, half personalized with seed sets
-  // spanning several owner shards — so partitioned routing splits them
-  // and only the *merged* response may ever reach the shared cache.
+  // spanning several shards of the edge partition.
   std::vector<RankRequest> distinct;
   for (int i = 0; i < 16; ++i) {
     RankRequest request;
@@ -185,9 +184,8 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
 
   RouterOptions options;
   options.num_shards = 4;
-  options.policy = RoutingPolicy::kPartitionedTeleport;
-  // Reference responses are deterministic per request (routing state
-  // never affects scores), computed on a cacheless twin router.
+  // Reference responses are deterministic per request (the block solve
+  // has no routing state), computed on a cacheless twin router.
   options.score_cache_capacity = 0;
   EngineRouter reference = EngineRouter::Borrowing(*graph, options);
   std::vector<std::vector<double>> expected;
@@ -216,9 +214,8 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
           ++failures;
           return;
         }
-        // A response built for any other request's key — including a
-        // partial per-shard response of a split request — differs from
-        // the deterministic reference and shows up here.
+        // A response built for any other request's key differs from the
+        // deterministic reference and shows up here.
         if (response->scores != expected[index]) ++mismatches;
       }
     });

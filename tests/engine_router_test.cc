@@ -1,16 +1,15 @@
-// EngineRouter correctness: replicated-mode RankBatch must be element-
-// for-element identical to the sequential single-engine reference for
-// every solver and shard count {1, 2, 4, 8} — including after prior
-// traffic and with warm-tag chains pinned to one shard — routing must
-// spread untagged load deterministically, errors must surface as the
-// sequential fail-fast status, and partitioned-mode seed splits must
-// merge back to the reference solution with score mass 1.
+// EngineRouter serving-surface contracts on the edge-partitioned block
+// solve: batches run in submission order and fail fast with the lowest
+// failing index's status (the sequential engine's), an empty batch is
+// empty, RankAsync agrees with Rank, failed requests never touch the
+// shared transition cache, and the response memo serves stored
+// responses. Score parity with the single engine is
+// tests/partition_parity_test.cc's job.
 
 #include "serve/engine_router.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -18,8 +17,6 @@
 
 #include "common/rng.h"
 #include "datagen/classic_generators.h"
-#include "linalg/vec_ops.h"
-#include "stats/ranking.h"
 
 namespace d2pr {
 namespace {
@@ -30,170 +27,40 @@ Result<CsrGraph> TestGraph(uint64_t seed, NodeId nodes = 250,
   return ErdosRenyi(nodes, edges, &rng);
 }
 
-void ExpectResponsesIdentical(const RankResponse& routed,
-                              const RankResponse& sequential, size_t index) {
-  SCOPED_TRACE("request index " + std::to_string(index));
-  EXPECT_EQ(routed.scores, sequential.scores);  // exact, not approximate
-  EXPECT_EQ(routed.method, sequential.method);
-  EXPECT_EQ(routed.iterations, sequential.iterations);
-  EXPECT_EQ(routed.pushes, sequential.pushes);
-  EXPECT_EQ(routed.converged, sequential.converged);
-  EXPECT_EQ(routed.residual, sequential.residual);
-  EXPECT_EQ(routed.transition_cache_hit, sequential.transition_cache_hit);
-  EXPECT_EQ(routed.warm_start_hit, sequential.warm_start_hit);
-}
-
-/// A per-solver serving mix: global and personalized queries over a few
-/// repeated parameter points (transition-cache traffic), plus — for the
-/// iterative solvers — two warm-start chains that must each stay pinned
-/// to one shard to reproduce the sequential trajectory bit-for-bit.
-std::vector<RankRequest> SolverWorkload(SolverMethod method,
-                                        NodeId num_nodes) {
+/// A power-iteration serving mix: global and personalized queries over
+/// a few repeated parameter points (transition-cache traffic), plus two
+/// warm-tagged chains, which the block solve accepts and solves cold.
+std::vector<RankRequest> Workload(NodeId num_nodes) {
   std::vector<RankRequest> requests;
   const std::vector<double> p_values = {0.3, 0.8, 1.3};
   for (int i = 0; i < 18; ++i) {
     RankRequest request;
-    request.method = method;
     request.p = p_values[static_cast<size_t>(i) % p_values.size()];
     request.tolerance = 1e-9;
-    request.push_epsilon = 1e-6;
-    if (method == SolverMethod::kForwardPush || i % 3 == 0) {
+    if (i % 3 == 0) {
       request.seeds = {static_cast<NodeId>((i * 7) % num_nodes)};
-      if (method != SolverMethod::kForwardPush && i % 6 == 0) {
+      if (i % 6 == 0) {
         request.seeds.push_back(
             static_cast<NodeId>((i * 11 + 1) % num_nodes));
       }
     }
     requests.push_back(std::move(request));
   }
-  if (method != SolverMethod::kForwardPush) {
-    for (int i = 0; i < 4; ++i) {
-      RankRequest sweep;
-      sweep.method = method;
-      sweep.p = -1.0 + 0.5 * i;
-      sweep.tolerance = 1e-9;
-      sweep.warm_start_tag = "chain-a";
-      requests.push_back(sweep);
+  for (int i = 0; i < 4; ++i) {
+    RankRequest sweep;
+    sweep.p = -1.0 + 0.5 * i;
+    sweep.tolerance = 1e-9;
+    sweep.warm_start_tag = "chain-a";
+    requests.push_back(sweep);
 
-      RankRequest tune;
-      tune.method = method;
-      tune.p = 0.9;
-      tune.alpha = 0.6 + 0.08 * i;
-      tune.tolerance = 1e-9;
-      tune.warm_start_tag = "chain-b";
-      requests.push_back(tune);
-    }
+    RankRequest tune;
+    tune.p = 0.9;
+    tune.alpha = 0.6 + 0.08 * i;
+    tune.tolerance = 1e-9;
+    tune.warm_start_tag = "chain-b";
+    requests.push_back(tune);
   }
   return requests;
-}
-
-TEST(EngineRouterTest, ReplicatedParityAllSolversAndShardCounts) {
-  auto graph = TestGraph(31);
-  ASSERT_TRUE(graph.ok());
-
-  // Prior traffic part-populates the transition caches so the batch does
-  // not start cold — the diagnostics normalization must account for it.
-  std::vector<RankRequest> prior;
-  for (double p : {0.3, 1.3}) {
-    RankRequest request;
-    request.p = p;
-    request.tolerance = 1e-9;
-    prior.push_back(request);
-  }
-
-  for (SolverMethod method :
-       {SolverMethod::kPower, SolverMethod::kGaussSeidel,
-        SolverMethod::kForwardPush}) {
-    const std::vector<RankRequest> requests =
-        SolverWorkload(method, graph->num_nodes());
-    D2prEngine reference = D2prEngine::Borrowing(*graph);
-    ASSERT_TRUE(reference.RankBatch(prior).ok());
-    auto sequential = reference.RankBatch(requests);
-    ASSERT_TRUE(sequential.ok());
-
-    for (size_t shards : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(SolverMethodName(method)) + ", " +
-                   std::to_string(shards) + " shard(s)");
-      EngineRouter router =
-          EngineRouter::Borrowing(*graph, {.num_shards = shards});
-      ASSERT_TRUE(router.RankBatch(prior).ok());
-      auto routed = router.RankBatch(requests);
-      ASSERT_TRUE(routed.ok());
-
-      ASSERT_EQ(routed->size(), sequential->size());
-      for (size_t i = 0; i < routed->size(); ++i) {
-        ExpectResponsesIdentical((*routed)[i], (*sequential)[i], i);
-      }
-    }
-  }
-}
-
-TEST(EngineRouterTest, WarmChainPinsToOneShard) {
-  auto graph = TestGraph(32);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(*graph, {.num_shards = 4});
-
-  std::vector<RankRequest> chain;
-  for (int i = 0; i < 5; ++i) {
-    RankRequest request;
-    request.p = -1.0 + 0.5 * i;
-    request.tolerance = 1e-9;
-    request.warm_start_tag = "trajectory";
-    chain.push_back(request);
-  }
-  ASSERT_TRUE(router.RankBatch(chain).ok());
-
-  const size_t pinned = router.ShardForTag("trajectory");
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    if (s == pinned) {
-      EXPECT_EQ(router.shard(s).stats().requests, 5);
-      // Every request after the first warm-starts from its predecessor.
-      EXPECT_EQ(router.shard(s).stats().warm_start_hits, 4);
-    } else {
-      EXPECT_EQ(router.shard(s).stats().requests, 0);
-    }
-  }
-}
-
-TEST(EngineRouterTest, RoundRobinSpreadsUntaggedRequestsEvenly) {
-  auto graph = TestGraph(33);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(*graph, {.num_shards = 4});
-
-  std::vector<RankRequest> requests;
-  for (int i = 0; i < 16; ++i) {
-    RankRequest request;
-    request.p = -2.0 + 0.25 * i;
-    request.tolerance = 1e-8;
-    requests.push_back(request);
-  }
-  ASSERT_TRUE(router.RankBatch(requests).ok());
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, 4) << "shard " << s;
-  }
-}
-
-TEST(EngineRouterTest, LeastLoadedBalancesFromIdle) {
-  auto graph = TestGraph(34);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 4, .strategy = ReplicaStrategy::kLeastLoaded});
-
-  std::vector<RankRequest> requests;
-  for (int i = 0; i < 16; ++i) {
-    RankRequest request;
-    request.p = -2.0 + 0.25 * i;
-    request.tolerance = 1e-8;
-    requests.push_back(request);
-  }
-  // From an idle router the inflight gauges are all zero, so the planned
-  // assignment is deterministic and exactly balanced.
-  ASSERT_TRUE(router.RankBatch(requests).ok());
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, 4) << "shard " << s;
-  }
 }
 
 TEST(EngineRouterTest, EmptyBatchReturnsEmpty) {
@@ -208,8 +75,7 @@ TEST(EngineRouterTest, EmptyBatchReturnsEmpty) {
 TEST(EngineRouterTest, BatchErrorMatchesSequentialFailFastStatus) {
   auto graph = TestGraph(36);
   ASSERT_TRUE(graph.ok());
-  std::vector<RankRequest> requests =
-      SolverWorkload(SolverMethod::kPower, graph->num_nodes());
+  std::vector<RankRequest> requests = Workload(graph->num_nodes());
   requests[7].alpha = 1.5;  // invalid
   requests[12].p = std::numeric_limits<double>::quiet_NaN();  // also invalid
 
@@ -247,108 +113,14 @@ TEST(EngineRouterTest, RankAsyncAgreesWithRank) {
   EXPECT_FALSE(failed.ok());
 }
 
-TEST(EngineRouterTest, PartitionedSingleOwnerRequestRoutesWhole) {
-  auto graph = TestGraph(38);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  // Seeds 2, 5, 8 all belong to shard 2 under the modulo map: the request
-  // must reach exactly that engine unsplit, so its response is bit-
-  // identical to the single-engine reference.
-  RankRequest request;
-  request.p = 0.5;
-  request.tolerance = 1e-10;
-  request.seeds = {2, 5, 8};
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed->scores, expected->scores);
-
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, s == 2 ? 1 : 0)
-        << "shard " << s;
-  }
-}
-
-TEST(EngineRouterTest, PartitionedSplitMergesToReferenceWithMassOne) {
-  auto graph = TestGraph(39);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  // Owners 0, 1, and 2 under the modulo map: a genuine three-way split.
-  RankRequest request;
-  request.p = 0.8;
-  request.alpha = 0.85;
-  request.tolerance = 1e-12;
-  request.max_iterations = 2000;
-  request.seeds = {0, 1, 2, 6, 10};
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(expected->converged);
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  EXPECT_TRUE(routed->converged);
-  // Every owner shard solved one sub-request.
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, 1) << "shard " << s;
-  }
-
-  ASSERT_EQ(routed->scores.size(), expected->scores.size());
-  EXPECT_NEAR(Sum(routed->scores), 1.0, 1e-12);
-  double max_diff = 0.0;
-  for (size_t i = 0; i < routed->scores.size(); ++i) {
-    max_diff = std::max(max_diff,
-                        std::abs(routed->scores[i] - expected->scores[i]));
-  }
-  EXPECT_LT(max_diff, 1e-9);
-  EXPECT_EQ(TopK(routed->scores, 10), TopK(expected->scores, 10));
-}
-
-TEST(EngineRouterTest, PartitionedForwardPushSplitAgreesOnTopK) {
-  auto graph = TestGraph(40);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 2, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  RankRequest request;
-  request.p = 0.5;
-  request.method = SolverMethod::kForwardPush;
-  request.push_epsilon = 1e-8;
-  request.seeds = {3, 4};  // owners 1 and 0: a two-way split
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  // Merged push responses are L1-normalized; the push reference is only
-  // approximately so. Rankings are scale-invariant, so compare top-k.
-  EXPECT_NEAR(Sum(routed->scores), 1.0, 1e-12);
-  EXPECT_EQ(TopK(routed->scores, 10), TopK(expected->scores, 10));
-}
-
 TEST(EngineRouterTest, FailedRequestsDoNotAdvanceReferenceDiagnostics) {
   auto graph = TestGraph(42);
   ASSERT_TRUE(graph.ok());
   EngineRouter router = EngineRouter::Borrowing(*graph, {.num_shards = 2});
 
-  // The engine validates before touching its transition cache, so a
-  // failing request must not leave its key in the router's reference
-  // replay either — the next valid query at the same point is still the
-  // first build.
+  // Validation precedes the shared transition cache, as in the engine,
+  // so a failing request leaves no key behind — the next valid query at
+  // the same point is still the first build.
   RankRequest invalid;
   invalid.p = 0.7;
   invalid.alpha = 1.5;  // invalid: validation precedes the cache
@@ -375,8 +147,8 @@ TEST(EngineRouterTest, ColdIdenticalBatchSolvesOncePerDistinctKey) {
       *graph, {.num_shards = 4, .score_cache_capacity = 16});
 
   // 32 copies of one query plus 8 of another in a single cold batch:
-  // in-batch dedup must route one solve per distinct key, and every
-  // aliased response must equal its solved original.
+  // the memo must solve once per distinct key, and every repeat must
+  // equal its solved original.
   RankRequest hot;
   hot.p = 0.6;
   hot.tolerance = 1e-9;
@@ -388,11 +160,8 @@ TEST(EngineRouterTest, ColdIdenticalBatchSolvesOncePerDistinctKey) {
 
   auto responses = router.RankBatch(batch);
   ASSERT_TRUE(responses.ok());
-  int64_t total_requests = 0;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    total_requests += router.shard(s).stats().requests;
-  }
-  EXPECT_EQ(total_requests, 2);  // one per distinct key
+  EXPECT_EQ(router.score_cache().stats().misses, 2);  // one per key
+  EXPECT_EQ(router.score_cache().stats().hits, 38);
   for (size_t i = 0; i < 32; ++i) {
     EXPECT_EQ((*responses)[i].scores, (*responses)[0].scores);
   }
@@ -414,13 +183,16 @@ TEST(EngineRouterTest, ScoreCacheMemoizesAcrossShards) {
   ASSERT_TRUE(first.ok());
   auto second = router.Rank(request);
   ASSERT_TRUE(second.ok());
+  // The repeat is the stored response, diagnostics included: it never
+  // reached the transition cache, so it still reads as the first build.
   EXPECT_EQ(second->scores, first->scores);
-  // The repeat came from the memo: no shard saw a second request.
-  int64_t total_requests = 0;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    total_requests += router.shard(s).stats().requests;
-  }
-  EXPECT_EQ(total_requests, 1);
+  EXPECT_EQ(second->iterations, first->iterations);
+  EXPECT_EQ(second->residual, first->residual);
+  EXPECT_FALSE(second->transition_cache_hit);
+  EXPECT_TRUE(second->served_partitioned);
+  EXPECT_EQ(router.partition_transition_cache_hits() +
+                router.partition_transition_cache_misses(),
+            1);
   EXPECT_EQ(router.score_cache().stats().hits, 1);
 }
 

@@ -122,8 +122,8 @@ TEST(RankFlagsTopKTest, AcceptedAndRejectedCombinations) {
   EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--top-k=1",
                             "--method=forward-push", "--seeds=3"})
                   .ok());
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--top-k=10", "--shards=2",
-                            "--route=partitioned"})
+  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--top-k=10", "--threads=4",
+                            "--repeat=8"})
                   .ok());
 
   // k must be a positive count; 0 would silently mean "exact", so it is
@@ -158,13 +158,15 @@ TEST(RankFlagsTest, PartitionSchemeNamesValidated) {
   EXPECT_EQ(ParsePartitionScheme("hash").value(), PartitionScheme::kHash);
 }
 
-TEST(RankFlagsTest, PartitionExcludesRoute) {
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=2", "--route=replicated"})
-                   .ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=hash",
-                             "--shards=2", "--route=partitioned"})
-                   .ok());
+TEST(RankFlagsTest, ShardsRequiresPartition) {
+  // Whole-graph queries run on one engine; --shards only sizes an edge
+  // partition.
+  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--shards=2"}).ok());
+  EXPECT_FALSE(
+      ValidateArgs({"--graph=g.txt", "--shards=1", "--threads=4"}).ok());
+  EXPECT_TRUE(
+      ValidateArgs({"--graph=g.txt", "--shards=2", "--partition=hash"})
+          .ok());
 }
 
 TEST(RankFlagsTest, PartitionExcludesForwardPush) {
@@ -196,26 +198,18 @@ TEST(RankFlagsTest, PartitionComposesWithServingAndCacheFlags) {
 
 TEST(RankFlagsTest, ValueVocabulariesValidated) {
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--method=jacobi"}).ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--shards=2",
-                             "--route=scatter"})
-                   .ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--cache-dir=/tmp/s",
                              "--cache-mode=sometimes"})
                    .ok());
   EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--method=gauss-seidel",
-                            "--shards=2", "--route=least-loaded",
                             "--cache-dir=/tmp/s", "--cache-mode=read"})
                   .ok());
   EXPECT_EQ(ParseRankMethod("forward-push").value(),
             SolverMethod::kForwardPush);
   EXPECT_EQ(ParseCacheMode("write").value(), PersistMode::kWriteOnly);
-  EXPECT_EQ(ParseRoute("partitioned").value().policy,
-            RoutingPolicy::kPartitionedTeleport);
-  EXPECT_EQ(ParseRoute("").value().strategy, ReplicaStrategy::kRoundRobin);
 }
 
 TEST(RankFlagsTest, ExistingCombinationRulesStillEnforced) {
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--route=replicated"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--cache-mode=rw"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--tune"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--significance=s.txt"}).ok());

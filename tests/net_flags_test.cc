@@ -34,8 +34,7 @@ TEST(NetFlagsTest, ServerDefaultsAreValid) {
 
 TEST(NetFlagsTest, ServerAcceptsFullSyntheticConfiguration) {
   EXPECT_TRUE(Server({"--port=8080", "--threads=8", "--shards=4",
-                      "--route=least-loaded", "--max-queue=64",
-                      "--coalesce=false", "--nodes=5000",
+                      "--max-queue=64", "--coalesce=false", "--nodes=5000",
                       "--edges-per-node=4", "--gen-seed=7"})
                   .ok());
 }
@@ -45,13 +44,11 @@ TEST(NetFlagsTest, ServerAcceptsGraphFileWithOrientationFlags) {
       Server({"--graph=edges.txt", "--directed", "--weighted"}).ok());
 }
 
-TEST(NetFlagsTest, ServerAcceptsEveryRouteName) {
-  for (const char* route :
-       {"replicated", "least-loaded", "partitioned", "subgraph"}) {
-    SCOPED_TRACE(route);
-    EXPECT_TRUE(
-        Server({"--shards=2", (std::string("--route=") + route).c_str()})
-            .ok());
+TEST(NetFlagsTest, ServerAcceptsAnyShardCount) {
+  // 1 serves one engine; N >= 2 serves an N-shard edge partition.
+  for (const char* shards : {"--shards=1", "--shards=2", "--shards=8"}) {
+    SCOPED_TRACE(shards);
+    EXPECT_TRUE(Server({shards}).ok());
   }
 }
 
@@ -76,13 +73,6 @@ TEST(NetFlagsTest, ServerRejectsOutOfRangeNumerics) {
   EXPECT_FALSE(Server({"--edges-per-node=0"}).ok());
   EXPECT_FALSE(Server({"--threads=two"}).ok());
   EXPECT_FALSE(Server({"--coalesce=maybe"}).ok());
-}
-
-TEST(NetFlagsTest, ServerRejectsRouteCombinations) {
-  EXPECT_FALSE(Server({"--route=diagonal", "--shards=2"}).ok());
-  // --route without a fleet to route over.
-  EXPECT_FALSE(Server({"--route=replicated"}).ok());
-  EXPECT_FALSE(Server({"--route=subgraph", "--shards=1"}).ok());
 }
 
 TEST(NetFlagsTest, ServerRejectsGraphSourceConflicts) {
@@ -201,7 +191,6 @@ TEST(NetFlagsDistTest, ShardRoleRejectsServingPolicyFlags) {
   // A shard process is not the front door: the serving knobs have
   // nothing to configure and silently ignoring them would mislead.
   EXPECT_FALSE(Server({"--shard-role", "--shards=2"}).ok());
-  EXPECT_FALSE(Server({"--shard-role", "--route=replicated"}).ok());
   EXPECT_FALSE(Server({"--shard-role", "--max-queue=10"}).ok());
   EXPECT_FALSE(Server({"--shard-role", "--coalesce=true"}).ok());
   EXPECT_FALSE(Server({"--shard-role", "--threads=4"}).ok());

@@ -1,6 +1,6 @@
 // RpcServer end-to-end over loopback: responses must be bit-identical to
-// direct backend calls (single engine, replicated shards, partitioned
-// subgraphs), deadlines must be enforced deterministically through the
+// direct backend calls (single-engine runtime, edge-partitioned
+// router), deadlines must be enforced deterministically through the
 // injected clock (an expired request never reaches the engine), admission
 // control must shed with kUnavailable while admitted work completes,
 // identical in-flight requests must coalesce into one solve, and broken
@@ -158,38 +158,9 @@ TEST(NetServerTest, LoopbackResponsesIdenticalToDirectRuntime) {
   }
 }
 
-TEST(NetServerTest, LoopbackResponsesIdenticalToDirectShardedRouter) {
-  RouterOptions router_options;
-  router_options.num_shards = 3;
-  router_options.worker_threads = 2;
-
-  auto graph = TestGraph(11);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router(std::move(graph).value(), router_options);
-  auto backend = MakeBackend(router);
-  RpcServer server(*backend);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto reference_graph = TestGraph(11);
-  ASSERT_TRUE(reference_graph.ok());
-  EngineRouter reference(std::move(reference_graph).value(), router_options);
-
-  auto client = RpcClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  const std::vector<RankRequest> workload = ParityWorkload();
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto over_wire = client->Rank(workload[i]);
-    auto direct = reference.Rank(workload[i]);
-    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    ExpectResponsesIdentical(over_wire.value(), direct.value(), i);
-  }
-}
-
 TEST(NetServerTest, LoopbackResponsesIdenticalToDirectPartitionedSubgraph) {
   RouterOptions router_options;
   router_options.num_shards = 2;
-  router_options.policy = RoutingPolicy::kPartitionedSubgraph;
   router_options.worker_threads = 2;
 
   auto graph = TestGraph(13);

@@ -142,7 +142,6 @@ TEST(PartitionFuzzTest, RouterMatchesSingleEngineOnRandomMixes) {
                                        : PartitionScheme::kHash;
     EngineRouter router = EngineRouter::Borrowing(
         *graph, {.num_shards = num_shards,
-                 .policy = RoutingPolicy::kPartitionedSubgraph,
                  .partition_scheme = scheme});
     if (router.partition().BoundaryFraction() > 0.25) ++boundary_heavy_cases;
 

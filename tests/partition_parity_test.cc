@@ -9,8 +9,8 @@
 //   * block Gauss-Seidel (Gauss-Seidel within a shard, Jacobi across
 //     shards) agrees with SolvePagerankGaussSeidel within 1e-9 at
 //     tolerance 1e-11.
-// The same parity is then asserted one layer up, through EngineRouter's
-// partitioned-subgraph mode against a whole-graph D2prEngine, where the
+// The same parity is then asserted one layer up, through EngineRouter
+// against a whole-graph D2prEngine, where the
 // serving surface (validation, seeded teleports, diagnostics) must also
 // behave identically.
 
@@ -329,9 +329,7 @@ TEST(PartitionParityTest, RouterMatchesSingleEngineReference) {
                      std::to_string(shards));
         EngineRouter router = EngineRouter::Borrowing(
             *graph, {.num_shards = shards,
-                     .policy = RoutingPolicy::kPartitionedSubgraph,
                      .partition_scheme = scheme});
-        ASSERT_TRUE(router.partitioned_subgraph());
         EXPECT_EQ(router.num_shards(), shards);
         EXPECT_EQ(router.partition().scheme(), scheme);
 
@@ -368,8 +366,7 @@ TEST(PartitionParityTest, RouterAsyncMatchesSyncPath) {
   // result must still be bit-identical to the pooled sync path.
   const CsrGraph graph = UnweightedGraph();
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 4,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 4});
   RankRequest request;
   request.p = 0.5;
   request.tolerance = 1e-11;
@@ -403,8 +400,7 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 2});
   RankRequest request;
   request.method = SolverMethod::kGaussSeidel;
   request.dangling = DanglingPolicy::kRenormalize;
@@ -427,8 +423,7 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
 TEST(PartitionParityTest, RouterRejectsForwardPushCleanly) {
   const CsrGraph graph = UnweightedGraph();
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 2});
   RankRequest request;
   request.method = SolverMethod::kForwardPush;
   request.seeds = {3};
@@ -441,8 +436,7 @@ TEST(PartitionParityTest, RouterValidatesLikeTheEngine) {
   const CsrGraph graph = UnweightedGraph();
   D2prEngine engine = D2prEngine::Borrowing(graph);
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 2});
 
   std::vector<RankRequest> bad_requests;
   RankRequest bad_alpha;
@@ -473,8 +467,7 @@ TEST(PartitionParityTest, RouterValidatesLikeTheEngine) {
 TEST(PartitionParityTest, RouterWarmTagsSolveColdButSucceed) {
   const CsrGraph graph = UnweightedGraph();
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 2});
   RankRequest tagged;
   tagged.p = 0.3;
   tagged.warm_start_tag = "sweep";
@@ -502,7 +495,6 @@ TEST(PartitionParityTest, RouterHonorsPersistentTransitionStore) {
 
   RouterOptions options;
   options.num_shards = 4;
-  options.policy = RoutingPolicy::kPartitionedSubgraph;
   options.engine_options.cache_dir = dir;
 
   std::vector<double> first_scores;
@@ -530,8 +522,7 @@ TEST(PartitionParityTest, RouterHonorsPersistentTransitionStore) {
 TEST(PartitionParityTest, RouterTransitionAccountingIsShared) {
   const CsrGraph graph = UnweightedGraph();
   EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 4,
-              .policy = RoutingPolicy::kPartitionedSubgraph});
+      graph, {.num_shards = 4});
   RankRequest request;
   request.p = 1.1;
   ASSERT_TRUE(router.Rank(request).ok());

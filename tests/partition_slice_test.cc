@@ -1,6 +1,6 @@
 // Shard-local transition slices: construction parity, the
 // no-whole-graph-matrix guarantee of the matrix-free kernel, sliced
-// solver parity, edge-case shapes, and the serving-stack ownership pin.
+// solver parity, edge-case shapes, and the hash ownership pin.
 //
 // The load-bearing claims proven here (see core/transition_slices.h):
 //   * BuildTransitionSlices is a pure permutation of the matrix:
@@ -12,8 +12,8 @@
 //     weighted beta blend;
 //   * the sliced block solvers inherit the parity contracts verbatim:
 //     power bit-identical to SolvePagerank, Gauss-Seidel within 1e-9;
-//   * GraphPartitioner's kHash ownership stays identical to
-//     serve/ModuloShardMap, the coupling the serving stack routes by.
+//   * GraphPartitioner's kHash owner is node id modulo shard count, the
+//     rule pre-cut shard files and the fleet's workers are cut by.
 
 #include <gtest/gtest.h>
 
@@ -461,7 +461,6 @@ TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
   const CsrGraph graph = UnweightedGraph();
   RouterOptions options;
   options.num_shards = 2;
-  options.policy = RoutingPolicy::kPartitionedSubgraph;
   EngineRouter router = EngineRouter::Borrowing(graph, options);
 
   RankRequest request;
@@ -476,11 +475,8 @@ TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
   EXPECT_EQ(router.partition_slice_builds(), 1);
 }
 
-TEST(PartitionSliceTest, HashOwnershipPinsToModuloShardMap) {
-  // The serving stack routes seeds by ModuloShardMap and partitions
-  // nodes by GraphPartition's kHash OwnerOf; kPartitionedSubgraph relies
-  // on the two agreeing for every node and shard count. Pin it.
-  const ModuloShardMap shard_map;
+TEST(PartitionSliceTest, HashOwnershipIsNodeModuloShardCount) {
+  // kHash owns node v on shard v % N for every node and shard count.
   Rng rng(11);
   auto graph = ErdosRenyi(257, 1000, &rng);
   ASSERT_TRUE(graph.ok());
@@ -490,7 +486,7 @@ TEST(PartitionSliceTest, HashOwnershipPinsToModuloShardMap) {
                  .num_shards = static_cast<size_t>(shards)});
     ASSERT_TRUE(partition.ok());
     for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-      ASSERT_EQ(partition->OwnerOf(v), shard_map.OwnerOf(v, shards))
+      ASSERT_EQ(partition->OwnerOf(v), static_cast<size_t>(v) % shards)
           << "node " << v << " shards " << shards;
     }
   }

@@ -4,7 +4,8 @@
 // "restarts" on the same cache_dir and must reproduce every score,
 // iteration count, and convergence flag exactly, with EngineStats proving
 // that not a single transition Build ran after the restart. The same
-// holds for an EngineRouter whose shards share one cache_dir.
+// holds for an edge-partitioned EngineRouter restarting on a store an
+// engine wrote.
 
 #include <gtest/gtest.h>
 
@@ -171,9 +172,9 @@ TEST(PersistParityTest, DifferentGraphNeverReusesTheStore) {
   EXPECT_EQ(engine_b.stats().transition_builds, 1);
 }
 
-// A router fleet restarting over a shared cache_dir: every shard maps the
-// persisted matrices, zero builds fleet-wide, and the batch output stays
-// bit-identical to a persistence-free single engine.
+// A partitioned router restarting over a cache_dir an engine wrote: its
+// shared resolver maps the persisted matrices, zero builds, and the
+// power batch stays bit-identical to a persistence-free single engine.
 TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
   Rng rng(34);
   auto graph = BarabasiAlbert(250, 3, &rng);
@@ -184,8 +185,6 @@ TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
   for (int i = 0; i < 24; ++i) {
     RankRequest request;
     request.p = (i % 3) * 0.5;
-    request.method =
-        (i % 2) ? SolverMethod::kGaussSeidel : SolverMethod::kPower;
     request.tolerance = 1e-11;
     batch.push_back(request);
   }
@@ -219,14 +218,9 @@ TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
       SCOPED_TRACE(testing::Message() << "request " << i);
       ExpectBitIdentical((*routed)[i], (*reference)[i]);
     }
-    int64_t fleet_builds = 0;
-    int64_t fleet_loads = 0;
-    for (size_t s = 0; s < router.num_shards(); ++s) {
-      fleet_builds += router.shard(s).stats().transition_builds;
-      fleet_loads += router.shard(s).stats().transition_store_loads;
-    }
-    EXPECT_EQ(fleet_builds, 0) << "restarted fleet must never rebuild";
-    EXPECT_GE(fleet_loads, 3);  // every shard maps what it needs
+    EXPECT_EQ(router.partition_transition_builds(), 0)
+        << "restarted router must never rebuild";
+    EXPECT_EQ(router.partition_transition_store_loads(), 3);  // one per key
   }
 }
 

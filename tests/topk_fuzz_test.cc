@@ -28,7 +28,7 @@ constexpr double kNearTie = 1e-9;
 
 /// Alternates between a power-law (preferential attachment) graph and a
 /// bipartite member-member projection; every fourth case is weighted —
-/// the same family the router fuzz suite draws from, so coverage spans
+/// the same family the partition fuzz suite draws from, so coverage spans
 /// the degree regimes the bound index actually prunes on.
 Result<CsrGraph> FuzzGraph(int case_id) {
   const auto seed = static_cast<uint64_t>(case_id);

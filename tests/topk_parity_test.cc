@@ -1,9 +1,9 @@
 // Top-k serving parity: a truncated response — whether produced by the
-// bounded-push TopKSolver, by exact-solver truncation, or through the
-// router's split-and-merge path — must agree with the exact full-vector
-// top-k. Certified entries carry a hard guarantee (membership in the
-// exact set, modulo 1e-9 near-ties); the suite holds every serving layer
-// to it across the paper's p / alpha / beta grid.
+// bounded-push TopKSolver or by exact-solver truncation — must agree
+// with the exact full-vector top-k. Certified entries carry a hard
+// guarantee (membership in the exact set, modulo 1e-9 near-ties); the
+// suite holds every serving layer to it across the paper's p / alpha /
+// beta grid.
 
 #include <gtest/gtest.h>
 
@@ -243,75 +243,13 @@ TEST(TopKServingRuntimeTest, TruncatedResponsesAreServedAndCached) {
   EXPECT_FALSE(full->scores.empty());
 }
 
-TEST(TopKRouterTest, ReplicatedPassthroughMatchesSingleEngine) {
-  Rng rng(607);
-  auto graph = BarabasiAlbert(200, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  EngineRouter router =
-      EngineRouter::Borrowing(*graph, {.num_shards = 3});
-
-  RankRequest request;
-  request.method = SolverMethod::kForwardPush;
-  request.seeds = {17};
-  request.top_k = 10;
-  auto expected = reference.Rank(request);
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  ASSERT_TRUE(routed->truncated);
-  ASSERT_EQ(routed->top.size(), expected->top.size());
-  for (size_t i = 0; i < routed->top.size(); ++i) {
-    EXPECT_EQ(routed->top[i], expected->top[i]) << "rank " << i;
-  }
-  EXPECT_EQ(routed->uncertainty_gap, expected->uncertainty_gap);
-}
-
-TEST(TopKRouterTest, TeleportSplitMergeAgreesWithExactTopK) {
-  // Multi-seed requests that span shards exercise the split path: the
-  // router strips top_k from the sub-requests, merges full vectors, and
-  // truncates once — so the served set must match the single-engine
-  // exact top-k, and certified entries clear the 1e-9 merge margin.
-  Rng rng(608);
-  auto graph = BarabasiAlbert(240, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  RankRequest request;
-  request.tolerance = 1e-12;
-  request.max_iterations = 3000;
-  // Seeds chosen to span all three shards under the default ShardMap.
-  request.seeds = {1, 101, 201};
-  request.top_k = 10;
-
-  RankRequest full = request;
-  full.top_k = 0;
-  auto exact = reference.Rank(full);
-  ASSERT_TRUE(exact.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  ExpectCertifiedSubsetOfExact(*routed, exact->scores, 10);
-  // The routed set itself (certified or not) matches the exact top-10
-  // modulo near-ties.
-  const std::vector<NodeId> truth = ExactTopK(exact->scores, 10);
-  const double kth = exact->scores[static_cast<size_t>(truth.back())];
-  for (const RankedEntry& entry : routed->top) {
-    EXPECT_GE(exact->scores[static_cast<size_t>(entry.node)], kth - 1e-7)
-        << "served node " << entry.node;
-  }
-}
-
 TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
   Rng rng(609);
   auto graph = BarabasiAlbert(120, 2, &rng);
   ASSERT_TRUE(graph.ok());
   EngineRouter router = EngineRouter::Borrowing(
       *graph,
-      {.num_shards = 2, .policy = RoutingPolicy::kPartitionedSubgraph});
+      {.num_shards = 2});
   RankRequest request;
   request.seeds = {5};
   request.top_k = 10;
@@ -323,8 +261,8 @@ TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
 }
 
 TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
-  // Node 2's score sits 5e-10 below node 1's: inside a 1e-9 merge margin,
-  // far outside a zero margin.
+  // Node 2's score sits 5e-10 below node 1's: inside a 1e-9 margin, far
+  // outside a zero margin.
   const std::vector<double> scores = {0.4, 0.3, 0.3 - 5e-10, 0.1, 0.05};
 
   // Margin 0 (exact serving): the boundary is exact, everything selected
@@ -337,7 +275,7 @@ TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
   EXPECT_TRUE(strict.entries[1].certified);
   EXPECT_EQ(strict.uncertainty_gap, 0.0);
 
-  // Margin 1e-9 (router merge): node 1 no longer clears the excluded
+  // Margin 1e-9: node 1 no longer clears the excluded
   // node 2 by the margin, so it is served uncertified with a nonzero gap;
   // node 0 still clears easily.
   TruncatedTopK merged = TruncateToTopK(scores, 2, 1e-9);

@@ -112,7 +112,7 @@ Status CheckScheme(const Flags& flags) {
 
 Status ValidateServerFlags(const Flags& flags) {
   static const std::set<std::string> kKnown = {
-      "port",    "threads",        "shards", "route",    "max-queue",
+      "port",    "threads",        "shards",   "max-queue",
       "coalesce", "graph",         "directed", "weighted",
       "nodes",   "edges-per-node", "gen-seed",
       "shard-role", "shard-id",    "shard-count", "scheme", "p", "beta",
@@ -127,7 +127,7 @@ Status ValidateServerFlags(const Flags& flags) {
     // Shard role: one partition shard behind the v2 wire. The serving
     // policy flags belong to the front-door role only.
     for (const char* excluded :
-         {"shards", "route", "max-queue", "coalesce", "threads"}) {
+         {"shards", "max-queue", "coalesce", "threads"}) {
       if (flags.Has(excluded)) {
         return Status::InvalidArgument(
             StrCat("--", excluded, " does not apply to --shard-role"));
@@ -181,57 +181,18 @@ Status ValidateServerFlags(const Flags& flags) {
   const auto threads = flags.GetInt("threads", 4);
   const auto shards = flags.GetInt("shards", 1);
   const auto max_queue = flags.GetInt("max-queue", 256);
-  const auto nodes = flags.GetInt("nodes", 10000);
-  const auto edges_per_node = flags.GetInt("edges-per-node", 8);
-  const auto gen_seed = flags.GetInt("gen-seed", 42);
   const auto coalesce = flags.GetBool("coalesce", true);
-  const auto directed = flags.GetBool("directed", false);
-  const auto weighted = flags.GetBool("weighted", false);
-  if (!threads.ok() || !shards.ok() || !max_queue.ok() || !nodes.ok() ||
-      !edges_per_node.ok() || !gen_seed.ok()) {
+  if (!threads.ok() || !shards.ok() || !max_queue.ok()) {
     return Status::InvalidArgument("bad numeric flag");
   }
-  if (!coalesce.ok() || !directed.ok() || !weighted.ok()) {
-    return Status::InvalidArgument("bad boolean flag");
-  }
+  if (!coalesce.ok()) return Status::InvalidArgument("bad boolean flag");
   if (*threads < 1) return Status::InvalidArgument("--threads must be >= 1");
   if (*shards < 1) return Status::InvalidArgument("--shards must be >= 1");
   if (*max_queue < 1) {
     return Status::InvalidArgument(
         "--max-queue must be >= 1 (a zero bound would shed every request)");
   }
-  if (*nodes < 2) return Status::InvalidArgument("--nodes must be >= 2");
-  if (*edges_per_node < 1) {
-    return Status::InvalidArgument("--edges-per-node must be >= 1");
-  }
-
-  const std::string route = flags.GetString("route");
-  if (!route.empty() && route != "replicated" && route != "least-loaded" &&
-      route != "partitioned" && route != "subgraph") {
-    return Status::InvalidArgument(
-        StrCat("unknown --route '", route,
-               "' (expected replicated, least-loaded, partitioned, or "
-               "subgraph)"));
-  }
-  if (flags.Has("route") && *shards < 2) {
-    return Status::InvalidArgument("--route requires --shards >= 2");
-  }
-  if (flags.Has("graph")) {
-    if (flags.GetString("graph").empty()) {
-      return Status::InvalidArgument("--graph requires a file path");
-    }
-    if (flags.Has("nodes") || flags.Has("edges-per-node") ||
-        flags.Has("gen-seed")) {
-      return Status::InvalidArgument(
-          "--graph excludes the synthetic-graph flags "
-          "(--nodes/--edges-per-node/--gen-seed)");
-    }
-  } else if (flags.Has("directed") || flags.Has("weighted")) {
-    return Status::InvalidArgument(
-        "--directed/--weighted only apply to --graph files (the "
-        "synthetic generator fixes its own graph kind)");
-  }
-  return Status::OK();
+  return CheckGraphFlags(flags);
 }
 
 Status ValidateLoadGenFlags(const Flags& flags) {

@@ -12,10 +12,6 @@
 // Exercise the serving runtime (repeat the query on a worker pool):
 //   d2pr_rank --graph=edges.txt --threads=4 --repeat=64
 //
-// Shard the engine behind a router (replicated round-robin by default;
-// --route=partitioned splits personalized queries by seed ownership):
-//   d2pr_rank --graph=edges.txt --shards=4 --threads=4 --repeat=64
-//
 // Edge-partitioned serving: shard the graph itself into per-shard
 // subgraphs and solve by block iteration with cross-shard mass exchange:
 //   d2pr_rank --graph=edges.txt --partition=range --shards=4
@@ -68,18 +64,15 @@ constexpr char kUsage[] =
     "  --significance=FILE  per-node values, required by --tune\n"
     "  --threads=N          serve the query on an N-worker runtime\n"
     "  --repeat=K           execute the final query K times (with\n"
-    "                       --threads/--shards: as one parallel batch)\n"
-    "  --shards=N           serve through an N-shard engine router\n"
-    "                       (not combinable with --tune)\n"
-    "  --route=NAME         routing policy, requires --shards:\n"
-    "                       replicated (default), least-loaded,\n"
-    "                       or partitioned\n"
+    "                       --threads/--partition: as one batch)\n"
     "  --partition=SCHEME   edge-partitioned serving: split the graph\n"
     "                       into per-shard subgraphs (range or hash)\n"
     "                       and solve by block iteration with\n"
     "                       cross-shard mass exchange; requires\n"
-    "                       --shards, excludes --route and\n"
+    "                       --shards, excludes --tune, --top-k and\n"
     "                       --method=forward-push\n"
+    "  --shards=N           shard count of --partition (required by\n"
+    "                       and only valid with it)\n"
     "  --cache-dir=DIR      persistent transition store: built matrices\n"
     "                       spill to DIR and later runs map them back\n"
     "                       instead of rebuilding\n"
@@ -141,7 +134,6 @@ int RunOrDie(const Flags& flags) {
   auto threads = flags.GetInt("threads", 1);
   auto repeat = flags.GetInt("repeat", 1);
   auto shards = flags.GetInt("shards", 1);
-  auto route = ParseRoute(flags.GetString("route"));
   const bool partitioned = flags.Has("partition");
   PartitionScheme partition_scheme = PartitionScheme::kRange;
   if (partitioned) {
@@ -231,9 +223,10 @@ int RunOrDie(const Flags& flags) {
   request.seeds = std::move(seeds);
 
   // Transition accounting printed for every path — single engine, pooled
-  // runtime, and router alike — so runs are comparable no matter how they
-  // were served. The router path fills this from its shard fleet; every
-  // other path reads the one engine after the solve.
+  // runtime, and partitioned router alike — so runs are comparable no
+  // matter how they were served. The router path fills this from its
+  // shared resolver; every other path reads the one engine after the
+  // solve.
   struct TransitionReport {
     int64_t builds = 0;
     int64_t cache_hits = 0;
@@ -253,8 +246,8 @@ int RunOrDie(const Flags& flags) {
   };
   TransitionReport transition_report;
 
-  // One throughput report for every serving configuration: shards and
-  // threads compose, and the single-runtime path reports as one shard.
+  // One throughput report for every serving configuration; the runtime
+  // path reports as one shard.
   auto report_throughput = [](size_t served, size_t num_shards,
                               size_t num_threads, double elapsed_ms,
                               const ScoreCacheStats& cache) {
@@ -269,69 +262,55 @@ int RunOrDie(const Flags& flags) {
   };
 
   Result<RankResponse> ranked = [&]() -> Result<RankResponse> {
-    if (*threads == 1 && *repeat == 1 && *shards == 1 && !partitioned) {
+    if (*threads == 1 && *repeat == 1 && !partitioned) {
       return engine.Rank(request);
     }
-    // Serving path: K identical queries as one parallel batch. The
-    // warm-start tag is dropped — repeats are independent queries, not
-    // one trajectory — so the batch exercises the pool, the router, and
-    // the score cache the way serving traffic would.
+    // Serving path: K identical queries as one batch. The warm-start tag
+    // is dropped — repeats are independent queries, not one trajectory —
+    // so the batch exercises the pool and the score cache the way
+    // serving traffic would.
     RankRequest query = request;
     query.warm_start_tag.clear();
     std::vector<RankRequest> batch(static_cast<size_t>(*repeat), query);
 
-    if (*shards > 1 || partitioned) {
+    if (partitioned) {
       RouterOptions router_options;
       router_options.num_shards = static_cast<size_t>(*shards);
-      router_options.policy = partitioned
-                                  ? RoutingPolicy::kPartitionedSubgraph
-                                  : route->policy;
       router_options.partition_scheme = partition_scheme;
-      router_options.strategy = route->strategy;
       router_options.score_cache_capacity = 256;
-      // Shards share the persistent store: the first run spills each
-      // matrix once, later shards and later runs map it back. The outer
-      // engine already fingerprinted the graph; reuse it.
+      // The router resolves matrices through the same persistent store;
+      // the outer engine already fingerprinted the graph, so reuse it.
       router_options.engine_options = engine_options;
       if (engine.persistent_store_enabled()) {
         router_options.engine_options.precomputed_graph_fingerprint =
             engine.graph_fingerprint();
       }
-      // An explicit --threads (even 1: a single-threaded sharding
-      // baseline) sizes the pool; unset defaults to one worker per shard.
+      // An explicit --threads (even 1: a single-threaded baseline) sizes
+      // the pool; unset defaults to one worker per shard.
       if (flags.Has("threads")) {
         router_options.worker_threads = static_cast<size_t>(*threads);
       }
-      // The shards share the engine's already-loaded graph handle.
+      // The router shares the engine's already-loaded graph handle.
       EngineRouter router(engine.graph_ptr(), router_options);
-      if (router.partitioned_subgraph()) {
-        std::fprintf(stderr, "%s\n",
-                     router.partition().ToString().c_str());
-      }
+      std::fprintf(stderr, "%s\n", router.partition().ToString().c_str());
       Timer timer;
       auto responses = router.RankBatch(batch);
       if (!responses.ok()) return responses.status();
       report_throughput(batch.size(), router.num_shards(),
                         router.num_worker_threads(), timer.ElapsedMillis(),
                         router.score_cache().stats());
-      if (router.partitioned_subgraph()) {
-        // No shard engines exist in this mode; the router's shared
-        // transition cache and store counters are the whole accounting.
-        transition_report.builds += router.partition_transition_builds();
-        transition_report.cache_hits +=
-            router.partition_transition_cache_hits();
-        transition_report.cache_lookups +=
-            router.partition_transition_cache_hits() +
-            router.partition_transition_cache_misses();
-        transition_report.store_loads +=
-            router.partition_transition_store_loads();
-        transition_report.store_saves +=
-            router.partition_transition_store_saves();
-      } else {
-        for (size_t s = 0; s < router.num_shards(); ++s) {
-          transition_report.Accumulate(router.shard(s));
-        }
-      }
+      // The router's shared transition cache and store counters are the
+      // whole accounting of this path.
+      transition_report.builds += router.partition_transition_builds();
+      transition_report.cache_hits +=
+          router.partition_transition_cache_hits();
+      transition_report.cache_lookups +=
+          router.partition_transition_cache_hits() +
+          router.partition_transition_cache_misses();
+      transition_report.store_loads +=
+          router.partition_transition_store_loads();
+      transition_report.store_saves +=
+          router.partition_transition_store_saves();
       return std::move(responses->front());
     }
 
@@ -349,9 +328,9 @@ int RunOrDie(const Flags& flags) {
     std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
     return 1;
   }
-  // Every non-router path (single query, repeated queries, pooled
-  // runtime) served through this one engine.
-  if (*shards == 1) transition_report.Accumulate(engine);
+  // Every other path (single query, repeated queries, pooled runtime)
+  // served through this one engine.
+  if (!partitioned) transition_report.Accumulate(engine);
   std::fprintf(
       stderr,
       "transition stats: %lld build(s), cache hits %lld/%lld lookups, "

@@ -28,20 +28,6 @@ Result<PersistMode> ParseCacheMode(const std::string& name) {
   return Status::InvalidArgument(StrCat("unknown --cache-mode '", name, "'"));
 }
 
-Result<RouteSpec> ParseRoute(const std::string& name) {
-  RouteSpec spec;
-  if (name.empty() || name == "replicated") return spec;
-  if (name == "least-loaded") {
-    spec.strategy = ReplicaStrategy::kLeastLoaded;
-    return spec;
-  }
-  if (name == "partitioned") {
-    spec.policy = RoutingPolicy::kPartitionedTeleport;
-    return spec;
-  }
-  return Status::InvalidArgument(StrCat("unknown --route '", name, "'"));
-}
-
 Status ValidateRankFlags(const Flags& flags) {
   // Every flag the tool understands; anything else is a typo the user
   // should hear about instead of a silently ignored option.
@@ -50,8 +36,8 @@ Status ValidateRankFlags(const Flags& flags) {
       "alpha",  "beta",       "top",        "top-k",
       "method", "seeds",      "scores-out", "tune",
       "significance",         "stats",      "threads",
-      "repeat", "shards",     "route",      "cache-dir",
-      "cache-mode",           "partition",
+      "repeat", "shards",     "cache-dir",  "cache-mode",
+      "partition",
   };
   for (const std::string& name : flags.FlagNames()) {
     if (!kKnown.contains(name)) {
@@ -112,8 +98,8 @@ Status ValidateRankFlags(const Flags& flags) {
     if (flags.Has("partition")) {
       return Status::InvalidArgument(
           "--top-k is not supported with --partition (the block solve "
-          "produces one distributed full vector); use a replicated or "
-          "partitioned-teleport router");
+          "produces one distributed full vector); serve top-k from the "
+          "whole-graph engine");
     }
     if (flags.Has("scores-out")) {
       return Status::InvalidArgument(
@@ -132,16 +118,16 @@ Status ValidateRankFlags(const Flags& flags) {
         "--shards cannot be combined with --tune (tuning is one warm "
         "trajectory on one engine; shard after tuning)");
   }
-  if (flags.Has("route") && !flags.Has("shards")) {
-    return Status::InvalidArgument("--route requires --shards");
+  if (flags.Has("shards") && !flags.Has("partition")) {
+    return Status::InvalidArgument(
+        "--shards requires --partition (whole-graph queries run on one "
+        "engine; --threads sizes its worker pool)");
   }
 
   // Value vocabularies: every named option must parse, so a typo'd value
   // is exit 2 here rather than surprise behavior later.
   const auto method = ParseRankMethod(flags.GetString("method"));
   if (!method.ok()) return method.status();
-  const auto route = ParseRoute(flags.GetString("route"));
-  if (!route.ok()) return route.status();
   const auto cache_mode = ParseCacheMode(flags.GetString("cache-mode"));
   if (!cache_mode.ok()) return cache_mode.status();
 
@@ -153,11 +139,6 @@ Status ValidateRankFlags(const Flags& flags) {
     }
     auto scheme = ParsePartitionScheme(flags.GetString("partition"));
     if (!scheme.ok()) return scheme.status();
-    if (flags.Has("route")) {
-      return Status::InvalidArgument(
-          "--partition and --route are mutually exclusive (--partition "
-          "IS the routing mode: partitioned-subgraph)");
-    }
     if (flags.GetString("method") == "forward-push") {
       return Status::InvalidArgument(
           "--method=forward-push is not supported with --partition "

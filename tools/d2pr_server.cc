@@ -2,8 +2,8 @@
 //
 // Stands up a graph (loaded from an edge list, or a seeded synthetic
 // Barabási–Albert graph for benches and smoke tests), a serving backend
-// (single-engine ServingRuntime, or an EngineRouter fleet under
-// --shards/--route), and an RpcServer speaking the net/wire.h protocol on
+// (a single-engine ServingRuntime, or under --shards an edge-partitioned
+// EngineRouter), and an RpcServer speaking the net/wire.h protocol on
 // 127.0.0.1. Runs until SIGINT/SIGTERM, then drains and exits 0.
 //
 // The bound port is printed as "listening on 127.0.0.1:<port>" so
@@ -37,11 +37,10 @@ constexpr char kUsage[] =
     "usage: d2pr_server [flags]\n"
     "  --port=N             TCP port on 127.0.0.1 (default 0 = ephemeral)\n"
     "  --threads=N          solver worker threads (default 4)\n"
-    "  --shards=N           serve through an N-shard engine router\n"
-    "  --route=NAME         routing policy, requires --shards >= 2:\n"
-    "                       replicated (default), least-loaded,\n"
-    "                       partitioned (seed ownership), or subgraph\n"
-    "                       (edge-partitioned block solves)\n"
+    "  --shards=N           N >= 2: edge-partition the graph into N\n"
+    "                       shards and serve power / gauss-seidel by\n"
+    "                       block solves (push and top-k requests are\n"
+    "                       rejected); 1 (default): one engine\n"
     "  --max-queue=N        admission bound: shed with Unavailable once\n"
     "                       this many solves are queued (default 256)\n"
     "  --coalesce=BOOL      join identical in-flight requests\n"
@@ -84,7 +83,6 @@ int Run(const Flags& flags) {
   const size_t shards = static_cast<size_t>(*flags.GetInt("shards", 1));
   const int64_t max_queue = *flags.GetInt("max-queue", 256);
   const bool coalesce = *flags.GetBool("coalesce", true);
-  const std::string route = flags.GetString("route");
   const bool shard_role = *flags.GetBool("shard-role", false);
   const bool from_cut = shard_role && flags.Has("shard-file");
 
@@ -200,13 +198,6 @@ int Run(const Flags& flags) {
     RouterOptions router_options;
     router_options.num_shards = shards;
     router_options.worker_threads = threads;
-    if (route == "least-loaded") {
-      router_options.strategy = ReplicaStrategy::kLeastLoaded;
-    } else if (route == "partitioned") {
-      router_options.policy = RoutingPolicy::kPartitionedTeleport;
-    } else if (route == "subgraph") {
-      router_options.policy = RoutingPolicy::kPartitionedSubgraph;
-    }
     router = std::make_unique<EngineRouter>(std::move(graph).value(),
                                             router_options);
     backend = MakeBackend(*router);
