@@ -66,9 +66,9 @@ void BM_TopKFullPushThenTruncate(benchmark::State& state) {
   int64_t pushes = 0;
   for (auto _ : state) {
     auto response = engine.Rank(full);
-    auto truncated = TruncateToTopK(response->scores, top_k, 0.0);
+    auto truncated = TruncateToTopK(response->scores, top_k);
     pushes += response->pushes;
-    benchmark::DoNotOptimize(truncated.entries.data());
+    benchmark::DoNotOptimize(truncated.data());
   }
   state.counters["pushes"] = static_cast<double>(
       pushes / std::max<int64_t>(state.iterations(), 1));

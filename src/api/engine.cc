@@ -234,10 +234,8 @@ Result<RankResponse> D2prEngine::Rank(const RankRequest& request) {
   if (request.top_k > 0) {
     // Exact solve, then truncate: every served entry is the true score,
     // so the whole set is certified with zero gap.
-    TruncatedTopK truncated =
-        TruncateToTopK(response.scores, request.top_k, /*certify_margin=*/0.0);
-    response.top = std::move(truncated.entries);
-    response.uncertainty_gap = truncated.uncertainty_gap;
+    response.top = TruncateToTopK(response.scores, request.top_k);
+    response.uncertainty_gap = 0.0;
     response.truncated = true;
     response.scores.clear();
   }

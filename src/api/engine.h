@@ -186,26 +186,11 @@ class D2prEngine {
   /// batch (deterministic cache-hit diagnostics) without executing it.
   TransitionKey ResolveKey(const RankRequest& request) const;
 
-  /// \brief Snapshot of resident transition keys, most recently used
-  /// first (see TransitionCache::Keys).
-  std::vector<TransitionKey> CachedTransitionKeys() const {
-    return resolver_.CachedKeys();
-  }
-
-  /// Raw transition-cache lookup counters (the cache's own accounting;
-  /// unlike EngineStats these count every Lookup, including re-checks
-  /// while waiting on a single-flight build).
-  int64_t transition_cache_lookup_hits() const {
-    return resolver_.cache_lookup_hits();
-  }
-  int64_t transition_cache_lookup_misses() const {
-    return resolver_.cache_lookup_misses();
-  }
-
-  /// DegreeBoundIndex builds performed for top-k queries (the resolver's
-  /// accounting; cached indexes make this grow once per transition key,
-  /// not once per query).
-  int64_t degree_bound_builds() const { return resolver_.bound_builds(); }
+  /// \brief The transition resolver behind this engine: its matrix
+  /// cache (resident keys, most recently used first, and the raw lookup
+  /// counters), top-k bound and store counters. ServingRuntime seeds its
+  /// replay of a batch's cache trace from CachedKeys().
+  const TransitionResolver& transition_resolver() const { return resolver_; }
 
  private:
   /// The last two solutions of one warm-start trajectory, newest first.

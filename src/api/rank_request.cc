@@ -55,41 +55,27 @@ Status ValidateRankRequestParameters(const RankRequest& request) {
   return Status::OK();
 }
 
-TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
-                             double certify_margin) {
-  TruncatedTopK result;
-  if (top_k <= 0 || scores.empty()) return result;
+std::vector<RankedEntry> TruncateToTopK(std::span<const double> scores,
+                                        int top_k) {
+  std::vector<RankedEntry> entries;
+  if (top_k <= 0 || scores.empty()) return entries;
   const size_t want = std::min(static_cast<size_t>(top_k), scores.size());
   std::vector<NodeId> order(scores.size());
   std::iota(order.begin(), order.end(), NodeId{0});
-  const auto by_score = [&scores](NodeId a, NodeId b) {
-    const double sa = scores[static_cast<size_t>(a)];
-    const double sb = scores[static_cast<size_t>(b)];
-    if (sa != sb) return sa > sb;
-    return a < b;
-  };
-  // One extra rank beyond the cut: the best excluded score is what the
-  // certification margin is measured against.
-  const size_t sorted = std::min(want + 1, order.size());
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<ptrdiff_t>(sorted),
-                    order.end(), by_score);
-  const double best_excluded =
-      want < order.size() ? scores[static_cast<size_t>(order[want])]
-                          : -std::numeric_limits<double>::infinity();
-  result.entries.reserve(want);
+  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(want),
+                    order.end(), [&scores](NodeId a, NodeId b) {
+                      const double sa = scores[static_cast<size_t>(a)];
+                      const double sb = scores[static_cast<size_t>(b)];
+                      if (sa != sb) return sa > sb;
+                      return a < b;
+                    });
+  entries.reserve(want);
   for (size_t i = 0; i < want; ++i) {
-    RankedEntry entry;
-    entry.node = order[i];
-    entry.score = scores[static_cast<size_t>(order[i])];
-    entry.certified = entry.score >= best_excluded + certify_margin;
-    result.entries.push_back(entry);
+    entries.push_back({.node = order[i],
+                       .score = scores[static_cast<size_t>(order[i])],
+                       .certified = true});
   }
-  if (want < order.size()) {
-    result.uncertainty_gap = std::max(
-        0.0, best_excluded + certify_margin - result.entries.back().score);
-  }
-  return result;
+  return entries;
 }
 
 }  // namespace d2pr

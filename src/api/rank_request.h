@@ -100,24 +100,11 @@ struct RankedEntry {
   bool operator==(const RankedEntry&) const = default;
 };
 
-/// \brief Truncated top-k view plus its certification gap.
-struct TruncatedTopK {
-  /// min(top_k, |scores|) entries, score descending (ties by ascending
-  /// node id).
-  std::vector<RankedEntry> entries;
-  /// max(0, best excluded score + margin - k-th score); 0 when every
-  /// entry clears the boundary by at least the margin.
-  double uncertainty_gap = 0.0;
-};
-
-/// \brief Selects the top_k best entries of a full score vector with
-/// deterministic tie handling. An entry is certified when its score
-/// clears the best excluded score by at least `certify_margin` — exact
-/// servers pass 0 (everything selected is certified); a caller whose
-/// scores carry a known error bound passes it so boundary-near entries
-/// that float error could reorder are served uncertified instead.
-TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
-                             double certify_margin);
+/// \brief Selects the top_k best entries of a full score vector of exact
+/// scores: min(top_k, |scores|) entries, score descending with ties by
+/// ascending node id, each certified (an exact score is its own bound).
+std::vector<RankedEntry> TruncateToTopK(std::span<const double> scores,
+                                        int top_k);
 
 /// \brief Scores plus diagnostics for one RankRequest.
 struct RankResponse {

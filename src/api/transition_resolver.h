@@ -2,32 +2,27 @@
 // transition lookups.
 //
 // Both whole-graph engines (D2prEngine) and the edge-partitioned router
-// (EngineRouter) need the same three-layer
-// resolution for a TransitionKey:
+// (EngineRouter) resolve a TransitionKey through three layers:
 //
-//   1. an in-memory LRU TransitionCache (shared_ptr entries, O(1)-ish),
+//   1. an in-memory SingleFlightLru of shared, immutable matrices,
 //   2. a persistent TransitionStore spill layer (mmap-backed load before
 //      any rebuild, write-through or lazy spill after one),
-//   3. the O(|E|) TransitionMatrix::Build cold path,
+//   3. the O(|E|) TransitionMatrix::Build cold path.
 //
-// with concurrent misses on one key single-flighted: the first requester
-// loads or builds while the rest wait on a condition variable and then
-// take the cache hit, so a key is never built twice. Until this class
-// existed, D2prEngine::GetTransition and EngineRouter::PartitionTransition
-// carried duplicated copies of that whole discipline; each new metric or
-// concurrency fix had to land twice. Now both own a TransitionResolver and
-// the logic lives once (the ROADMAP's unlocking refactor for the
-// multi-metric engine).
+// Concurrent misses on one key are single-flighted by the LRU: the first
+// requester loads or builds while the rest wait and then take the cache
+// hit, so a key is never built twice. The top-k DegreeBoundIndex and the
+// per-shard TransitionSlices derived from a matrix are cached the same
+// way, each in its own SingleFlightLru.
 //
-// Thread-safety: Resolve is safe from any number of threads. The internal
-// mutex guards only the in-flight key list — never a load, build, or
-// spill — so distinct keys proceed in parallel.
+// Thread-safety: Resolve is safe from any number of threads. No lock is
+// held across a load, build or spill, so distinct keys proceed in
+// parallel.
 
 #ifndef D2PR_API_TRANSITION_RESOLVER_H_
 #define D2PR_API_TRANSITION_RESOLVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,9 +30,9 @@
 #include <utility>
 #include <vector>
 
-#include "api/transition_cache.h"
 #include "api/transition_store.h"
 #include "common/result.h"
+#include "common/single_flight_lru.h"
 #include "core/transition.h"
 #include "graph/csr_graph.h"
 #include "graph/partition.h"
@@ -189,16 +184,24 @@ class TransitionResolver {
     return slice_builds_.load(std::memory_order_relaxed);
   }
 
-  /// Cache passthroughs (see TransitionCache).
-  size_t cache_capacity() const { return cache_.capacity(); }
-  std::vector<TransitionKey> CachedKeys() const { return cache_.Keys(); }
-  int64_t cache_lookup_hits() const { return cache_.hits(); }
-  int64_t cache_lookup_misses() const { return cache_.misses(); }
+  /// Matrix cache passthroughs (see SingleFlightLru). Keys are most
+  /// recently used first; the lookup counters count every lookup,
+  /// including a waiter's re-check after a single-flight build.
+  std::vector<TransitionKey> CachedKeys() const { return matrices_.Keys(); }
+  int64_t cache_lookup_hits() const { return matrices_.hits(); }
+  int64_t cache_lookup_misses() const { return matrices_.misses(); }
 
  private:
   std::shared_ptr<const CsrGraph> graph_;
   TransitionResolverOptions options_;
-  TransitionCache cache_;
+  SingleFlightLru<TransitionKey, std::shared_ptr<const TransitionMatrix>>
+      matrices_;
+  /// Derived per-key artifacts, each behind its own lock so a slow
+  /// matrix build never stalls a lookup here. Same capacity as matrices_.
+  SingleFlightLru<TransitionKey, std::shared_ptr<const DegreeBoundIndex>>
+      bounds_;
+  SingleFlightLru<TransitionKey, std::shared_ptr<const TransitionSlices>>
+      slices_;
 
   /// Persistent spill layer; null unless cache_dir names a directory and
   /// persist_mode allows any access.
@@ -211,30 +214,6 @@ class TransitionResolver {
   /// exists, so a rebuilt-after-rejection matrix replaces its corrupt
   /// file instead of being skipped.
   std::vector<TransitionKey> unspilled_keys_;
-
-  /// Guards building_keys_: the keys with a transition build in flight.
-  std::mutex build_mu_;
-  std::condition_variable build_cv_;
-  std::vector<TransitionKey> building_keys_;
-
-  /// Guards the bound-index cache and its in-flight key list. Separate
-  /// from build_mu_ so a slow transition build never stalls a bounds
-  /// lookup for an unrelated key.
-  std::mutex bounds_mu_;
-  std::condition_variable bounds_cv_;
-  /// MRU-first list, capped at cache_capacity; linear scans are fine at
-  /// the same small capacities TransitionCache runs at.
-  std::vector<std::pair<TransitionKey, std::shared_ptr<const DegreeBoundIndex>>>
-      bounds_cache_;
-  std::vector<TransitionKey> bounds_building_;
-
-  /// Guards the slice cache and its in-flight key list; same shape and
-  /// rationale as the bounds cache above.
-  std::mutex slices_mu_;
-  std::condition_variable slices_cv_;
-  std::vector<std::pair<TransitionKey, std::shared_ptr<const TransitionSlices>>>
-      slices_cache_;
-  std::vector<TransitionKey> slices_building_;
 
   std::atomic<int64_t> builds_{0};
   std::atomic<int64_t> store_loads_{0};

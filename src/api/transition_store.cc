@@ -1,15 +1,10 @@
 #include "api/transition_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -118,53 +113,10 @@ Status TransitionStore::Save(uint64_t graph_fingerprint,
   AppendU64(header, 0);  // padding: probs start 8-byte aligned
   D2PR_CHECK_EQ(header.size(), static_cast<size_t>(kHeaderBytes));
 
-  // Unique temp name so concurrent writers (engines sharing one
-  // cache_dir) never interleave into one file; rename is atomic on POSIX.
-  static std::atomic<uint64_t> temp_counter{0};
-  const std::string path = PathFor(graph_fingerprint, key);
-  const std::string temp_path =
-      StrCat(path, ".tmp.", static_cast<int64_t>(::getpid()), ".",
-             static_cast<int64_t>(temp_counter.fetch_add(1)));
-
-  {
-    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError(StrCat("cannot open for write: ", temp_path));
-    }
-    auto put = [&out](const void* data, size_t bytes) {
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(bytes));
-    };
-    put(header.data(), header.size());
-    put(probs.data(), probs.size_bytes());
-    put(dangling.data(), dangling.size_bytes());
-    out.flush();
-    if (!out) {
-      std::filesystem::remove(temp_path, ec);
-      return Status::IoError(StrCat("write failed: ", temp_path));
-    }
-  }
-  // Push the data to stable storage before the rename commits the name:
-  // otherwise a power cut can publish an empty/partial file and the warm
-  // store write-through promises is silently gone after the next boot.
-  {
-    const int fd = ::open(temp_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0 || ::fsync(fd) != 0) {
-      if (fd >= 0) ::close(fd);
-      std::filesystem::remove(temp_path, ec);
-      return Status::IoError(StrCat("cannot fsync: ", temp_path));
-    }
-    ::close(fd);
-  }
-  std::error_code rename_ec;
-  std::filesystem::rename(temp_path, path, rename_ec);
-  if (rename_ec) {
-    const std::string reason = rename_ec.message();  // before remove resets ec
-    std::filesystem::remove(temp_path, ec);
-    return Status::IoError(
-        StrCat("cannot rename ", temp_path, " -> ", path, ": ", reason));
-  }
-  return Status::OK();
+  const std::span<const std::byte> chunks[] = {
+      std::as_bytes(std::span(header)), std::as_bytes(probs),
+      std::as_bytes(dangling)};
+  return WriteFileAtomically(PathFor(graph_fingerprint, key), chunks);
 }
 
 Result<std::shared_ptr<const TransitionMatrix>> TransitionStore::Load(

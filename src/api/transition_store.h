@@ -56,7 +56,6 @@
 #include <memory>
 #include <string>
 
-#include "api/transition_cache.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/transition.h"

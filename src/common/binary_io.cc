@@ -5,7 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 #include "common/string_util.h"
 
@@ -64,6 +67,54 @@ uint32_t ReadU32(const uint8_t* p) { return ReadRaw<uint32_t>(p); }
 uint64_t ReadU64(const uint8_t* p) { return ReadRaw<uint64_t>(p); }
 int64_t ReadI64(const uint8_t* p) { return ReadRaw<int64_t>(p); }
 double ReadF64(const uint8_t* p) { return ReadRaw<double>(p); }
+
+Status WriteFileAtomically(
+    const std::string& path,
+    std::span<const std::span<const std::byte>> chunks) {
+  // Unique temp name so concurrent writers (engines sharing one
+  // cache_dir) never interleave into one file; rename is atomic on POSIX.
+  static std::atomic<uint64_t> temp_counter{0};
+  const std::string temp_path =
+      StrCat(path, ".tmp.", static_cast<int64_t>(::getpid()), ".",
+             static_cast<int64_t>(temp_counter.fetch_add(1)));
+  std::error_code ec;
+  {
+    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return Status::IoError(StrCat("cannot open for write: ", temp_path));
+    }
+    for (const std::span<const std::byte> chunk : chunks) {
+      out.write(reinterpret_cast<const char*>(chunk.data()),
+                static_cast<std::streamsize>(chunk.size()));
+    }
+    out.flush();
+    if (!out) {
+      std::filesystem::remove(temp_path, ec);
+      return Status::IoError(StrCat("write failed: ", temp_path));
+    }
+  }
+  // Push the data to stable storage before the rename commits the name:
+  // otherwise a power cut can publish an empty/partial file under the
+  // final name.
+  {
+    const int fd = ::open(temp_path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0 || ::fsync(fd) != 0) {
+      if (fd >= 0) ::close(fd);
+      std::filesystem::remove(temp_path, ec);
+      return Status::IoError(StrCat("cannot fsync: ", temp_path));
+    }
+    ::close(fd);
+  }
+  std::error_code rename_ec;
+  std::filesystem::rename(temp_path, path, rename_ec);
+  if (rename_ec) {
+    const std::string reason = rename_ec.message();  // before remove resets ec
+    std::filesystem::remove(temp_path, ec);
+    return Status::IoError(
+        StrCat("cannot rename ", temp_path, " -> ", path, ": ", reason));
+  }
+  return Status::OK();
+}
 
 Result<MmapFile> MmapFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -1,13 +1,15 @@
 // Little-endian binary I/O primitives shared by the persistent file
 // formats (the transition store, and any future on-disk cache).
 //
-// Three pieces:
+// Four pieces:
 //   * fixed-width append/read helpers over raw byte buffers, so a file
 //     format can assemble its header in memory, checksum it, and write it
 //     in one shot;
 //   * Checksum64, the checksum used for per-section corruption detection —
 //     not cryptographic, but deterministic, dependency-free, and reliable
 //     against the truncation and bit-flip failures disks actually produce;
+//   * WriteFileAtomically, the temp + fsync + rename write every format
+//     publishes its files with;
 //   * MmapFile, a read-only memory mapping with RAII unmap, so a reader
 //     can hand out spans into file pages instead of copying payloads.
 
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 
 namespace d2pr {
 
@@ -57,6 +60,17 @@ uint32_t ReadU32(const uint8_t* p);
 uint64_t ReadU64(const uint8_t* p);
 int64_t ReadI64(const uint8_t* p);
 double ReadF64(const uint8_t* p);
+
+/// \brief Writes the concatenation of `chunks` to `path` so that readers
+/// see either the old file or the complete new one.
+///
+/// The bytes go to a unique temp file beside `path`
+/// (`<path>.tmp.<pid>.<n>`, so concurrent writers of one path never
+/// interleave), are flushed and fsync-ed, then renamed over `path`. The
+/// temp file is removed on every failure. IoError names the failed step
+/// and the file.
+Status WriteFileAtomically(const std::string& path,
+                           std::span<const std::span<const std::byte>> chunks);
 
 /// \brief Read-only memory mapping of a whole file.
 ///

@@ -61,6 +61,21 @@ struct TransitionConfig {
   DegreeMetric metric = DegreeMetric::kAuto;
 };
 
+/// \brief Identity of a transition model on a fixed graph: the key of
+/// every per-model cache and store file.
+///
+/// `metric` must be resolved (never kAuto) so that equivalent requests
+/// written differently hit the same entry; `beta` must be the effective
+/// value (0 on unweighted graphs). D2prEngine performs both
+/// normalizations before lookup.
+struct TransitionKey {
+  double p = 0.0;
+  double beta = 0.0;
+  DegreeMetric metric = DegreeMetric::kOutDegree;
+
+  bool operator==(const TransitionKey&) const = default;
+};
+
 /// \brief Column-stochastic sparse transition matrix aligned with a graph's
 /// CSR arcs.
 ///

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "api/rank_request.h"
-#include "api/transition_cache.h"
 #include "common/result.h"
 #include "core/pagerank.h"
 #include "core/transition.h"

@@ -1,13 +1,8 @@
 #include "graph/shard_cut.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -384,52 +379,18 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
   AppendU64(header, Checksum64(header.data(), header.size()));
   D2PR_CHECK_EQ(header.size(), static_cast<size_t>(kHeaderBytes));
 
-  // --- atomic write: unique temp, fsync, rename ---
-  static std::atomic<uint64_t> temp_counter{0};
-  const std::string temp_path =
-      StrCat(path, ".tmp.", static_cast<int64_t>(::getpid()), ".",
-             static_cast<int64_t>(temp_counter.fetch_add(1)));
-  std::error_code ec;
-  {
-    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError(StrCat("cannot open for write: ", temp_path));
-    }
-    auto put = [&out](const void* data, size_t bytes) {
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(bytes));
-    };
-    put(header.data(), header.size());
-    for (const Section& section : sections) put(section.data, section.bytes);
-    if (meta.weighted) {
-      put(cut.out_weights.data(), cut.out_weights.size() * 8);
-      put(cut.in_weights.data(), cut.in_weights.size() * 8);
-      put(cut.ghost_weights.data(), cut.ghost_weights.size() * 8);
-    }
-    out.flush();
-    if (!out) {
-      std::filesystem::remove(temp_path, ec);
-      return Status::IoError(StrCat("write failed: ", temp_path));
-    }
+  std::vector<std::span<const std::byte>> chunks;
+  chunks.push_back(std::as_bytes(std::span(header)));
+  for (const Section& section : sections) {
+    chunks.emplace_back(static_cast<const std::byte*>(section.data),
+                        section.bytes);
   }
-  {
-    const int fd = ::open(temp_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0 || ::fsync(fd) != 0) {
-      if (fd >= 0) ::close(fd);
-      std::filesystem::remove(temp_path, ec);
-      return Status::IoError(StrCat("cannot fsync: ", temp_path));
-    }
-    ::close(fd);
+  if (meta.weighted) {
+    chunks.push_back(std::as_bytes(std::span(cut.out_weights)));
+    chunks.push_back(std::as_bytes(std::span(cut.in_weights)));
+    chunks.push_back(std::as_bytes(std::span(cut.ghost_weights)));
   }
-  std::error_code rename_ec;
-  std::filesystem::rename(temp_path, path, rename_ec);
-  if (rename_ec) {
-    const std::string reason = rename_ec.message();  // before remove resets ec
-    std::filesystem::remove(temp_path, ec);
-    return Status::IoError(
-        StrCat("cannot rename ", temp_path, " -> ", path, ": ", reason));
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, chunks);
 }
 
 Result<ShardCutMetadata> ReadShardCutMetadata(const std::string& path) {

@@ -113,23 +113,10 @@ class EngineRouter {
   size_t num_shards() const { return partition_.num_shards(); }
   const GraphPartition& partition() const { return partition_; }
 
-  /// Transition accounting of the shared per-key matrices the block
-  /// solves read.
-  int64_t partition_transition_builds() const { return resolver_.builds(); }
-  int64_t partition_transition_cache_hits() const {
-    return resolver_.cache_lookup_hits();
-  }
-  int64_t partition_transition_cache_misses() const {
-    return resolver_.cache_lookup_misses();
-  }
-  int64_t partition_transition_store_loads() const {
-    return resolver_.store_loads();
-  }
-  int64_t partition_transition_store_saves() const {
-    return resolver_.store_saves();
-  }
-  /// Slice constructions (cache misses in the resolver's slice cache).
-  int64_t partition_slice_builds() const { return resolver_.slice_builds(); }
+  /// The shared transition resolver the block solves read their
+  /// per-key matrices and slices from, with its build, cache, store and
+  /// slice counters.
+  const TransitionResolver& transition_resolver() const { return resolver_; }
   const ScoreCache& score_cache() const { return score_cache_; }
   size_t num_worker_threads() const { return pool_.num_threads(); }
 
@@ -172,7 +159,7 @@ class EngineRouter {
   /// Immutable after construction.
   const GraphPartition partition_;
   const std::vector<double> uniform_teleport_;
-  /// The same cache + store + single-flight-build class D2prEngine owns.
+  /// Per-key matrices and slices (single-flight LRUs over the store).
   TransitionResolver resolver_;
   ScoreCache score_cache_;
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <latch>
-#include <list>
 #include <mutex>
 #include <utility>
+#include <variant>
+
+#include "common/single_flight_lru.h"
 
 namespace d2pr {
 
@@ -100,26 +102,26 @@ Result<RankResponse> ServingRuntime::Execute(
 std::vector<bool> ServingRuntime::SimulateSequentialCacheHits(
     std::span<const RankRequest> requests) const {
   // Concurrent execution makes the engine's real hit/miss interleaving a
-  // race outcome; replaying the reference LRU trace over the resolved
-  // keys (cheap: keys, not matrices) pins every response's
-  // transition_cache_hit flag to the deterministic sequential value.
-  std::list<TransitionKey> lru;
-  for (const TransitionKey& key : engine_->CachedTransitionKeys()) {
-    lru.push_back(key);  // Keys() is MRU-first, matching list order.
+  // race outcome; replaying the batch over a key-only instance of the
+  // engine's own cache policy (cheap: keys, not matrices) pins every
+  // response's transition_cache_hit flag to the deterministic sequential
+  // value.
+  SingleFlightLru<TransitionKey, std::monostate> lru(
+      engine_->options().transition_cache_capacity);
+  const auto no_value = [] { return std::monostate{}; };
+  // CachedKeys() is most recently used first: seed from the back so the
+  // replay starts in the real cache's recency order.
+  const std::vector<TransitionKey> resident =
+      engine_->transition_resolver().CachedKeys();
+  for (auto it = resident.rbegin(); it != resident.rend(); ++it) {
+    lru.GetOrBuild(*it, no_value);
   }
-  const size_t capacity = engine_->options().transition_cache_capacity;
 
   std::vector<bool> hits(requests.size(), false);
   for (size_t i = 0; i < requests.size(); ++i) {
-    const TransitionKey key = engine_->ResolveKey(requests[i]);
-    auto it = std::find(lru.begin(), lru.end(), key);
-    if (it != lru.end()) {
-      hits[i] = true;
-      lru.splice(lru.begin(), lru, it);
-    } else {
-      lru.push_front(key);
-      while (lru.size() > capacity) lru.pop_back();
-    }
+    bool hit = false;
+    lru.GetOrBuild(engine_->ResolveKey(requests[i]), no_value, &hit);
+    hits[i] = hit;
   }
   return hits;
 }

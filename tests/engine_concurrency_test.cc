@@ -2,14 +2,17 @@
 // under concurrent Rank calls (plain int64 counters would race and
 // undercount), concurrent misses on one transition key must build it
 // exactly once (single-flight), per-thread warm-start trajectories on a
-// shared engine must reproduce the single-threaded results, and the
-// partitioned EngineRouter's ScoreCache must keep exact counters — and
-// never serve another request's response — under concurrent traffic.
+// shared engine must reproduce the single-threaded results, concurrent
+// top-k and partitioned requests on one key must build its bound index
+// and its slices exactly once, and the partitioned EngineRouter's
+// ScoreCache must keep exact counters — and never serve another
+// request's response — under concurrent traffic.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -234,6 +237,63 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   EXPECT_LE(router.score_cache().size(), 8u);
   // 16 distinct keys through an 8-entry cache force evictions.
   EXPECT_GE(cache.evictions, 8);
+}
+
+TEST(EngineConcurrencyTest, ConcurrentTopKPushesBuildOneBoundIndex) {
+  // Large enough that the concurrent first misses overlap the build.
+  auto graph = TestGraph(15, 20000, 100000);
+  ASSERT_TRUE(graph.ok());
+  D2prEngine engine = D2prEngine::Borrowing(*graph);
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2;
+  std::latch start(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kPerThread; ++i) {
+        RankRequest request;
+        request.p = 0.5;  // one transition key for every request
+        request.method = SolverMethod::kForwardPush;
+        request.seeds = {static_cast<NodeId>(t * kPerThread + i)};
+        request.top_k = 5;
+        if (!engine.Rank(request).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.transition_resolver().builds(), 1);
+  EXPECT_EQ(engine.transition_resolver().bound_builds(), 1);
+}
+
+TEST(EngineConcurrencyTest, ConcurrentRouterRanksBuildOneSliceSet) {
+  // Large enough that the concurrent first misses overlap the build.
+  auto graph = TestGraph(16, 20000, 100000);
+  ASSERT_TRUE(graph.ok());
+  RouterOptions options;
+  options.num_shards = 2;
+  EngineRouter router = EngineRouter::Borrowing(*graph, options);
+
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      RankRequest request;
+      request.p = 0.5;  // one transition key for every request
+      request.seeds = {static_cast<NodeId>(t)};
+      if (!router.Rank(request).ok()) ++failures;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(router.transition_resolver().builds(), 1);
+  EXPECT_EQ(router.transition_resolver().slice_builds(), 1);
 }
 
 }  // namespace

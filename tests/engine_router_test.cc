@@ -190,8 +190,8 @@ TEST(EngineRouterTest, ScoreCacheMemoizesAcrossShards) {
   EXPECT_EQ(second->residual, first->residual);
   EXPECT_FALSE(second->transition_cache_hit);
   EXPECT_TRUE(second->served_partitioned);
-  EXPECT_EQ(router.partition_transition_cache_hits() +
-                router.partition_transition_cache_misses(),
+  EXPECT_EQ(router.transition_resolver().cache_lookup_hits() +
+                router.transition_resolver().cache_lookup_misses(),
             1);
   EXPECT_EQ(router.score_cache().stats().hits, 1);
 }

@@ -408,7 +408,7 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
   // No transition build was paid for the rejected request.
-  EXPECT_EQ(router.partition_transition_builds(), 0);
+  EXPECT_EQ(router.transition_resolver().builds(), 0);
 
   // Power iteration under kRenormalize stays fully (bitwise) supported.
   request.method = SolverMethod::kPower;
@@ -503,8 +503,8 @@ TEST(PartitionParityTest, RouterHonorsPersistentTransitionStore) {
     auto response = router.Rank(request);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_FALSE(response->transition_store_hit);
-    EXPECT_EQ(router.partition_transition_builds(), 1);
-    EXPECT_EQ(router.partition_transition_store_saves(), 1);
+    EXPECT_EQ(router.transition_resolver().builds(), 1);
+    EXPECT_EQ(router.transition_resolver().store_saves(), 1);
     first_scores = response->scores;
   }
   {
@@ -512,8 +512,8 @@ TEST(PartitionParityTest, RouterHonorsPersistentTransitionStore) {
     auto response = restarted.Rank(request);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_TRUE(response->transition_store_hit);
-    EXPECT_EQ(restarted.partition_transition_builds(), 0);
-    EXPECT_EQ(restarted.partition_transition_store_loads(), 1);
+    EXPECT_EQ(restarted.transition_resolver().builds(), 0);
+    EXPECT_EQ(restarted.transition_resolver().store_loads(), 1);
     EXPECT_EQ(response->scores, first_scores);
   }
   std::filesystem::remove_all(dir);
@@ -529,8 +529,8 @@ TEST(PartitionParityTest, RouterTransitionAccountingIsShared) {
   ASSERT_TRUE(router.Rank(request).ok());
   // One build for the key, shared by all four shards' sweeps; the second
   // request is a pure cache hit.
-  EXPECT_EQ(router.partition_transition_builds(), 1);
-  EXPECT_EQ(router.partition_transition_cache_hits(), 1);
+  EXPECT_EQ(router.transition_resolver().builds(), 1);
+  EXPECT_EQ(router.transition_resolver().cache_lookup_hits(), 1);
 }
 
 }  // namespace

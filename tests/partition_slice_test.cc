@@ -466,13 +466,13 @@ TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
   RankRequest request;
   request.p = 0.5;
   ASSERT_TRUE(router.Rank(request).ok());
-  EXPECT_EQ(router.partition_transition_builds(), 1);
-  EXPECT_EQ(router.partition_slice_builds(), 1);
+  EXPECT_EQ(router.transition_resolver().builds(), 1);
+  EXPECT_EQ(router.transition_resolver().slice_builds(), 1);
   auto again = router.Rank(request);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->transition_cache_hit);
-  EXPECT_EQ(router.partition_transition_builds(), 1);
-  EXPECT_EQ(router.partition_slice_builds(), 1);
+  EXPECT_EQ(router.transition_resolver().builds(), 1);
+  EXPECT_EQ(router.transition_resolver().slice_builds(), 1);
 }
 
 TEST(PartitionSliceTest, HashOwnershipIsNodeModuloShardCount) {

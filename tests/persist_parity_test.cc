@@ -218,9 +218,9 @@ TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
       SCOPED_TRACE(testing::Message() << "request " << i);
       ExpectBitIdentical((*routed)[i], (*reference)[i]);
     }
-    EXPECT_EQ(router.partition_transition_builds(), 0)
+    EXPECT_EQ(router.transition_resolver().builds(), 0)
         << "restarted router must never rebuild";
-    EXPECT_EQ(router.partition_transition_store_loads(), 3);  // one per key
+    EXPECT_EQ(router.transition_resolver().store_loads(), 3);  // one per key
   }
 }
 

@@ -175,13 +175,13 @@ TEST(TopKEngineDispatchTest, BoundIndexIsBuiltOnceAndCached) {
   request.seeds = {3};
   request.top_k = 5;
   ASSERT_TRUE(engine.Rank(request).ok());
-  EXPECT_EQ(engine.degree_bound_builds(), 1);
+  EXPECT_EQ(engine.transition_resolver().bound_builds(), 1);
   request.seeds = {9};  // same transition key, different query
   ASSERT_TRUE(engine.Rank(request).ok());
-  EXPECT_EQ(engine.degree_bound_builds(), 1);
+  EXPECT_EQ(engine.transition_resolver().bound_builds(), 1);
   request.p = 0.5;  // new transition key: a new index
   ASSERT_TRUE(engine.Rank(request).ok());
-  EXPECT_EQ(engine.degree_bound_builds(), 2);
+  EXPECT_EQ(engine.transition_resolver().bound_builds(), 2);
 }
 
 TEST(TopKEngineDispatchTest, ExactTruncationStoresFullWarmStart) {
@@ -260,48 +260,36 @@ TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
             std::string::npos);
 }
 
-TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
-  // Node 2's score sits 5e-10 below node 1's: inside a 1e-9 margin, far
-  // outside a zero margin.
+TEST(TopKTruncateTest, ExactTruncationHelperSelectsCertifiedTopK) {
+  // Node 2's score sits 5e-10 below node 1's: the exact boundary still
+  // separates them.
   const std::vector<double> scores = {0.4, 0.3, 0.3 - 5e-10, 0.1, 0.05};
 
-  // Margin 0 (exact serving): the boundary is exact, everything selected
-  // is certified and the gap is zero.
-  TruncatedTopK strict = TruncateToTopK(scores, 2, 0.0);
-  ASSERT_EQ(strict.entries.size(), 2u);
-  EXPECT_EQ(strict.entries[0].node, 0);
-  EXPECT_EQ(strict.entries[1].node, 1);
-  EXPECT_TRUE(strict.entries[0].certified);
-  EXPECT_TRUE(strict.entries[1].certified);
-  EXPECT_EQ(strict.uncertainty_gap, 0.0);
-
-  // Margin 1e-9: node 1 no longer clears the excluded
-  // node 2 by the margin, so it is served uncertified with a nonzero gap;
-  // node 0 still clears easily.
-  TruncatedTopK merged = TruncateToTopK(scores, 2, 1e-9);
-  ASSERT_EQ(merged.entries.size(), 2u);
-  EXPECT_TRUE(merged.entries[0].certified);
-  EXPECT_FALSE(merged.entries[1].certified);
-  EXPECT_GT(merged.uncertainty_gap, 0.0);
+  // Exact scores: everything selected is certified.
+  std::vector<RankedEntry> strict = TruncateToTopK(scores, 2);
+  ASSERT_EQ(strict.size(), 2u);
+  EXPECT_EQ(strict[0].node, 0);
+  EXPECT_EQ(strict[1].node, 1);
+  EXPECT_TRUE(strict[0].certified);
+  EXPECT_TRUE(strict[1].certified);
 
   // Deterministic tie handling: equal scores order by ascending node id.
   const std::vector<double> tied = {0.25, 0.25, 0.25, 0.25};
-  TruncatedTopK ties = TruncateToTopK(tied, 2, 0.0);
-  ASSERT_EQ(ties.entries.size(), 2u);
-  EXPECT_EQ(ties.entries[0].node, 0);
-  EXPECT_EQ(ties.entries[1].node, 1);
+  std::vector<RankedEntry> ties = TruncateToTopK(tied, 2);
+  ASSERT_EQ(ties.size(), 2u);
+  EXPECT_EQ(ties[0].node, 0);
+  EXPECT_EQ(ties[1].node, 1);
 
   // k >= n returns everything, certified (nothing is excluded).
-  TruncatedTopK all = TruncateToTopK(scores, 10, 1e-9);
-  ASSERT_EQ(all.entries.size(), scores.size());
-  for (const RankedEntry& entry : all.entries) {
+  std::vector<RankedEntry> all = TruncateToTopK(scores, 10);
+  ASSERT_EQ(all.size(), scores.size());
+  for (const RankedEntry& entry : all) {
     EXPECT_TRUE(entry.certified);
   }
-  EXPECT_EQ(all.uncertainty_gap, 0.0);
 
   // k = 0 and empty inputs degrade to an empty result.
-  EXPECT_TRUE(TruncateToTopK(scores, 0, 0.0).entries.empty());
-  EXPECT_TRUE(TruncateToTopK({}, 3, 0.0).entries.empty());
+  EXPECT_TRUE(TruncateToTopK(scores, 0).empty());
+  EXPECT_TRUE(TruncateToTopK({}, 3).empty());
 }
 
 }  // namespace

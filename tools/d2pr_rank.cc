@@ -237,9 +237,10 @@ int RunOrDie(const Flags& flags) {
     void Accumulate(const D2prEngine& from) {
       const EngineStats snapshot = from.stats();
       builds += snapshot.transition_builds;
-      cache_hits += from.transition_cache_lookup_hits();
-      cache_lookups += from.transition_cache_lookup_hits() +
-                       from.transition_cache_lookup_misses();
+      const TransitionResolver& resolver = from.transition_resolver();
+      cache_hits += resolver.cache_lookup_hits();
+      cache_lookups +=
+          resolver.cache_lookup_hits() + resolver.cache_lookup_misses();
       store_loads += snapshot.transition_store_loads;
       store_saves += snapshot.transition_store_saves;
     }
@@ -301,16 +302,13 @@ int RunOrDie(const Flags& flags) {
                         router.score_cache().stats());
       // The router's shared transition cache and store counters are the
       // whole accounting of this path.
-      transition_report.builds += router.partition_transition_builds();
-      transition_report.cache_hits +=
-          router.partition_transition_cache_hits();
+      const TransitionResolver& resolver = router.transition_resolver();
+      transition_report.builds += resolver.builds();
+      transition_report.cache_hits += resolver.cache_lookup_hits();
       transition_report.cache_lookups +=
-          router.partition_transition_cache_hits() +
-          router.partition_transition_cache_misses();
-      transition_report.store_loads +=
-          router.partition_transition_store_loads();
-      transition_report.store_saves +=
-          router.partition_transition_store_saves();
+          resolver.cache_lookup_hits() + resolver.cache_lookup_misses();
+      transition_report.store_loads += resolver.store_loads();
+      transition_report.store_saves += resolver.store_saves();
       return std::move(responses->front());
     }
 
