@@ -73,23 +73,6 @@ void BM_StoreLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreLoad)->Arg(10000)->Arg(100000);
 
-// Same, trusting the payload (pure map, no checksum pass): the O(1)
-// restart limit.
-void BM_StoreLoadNoVerify(benchmark::State& state) {
-  const CsrGraph graph = MakeGraph(state.range(0));
-  const std::string dir = WarmStore(graph, state);
-  TransitionStore store(dir, {.verify_payload_checksums = false});
-  const uint64_t fp = GraphFingerprint(graph);
-  const TransitionKey key{0.5, 0.0, DegreeMetric::kOutDegree};
-  for (auto _ : state) {
-    auto loaded = store.Load(fp, key, graph.num_nodes(), graph.num_arcs());
-    D2PR_CHECK(loaded.ok());
-    benchmark::DoNotOptimize((*loaded)->probs().data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StoreLoadNoVerify)->Arg(10000)->Arg(100000);
-
 // End-to-end restart: fresh engine, first query, no store. Every
 // iteration stands up a new engine — the "process restart" unit.
 void BM_RestartFirstQueryCold(benchmark::State& state) {

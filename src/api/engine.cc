@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/gauss_seidel.h"
 #include "core/pagerank.h"
@@ -21,6 +20,10 @@ namespace {
 // Extrapolation guardrail: a requested point farther than this many stored
 // trajectory steps falls back to a plain warm start.
 constexpr double kMaxExtrapolationFactor = 4.0;
+
+// Max distinct warm-start tags retained (each holds the last two
+// solutions of its trajectory).
+constexpr size_t kWarmStartCapacity = 8;
 
 }  // namespace
 
@@ -40,45 +43,9 @@ D2prEngine::D2prEngine(CsrGraph graph, const EngineOptions& options)
     : D2prEngine(std::make_shared<const CsrGraph>(std::move(graph)),
                  options) {}
 
-namespace {
-
-TransitionResolverOptions ToResolverOptions(const EngineOptions& options) {
-  TransitionResolverOptions resolver;
-  resolver.cache_capacity = options.transition_cache_capacity;
-  resolver.cache_dir = options.cache_dir;
-  resolver.persist_mode = options.persist_mode;
-  resolver.persist_policy = options.persist_policy;
-  resolver.verify_checksums = options.persist_verify_checksums;
-  resolver.precomputed_graph_fingerprint =
-      options.precomputed_graph_fingerprint;
-  return resolver;
-}
-
-}  // namespace
-
 D2prEngine::D2prEngine(std::shared_ptr<const CsrGraph> graph,
                        const EngineOptions& options)
-    : graph_(graph),
-      options_(options),
-      resolver_(std::move(graph), ToResolverOptions(options)) {}
-
-D2prEngine::~D2prEngine() {
-  if (options_.persist_policy == PersistPolicy::kLazy &&
-      resolver_.store_writable()) {
-    const Status spilled = PersistCachedTransitions();
-    if (!spilled.ok()) {
-      D2PR_LOG(Warning) << "lazy transition spill failed at shutdown: "
-                        << spilled.ToString();
-    }
-  }
-}
-
-Status D2prEngine::PersistCachedTransitions() {
-  int64_t saves = 0;
-  const Status flushed = resolver_.PersistCached(&saves);
-  stats_.transition_store_saves += saves;
-  return flushed;
-}
+    : graph_(graph), options_(options), resolver_(std::move(graph), options) {}
 
 D2prEngine D2prEngine::Borrowing(const CsrGraph& graph,
                                  const EngineOptions& options) {
@@ -325,13 +292,12 @@ std::vector<double> D2prEngine::WarmStartFor(const RankRequest& request,
 void D2prEngine::StoreWarmStart(const RankRequest& request,
                                 const TransitionKey& key,
                                 const std::vector<double>& scores) {
-  if (options_.warm_start_capacity == 0) return;
   std::lock_guard<std::mutex> lock(warm_mu_);
   auto entry = FindWarmEntry(request.warm_start_tag);
   if (entry == warm_entries_.end()) {
     warm_entries_.push_front(WarmEntry{request.warm_start_tag, {}});
     entry = warm_entries_.begin();
-    while (warm_entries_.size() > options_.warm_start_capacity) {
+    while (warm_entries_.size() > kWarmStartCapacity) {
       warm_entries_.pop_back();
     }
   }

@@ -71,37 +71,8 @@
 
 namespace d2pr {
 
-// PersistMode / PersistPolicy (the persistent-store knobs referenced by
-// EngineOptions) live in api/transition_resolver.h with the resolver that
-// enforces them; this header re-exports them for every existing caller.
-
-/// \brief Engine construction knobs.
-struct EngineOptions {
-  /// Max TransitionMatrix instances kept alive. The default comfortably
-  /// holds the paper's p grid (17 points) plus tuner refinement probes.
-  size_t transition_cache_capacity = 32;
-  /// Max distinct warm-start tags retained (each holds the last two
-  /// solutions of its trajectory).
-  size_t warm_start_capacity = 8;
-  /// Directory of the persistent transition store (see
-  /// api/transition_store.h). Empty (the default) disables persistence
-  /// entirely; engines sharing one graph may share one directory.
-  std::string cache_dir;
-  /// Store permissions; ignored while cache_dir is empty.
-  PersistMode persist_mode = PersistMode::kReadWrite;
-  /// Spill timing for writable modes.
-  PersistPolicy persist_policy = PersistPolicy::kWriteThrough;
-  /// Verify store payload checksums on load (forwarded to the store).
-  bool persist_verify_checksums = true;
-  /// Precomputed GraphFingerprint of *this engine's* graph; 0 = compute
-  /// at construction when a store is attached. Set it when a graph that
-  /// is already fingerprinted backs another resolver (tools/d2pr_rank
-  /// passes its engine's to the EngineRouter) so the edge arrays hash
-  /// once. Trusted in release builds — passing another graph's
-  /// fingerprint would defeat the store's cross-graph replay gate —
-  /// so debug builds verify it against the graph.
-  uint64_t precomputed_graph_fingerprint = 0;
-};
+// EngineOptions, the engine's construction knobs, live in
+// api/transition_resolver.h with the resolver they configure.
 
 /// \brief One-per-graph ranking engine with cached transitions, warm
 /// starts, and pluggable solvers.
@@ -134,13 +105,8 @@ class D2prEngine {
   const EngineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EngineStats{}; }
 
-  /// Flushes unspilled transitions under PersistPolicy::kLazy (spill
-  /// failures are logged, never fatal — the store is an optimization).
-  ~D2prEngine();
-
   /// Drops cached transitions and warm-start solutions (counters are
-  /// kept; pair with ResetStats() for a full reset). Under
-  /// PersistPolicy::kLazy, dropped matrices not yet spilled are lost.
+  /// kept; pair with ResetStats() for a full reset).
   void ClearCaches();
 
   /// True when a persistent transition store is attached (cache_dir set
@@ -149,14 +115,6 @@ class D2prEngine {
 
   /// The graph's store fingerprint; 0 when no store is attached.
   uint64_t graph_fingerprint() const { return resolver_.graph_fingerprint(); }
-
-  /// \brief Spills every currently cached transition to the store
-  /// (skipping keys already persisted).
-  ///
-  /// The explicit flush for PersistPolicy::kLazy; harmless (idempotent)
-  /// under write-through. FailedPrecondition when no writable store is
-  /// attached; otherwise the first spill error, or OK.
-  Status PersistCachedTransitions();
 
   /// \brief Executes one ranking query.
   ///

@@ -1,6 +1,6 @@
 #include "api/transition_resolver.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -10,18 +10,15 @@
 namespace d2pr {
 
 TransitionResolver::TransitionResolver(std::shared_ptr<const CsrGraph> graph,
-                                       const TransitionResolverOptions& options)
+                                       const EngineOptions& options)
     : graph_(std::move(graph)),
       options_(options),
-      matrices_(options.cache_capacity),
-      bounds_(options.cache_capacity),
-      slices_(options.cache_capacity) {
+      matrices_(options.transition_cache_capacity),
+      bounds_(options.transition_cache_capacity),
+      slices_(options.transition_cache_capacity) {
   if (!options_.cache_dir.empty() &&
       options_.persist_mode != PersistMode::kOff) {
-    TransitionStoreOptions store_options;
-    store_options.verify_payload_checksums = options_.verify_checksums;
-    store_ = std::make_unique<TransitionStore>(options_.cache_dir,
-                                               store_options);
+    store_ = std::make_unique<TransitionStore>(options_.cache_dir);
     // O(|E|) once per graph — noise next to a single transition build,
     // and it gates every store file against this exact graph. Callers
     // standing up many resolvers over one graph pass it in precomputed.
@@ -84,11 +81,8 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionResolver::Resolve(
     // when the file already exists or each query would pay a full
     // rewrite (at the cost of not healing corrupt files in that
     // degenerate configuration).
-    const bool spill_write_through =
-        options_.persist_policy == PersistPolicy::kWriteThrough &&
-        (matrices_.capacity() > 0 ||
-         !store_->Contains(graph_fingerprint_, key));
-    if (spill_write_through) {
+    if (matrices_.capacity() > 0 ||
+        !store_->Contains(graph_fingerprint_, key)) {
       const Status saved = store_->Save(graph_fingerprint_, key, **resolved);
       if (saved.ok()) {
         outcome->spilled = true;
@@ -96,12 +90,6 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionResolver::Resolve(
       } else {
         D2PR_LOG(Warning) << "transition store spill failed: "
                           << saved.ToString();
-      }
-    } else if (options_.persist_policy == PersistPolicy::kLazy) {
-      std::lock_guard<std::mutex> lock(persist_mu_);
-      if (std::find(unspilled_keys_.begin(), unspilled_keys_.end(), key) ==
-          unspilled_keys_.end()) {
-        unspilled_keys_.push_back(key);
       }
     }
   }
@@ -141,63 +129,10 @@ std::shared_ptr<const DegreeBoundIndex> TransitionResolver::ResolveBounds(
       .value();
 }
 
-Status TransitionResolver::PersistCached(int64_t* saves) {
-  if (saves != nullptr) *saves = 0;
-  if (!store_writable()) {
-    return Status::FailedPrecondition(
-        "no writable transition store attached (set EngineOptions::"
-        "cache_dir and a writable persist_mode)");
-  }
-  // Snapshot the cache and read/prune the dirty set under one
-  // persist_mu_ hold. Resolve marks a key dirty only *after* inserting
-  // its matrix (and takes persist_mu_ to do it), so inside this critical
-  // section a dirty key absent from the snapshot is provably evicted —
-  // its bytes are gone and the mark can never be honored; prune it so
-  // the list stays bounded by the resident set. A concurrent build that
-  // inserts after the snapshot keeps its mark for the next flush (or the
-  // destructor's) instead of losing it.
-  std::vector<std::pair<TransitionKey, std::shared_ptr<const TransitionMatrix>>>
-      snapshot;
-  std::vector<TransitionKey> dirty;
-  {
-    std::lock_guard<std::mutex> lock(persist_mu_);
-    snapshot = matrices_.Snapshot();
-    dirty = unspilled_keys_;
-    std::erase_if(unspilled_keys_, [&](const TransitionKey& unspilled) {
-      return std::none_of(
-          snapshot.begin(), snapshot.end(),
-          [&](const auto& entry) { return entry.first == unspilled; });
-    });
-  }
-  Status first_error;
-  for (const auto& [key, matrix] : snapshot) {
-    // A key this resolver built must be (re)written even if a file
-    // exists — the file may be the corrupt one whose rejection caused
-    // the rebuild. Everything else skips on existence, keeping the flush
-    // idempotent.
-    const bool must_write =
-        std::find(dirty.begin(), dirty.end(), key) != dirty.end();
-    if (!must_write && store_->Contains(graph_fingerprint_, key)) continue;
-    const Status saved = store_->Save(graph_fingerprint_, key, *matrix);
-    if (saved.ok()) {
-      ++store_saves_;
-      if (saves != nullptr) ++*saves;
-      std::lock_guard<std::mutex> lock(persist_mu_);
-      std::erase(unspilled_keys_, key);
-    } else if (first_error.ok()) {
-      first_error = saved;
-    }
-  }
-  return first_error;
-}
-
 void TransitionResolver::Clear() {
   matrices_.Clear();
   bounds_.Clear();
   slices_.Clear();
-  // The matrices are gone, so their pending lazy spills can never run.
-  std::lock_guard<std::mutex> lock(persist_mu_);
-  unspilled_keys_.clear();
 }
 
 }  // namespace d2pr

@@ -6,7 +6,7 @@
 //
 //   1. an in-memory SingleFlightLru of shared, immutable matrices,
 //   2. a persistent TransitionStore spill layer (mmap-backed load before
-//      any rebuild, write-through or lazy spill after one),
+//      any rebuild, write-through spill after one),
 //   3. the O(|E|) TransitionMatrix::Build cold path.
 //
 // Concurrent misses on one key are single-flighted by the LRU: the first
@@ -23,11 +23,10 @@
 #define D2PR_API_TRANSITION_RESOLVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/transition_store.h"
@@ -49,40 +48,28 @@ enum class PersistMode {
   kReadWrite,  ///< Both (the serving default).
 };
 
-/// \brief When a writable resolver spills newly built matrices.
-enum class PersistPolicy {
-  /// Persist each matrix right after its build, on the building thread.
-  /// Restart-safe by construction; adds one file write to each cold
-  /// build.
-  kWriteThrough,
-  /// Persist only on PersistCached() and at destruction (the owning
-  /// engine's flush points). Keeps the serving path free of writes, at
-  /// two costs: matrices built since the last flush are lost on a crash,
-  /// and a matrix evicted from the in-memory LRU before a flush is never
-  /// spilled at all (only resident matrices can be).
-  kLazy,
-};
-
-/// \brief TransitionResolver construction knobs (the persistence subset of
-/// EngineOptions, which D2prEngine forwards verbatim).
-struct TransitionResolverOptions {
-  /// Max TransitionMatrix instances kept alive; 0 disables caching (and
-  /// with it single-flight — waiting would serialize N independent
-  /// builds that can never land anywhere).
-  size_t cache_capacity = 32;
-  /// Directory of the persistent transition store; empty disables
-  /// persistence entirely.
+/// \brief Transition resolution knobs: D2prEngine's construction options,
+/// which it forwards to its resolver verbatim (as EngineRouter forwards
+/// RouterOptions::engine_options).
+struct EngineOptions {
+  /// Max TransitionMatrix instances kept alive. The default comfortably
+  /// holds the paper's p grid (17 points) plus tuner refinement probes.
+  /// 0 disables caching (and with it single-flight — waiting would
+  /// serialize N independent builds that can never land anywhere).
+  size_t transition_cache_capacity = 32;
+  /// Directory of the persistent transition store (see
+  /// api/transition_store.h). Empty (the default) disables persistence
+  /// entirely; engines sharing one graph may share one directory.
   std::string cache_dir;
   /// Store permissions; ignored while cache_dir is empty.
   PersistMode persist_mode = PersistMode::kReadWrite;
-  /// Spill timing for writable modes.
-  PersistPolicy persist_policy = PersistPolicy::kWriteThrough;
-  /// Verify store payload checksums on load (forwarded to the store).
-  bool verify_checksums = true;
   /// Precomputed GraphFingerprint of the resolver's graph; 0 = compute at
-  /// construction when a store is attached. Fleets over one shared graph
-  /// pass it in so the edge arrays hash once, not once per resolver.
-  /// Trusted in release builds — debug builds verify it.
+  /// construction when a store is attached. Set it when an already
+  /// fingerprinted graph backs another resolver (tools/d2pr_rank passes
+  /// its engine's to the EngineRouter) so the edge arrays hash once.
+  /// Trusted in release builds — passing another graph's fingerprint
+  /// would defeat the store's cross-graph replay gate — so debug builds
+  /// verify it against the graph.
   uint64_t precomputed_graph_fingerprint = 0;
 };
 
@@ -100,7 +87,7 @@ class TransitionResolver {
   };
 
   TransitionResolver(std::shared_ptr<const CsrGraph> graph,
-                     const TransitionResolverOptions& options);
+                     const EngineOptions& options);
 
   /// \brief Returns the transition for `key`: cached, else mapped from
   /// the persistent store (readable modes), else built — and spilled back
@@ -136,16 +123,7 @@ class TransitionResolver {
       const TransitionKey& key,
       const std::shared_ptr<const TransitionMatrix>& transition);
 
-  /// \brief Spills every currently cached transition to the store
-  /// (skipping keys already persisted, except keys built under kLazy
-  /// since the last flush, which are (re)written so a rebuilt-after-
-  /// rejection matrix replaces its corrupt file). `saves`, when non-null,
-  /// receives the number of successful writes. FailedPrecondition when no
-  /// writable store is attached; otherwise the first spill error, or OK.
-  Status PersistCached(int64_t* saves);
-
-  /// Drops cached transitions (counters are kept). Under kLazy, dropped
-  /// matrices not yet spilled are lost.
+  /// Drops cached transitions (counters are kept).
   void Clear();
 
   /// True when a persistent store is attached (cache_dir set and
@@ -193,7 +171,7 @@ class TransitionResolver {
 
  private:
   std::shared_ptr<const CsrGraph> graph_;
-  TransitionResolverOptions options_;
+  EngineOptions options_;
   SingleFlightLru<TransitionKey, std::shared_ptr<const TransitionMatrix>>
       matrices_;
   /// Derived per-key artifacts, each behind its own lock so a slow
@@ -207,13 +185,6 @@ class TransitionResolver {
   /// persist_mode allows any access.
   std::unique_ptr<TransitionStore> store_;
   uint64_t graph_fingerprint_ = 0;  ///< Computed once when store_ is set.
-
-  std::mutex persist_mu_;  ///< Guards unspilled_keys_.
-  /// Keys built (not loaded) under PersistPolicy::kLazy and not yet
-  /// flushed. PersistCached saves these even when a store file already
-  /// exists, so a rebuilt-after-rejection matrix replaces its corrupt
-  /// file instead of being skipped.
-  std::vector<TransitionKey> unspilled_keys_;
 
   std::atomic<int64_t> builds_{0};
   std::atomic<int64_t> store_loads_{0};

@@ -40,9 +40,7 @@ std::string Hex16(uint64_t value) {
 
 }  // namespace
 
-TransitionStore::TransitionStore(std::string dir,
-                                 const TransitionStoreOptions& options)
-    : dir_(std::move(dir)), options_(options) {
+TransitionStore::TransitionStore(std::string dir) : dir_(std::move(dir)) {
   // Best-effort sweep of temp files orphaned by crashed writers, so a
   // long-lived shared cache_dir does not accumulate matrix-sized junk.
   // Only temps old enough that no live writer can own them are removed —
@@ -197,19 +195,15 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionStore::Load(
 
   const uint8_t* probs_bytes = bytes + kHeaderBytes;
   const uint8_t* dangling_bytes = probs_bytes + num_arcs * 8;
-  if (options_.verify_payload_checksums) {
-    if (ReadU64(bytes + kProbsChecksumOffset) !=
-        Checksum64(probs_bytes, static_cast<size_t>(num_arcs) * 8)) {
-      return Status::IoError(
-          StrCat(path, ": probs section checksum mismatch (corrupt store "
-                       "file)"));
-    }
-    if (ReadU64(bytes + kDanglingChecksumOffset) !=
-        Checksum64(dangling_bytes, static_cast<size_t>(num_nodes))) {
-      return Status::IoError(
-          StrCat(path, ": dangling section checksum mismatch (corrupt "
-                       "store file)"));
-    }
+  if (ReadU64(bytes + kProbsChecksumOffset) !=
+      Checksum64(probs_bytes, static_cast<size_t>(num_arcs) * 8)) {
+    return Status::IoError(StrCat(
+        path, ": probs section checksum mismatch (corrupt store file)"));
+  }
+  if (ReadU64(bytes + kDanglingChecksumOffset) !=
+      Checksum64(dangling_bytes, static_cast<size_t>(num_nodes))) {
+    return Status::IoError(StrCat(
+        path, ": dangling section checksum mismatch (corrupt store file)"));
   }
 
   auto backing = std::make_shared<const MmapFile>(std::move(file));

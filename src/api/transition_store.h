@@ -26,9 +26,9 @@
 //     [96 + 8*num_arcs, ... + num_nodes) dangling payload (u8[])
 //
 // The read path mmaps the file and wraps the payload sections as the
-// matrix's storage directly — no copy, no parse, O(1) work beyond the
-// (optional, O(bytes), still ~100x cheaper than a rebuild) checksum
-// verification. The mapping lives inside the returned shared_ptr, so a
+// matrix's storage directly — no copy, no parse, no work beyond the
+// checksum verification (one O(bytes) pass, still ~100x cheaper than a
+// rebuild). The mapping lives inside the returned shared_ptr, so a
 // loaded matrix is safe to hold across cache evictions and store rewrites
 // (writers replace files atomically via rename, never in place).
 //
@@ -62,14 +62,6 @@
 
 namespace d2pr {
 
-/// \brief TransitionStore construction knobs.
-struct TransitionStoreOptions {
-  /// Verify the payload checksums on every Load. One pass over the mapped
-  /// bytes — far cheaper than the rebuild it replaces; disable only when
-  /// the store directory is trusted and pure O(1) mapping matters.
-  bool verify_payload_checksums = true;
-};
-
 /// \brief Directory of persisted TransitionMatrix files, one per
 /// (graph fingerprint, transition key).
 class TransitionStore {
@@ -79,8 +71,7 @@ class TransitionStore {
   /// version-1 layout keeps loading byte-exactly).
   static constexpr uint32_t kFormatVersion = 1;
 
-  explicit TransitionStore(std::string dir,
-                           const TransitionStoreOptions& options = {});
+  explicit TransitionStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
 
@@ -122,7 +113,6 @@ class TransitionStore {
 
  private:
   std::string dir_;
-  TransitionStoreOptions options_;
 };
 
 }  // namespace d2pr

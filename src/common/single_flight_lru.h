@@ -102,13 +102,6 @@ class SingleFlightLru {
     return keys;
   }
 
-  /// Resident entries, most recently used first, without touching
-  /// recency or the hit/miss counters.
-  std::vector<std::pair<Key, Value>> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return {entries_.begin(), entries_.end()};
-  }
-
   /// Drops every entry (counters are kept). A build in flight still
   /// lands its value afterwards.
   void Clear() {

@@ -48,14 +48,6 @@
 
 namespace d2pr {
 
-/// \brief The slice-build field of the shard handshake (net/shard_wire.h).
-/// Shard workers build their slices matrix-free and accept only
-/// kSubgraph; kFromMatrix survives so the wire value keeps its meaning.
-enum class SliceBuild {
-  kFromMatrix,
-  kSubgraph,
-};
-
 /// \brief Slices `transition` through `partition`'s in-CSR arc index.
 /// InvalidArgument when the node counts disagree.
 Result<TransitionSlices> BuildTransitionSlices(

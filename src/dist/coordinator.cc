@@ -101,7 +101,6 @@ Status DistributedCoordinator::Handshake() {
   ShardHandshake handshake;
   handshake.num_shards = static_cast<uint32_t>(num_shards);
   handshake.scheme = options_.scheme;
-  handshake.slice_build = SliceBuild::kSubgraph;
   handshake.graph_fingerprint = options_.graph_fingerprint;
   handshake.p = options_.key.p;
   handshake.beta = options_.key.beta;

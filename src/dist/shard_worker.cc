@@ -159,12 +159,6 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
                            ", handshake declares ",
                            PartitionSchemeName(h.scheme))));
   }
-  if (h.slice_build != SliceBuild::kSubgraph) {
-    return StatusReply(request.request_id,
-                       Status::FailedPrecondition(
-                           "shard workers build slices shard-locally "
-                           "(SliceBuild::kSubgraph only)"));
-  }
   if (h.graph_fingerprint != meta.graph_fingerprint) {
     return StatusReply(
         request.request_id,

@@ -19,6 +19,11 @@ namespace {
 using wire_internal::Cursor;
 using wire_internal::Truncated;
 
+// The handshake's u32 at payload offset 12 names how the shard builds its
+// transition slices. Workers build them shard-locally only, so the slot
+// holds that one value and the decoder rejects any other.
+constexpr uint32_t kSliceModeShardLocal = 1;
+
 // Node-id lists travel as u32 counts + u32 ids; score slices as u32
 // counts + f64 values. Counts are checked against the bytes actually
 // remaining BEFORE any reserve, so a lying count is an InvalidArgument,
@@ -88,7 +93,7 @@ std::vector<uint8_t> EncodeShardHandshake(const ShardHandshake& handshake) {
   AppendU32(out, handshake.shard_id);
   AppendU32(out, handshake.num_shards);
   AppendU32(out, static_cast<uint32_t>(handshake.scheme));
-  AppendU32(out, static_cast<uint32_t>(handshake.slice_build));
+  AppendU32(out, kSliceModeShardLocal);
   AppendU64(out, handshake.graph_fingerprint);
   AppendF64(out, handshake.p);
   AppendF64(out, handshake.beta);
@@ -100,10 +105,10 @@ Result<ShardHandshake> DecodeShardHandshake(std::span<const uint8_t> payload) {
   Cursor cursor(payload);
   ShardHandshake h;
   uint32_t scheme = 0;
-  uint32_t slice_build = 0;
+  uint32_t slice_mode = 0;
   uint32_t metric = 0;
   if (!cursor.ReadU32(&h.shard_id) || !cursor.ReadU32(&h.num_shards) ||
-      !cursor.ReadU32(&scheme) || !cursor.ReadU32(&slice_build) ||
+      !cursor.ReadU32(&scheme) || !cursor.ReadU32(&slice_mode) ||
       !cursor.ReadU64(&h.graph_fingerprint) || !cursor.ReadF64(&h.p) ||
       !cursor.ReadF64(&h.beta) || !cursor.ReadU32(&metric)) {
     return Truncated("ShardHandshake");
@@ -111,8 +116,8 @@ Result<ShardHandshake> DecodeShardHandshake(std::span<const uint8_t> payload) {
   if (scheme > static_cast<uint32_t>(PartitionScheme::kHash)) {
     return Status::InvalidArgument(StrCat("bad partition scheme ", scheme));
   }
-  if (slice_build > static_cast<uint32_t>(SliceBuild::kSubgraph)) {
-    return Status::InvalidArgument(StrCat("bad slice build ", slice_build));
+  if (slice_mode != kSliceModeShardLocal) {
+    return Status::InvalidArgument(StrCat("bad slice build ", slice_mode));
   }
   // The wire carries a RESOLVED transition key; kAuto means the
   // coordinator never normalized its config against the graph, and two
@@ -134,7 +139,6 @@ Result<ShardHandshake> DecodeShardHandshake(std::span<const uint8_t> payload) {
     return trailing;
   }
   h.scheme = static_cast<PartitionScheme>(scheme);
-  h.slice_build = static_cast<SliceBuild>(slice_build);
   h.metric = static_cast<DegreeMetric>(metric);
   return h;
 }

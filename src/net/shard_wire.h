@@ -8,7 +8,7 @@
 //
 //   kShardHandshake / kShardHandshakeAck
 //     Sent once per connection. The coordinator declares the topology it
-//     believes in (scheme, shard id, shard count, slice build) plus the
+//     believes in (scheme, shard id, shard count) plus the
 //     two identities that make cross-process numerics meaningful at all:
 //     the graph fingerprint (graph/graph_fingerprint.h) and the
 //     normalized transition key (p, effective beta, resolved metric). A
@@ -61,7 +61,6 @@
 #include "common/result.h"
 #include "core/pagerank.h"
 #include "core/transition.h"
-#include "core/transition_slices.h"
 #include "graph/partition.h"
 #include "graph/types.h"
 #include "net/wire.h"
@@ -81,7 +80,6 @@ struct ShardHandshake {
   /// Total shards of the partition (OutOfRange on mismatch).
   uint32_t num_shards = 1;
   PartitionScheme scheme = PartitionScheme::kRange;
-  SliceBuild slice_build = SliceBuild::kSubgraph;
   /// GraphFingerprint of the coordinator's graph (FailedPrecondition on
   /// mismatch — scores against a different graph are meaningless).
   uint64_t graph_fingerprint = 0;

@@ -34,24 +34,6 @@ GraphPartition BuildPartition(const CsrGraph& graph,
   return std::move(partition).value();
 }
 
-ScoreCacheOptions ToScoreCacheOptions(const RouterOptions& options) {
-  ScoreCacheOptions cache;
-  cache.capacity = options.score_cache_capacity;
-  return cache;
-}
-
-TransitionResolverOptions ToResolverOptions(const EngineOptions& options) {
-  TransitionResolverOptions resolver;
-  resolver.cache_capacity = options.transition_cache_capacity;
-  resolver.cache_dir = options.cache_dir;
-  resolver.persist_mode = options.persist_mode;
-  resolver.persist_policy = PersistPolicy::kWriteThrough;
-  resolver.verify_checksums = options.persist_verify_checksums;
-  resolver.precomputed_graph_fingerprint =
-      options.precomputed_graph_fingerprint;
-  return resolver;
-}
-
 }  // namespace
 
 EngineRouter::EngineRouter(std::shared_ptr<const CsrGraph> graph,
@@ -60,8 +42,8 @@ EngineRouter::EngineRouter(std::shared_ptr<const CsrGraph> graph,
       options_(options),
       partition_(BuildPartition(*graph_, options)),
       uniform_teleport_(UniformTeleport(graph_->num_nodes())),
-      resolver_(graph_, ToResolverOptions(options.engine_options)),
-      score_cache_(ToScoreCacheOptions(options)),
+      resolver_(graph_, options.engine_options),
+      score_cache_(options.score_cache_capacity),
       pool_(options.worker_threads > 0 ? options.worker_threads
                                        : ClampedShards(options)) {}
 

@@ -78,11 +78,8 @@ struct RouterOptions {
   size_t num_shards = 2;
   /// Node-ownership scheme of the partition.
   PartitionScheme partition_scheme = PartitionScheme::kRange;
-  /// The transition-cache capacity and the persistent-store fields
-  /// (cache_dir, persist_mode, persist_verify_checksums,
-  /// precomputed_graph_fingerprint) configure the shared transition
-  /// resolver exactly as they configure a D2prEngine's. Spills are
-  /// always write-through.
+  /// Configures the shared transition resolver exactly as it configures
+  /// a D2prEngine's.
   EngineOptions engine_options;
   /// Response memo entry budget in front of the solve; 0 (default)
   /// disables it. Warm-tagged requests bypass it.

@@ -6,17 +6,7 @@
 
 namespace d2pr {
 
-ScoreCache::ScoreCache(const ScoreCacheOptions& options) : options_(options) {
-  if (!options_.now) {
-    options_.now = [] { return std::chrono::steady_clock::now(); };
-  }
-}
-
-ScoreCache::ScoreCache(size_t capacity) : ScoreCache([capacity] {
-  ScoreCacheOptions options;
-  options.capacity = capacity;
-  return options;
-}()) {}
+ScoreCache::ScoreCache(size_t capacity) : capacity_(capacity) {}
 
 std::string ScoreCache::KeyFor(const RankRequest& request) {
   // '|' separates fields, ',' separates seeds; doubles are serialized at
@@ -33,55 +23,19 @@ std::string ScoreCache::KeyFor(const RankRequest& request) {
   return key;
 }
 
-size_t ScoreCache::ChargeFor(const std::string& key,
-                             const RankResponse& response) {
-  // The fixed term covers the hash-map node, the Entry bookkeeping, and
-  // the shared response's control block + struct body; the variable terms
-  // are the payloads that actually dominate at scale.
-  constexpr size_t kFixedOverhead =
-      sizeof(Entry) + sizeof(RankResponse) + 64;
-  return kFixedOverhead + key.size() +
-         response.scores.size() * sizeof(double) +
-         response.top.size() * sizeof(RankedEntry);
-}
-
-bool ScoreCache::Expired(const Entry& entry,
-                         std::chrono::steady_clock::time_point now) const {
-  return options_.ttl.count() > 0 && now - entry.inserted_at > options_.ttl;
-}
-
-void ScoreCache::DropExpired(std::chrono::steady_clock::time_point now) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (Expired(it->second, now)) {
-      bytes_in_use_ -= it->second.charge;
-      it = entries_.erase(it);
-      ++stats_.expirations;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ScoreCache::EvictOne(const std::string* protect) {
+void ScoreCache::EvictOne() {
   // LFU scan: budgets are small (hundreds of entries) and insertions are
   // amortized behind full solves, so O(n) beats maintaining a
   // frequency-ordered index.
-  auto victim = entries_.end();
+  auto victim = entries_.begin();
   for (auto candidate = entries_.begin(); candidate != entries_.end();
        ++candidate) {
-    if (protect != nullptr && candidate->first == *protect) continue;
-    if (victim == entries_.end()) {
-      victim = candidate;
-      continue;
-    }
     const Entry& c = candidate->second;
     const Entry& v = victim->second;
     if (c.uses < v.uses || (c.uses == v.uses && c.sequence < v.sequence)) {
       victim = candidate;
     }
   }
-  if (victim == entries_.end()) return;
-  bytes_in_use_ -= victim->second.charge;
   entries_.erase(victim);
   ++stats_.evictions;
 }
@@ -95,13 +49,6 @@ std::optional<RankResponse> ScoreCache::Lookup(const std::string& key) {
       ++stats_.misses;
       return std::nullopt;
     }
-    if (Expired(it->second, options_.now())) {
-      bytes_in_use_ -= it->second.charge;
-      entries_.erase(it);
-      ++stats_.expirations;
-      ++stats_.misses;
-      return std::nullopt;
-    }
     ++it->second.uses;
     ++stats_.hits;
     found = it->second.response;
@@ -112,106 +59,33 @@ std::optional<RankResponse> ScoreCache::Lookup(const std::string& key) {
 
 void ScoreCache::Insert(const std::string& key, RankResponse response) {
   if (!enabled()) return;
-  const size_t charge = ChargeFor(key, response);
-  if (options_.capacity_bytes > 0 && charge > options_.capacity_bytes) {
-    // One entry bigger than the whole byte budget: admitting it would
-    // flush everything else and still break the budget. Reject it here,
-    // before any eviction, so an oversize insert cannot even flush the
-    // cache on its way to rejection. (The paths below each re-enforce
-    // the budget locally, so the invariant `bytes_in_use_ <=
-    // capacity_bytes after every mutation` does not depend on this
-    // gate — it used to, through exactly this charge <= capacity_bytes
-    // coupling, which left the refresh path one refactor away from a
-    // permanent budget breach.)
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.oversize_rejections;
-    return;
-  }
   auto shared = std::make_shared<const RankResponse>(std::move(response));
   std::lock_guard<std::mutex> lock(mu_);
-  const auto now = options_.now();
-  DropExpired(now);
-
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Refresh: new payload, new TTL window; use count carries over so a
-    // hot entry does not become an eviction candidate on refresh.
-    bytes_in_use_ -= it->second.charge;
+    // Refresh: new payload; the use count carries over so a hot entry
+    // does not become an eviction candidate on refresh.
     it->second.response = std::move(shared);
-    it->second.inserted_at = now;
-    it->second.charge = charge;
-    bytes_in_use_ += charge;
     ++stats_.insertions;
-    // A refreshed payload can be larger than the one it replaced; evict
-    // colder entries (never the entry just refreshed) until the byte
-    // budget holds again.
-    while (options_.capacity_bytes > 0 &&
-           bytes_in_use_ > options_.capacity_bytes && entries_.size() > 1) {
-      EvictOne(&key);
-    }
-    if (options_.capacity_bytes > 0 &&
-        bytes_in_use_ > options_.capacity_bytes) {
-      // Everything else is evicted and the refreshed entry alone still
-      // breaks the budget (charge > capacity_bytes): reject it — drop
-      // the entry — instead of leaving bytes_in_use_ permanently above
-      // the cap. The admission gate makes this unreachable today; it is
-      // enforced here regardless so the budget invariant is provable
-      // from this path alone. Evicting other entries did not invalidate
-      // `it` (unordered_map erase touches only erased iterators).
-      bytes_in_use_ -= charge;
-      entries_.erase(it);
-      ++stats_.oversize_rejections;
-    }
     return;
   }
-
-  while (!entries_.empty() &&
-         ((options_.capacity > 0 && entries_.size() >= options_.capacity) ||
-          (options_.capacity_bytes > 0 &&
-           bytes_in_use_ + charge > options_.capacity_bytes))) {
-    EvictOne();
-  }
-  if (options_.capacity_bytes > 0 &&
-      bytes_in_use_ + charge > options_.capacity_bytes) {
-    // The loop above stopped with the cache empty (its first conjunct),
-    // so this entry alone exceeds the budget: reject rather than admit a
-    // breach. Same belt-and-braces as the refresh path — unreachable
-    // while the admission gate holds, load-bearing the day it drifts.
-    ++stats_.oversize_rejections;
-    return;
-  }
+  while (entries_.size() >= capacity_) EvictOne();
 
   Entry entry;
   entry.response = std::move(shared);
   entry.sequence = next_sequence_++;
-  entry.charge = charge;
-  entry.inserted_at = now;
   entries_.emplace(key, std::move(entry));
-  bytes_in_use_ += charge;
   ++stats_.insertions;
 }
 
 ScoreCacheStats ScoreCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ScoreCacheStats snapshot = stats_;
-  snapshot.bytes_in_use = bytes_in_use_;
-  return snapshot;
+  return stats_;
 }
 
 size_t ScoreCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-size_t ScoreCache::bytes_in_use() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_in_use_;
-}
-
-void ScoreCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  bytes_in_use_ = 0;
 }
 
 }  // namespace d2pr

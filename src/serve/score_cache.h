@@ -1,5 +1,5 @@
-// ScoreCache: a request-keyed memo of full RankResponses with TTL
-// expiry and LFU eviction.
+// ScoreCache: a request-keyed memo of full RankResponses with LFU
+// eviction at a fixed entry budget.
 //
 // Serving traffic is heavily repetitive — dashboards re-request the same
 // global ranking, recommenders re-rank the same hot users — and a D2PR
@@ -7,31 +7,19 @@
 // request can be answered from memory without touching a solver. The
 // cache stores the complete response (scores plus diagnostics) keyed by a
 // canonical serialization of every response-affecting request field.
+// An engine's graph is immutable, so an entry never goes stale; it
+// leaves only to make room.
 //
-// Eviction is two-tiered, matching how ranking results age:
-//   * TTL: entries older than `ttl` are dropped at lookup/insert time —
-//     a bound on staleness for deployments that mutate the graph by
-//     swapping engines.
-//   * LFU: when over budget, the least-frequently-used entry goes
-//     first (ties broken by oldest insertion), keeping the hot head of a
-//     skewed query distribution resident.
+// Eviction is LFU: at capacity, the least-frequently-used entry goes
+// first (ties broken by oldest insertion), keeping the hot head of a
+// skewed query distribution resident.
 //
-// The budget is expressed in entries (capacity), bytes (capacity_bytes),
-// or both — whichever nonzero limit is breached first triggers eviction.
-// Byte budgeting exists because entries are wildly uneven: a full score
-// vector is O(|V|) doubles while a truncated top-k response is O(k), so
-// an entry count alone either starves full-vector workloads or lets
-// mixed workloads blow past any intended memory envelope.
-//
-// Thread-safe; the clock is injectable so TTL behavior is testable
-// without sleeping.
+// Thread-safe.
 
 #ifndef D2PR_SERVE_SCORE_CACHE_H_
 #define D2PR_SERVE_SCORE_CACHE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,56 +30,20 @@
 
 namespace d2pr {
 
-/// \brief ScoreCache construction knobs.
-struct ScoreCacheOptions {
-  /// Max resident responses; 0 = no entry-count limit. The cache is
-  /// disabled entirely (every Lookup misses, Insert is a no-op) only when
-  /// capacity AND capacity_bytes are both 0.
-  size_t capacity = 256;
-  /// Max resident bytes, as accounted by ChargeFor; 0 (the default) = no
-  /// byte limit. A response whose single-entry charge exceeds this budget
-  /// is rejected outright (counted in oversize_rejections) rather than
-  /// flushing the whole cache to make room.
-  size_t capacity_bytes = 0;
-  /// Entries older than this are expired; zero (the default) means no
-  /// time-based expiry.
-  std::chrono::nanoseconds ttl{0};
-  /// Time source; defaults to steady_clock. Tests inject a fake to drive
-  /// TTL expiry deterministically.
-  std::function<std::chrono::steady_clock::time_point()> now;
-};
-
 /// \brief Cumulative ScoreCache counters (snapshot by value).
 struct ScoreCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t insertions = 0;
-  int64_t evictions = 0;    ///< LFU budget evictions (entries or bytes).
-  int64_t expirations = 0;  ///< TTL expiries.
-  /// Inserts rejected because one entry's charge exceeded capacity_bytes.
-  int64_t oversize_rejections = 0;
-  /// Current charged bytes (a gauge, not cumulative).
-  size_t bytes_in_use = 0;
+  int64_t evictions = 0;  ///< LFU evictions at the entry budget.
 };
 
-/// \brief TTL + LFU memo of RankResponses keyed by canonical request.
+/// \brief LFU memo of RankResponses keyed by canonical request.
 class ScoreCache {
  public:
-  explicit ScoreCache(const ScoreCacheOptions& options = {});
-
-  /// Entry-count-only compatibility constructor (the pre-byte-budget
-  /// signature): `ScoreCache cache(256)` keeps meaning what it always
-  /// did.
+  /// `capacity` is the maximum number of resident responses; 0 disables
+  /// the cache (every Lookup misses, Insert is a no-op).
   explicit ScoreCache(size_t capacity);
-
-  /// \brief The bytes an entry under `key` holding `response` is charged
-  /// against capacity_bytes: a fixed per-entry overhead (map node, Entry
-  /// bookkeeping, response control block) plus the key and the variable
-  /// payloads (full score vector and/or truncated top-k entries).
-  /// Deliberately an estimate of resident footprint, not a serialization
-  /// size — it only needs to be monotone in actual memory use.
-  static size_t ChargeFor(const std::string& key,
-                          const RankResponse& response);
 
   /// Canonical serialization of every field of `request` that affects its
   /// response. Requests that are semantically identical map to one key.
@@ -101,27 +53,19 @@ class ScoreCache {
   static std::string KeyFor(const RankRequest& request);
 
   /// Returns a copy of the stored response, bumping the entry's use
-  /// count; nullopt on miss or TTL expiry (which erases the entry).
+  /// count; nullopt on miss.
   std::optional<RankResponse> Lookup(const std::string& key);
 
-  /// Stores (or refreshes) `response` under `key`, first dropping expired
-  /// entries, then LFU-evicting until both nonzero budgets (entries,
-  /// bytes) hold.
+  /// Stores (or refreshes) `response` under `key`, LFU-evicting first
+  /// when a new key would exceed the capacity. A refresh keeps the
+  /// entry's use count and evicts nothing.
   void Insert(const std::string& key, RankResponse response);
 
   ScoreCacheStats stats() const;
   size_t size() const;
-  /// Currently charged bytes (0 whenever the cache is empty; maintained
-  /// even without a byte limit, so telemetry can size a budget).
-  size_t bytes_in_use() const;
-  size_t capacity() const { return options_.capacity; }
-  size_t capacity_bytes() const { return options_.capacity_bytes; }
-  /// True when some budget admits entries (capacity or capacity_bytes
-  /// nonzero). Serving layers gate their lookup/insert path on this.
-  bool enabled() const {
-    return options_.capacity > 0 || options_.capacity_bytes > 0;
-  }
-  void Clear();
+  /// True when the capacity admits entries. Serving layers gate their
+  /// lookup/insert path on this.
+  bool enabled() const { return capacity_ > 0; }
 
  private:
   struct Entry {
@@ -130,25 +74,17 @@ class ScoreCache {
     std::shared_ptr<const RankResponse> response;
     int64_t uses = 0;  ///< Lookups served since insertion.
     int64_t sequence = 0;  ///< Insertion order, LFU tie-break.
-    size_t charge = 0;  ///< Bytes charged against capacity_bytes.
-    std::chrono::steady_clock::time_point inserted_at;
   };
 
-  bool Expired(const Entry& entry,
-               std::chrono::steady_clock::time_point now) const;
-  /// Erases every expired entry; caller holds mu_.
-  void DropExpired(std::chrono::steady_clock::time_point now);
-  /// Evicts the LFU entry (ties to oldest), skipping `protect` when
-  /// non-null; caller holds mu_ and guarantees an evictable entry
-  /// exists.
-  void EvictOne(const std::string* protect = nullptr);
+  /// Evicts the LFU entry (ties to oldest); caller holds mu_ and
+  /// guarantees the cache is non-empty.
+  void EvictOne();
 
-  ScoreCacheOptions options_;
+  const size_t capacity_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   int64_t next_sequence_ = 0;
-  size_t bytes_in_use_ = 0;  ///< Sum of resident entries' charges.
   ScoreCacheStats stats_;
 };
 

@@ -10,20 +10,10 @@
 
 namespace d2pr {
 
-namespace {
-
-ScoreCacheOptions ToScoreCacheOptions(const ServingOptions& options) {
-  ScoreCacheOptions cache;
-  cache.capacity = options.score_cache_capacity;
-  return cache;
-}
-
-}  // namespace
-
 ServingRuntime::ServingRuntime(std::shared_ptr<D2prEngine> engine,
                                const ServingOptions& options)
     : engine_(std::move(engine)),
-      score_cache_(ToScoreCacheOptions(options)),
+      score_cache_(options.score_cache_capacity),
       pool_(options.num_threads) {}
 
 ServingRuntime ServingRuntime::Borrowing(D2prEngine& engine,
@@ -137,8 +127,8 @@ Result<std::vector<RankResponse>> ServingRuntime::RankBatch(
   // Group request indices into execution chains: every untagged request
   // is its own chain; ALL tagged requests form one chain in submission
   // order. One chain per tag would keep each trajectory ordered, but the
-  // warm store is a shared LRU — with more tags than warm_start_capacity
-  // the eviction order across concurrent chains would be a race, and a
+  // warm store is a shared LRU — with more tags than its capacity the
+  // eviction order across concurrent chains would be a race, and a
   // trajectory the sequential path keeps could get dropped mid-batch.
   std::vector<std::vector<size_t>> chains;
   std::vector<size_t> tagged;

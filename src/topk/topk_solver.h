@@ -16,12 +16,13 @@
 //
 //      where R is the total residual mass and b(t) widens ub_in(t) by the
 //      re-injected seed mass seed(t) on graphs with dangling nodes.
-//   3. Early termination: every `certify_interval` pushes the solver
-//      recomputes the bounds and stops as soon as each of the current
-//      top-k candidates' lower bounds clears every non-candidate's upper
-//      bound — typically long before any residual reaches the epsilon
-//      floor. Never-touched nodes are bounded in O(1) amortized through
-//      the index's descending-by-bound order.
+//   3. Early termination: at intervals of 256, 512, 1024, ... pushes
+//      (the interval doubles after each round) the solver recomputes the
+//      bounds and stops as soon as each of the current top-k candidates'
+//      lower bounds clears every non-candidate's upper bound — typically
+//      long before any residual reaches the epsilon floor. Never-touched
+//      nodes are bounded in O(1) amortized through the index's
+//      descending-by-bound order.
 //
 // The result reports, per entry, the certified lower/upper bound and a
 // `certified` verdict, plus one aggregate `uncertainty_gap` (how far the
@@ -59,15 +60,6 @@ struct TopKOptions {
   /// through the seed distribution (DanglingPolicy::kTeleport), false
   /// drops the mass.
   bool reinject_dangling = true;
-  /// Certification slack: an entry is certified when its lower bound is
-  /// within this of clearing every excluded upper bound. Kept well below
-  /// the 1e-9 near-tie tolerance the parity suites grant, so float noise
-  /// cannot flip a verdict the tests would reject.
-  double tie_tolerance = 1e-12;
-  /// Pushes between certification rounds; <= 0 selects an automatic
-  /// interval (a round costs O(touched), so it amortizes against the
-  /// pushes in between).
-  int64_t certify_interval = 0;
 };
 
 /// \brief One candidate of a TopKResult.

@@ -233,7 +233,6 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   // inserts exactly once, and nothing is lost under concurrency.
   EXPECT_EQ(cache.hits + cache.misses, kTotal);
   EXPECT_EQ(cache.insertions, cache.misses);
-  EXPECT_EQ(cache.expirations, 0);
   EXPECT_LE(router.score_cache().size(), 8u);
   // 16 distinct keys through an 8-entry cache force evictions.
   EXPECT_GE(cache.evictions, 8);

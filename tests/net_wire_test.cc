@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "net/shard_wire.h"
 
@@ -497,7 +498,6 @@ ShardHandshake SampleHandshake() {
   handshake.shard_id = 2;
   handshake.num_shards = 4;
   handshake.scheme = PartitionScheme::kHash;
-  handshake.slice_build = SliceBuild::kSubgraph;
   handshake.graph_fingerprint = 0xfeedfacecafebeefull;
   handshake.p = 0.5;
   handshake.beta = 0.25;
@@ -551,25 +551,25 @@ ShardSweepResponse SampleSweepResponse() {
 TEST(ShardWireTest, HandshakeRoundTripsEverySchemeBuildMetricCombo) {
   for (PartitionScheme scheme :
        {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    for (SliceBuild build : {SliceBuild::kFromMatrix, SliceBuild::kSubgraph}) {
-      for (DegreeMetric metric :
-           {DegreeMetric::kOutDegree, DegreeMetric::kOutStrength,
-            DegreeMetric::kInDegree}) {
-        ShardHandshake handshake = SampleHandshake();
-        handshake.scheme = scheme;
-        handshake.slice_build = build;
-        handshake.metric = metric;
-        auto decoded = DecodeShardHandshake(EncodeShardHandshake(handshake));
-        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-        EXPECT_EQ(decoded->shard_id, handshake.shard_id);
-        EXPECT_EQ(decoded->num_shards, handshake.num_shards);
-        EXPECT_EQ(decoded->scheme, scheme);
-        EXPECT_EQ(decoded->slice_build, build);
-        EXPECT_EQ(decoded->graph_fingerprint, handshake.graph_fingerprint);
-        EXPECT_EQ(decoded->p, handshake.p);
-        EXPECT_EQ(decoded->beta, handshake.beta);
-        EXPECT_EQ(decoded->metric, metric);
-      }
+    for (DegreeMetric metric :
+         {DegreeMetric::kOutDegree, DegreeMetric::kOutStrength,
+          DegreeMetric::kInDegree}) {
+      ShardHandshake handshake = SampleHandshake();
+      handshake.scheme = scheme;
+      handshake.metric = metric;
+      const std::vector<uint8_t> bytes = EncodeShardHandshake(handshake);
+      // The slice-build slot carries its one value, shard-local (1).
+      ASSERT_GE(bytes.size(), 16u);
+      EXPECT_EQ(ReadU32(bytes.data() + 12), 1u);
+      auto decoded = DecodeShardHandshake(bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded->shard_id, handshake.shard_id);
+      EXPECT_EQ(decoded->num_shards, handshake.num_shards);
+      EXPECT_EQ(decoded->scheme, scheme);
+      EXPECT_EQ(decoded->graph_fingerprint, handshake.graph_fingerprint);
+      EXPECT_EQ(decoded->p, handshake.p);
+      EXPECT_EQ(decoded->beta, handshake.beta);
+      EXPECT_EQ(decoded->metric, metric);
     }
   }
 }
@@ -593,10 +593,13 @@ TEST(ShardWireTest, HandshakeRejectsUnresolvedAndOutOfRangeEnums) {
     bad[8] = 9;  // scheme u32 at offset 8
     EXPECT_FALSE(DecodeShardHandshake(bad).ok());
   }
-  {
+  for (uint8_t slice_mode : {uint8_t{0}, uint8_t{9}}) {
+    // slice-build u32 at offset 12: only the shard-local value 1 decodes.
     std::vector<uint8_t> bad = good;
-    bad[12] = 9;  // slice_build u32 at offset 12
-    EXPECT_FALSE(DecodeShardHandshake(bad).ok());
+    bad[12] = slice_mode;
+    auto decoded = DecodeShardHandshake(bad);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
   {
     // metric u32 at offset 40: kAuto (unresolved) must be rejected even

@@ -224,53 +224,14 @@ TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
   }
 }
 
-TEST(PersistParityTest, LazyPolicySpillsOnFlushAndDestruction) {
-  Rng rng(35);
-  auto graph = ErdosRenyi(60, 180, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::string dir = FreshDir("lazy");
-
-  EngineOptions options;
-  options.cache_dir = dir;
-  options.persist_policy = PersistPolicy::kLazy;
-
-  RankRequest request;
-  request.p = 0.5;
-  {
-    D2prEngine engine = D2prEngine::Borrowing(*graph, options);
-    ASSERT_TRUE(engine.Rank(request).ok());
-    EXPECT_EQ(StoreFileCount(dir), 0u) << "lazy must not write on build";
-    ASSERT_TRUE(engine.PersistCachedTransitions().ok());
-    EXPECT_EQ(StoreFileCount(dir), 1u);
-    EXPECT_EQ(engine.stats().transition_store_saves, 1);
-
-    // Flushing again is idempotent — already-persisted keys are skipped.
-    ASSERT_TRUE(engine.PersistCachedTransitions().ok());
-    EXPECT_EQ(engine.stats().transition_store_saves, 1);
-
-    request.p = 1.0;
-    ASSERT_TRUE(engine.Rank(request).ok());
-    EXPECT_EQ(StoreFileCount(dir), 1u);
-  }  // destructor flushes the second key
-  EXPECT_EQ(StoreFileCount(dir), 2u);
-
-  D2prEngine restarted = D2prEngine::Borrowing(*graph, options);
-  request.p = 0.5;
-  ASSERT_TRUE(restarted.Rank(request).ok());
-  request.p = 1.0;
-  ASSERT_TRUE(restarted.Rank(request).ok());
-  EXPECT_EQ(restarted.stats().transition_builds, 0);
-  EXPECT_EQ(restarted.stats().transition_store_loads, 2);
-}
-
-// A corrupt store file forces a rebuild; a lazy flush must then replace
-// the corrupt file (not skip it because "a file exists"), so the next
-// restart loads cleanly again.
-TEST(PersistParityTest, LazyFlushReplacesCorruptStoreFile) {
+// A corrupt store file forces a rebuild; the write-through spill after
+// that build must replace the corrupt file (not skip it because "a file
+// exists"), so the next restart loads cleanly again.
+TEST(PersistParityTest, WriteThroughReplacesCorruptStoreFile) {
   Rng rng(38);
   auto graph = ErdosRenyi(60, 180, &rng);
   ASSERT_TRUE(graph.ok());
-  const std::string dir = FreshDir("lazyheal");
+  const std::string dir = FreshDir("heal");
 
   RankRequest request;
   request.p = 0.5;
@@ -293,13 +254,14 @@ TEST(PersistParityTest, LazyFlushReplacesCorruptStoreFile) {
     file.put('\x7f');
   }
 
-  options.persist_policy = PersistPolicy::kLazy;
   {
     D2prEngine engine = D2prEngine::Borrowing(*graph, options);
     ASSERT_TRUE(engine.Rank(request).ok());
     EXPECT_EQ(engine.stats().transition_builds, 1) << "corrupt file rebuilt";
     EXPECT_EQ(engine.stats().transition_store_loads, 0);
-  }  // destructor flush must overwrite the corrupt file
+    EXPECT_EQ(engine.stats().transition_store_saves, 1)
+        << "the rebuild must overwrite the corrupt file";
+  }
 
   D2prEngine healed = D2prEngine::Borrowing(*graph, options);
   ASSERT_TRUE(healed.Rank(request).ok());
@@ -322,7 +284,6 @@ TEST(PersistParityTest, ReadOnlyModeNeverWrites) {
   ASSERT_TRUE(engine.Rank(request).ok());
   EXPECT_EQ(StoreFileCount(dir), 0u);
   EXPECT_EQ(engine.stats().transition_store_saves, 0);
-  EXPECT_FALSE(engine.PersistCachedTransitions().ok());
 }
 
 TEST(PersistParityTest, WriteOnlyModeNeverLoads) {

@@ -1,21 +1,15 @@
-// ScoreCache behavior: canonical request keys, TTL expiry on an
-// injected clock, LFU eviction with insertion-order tie-breaks, and
-// hit/miss/eviction accounting.
+// ScoreCache behavior: canonical request keys, LFU eviction with
+// insertion-order tie-breaks at the entry budget, refresh in place, and
+// hit/miss/insertion/eviction accounting.
 
 #include "serve/score_cache.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdint>
-#include <memory>
 #include <string>
 
 namespace d2pr {
 namespace {
-
-using std::chrono::seconds;
-using TimePoint = std::chrono::steady_clock::time_point;
 
 RankResponse MakeResponse(double tag) {
   RankResponse response;
@@ -25,24 +19,6 @@ RankResponse MakeResponse(double tag) {
   response.residual = 1e-11;
   return response;
 }
-
-/// A cache on a hand-cranked clock starting at the epoch.
-struct CacheOnFakeClock {
-  explicit CacheOnFakeClock(size_t capacity, seconds ttl)
-      : now(std::make_shared<TimePoint>()),
-        cache([&] {
-          ScoreCacheOptions options;
-          options.capacity = capacity;
-          options.ttl = ttl;
-          options.now = [now = now] { return *now; };
-          return options;
-        }()) {}
-
-  void Advance(seconds by) { *now += by; }
-
-  std::shared_ptr<TimePoint> now;
-  ScoreCache cache;
-};
 
 TEST(ScoreCacheTest, KeyCanonicalizesIdenticalRequests) {
   RankRequest a;
@@ -90,8 +66,19 @@ TEST(ScoreCacheTest, KeySeparatesEveryResponseAffectingField) {
             }()));
 }
 
+TEST(ScoreCacheTest, KeySeparatesTopK) {
+  RankRequest base;
+  base.seeds = {3};
+  RankRequest truncated = base;
+  truncated.top_k = 10;
+  EXPECT_NE(ScoreCache::KeyFor(base), ScoreCache::KeyFor(truncated));
+  RankRequest other_k = base;
+  other_k.top_k = 20;
+  EXPECT_NE(ScoreCache::KeyFor(truncated), ScoreCache::KeyFor(other_k));
+}
+
 TEST(ScoreCacheTest, LookupReturnsInsertedResponse) {
-  ScoreCache cache;
+  ScoreCache cache(8);
   EXPECT_FALSE(cache.Lookup("k").has_value());
   cache.Insert("k", MakeResponse(4.0));
   auto hit = cache.Lookup("k");
@@ -107,62 +94,34 @@ TEST(ScoreCacheTest, LookupReturnsInsertedResponse) {
   EXPECT_EQ(stats.evictions, 0);
 }
 
-TEST(ScoreCacheTest, TtlExpiresEntries) {
-  CacheOnFakeClock fixture(8, seconds(10));
-  fixture.cache.Insert("k", MakeResponse(1.0));
-  fixture.Advance(seconds(9));
-  EXPECT_TRUE(fixture.cache.Lookup("k").has_value());
-
-  fixture.Advance(seconds(2));  // 11s since insert: past the 10s TTL
-  EXPECT_FALSE(fixture.cache.Lookup("k").has_value());
-  EXPECT_EQ(fixture.cache.size(), 0u);
-
-  const ScoreCacheStats stats = fixture.cache.stats();
-  EXPECT_EQ(stats.expirations, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-}
-
-TEST(ScoreCacheTest, ReinsertRestartsTtlWindow) {
-  CacheOnFakeClock fixture(8, seconds(10));
-  fixture.cache.Insert("k", MakeResponse(1.0));
-  fixture.Advance(seconds(8));
-  fixture.cache.Insert("k", MakeResponse(2.0));  // refresh
-  fixture.Advance(seconds(8));                   // 16s after first insert
-  auto hit = fixture.cache.Lookup("k");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->scores.front(), 2.0);
-}
-
-TEST(ScoreCacheTest, ZeroTtlNeverExpires) {
-  CacheOnFakeClock fixture(8, seconds(0));
-  fixture.cache.Insert("k", MakeResponse(1.0));
-  fixture.Advance(seconds(1000000));
-  EXPECT_TRUE(fixture.cache.Lookup("k").has_value());
-}
-
 TEST(ScoreCacheTest, LfuEvictsLeastFrequentlyUsed) {
-  ScoreCacheOptions options;
-  options.capacity = 2;
-  ScoreCache cache(options);
+  ScoreCache cache(2);
   cache.Insert("a", MakeResponse(1.0));
   cache.Insert("b", MakeResponse(2.0));
   // Make "a" the hot entry.
   EXPECT_TRUE(cache.Lookup("a").has_value());
   EXPECT_TRUE(cache.Lookup("a").has_value());
 
+  // Refreshing a resident key at full capacity evicts nothing, and the
+  // refreshed entry keeps its use count: were it reset, "a" (the older
+  // insertion) would lose the tie-break to "b" below.
+  cache.Insert("a", MakeResponse(4.0));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.stats().insertions, 3);
+
   cache.Insert("c", MakeResponse(3.0));  // over capacity: "b" (0 uses) goes
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("a").has_value());
+  auto refreshed = cache.Lookup("a");
+  ASSERT_TRUE(refreshed.has_value());
+  EXPECT_EQ(refreshed->scores, MakeResponse(4.0).scores);
   EXPECT_TRUE(cache.Lookup("c").has_value());
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
 TEST(ScoreCacheTest, LfuTieBreaksByOldestInsertion) {
-  ScoreCacheOptions options;
-  options.capacity = 2;
-  ScoreCache cache(options);
+  ScoreCache cache(2);
   cache.Insert("old", MakeResponse(1.0));
   cache.Insert("new", MakeResponse(2.0));
   cache.Insert("c", MakeResponse(3.0));  // both have 0 uses: "old" goes
@@ -171,315 +130,12 @@ TEST(ScoreCacheTest, LfuTieBreaksByOldestInsertion) {
   EXPECT_TRUE(cache.Lookup("c").has_value());
 }
 
-TEST(ScoreCacheTest, ExpiredEntriesGoBeforeLfuVictims) {
-  CacheOnFakeClock fixture(2, seconds(10));
-  fixture.cache.Insert("stale", MakeResponse(1.0));
-  // "stale" is the hot entry, but it is past TTL at the next insert.
-  EXPECT_TRUE(fixture.cache.Lookup("stale").has_value());
-  fixture.Advance(seconds(5));
-  fixture.cache.Insert("fresh", MakeResponse(2.0));
-  fixture.Advance(seconds(6));  // "stale" 11s old, "fresh" 6s old
-  fixture.cache.Insert("c", MakeResponse(3.0));
-  EXPECT_FALSE(fixture.cache.Lookup("stale").has_value());
-  EXPECT_TRUE(fixture.cache.Lookup("fresh").has_value());
-  EXPECT_TRUE(fixture.cache.Lookup("c").has_value());
-  EXPECT_EQ(fixture.cache.stats().expirations, 1);
-  EXPECT_EQ(fixture.cache.stats().evictions, 0);
-}
-
 TEST(ScoreCacheTest, ZeroCapacityDisablesCaching) {
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  ScoreCache cache(options);
+  ScoreCache cache(0);
   cache.Insert("k", MakeResponse(1.0));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Lookup("k").has_value());
   EXPECT_EQ(cache.stats().insertions, 0);
-}
-
-// A zero-capacity cache constructed with a TTL must behave like the plain
-// zero-capacity cache: nothing is ever resident, so nothing can expire,
-// and every lookup is an honest miss.
-TEST(ScoreCacheTest, ZeroCapacityWithTtlConstruction) {
-  CacheOnFakeClock fixture(0, seconds(10));
-  fixture.cache.Insert("k", MakeResponse(1.0));
-  fixture.Advance(seconds(11));
-  fixture.cache.Insert("k2", MakeResponse(2.0));
-  EXPECT_FALSE(fixture.cache.Lookup("k").has_value());
-  EXPECT_EQ(fixture.cache.size(), 0u);
-
-  const ScoreCacheStats stats = fixture.cache.stats();
-  EXPECT_EQ(stats.insertions, 0);
-  EXPECT_EQ(stats.expirations, 0);
-  EXPECT_EQ(stats.evictions, 0);
-  EXPECT_EQ(stats.misses, 1);
-}
-
-// --- byte budgeting ---
-
-TEST(ScoreCacheTest, KeySeparatesTopK) {
-  RankRequest base;
-  base.seeds = {3};
-  RankRequest truncated = base;
-  truncated.top_k = 10;
-  EXPECT_NE(ScoreCache::KeyFor(base), ScoreCache::KeyFor(truncated));
-  RankRequest other_k = base;
-  other_k.top_k = 20;
-  EXPECT_NE(ScoreCache::KeyFor(truncated), ScoreCache::KeyFor(other_k));
-}
-
-TEST(ScoreCacheTest, CompatConstructorIsEntryCountOnly) {
-  ScoreCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  EXPECT_EQ(cache.capacity_bytes(), 0u);
-  EXPECT_TRUE(cache.enabled());
-  cache.Insert("a", MakeResponse(1.0));
-  cache.Insert("b", MakeResponse(2.0));
-  cache.Insert("c", MakeResponse(3.0));
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ScoreCacheTest, BytesInUseTracksInsertsAndRemovals) {
-  ScoreCacheOptions options;
-  options.capacity = 8;
-  ScoreCache cache(options);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-
-  const RankResponse response = MakeResponse(1.0);
-  const size_t charge = ScoreCache::ChargeFor("a", response);
-  EXPECT_GT(charge, response.scores.size() * sizeof(double));
-  cache.Insert("a", response);
-  EXPECT_EQ(cache.bytes_in_use(), charge);
-  EXPECT_EQ(cache.stats().bytes_in_use, charge);
-
-  cache.Insert("b", MakeResponse(2.0));
-  EXPECT_GT(cache.bytes_in_use(), charge);
-  cache.Clear();
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-}
-
-TEST(ScoreCacheTest, ChargeGrowsWithPayload) {
-  RankResponse small = MakeResponse(1.0);
-  RankResponse big = MakeResponse(1.0);
-  big.scores.assign(10000, 0.5);
-  EXPECT_GT(ScoreCache::ChargeFor("k", big), ScoreCache::ChargeFor("k", small));
-  RankResponse truncated;
-  truncated.truncated = true;
-  truncated.top.resize(10);
-  EXPECT_LT(ScoreCache::ChargeFor("k", truncated),
-            ScoreCache::ChargeFor("k", big));
-}
-
-TEST(ScoreCacheTest, ByteBudgetEvictsUntilTheNewEntryFits) {
-  const size_t one = ScoreCache::ChargeFor("a", MakeResponse(1.0));
-  ScoreCacheOptions options;
-  options.capacity = 0;  // byte-limited only
-  options.capacity_bytes = 2 * one + one / 2;  // room for two entries
-  ScoreCache cache(options);
-  EXPECT_TRUE(cache.enabled());
-
-  cache.Insert("a", MakeResponse(1.0));
-  cache.Insert("b", MakeResponse(2.0));
-  EXPECT_EQ(cache.size(), 2u);
-  // Make "b" hot so "a" is the LFU victim when the budget breaks.
-  EXPECT_TRUE(cache.Lookup("b").has_value());
-
-  cache.Insert("c", MakeResponse(3.0));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  EXPECT_TRUE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_LE(cache.bytes_in_use(), options.capacity_bytes);
-}
-
-TEST(ScoreCacheTest, OversizeResponseIsRejectedNotAdmitted) {
-  ScoreCacheOptions options;
-  options.capacity = 8;
-  options.capacity_bytes = 4096;
-  ScoreCache cache(options);
-  cache.Insert("small", MakeResponse(1.0));
-  ASSERT_EQ(cache.size(), 1u);
-
-  RankResponse huge = MakeResponse(2.0);
-  huge.scores.assign(100000, 0.1);  // ~800 KB against a 4 KB budget
-  cache.Insert("huge", huge);
-  // Rejected outright: the resident small entry was NOT flushed for an
-  // entry that could never fit anyway.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.Lookup("huge").has_value());
-  EXPECT_TRUE(cache.Lookup("small").has_value());
-  EXPECT_EQ(cache.stats().oversize_rejections, 1);
-  EXPECT_EQ(cache.stats().evictions, 0);
-}
-
-TEST(ScoreCacheTest, RefreshToLargerPayloadEvictsOthersNotItself) {
-  const size_t one = ScoreCache::ChargeFor("a", MakeResponse(1.0));
-  RankResponse big = MakeResponse(9.0);
-  big.scores.assign(64, 0.25);
-  const size_t big_charge = ScoreCache::ChargeFor("a", big);
-  ASSERT_GT(big_charge, one);
-
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  options.capacity_bytes = big_charge + one;  // big + one small fit
-  ScoreCache cache(options);
-  cache.Insert("a", MakeResponse(1.0));
-  cache.Insert("b", MakeResponse(2.0));
-  cache.Insert("c", MakeResponse(3.0));
-  ASSERT_EQ(cache.size(), 3u);
-
-  // Refreshing "a" with the larger payload breaks the budget; the cache
-  // must evict colder entries, never the entry just refreshed.
-  cache.Insert("a", big);
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_LT(cache.size(), 3u);
-  EXPECT_LE(cache.bytes_in_use(), options.capacity_bytes);
-  auto refreshed = cache.Lookup("a");
-  ASSERT_TRUE(refreshed.has_value());
-  EXPECT_EQ(refreshed->scores.size(), 64u);
-}
-
-TEST(ScoreCacheTest, ByteBudgetAloneEnablesTheCache) {
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  options.capacity_bytes = 1 << 20;
-  ScoreCache cache(options);
-  EXPECT_TRUE(cache.enabled());
-  cache.Insert("k", MakeResponse(1.0));
-  EXPECT_TRUE(cache.Lookup("k").has_value());
-
-  ScoreCacheOptions disabled;
-  disabled.capacity = 0;
-  disabled.capacity_bytes = 0;
-  ScoreCache off(disabled);
-  EXPECT_FALSE(off.enabled());
-  off.Insert("k", MakeResponse(1.0));
-  EXPECT_FALSE(off.Lookup("k").has_value());
-}
-
-// Regression for the refresh-path budget audit: re-inserting an existing
-// key with a payload whose charge exceeds the WHOLE byte budget must not
-// leave bytes_in_use > capacity_bytes behind. The oversize admission
-// gate rejects such an insert before the refresh path runs, so the
-// resident entry keeps its old payload — and the budget invariant holds
-// after the mutation (previously it held only *because* of that gate;
-// the refresh loop itself would have parked the oversize payload and
-// stopped with the budget permanently broken).
-TEST(ScoreCacheTest, RefreshToOversizePayloadIsRejectedAndBudgetHolds) {
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  options.capacity_bytes = 4096;
-  ScoreCache cache(options);
-  cache.Insert("hot", MakeResponse(1.0));
-  cache.Insert("cold", MakeResponse(2.0));
-  ASSERT_EQ(cache.size(), 2u);
-  ASSERT_LE(cache.bytes_in_use(), options.capacity_bytes);
-
-  RankResponse huge = MakeResponse(3.0);
-  huge.scores.assign(100000, 0.1);  // ~800 KB against a 4 KB budget
-  ASSERT_GT(ScoreCache::ChargeFor("hot", huge), options.capacity_bytes);
-  cache.Insert("hot", huge);
-
-  EXPECT_LE(cache.bytes_in_use(), options.capacity_bytes);
-  EXPECT_EQ(cache.stats().oversize_rejections, 1);
-  // Neither resident entry was sacrificed for a payload that could never
-  // fit, and "hot" still serves its original (pre-refresh) payload.
-  EXPECT_EQ(cache.size(), 2u);
-  auto hot = cache.Lookup("hot");
-  ASSERT_TRUE(hot.has_value());
-  EXPECT_EQ(hot->scores.size(), 3u);
-  EXPECT_TRUE(cache.Lookup("cold").has_value());
-}
-
-// A refresh that grows the sole resident entry up to (but within) the
-// budget keeps it: nothing to evict, invariant intact.
-TEST(ScoreCacheTest, RefreshGrowingSoleEntryWithinBudgetKeepsIt) {
-  RankResponse big = MakeResponse(5.0);
-  big.scores.assign(64, 0.25);
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  options.capacity_bytes = ScoreCache::ChargeFor("only", big);
-  ScoreCache cache(options);
-
-  cache.Insert("only", MakeResponse(1.0));
-  cache.Insert("only", big);  // grows to exactly the budget
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_LE(cache.bytes_in_use(), options.capacity_bytes);
-  auto refreshed = cache.Lookup("only");
-  ASSERT_TRUE(refreshed.has_value());
-  EXPECT_EQ(refreshed->scores.size(), 64u);
-  EXPECT_EQ(cache.stats().oversize_rejections, 0);
-}
-
-// Randomized budget-invariant fuzz: a mix of fresh inserts, refreshes
-// (growing and shrinking), lookups, and TTL expiries, with
-// bytes_in_use <= capacity_bytes asserted after EVERY mutation. The
-// payload sizes straddle the budget so oversize rejections, eviction
-// cascades, and refresh-grow paths all fire.
-TEST(ScoreCacheTest, ByteBudgetInvariantHoldsUnderRandomizedChurn) {
-  CacheOnFakeClock fixture(0, seconds(20));
-  // Rebuild with a byte budget on the same fake clock.
-  ScoreCacheOptions options;
-  options.capacity = 0;
-  options.capacity_bytes = 3 * ScoreCache::ChargeFor("k0", MakeResponse(1.0));
-  options.ttl = seconds(20);
-  options.now = [now = fixture.now] { return *now; };
-  ScoreCache cache(options);
-
-  uint64_t state = 0x2545f4914f6cdd1dull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int step = 0; step < 2000; ++step) {
-    const std::string key = "k" + std::to_string(next() % 6);
-    RankResponse response = MakeResponse(static_cast<double>(step));
-    // 0, 8, 64, 512, 4096 doubles: the largest overshoots the budget.
-    response.scores.assign(static_cast<size_t>(8) << (3 * (next() % 5)),
-                           0.5);
-    if (next() % 8 == 0) response.scores.clear();
-    switch (next() % 4) {
-      case 0:
-        (void)cache.Lookup(key);
-        break;
-      case 1:
-        fixture.Advance(seconds(next() % 9));
-        cache.Insert(key, std::move(response));
-        break;
-      default:
-        cache.Insert(key, std::move(response));
-        break;
-    }
-    ASSERT_LE(cache.bytes_in_use(), options.capacity_bytes)
-        << "budget broken at step " << step;
-    if (cache.size() == 0) {
-      ASSERT_EQ(cache.bytes_in_use(), 0u) << "phantom bytes at step " << step;
-    }
-  }
-  const ScoreCacheStats stats = cache.stats();
-  // The mix genuinely exercised all three budget paths.
-  EXPECT_GT(stats.oversize_rejections, 0);
-  EXPECT_GT(stats.evictions, 0);
-  EXPECT_GT(stats.insertions, 0);
-  cache.Clear();
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-}
-
-// Expiry is strict: an entry is stale only *past* its TTL, so a lookup at
-// exactly the boundary tick still serves it (and a tick later does not).
-TEST(ScoreCacheTest, TtlBoundaryTickStillServes) {
-  CacheOnFakeClock fixture(8, seconds(10));
-  fixture.cache.Insert("k", MakeResponse(1.0));
-  fixture.Advance(seconds(10));  // age == TTL, not > TTL
-  EXPECT_TRUE(fixture.cache.Lookup("k").has_value());
-  EXPECT_EQ(fixture.cache.stats().expirations, 0);
-
-  fixture.Advance(seconds(1));  // first tick past the boundary
-  EXPECT_FALSE(fixture.cache.Lookup("k").has_value());
-  EXPECT_EQ(fixture.cache.stats().expirations, 1);
 }
 
 }  // namespace

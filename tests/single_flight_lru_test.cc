@@ -131,13 +131,14 @@ TEST(SingleFlightLruTest, RebuildAfterEvictionRefreshesValueWithoutGrowth) {
   auto rebuilt = cache.GetOrBuild("a", [] { return 10; });
   EXPECT_EQ(*rebuilt, 10);
   EXPECT_EQ(cache.size(), 2u);
-  const auto snapshot = cache.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0], (std::pair<std::string, int>{"a", 10}));
-  EXPECT_EQ(snapshot[1], (std::pair<std::string, int>{"c", 3}));
-  // Snapshot and Keys leave recency and the counters alone.
+  EXPECT_EQ(cache.Keys(), (std::vector<std::string>{"a", "c"}));
+  // Keys leaves recency and the counters alone.
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.misses(), 4);
+  // The resident entry holds the rebuilt value.
+  bool hit = false;
+  EXPECT_EQ(*cache.GetOrBuild("a", [] { return -1; }, &hit), 10);
+  EXPECT_TRUE(hit);
 
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);

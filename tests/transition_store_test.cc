@@ -303,31 +303,6 @@ TEST(TransitionStoreTest, HeaderBitFlipIsRejectedByHeaderChecksum) {
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos);
 }
 
-// Documents the verify_payload_checksums tradeoff: with verification off
-// the mapped payload is trusted as-is (pure O(1) load), so a payload flip
-// goes undetected — which is exactly why it defaults to on.
-TEST(TransitionStoreTest, PayloadVerificationCanBeDisabled) {
-  Rng rng(21);
-  auto graph = ErdosRenyi(40, 120, &rng);
-  ASSERT_TRUE(graph.ok());
-  const uint64_t fp = GraphFingerprint(*graph);
-  const TransitionKey key{0.5, 0.0, DegreeMetric::kOutDegree};
-  const std::string dir = FreshDir("noverify");
-  TransitionStore store(dir);
-  ASSERT_TRUE(store.Save(fp, key, *BuildMatrix(*graph, key)).ok());
-
-  const std::string path = store.PathFor(fp, key);
-  std::vector<char> bytes = ReadFileBytes(path);
-  bytes[96] = static_cast<char>(bytes[96] ^ 0x40);
-  WriteFileBytes(path, bytes);
-
-  ASSERT_FALSE(
-      store.Load(fp, key, graph->num_nodes(), graph->num_arcs()).ok());
-  TransitionStore trusting(dir, {.verify_payload_checksums = false});
-  EXPECT_TRUE(
-      trusting.Load(fp, key, graph->num_nodes(), graph->num_arcs()).ok());
-}
-
 // Concurrent cold misses on one key must single-flight through the store
 // exactly like they single-flight through a build: one mmap, everyone
 // else takes the cache hit.
