@@ -6,15 +6,14 @@
 //   * BM_WholeGraphPower vs BM_PartitionedPowerSliced — the per-solve
 //     overhead of the block formulation (in-CSR pull + global folds) as
 //     shard count grows; scores are bit-identical by contract, so this
-//     is a pure mechanics comparison. Each sweep streams materialized
-//     per-shard slices (core/transition_slices.h) in lockstep with the
-//     in-CSR.
+//     is a pure mechanics comparison. Each sweep gathers y = c∘x along
+//     the shards' in-CSRs (core/transition_kernel.h).
 //   * BM_PartitionedPowerPooled — the sliced sweep fanned across an
 //     EngineRouter worker pool, i.e. what partitioned serving ships.
-//   * BM_SliceBuild / BM_SliceBuildLocal — the one-time slice
-//     materialization cost, from a prebuilt matrix (permutation copy)
-//     and matrix-free (each shard folds its owned and boundary rows from
-//     the broadcast metric vector).
+//   * BM_SliceBuild / BM_SliceBuildLocal — the per-p slice cost: sharing
+//     a prebuilt matrix's factors (O(1)), and building them shard by
+//     shard (each shard folds its owned and boundary rows against u from
+//     the metric vector).
 //   * BM_PartitionBuild — the one-time partitioning cost a deployment
 //     amortizes over its whole serving lifetime.
 //
@@ -22,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -54,17 +54,16 @@ const CsrGraph& GraphOf(int64_t nodes) {
   return nodes == 10000 ? small : large;
 }
 
-const TransitionMatrix& TransitionOf(const CsrGraph& graph) {
-  static const TransitionMatrix small = [] {
-    auto t = TransitionMatrix::Build(GraphOf(10000), {.p = 0.5});
-    D2PR_CHECK(t.ok());
-    return std::move(t).value();
-  }();
-  static const TransitionMatrix large = [] {
-    auto t = TransitionMatrix::Build(GraphOf(100000), {.p = 0.5});
-    D2PR_CHECK(t.ok());
-    return std::move(t).value();
-  }();
+std::shared_ptr<const TransitionMatrix> BuildShared(const CsrGraph& graph) {
+  auto t = TransitionMatrix::Build(graph, {.p = 0.5});
+  D2PR_CHECK(t.ok());
+  return std::make_shared<const TransitionMatrix>(std::move(t).value());
+}
+
+const std::shared_ptr<const TransitionMatrix>& TransitionOf(
+    const CsrGraph& graph) {
+  static const auto small = BuildShared(GraphOf(10000));
+  static const auto large = BuildShared(GraphOf(100000));
   return graph.num_nodes() == 10000 ? small : large;
 }
 
@@ -77,7 +76,7 @@ PagerankOptions SolveOptions() {
 
 void BM_WholeGraphPower(benchmark::State& state) {
   const CsrGraph& graph = GraphOf(state.range(0));
-  const TransitionMatrix& transition = TransitionOf(graph);
+  const TransitionMatrix& transition = *TransitionOf(graph);
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
   int iterations = 0;
   for (auto _ : state) {
@@ -93,13 +92,12 @@ BENCHMARK(BM_WholeGraphPower)->Arg(10000)->Arg(100000)
 
 void BM_PartitionedPowerSliced(benchmark::State& state) {
   const CsrGraph& graph = GraphOf(state.range(0));
-  const TransitionMatrix& transition = TransitionOf(graph);
   const auto scheme = static_cast<PartitionScheme>(state.range(2));
   auto partition = GraphPartition::Build(
       graph, {.scheme = scheme,
               .num_shards = static_cast<size_t>(state.range(1))});
   D2PR_CHECK(partition.ok());
-  auto slices = BuildTransitionSlices(*partition, transition);
+  auto slices = BuildTransitionSlices(graph, *partition, TransitionOf(graph));
   D2PR_CHECK(slices.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
   for (auto _ : state) {
@@ -119,15 +117,14 @@ BENCHMARK(BM_PartitionedPowerSliced)
 
 void BM_SliceBuild(benchmark::State& state) {
   const CsrGraph& graph = GraphOf(state.range(0));
-  const TransitionMatrix& transition = TransitionOf(graph);
   auto partition = GraphPartition::Build(
       graph, {.scheme = PartitionScheme::kRange,
               .num_shards = static_cast<size_t>(state.range(1))});
   D2PR_CHECK(partition.ok());
   for (auto _ : state) {
-    auto slices = BuildTransitionSlices(*partition, transition);
+    auto slices = BuildTransitionSlices(graph, *partition, TransitionOf(graph));
     D2PR_CHECK(slices.ok());
-    benchmark::DoNotOptimize(slices->in_probs.data());
+    benchmark::DoNotOptimize(slices->transition.get());
   }
 }
 BENCHMARK(BM_SliceBuild)
@@ -143,7 +140,7 @@ void BM_SliceBuildLocal(benchmark::State& state) {
   for (auto _ : state) {
     auto slices = BuildTransitionSlicesLocal(graph, *partition, {.p = 0.5});
     D2PR_CHECK(slices.ok());
-    benchmark::DoNotOptimize(slices->in_probs.data());
+    benchmark::DoNotOptimize(slices->transition.get());
   }
 }
 BENCHMARK(BM_SliceBuildLocal)

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "core/transition_slices.h"
 #include "graph/graph_fingerprint.h"
 
 namespace d2pr {
@@ -14,8 +13,7 @@ TransitionResolver::TransitionResolver(std::shared_ptr<const CsrGraph> graph,
     : graph_(std::move(graph)),
       options_(options),
       matrices_(options.transition_cache_capacity),
-      bounds_(options.transition_cache_capacity),
-      slices_(options.transition_cache_capacity) {
+      bounds_(options.transition_cache_capacity) {
   if (!options_.cache_dir.empty() &&
       options_.persist_mode != PersistMode::kOff) {
     store_ = std::make_unique<TransitionStore>(options_.cache_dir);
@@ -40,8 +38,8 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionResolver::Resolve(
   bool built_fresh = false;
   auto load_or_build =
       [&]() -> Result<std::shared_ptr<const TransitionMatrix>> {
-    // Spill layer first: mapping a persisted matrix is O(1) against the
-    // O(|E|) rebuild. A missing file is the expected cold path; a
+    // Spill layer first: a validated O(|V|) load against the O(|E|)
+    // rebuild. A missing file is the expected cold path; a
     // rejected file (wrong graph, corruption, version skew) is surfaced
     // loudly but never used — the rebuild below always produces a
     // correct matrix.
@@ -96,26 +94,6 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionResolver::Resolve(
   return resolved;
 }
 
-Result<std::shared_ptr<const TransitionSlices>> TransitionResolver::ResolveSlices(
-    const TransitionKey& key, const GraphPartition& partition,
-    Outcome* outcome) {
-  // Resolve the whole-graph matrix FIRST, so the cache / store / spill
-  // behavior and every counter an owner reads off the Outcome are
-  // exactly the unsliced path's; the slice cache below then only adds
-  // (never replaces) work.
-  D2PR_ASSIGN_OR_RETURN(std::shared_ptr<const TransitionMatrix> matrix,
-                        Resolve(key, outcome));
-  return slices_.GetOrBuild(
-      key, [&]() -> Result<std::shared_ptr<const TransitionSlices>> {
-        Result<TransitionSlices> built =
-            BuildTransitionSlices(partition, *matrix);
-        ++slice_builds_;
-        if (!built.ok()) return built.status();
-        return std::make_shared<const TransitionSlices>(
-            std::move(built).value());
-      });
-}
-
 std::shared_ptr<const DegreeBoundIndex> TransitionResolver::ResolveBounds(
     const TransitionKey& key,
     const std::shared_ptr<const TransitionMatrix>& transition) {
@@ -132,7 +110,6 @@ std::shared_ptr<const DegreeBoundIndex> TransitionResolver::ResolveBounds(
 void TransitionResolver::Clear() {
   matrices_.Clear();
   bounds_.Clear();
-  slices_.Clear();
 }
 
 }  // namespace d2pr

@@ -11,9 +11,10 @@
 //
 // Concurrent misses on one key are single-flighted by the LRU: the first
 // requester loads or builds while the rest wait and then take the cache
-// hit, so a key is never built twice. The top-k DegreeBoundIndex and the
-// per-shard TransitionSlices derived from a matrix are cached the same
-// way, each in its own SingleFlightLru.
+// hit, so a key is never built twice. The top-k DegreeBoundIndex derived
+// from a matrix is cached the same way, in its own SingleFlightLru. A
+// matrix is O(|V|) factors (core/transition.h), so the partitioned
+// solve's TransitionSlices share it and need no cache of their own.
 //
 // Thread-safety: Resolve is safe from any number of threads. No lock is
 // held across a load, build or spill, so distinct keys proceed in
@@ -34,7 +35,6 @@
 #include "common/single_flight_lru.h"
 #include "core/transition.h"
 #include "graph/csr_graph.h"
-#include "graph/partition.h"
 #include "topk/degree_bound.h"
 
 namespace d2pr {
@@ -52,8 +52,9 @@ enum class PersistMode {
 /// which it forwards to its resolver verbatim (as EngineRouter forwards
 /// RouterOptions::engine_options).
 struct EngineOptions {
-  /// Max TransitionMatrix instances kept alive. The default comfortably
-  /// holds the paper's p grid (17 points) plus tuner refinement probes.
+  /// Max TransitionMatrix instances kept alive, each O(|V|) factors. The
+  /// default comfortably holds the paper's p grid (17 points) plus tuner
+  /// refinement probes.
   /// 0 disables caching (and with it single-flight — waiting would
   /// serialize N independent builds that can never land anywhere).
   size_t transition_cache_capacity = 32;
@@ -95,22 +96,6 @@ class TransitionResolver {
   /// single-flighted.
   Result<std::shared_ptr<const TransitionMatrix>> Resolve(
       const TransitionKey& key, Outcome* outcome);
-
-  /// \brief Returns the per-shard transition slices for `key` under
-  /// `partition` — what the sliced block solvers stream
-  /// (core/transition_slices.h). Slices are cached alongside the
-  /// transition (same capacity, MRU, single-flighted misses) and keyed by
-  /// TransitionKey alone: a resolver serves exactly one partition (its
-  /// owner's), so callers must pass the same partition on every call.
-  ///
-  /// Persistence contract: slices have NO sections of their own in the
-  /// TransitionStore. The whole-graph matrix is resolved first — cache,
-  /// store, spill, and every Outcome / counter observable exactly as
-  /// Resolve — and the slices are a cheap permutation of it, rebuilt
-  /// after any cache eviction.
-  Result<std::shared_ptr<const TransitionSlices>> ResolveSlices(
-      const TransitionKey& key, const GraphPartition& partition,
-      Outcome* outcome);
 
   /// \brief Returns the DegreeBoundIndex for `key`'s transition — the
   /// per-node score upper bounds the top-k solver prunes with — building
@@ -157,10 +142,6 @@ class TransitionResolver {
   int64_t bound_builds() const {
     return bound_builds_.load(std::memory_order_relaxed);
   }
-  /// Slice constructions (cache misses in ResolveSlices).
-  int64_t slice_builds() const {
-    return slice_builds_.load(std::memory_order_relaxed);
-  }
 
   /// Matrix cache passthroughs (see SingleFlightLru). Keys are most
   /// recently used first; the lookup counters count every lookup,
@@ -178,8 +159,6 @@ class TransitionResolver {
   /// matrix build never stalls a lookup here. Same capacity as matrices_.
   SingleFlightLru<TransitionKey, std::shared_ptr<const DegreeBoundIndex>>
       bounds_;
-  SingleFlightLru<TransitionKey, std::shared_ptr<const TransitionSlices>>
-      slices_;
 
   /// Persistent spill layer; null unless cache_dir names a directory and
   /// persist_mode allows any access.
@@ -190,7 +169,6 @@ class TransitionResolver {
   std::atomic<int64_t> store_loads_{0};
   std::atomic<int64_t> store_saves_{0};
   std::atomic<int64_t> bound_builds_{0};
-  std::atomic<int64_t> slice_builds_{0};
 };
 
 }  // namespace d2pr

@@ -28,8 +28,14 @@ constexpr size_t kNumArcsOffset = 32;
 constexpr size_t kKeyPOffset = 40;
 constexpr size_t kKeyBetaOffset = 48;
 constexpr size_t kKeyMetricOffset = 56;
-constexpr size_t kProbsChecksumOffset = 64;
-constexpr size_t kDanglingChecksumOffset = 72;
+constexpr size_t kFlagsOffset = 60;
+constexpr size_t kFactorsChecksumOffset = 64;
+constexpr size_t kBytesChecksumOffset = 72;
+
+// Header flags: which optional factor sections follow.
+constexpr uint32_t kSinkTermFlag = 1u << 0;
+constexpr uint32_t kBlendTermFlag = 1u << 1;
+constexpr uint32_t kKnownFlags = kSinkTermFlag | kBlendTermFlag;
 
 std::string Hex16(uint64_t value) {
   char buf[17];
@@ -90,8 +96,22 @@ Status TransitionStore::Save(uint64_t graph_fingerprint,
         StrCat("cannot create store directory ", dir_, ": ", ec.message()));
   }
 
-  const std::span<const double> probs = matrix.probs_;
-  const std::span<const uint8_t> dangling = matrix.dangling_;
+  const TransitionFactors& f = matrix.factors();
+  const std::span<const uint8_t> dangling = matrix.dangling();
+  std::vector<std::span<const double>> factors = {f.u, f.c};
+  if (f.has_sink()) factors.push_back(f.sink_c);
+  if (f.has_blend()) factors.push_back(f.blend_c);
+  // The u8 sections go out as one chunk, checksummed in one pass as the
+  // loader reads them.
+  std::vector<uint8_t> flag_bytes(dangling.begin(), dangling.end());
+  flag_bytes.insert(flag_bytes.end(), f.sink.begin(), f.sink.end());
+  // Every factor section is a multiple of 8 bytes, so chaining the
+  // checksum section by section equals one pass over the concatenation.
+  uint64_t factors_checksum = Checksum64(nullptr, 0);
+  for (const auto& section : factors) {
+    factors_checksum =
+        Checksum64(section.data(), section.size_bytes(), factors_checksum);
+  }
 
   std::vector<uint8_t> header;
   header.reserve(kHeaderBytes);
@@ -100,20 +120,22 @@ Status TransitionStore::Save(uint64_t graph_fingerprint,
   AppendU32(header, kHeaderBytes);
   AppendU64(header, graph_fingerprint);
   AppendI64(header, static_cast<int64_t>(matrix.num_nodes()));
-  AppendI64(header, static_cast<int64_t>(probs.size()));
+  AppendI64(header, static_cast<int64_t>(matrix.num_arcs()));
   AppendF64(header, key.p);
   AppendF64(header, key.beta);
   AppendU32(header, static_cast<uint32_t>(key.metric));
-  AppendU32(header, 0);  // flags, reserved
-  AppendU64(header, Checksum64(probs.data(), probs.size_bytes()));
-  AppendU64(header, Checksum64(dangling.data(), dangling.size_bytes()));
+  AppendU32(header, (f.has_sink() ? kSinkTermFlag : 0) |
+                        (f.has_blend() ? kBlendTermFlag : 0));
+  AppendU64(header, factors_checksum);
+  AppendU64(header, Checksum64(flag_bytes.data(), flag_bytes.size()));
   AppendU64(header, Checksum64(header.data(), kHeaderChecksumOffset));
-  AppendU64(header, 0);  // padding: probs start 8-byte aligned
+  AppendU64(header, 0);  // padding: the factors start 8-byte aligned
   D2PR_CHECK_EQ(header.size(), static_cast<size_t>(kHeaderBytes));
 
-  const std::span<const std::byte> chunks[] = {
-      std::as_bytes(std::span(header)), std::as_bytes(probs),
-      std::as_bytes(dangling)};
+  std::vector<std::span<const std::byte>> chunks = {
+      std::as_bytes(std::span(header))};
+  for (const auto& section : factors) chunks.push_back(std::as_bytes(section));
+  chunks.push_back(std::as_bytes(std::span(flag_bytes)));
   return WriteFileAtomically(PathFor(graph_fingerprint, key), chunks);
 }
 
@@ -184,37 +206,59 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionStore::Load(
                " nodes, ", expected_num_arcs,
                " arcs); the store was built for a different graph"));
   }
-  const uint64_t expected_size = kHeaderBytes +
-                                 static_cast<uint64_t>(num_arcs) * 8 +
-                                 static_cast<uint64_t>(num_nodes);
+  const uint32_t flags = ReadU32(bytes + kFlagsOffset);
+  if ((flags & ~kKnownFlags) != 0) {
+    return Status::IoError(
+        StrCat(path, ": unknown section flags ", flags));
+  }
+
+  // The payload's sections in file order: the f64 factor sections, then
+  // the u8 sections.
+  TransitionFactors factors;
+  std::vector<uint8_t> dangling;
+  const bool sink = (flags & kSinkTermFlag) != 0;
+  std::vector<std::vector<double>*> factor_sections = {&factors.u,
+                                                       &factors.c};
+  if (sink) factor_sections.push_back(&factors.sink_c);
+  if (flags & kBlendTermFlag) factor_sections.push_back(&factors.blend_c);
+  std::vector<std::vector<uint8_t>*> byte_sections = {&dangling};
+  if (sink) byte_sections.push_back(&factors.sink);
+  const size_t n = static_cast<size_t>(num_nodes);
+  const uint64_t expected_size =
+      kHeaderBytes + (factor_sections.size() * 8 + byte_sections.size()) *
+                         static_cast<uint64_t>(n);
   if (file.size() != expected_size) {
     return Status::IoError(
         StrCat(path, ": truncated or oversized store file (", file.size(),
                " bytes, header advertises ", expected_size, ")"));
   }
 
-  const uint8_t* probs_bytes = bytes + kHeaderBytes;
-  const uint8_t* dangling_bytes = probs_bytes + num_arcs * 8;
-  if (ReadU64(bytes + kProbsChecksumOffset) !=
-      Checksum64(probs_bytes, static_cast<size_t>(num_arcs) * 8)) {
+  const uint8_t* factor_bytes = bytes + kHeaderBytes;
+  const size_t factors_size = factor_sections.size() * 8 * n;
+  const uint8_t* flag_bytes = factor_bytes + factors_size;
+  if (ReadU64(bytes + kFactorsChecksumOffset) !=
+      Checksum64(factor_bytes, factors_size)) {
     return Status::IoError(StrCat(
-        path, ": probs section checksum mismatch (corrupt store file)"));
+        path, ": factors section checksum mismatch (corrupt store file)"));
   }
-  if (ReadU64(bytes + kDanglingChecksumOffset) !=
-      Checksum64(dangling_bytes, static_cast<size_t>(num_nodes))) {
+  if (ReadU64(bytes + kBytesChecksumOffset) !=
+      Checksum64(flag_bytes, byte_sections.size() * n)) {
     return Status::IoError(StrCat(
         path, ": dangling section checksum mismatch (corrupt store file)"));
   }
 
-  auto backing = std::make_shared<const MmapFile>(std::move(file));
-  const std::span<const double> probs{
-      reinterpret_cast<const double*>(probs_bytes),
-      static_cast<size_t>(num_arcs)};
-  const std::span<const uint8_t> dangling{dangling_bytes,
-                                          static_cast<size_t>(num_nodes)};
-  return std::shared_ptr<const TransitionMatrix>(
-      new TransitionMatrix(static_cast<NodeId>(num_nodes), probs, dangling,
-                           std::move(backing)));
+  // O(|V|) copies out of the validated mapping.
+  for (size_t k = 0; k < factor_sections.size(); ++k) {
+    factor_sections[k]->resize(n);
+    for (size_t v = 0; v < n; ++v) {
+      (*factor_sections[k])[v] = ReadF64(factor_bytes + (k * n + v) * 8);
+    }
+  }
+  for (size_t k = 0; k < byte_sections.size(); ++k) {
+    byte_sections[k]->assign(flag_bytes + k * n, flag_bytes + (k + 1) * n);
+  }
+  return std::make_shared<const TransitionMatrix>(
+      std::move(factors), std::move(dangling), expected_num_arcs);
 }
 
 }  // namespace d2pr

@@ -3,11 +3,12 @@
 //
 // Building a TransitionMatrix is the O(|E|) setup cost every serving
 // process pays per (p, beta, metric) point — and pays again, from zero,
-// after every restart. The store persists built matrices to a directory in
-// a versioned little-endian binary format so a restarted process maps
-// them back in instead of rebuilding:
+// after every restart. The store persists built matrices — their O(|V|)
+// factors (core/transition.h) — to a directory in a versioned
+// little-endian binary format so a restarted process loads them back in
+// instead of rebuilding:
 //
-//   d2pr transition store file, format version 1 (96-byte header):
+//   d2pr transition store file, format version 2 (96-byte header):
 //     [ 0,  8)  magic "D2PRTMTX"
 //     [ 8, 12)  format version (u32)
 //     [12, 16)  header bytes (u32, = 96)
@@ -17,20 +18,23 @@
 //     [40, 48)  key.p (f64, exact bits)
 //     [48, 56)  key.beta (f64, exact bits)
 //     [56, 60)  key.metric (u32)
-//     [60, 64)  flags (u32, reserved, 0)
-//     [64, 72)  probs section checksum (u64, FNV-1a)
-//     [72, 80)  dangling section checksum (u64, FNV-1a)
+//     [60, 64)  flags (u32): bit 0 sink term, bit 1 blend term
+//     [64, 72)  factors section checksum (u64, FNV-1a)
+//     [72, 80)  byte section checksum (u64, FNV-1a)
 //     [80, 88)  header checksum (u64, FNV-1a over bytes [0, 80))
-//     [88, 96)  padding (0) — keeps the probs section 8-byte aligned
-//     [96, 96 + 8*num_arcs)              probs payload (f64[])
-//     [96 + 8*num_arcs, ... + num_nodes) dangling payload (u8[])
+//     [88, 96)  padding (0) — keeps the factors 8-byte aligned
+//     factors (f64[num_nodes] each): u, c, then sink_c if bit 0, then
+//                                    blend_c if bit 1
+//     bytes   (u8[num_nodes] each):  dangling, then sink if bit 0
 //
-// The read path mmaps the file and wraps the payload sections as the
-// matrix's storage directly — no copy, no parse, no work beyond the
-// checksum verification (one O(bytes) pass, still ~100x cheaper than a
-// rebuild). The mapping lives inside the returned shared_ptr, so a
-// loaded matrix is safe to hold across cache evictions and store rewrites
-// (writers replace files atomically via rename, never in place).
+// Version 1 stored one f64 probability per arc; its files are refused
+// with FailedPrecondition and rebuilt, and the write-through spill
+// replaces them.
+//
+// The read path mmaps the file, verifies it, and copies the O(|V|)
+// sections out; the mapping is released before Load returns, so a
+// loaded matrix is independent of later store rewrites (writers replace
+// files atomically via rename, never in place).
 //
 // Safety model — a store file is used only when every gate passes, and a
 // failed gate is a clear error, never a silent fallback:
@@ -68,8 +72,8 @@ class TransitionStore {
  public:
   /// The format version this build reads and writes. Any change to the
   /// layout above must bump it (the golden-file test enforces that the
-  /// version-1 layout keeps loading byte-exactly).
-  static constexpr uint32_t kFormatVersion = 1;
+  /// version-2 layout keeps loading byte-exactly).
+  static constexpr uint32_t kFormatVersion = 2;
 
   explicit TransitionStore(std::string dir);
 
@@ -95,7 +99,7 @@ class TransitionStore {
   Status Save(uint64_t graph_fingerprint, const TransitionKey& key,
               const TransitionMatrix& matrix) const;
 
-  /// \brief Maps the matrix persisted under (fingerprint, key).
+  /// \brief Loads the matrix persisted under (fingerprint, key).
   ///
   /// `expected_num_nodes` / `expected_num_arcs` are the serving graph's
   /// counts; the header must match them exactly (the count gate backing
@@ -104,9 +108,7 @@ class TransitionStore {
   ///
   /// NotFound when no file exists; FailedPrecondition when the file
   /// belongs to a different graph, key, or format version; IoError when
-  /// the file is truncated or fails a checksum. The returned matrix is
-  /// backed by the mapping (zero-copy) and stays valid for the
-  /// shared_ptr's lifetime.
+  /// the file is truncated, fails a checksum or names unknown sections.
   Result<std::shared_ptr<const TransitionMatrix>> Load(
       uint64_t graph_fingerprint, const TransitionKey& key,
       NodeId expected_num_nodes, EdgeIndex expected_num_arcs) const;

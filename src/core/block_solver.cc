@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/string_util.h"
+#include "core/transition_kernel.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
@@ -20,14 +22,33 @@ void RunShards(const BlockParallelFor& parallel_for, size_t count,
 }
 
 /// The single-graph solvers' shared option/teleport validation plus the
-/// slice shape contract (GraphPartition::ValidateSlices).
+/// slice shape contract: a transition over the partition's nodes, and
+/// arc weights covering every in-arc when the β blend is on.
 Status ValidateBlockSliceInputs(const TransitionSlices& slices,
                                 const GraphPartition& partition,
                                 std::span<const double> teleport,
                                 const PagerankOptions& options) {
   D2PR_RETURN_NOT_OK(ValidatePagerankOptions(options));
-  D2PR_RETURN_NOT_OK(partition.ValidateSlices(slices));
-  return ValidateTeleportVector(teleport, slices.num_nodes);
+  if (slices.transition == nullptr) {
+    return Status::InvalidArgument("transition slices hold no transition");
+  }
+  if (slices.num_nodes() != partition.num_nodes()) {
+    return Status::InvalidArgument(
+        StrCat("partition covers ", partition.num_nodes(),
+               " nodes but transition slices cover ", slices.num_nodes()));
+  }
+  if (slices.transition->factors().has_blend()) {
+    EdgeIndex arcs = 0;
+    for (size_t s = 0; s < partition.num_shards(); ++s) {
+      arcs += partition.shard(s).num_in_arcs();
+    }
+    if (slices.arc_weights.size() != static_cast<size_t>(arcs)) {
+      return Status::InvalidArgument(
+          StrCat("the beta blend needs the weights of all ", arcs,
+                 " arcs, slices carry ", slices.arc_weights.size()));
+    }
+  }
+  return ValidateTeleportVector(teleport, slices.num_nodes());
 }
 
 }  // namespace
@@ -52,7 +73,7 @@ Result<PagerankResult> SolvePagerankPartitioned(
     const BlockParallelFor& parallel_for) {
   D2PR_RETURN_NOT_OK(
       ValidateBlockSliceInputs(slices, partition, teleport, options));
-  const NodeId n = slices.num_nodes;
+  const NodeId n = slices.num_nodes();
 
   PagerankResult result;
   if (n == 0) {
@@ -60,6 +81,10 @@ Result<PagerankResult> SolvePagerankPartitioned(
     return result;
   }
 
+  const TransitionMatrix& transition = *slices.transition;
+  const TransitionFactors& factors = transition.factors();
+  const std::vector<NodeId> dangling = transition.DanglingNodes();
+  SourceProducts products;
   std::vector<double> current(teleport.begin(), teleport.end());
   NormalizeL1(current);  // mirrors the reference's defensive normalize
   std::vector<double> next(static_cast<size_t>(n), 0.0);
@@ -69,31 +94,34 @@ Result<PagerankResult> SolvePagerankPartitioned(
     // dangling list exactly as the reference does. Known before the
     // sweeps start, so each shard can finish its owned slice end-to-end.
     double dangling_mass = 0.0;
-    for (NodeId v : slices.dangling) {
+    for (NodeId v : dangling) {
       dangling_mass += current[static_cast<size_t>(v)];
     }
+    // y = c∘x of the previous iterate, once for every shard's reads.
+    products.Compute(factors, current);
 
-    // One block sweep: every shard folds each owned destination's in-row
-    // in ascending global source order — the accumulation order
-    // TransitionMatrix::Multiply produces — then applies the dangling
-    // policy and teleport blend element-wise. The per-arc probability
-    // streams off the shard's contiguous slice in lockstep with
-    // in_sources. Shards write disjoint owned slices of `next` and read
-    // only the frozen `current`, so the sweeps compose in any order (or
+    // One block sweep: every shard gathers y along each owned
+    // destination's in-row in ascending global source order — the
+    // accumulation order TransitionMatrix::Multiply scatters in — then
+    // applies the u∘ pass, the dangling policy and the teleport blend
+    // element-wise. Shards write disjoint owned slices of `next` and read
+    // only the frozen products, so the sweeps compose in any order (or
     // concurrently) without changing a bit.
     RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
-      const double* slice = slices.in_probs[s].data();
+      const auto source = [&](size_t idx) {
+        return static_cast<size_t>(shard.in_sources[idx]);
+      };
+      const auto weight = [&](size_t idx) {
+        return slices.arc_weights[static_cast<size_t>(
+            shard.in_arc_index[idx])];
+      };
       for (size_t k = 0; k < shard.owned.size(); ++k) {
         const NodeId dst = shard.owned[k];
-        double value = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          value += current[static_cast<size_t>(
-                       shard.in_sources[static_cast<size_t>(idx)])] *
-                   slice[static_cast<size_t>(idx)];
-        }
+        double value = PullProducts(
+            factors, products, static_cast<size_t>(dst),
+            static_cast<size_t>(shard.in_offsets[k]),
+            static_cast<size_t>(shard.in_offsets[k + 1]), source, weight);
         switch (options.dangling) {
           case DanglingPolicy::kTeleport:
             if (dangling_mass > 0.0) {
@@ -101,7 +129,7 @@ Result<PagerankResult> SolvePagerankPartitioned(
             }
             break;
           case DanglingPolicy::kSelfLoop:
-            if (slices.is_dangling[static_cast<size_t>(dst)]) {
+            if (transition.IsDangling(dst)) {
               value += current[static_cast<size_t>(dst)];
             }
             break;
@@ -137,7 +165,7 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
   D2PR_RETURN_NOT_OK(
       ValidateBlockSliceInputs(slices, partition, teleport, options));
   D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  const NodeId n = slices.num_nodes;
+  const NodeId n = slices.num_nodes();
 
   PagerankResult result;
   if (n == 0) {
@@ -145,6 +173,9 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
     return result;
   }
 
+  const TransitionMatrix& transition = *slices.transition;
+  const TransitionFactors& factors = transition.factors();
+  const std::vector<NodeId> dangling = transition.DanglingNodes();
   std::vector<double> x(teleport.begin(), teleport.end());
   std::vector<double> frozen(x);
   std::vector<double> previous(x);
@@ -152,7 +183,7 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     // Lagged dangling mass, as in the single-graph Gauss-Seidel sweep.
     double dangling_mass = 0.0;
-    for (NodeId v : slices.dangling) {
+    for (NodeId v : dangling) {
       dangling_mass += x[static_cast<size_t>(v)];
     }
 
@@ -163,22 +194,26 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
     frozen = x;
     RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
-      const double* slice = slices.in_probs[s].data();
+      const auto source = [&](size_t idx) {
+        return static_cast<size_t>(shard.in_sources[idx]);
+      };
+      // Interior sources read the live (in-sweep updated) iterate,
+      // boundary sources the frozen exchange copy; the precomputed flag
+      // keeps ownership resolution out of the inner loop.
+      const auto value_of = [&](size_t idx) {
+        return shard.in_interior[idx] ? x[source(idx)] : frozen[source(idx)];
+      };
+      const auto weight = [&](size_t idx) {
+        return slices.arc_weights[static_cast<size_t>(
+            shard.in_arc_index[idx])];
+      };
       for (size_t k = 0; k < shard.owned.size(); ++k) {
         const NodeId dst = shard.owned[k];
-        double incoming = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          const NodeId src = shard.in_sources[static_cast<size_t>(idx)];
-          // Interior sources read the live (in-sweep updated) iterate,
-          // boundary sources the frozen exchange copy; the precomputed
-          // flag keeps ownership resolution out of the inner loop.
-          const double value = shard.in_interior[static_cast<size_t>(idx)]
-                                   ? x[static_cast<size_t>(src)]
-                                   : frozen[static_cast<size_t>(src)];
-          incoming += slice[static_cast<size_t>(idx)] * value;
-        }
+        const double incoming = PullLive(
+            factors, static_cast<size_t>(dst),
+            static_cast<size_t>(shard.in_offsets[k]),
+            static_cast<size_t>(shard.in_offsets[k + 1]), source, value_of,
+            weight);
         double value = options.alpha * incoming +
                        (1.0 - options.alpha) *
                            teleport[static_cast<size_t>(dst)];
@@ -188,7 +223,7 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
                      teleport[static_cast<size_t>(dst)];
             break;
           case DanglingPolicy::kSelfLoop:
-            if (slices.is_dangling[static_cast<size_t>(dst)]) {
+            if (transition.IsDangling(dst)) {
               value /= (1.0 - options.alpha);
             }
             break;

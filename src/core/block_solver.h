@@ -1,8 +1,8 @@
 // Block-iterative PageRank solvers over a vertex-partitioned graph.
 //
-// Both solvers iterate each shard's owned slice against per-shard
-// transition slices (core/transition_slices.h) and exchange boundary
-// mass between sweeps; dangling mass and teleportation are handled
+// Both solvers iterate each shard's owned slice against the factored
+// transition (core/transition_slices.h) and exchange boundary mass
+// between sweeps; dangling mass and teleportation are handled
 // *globally*, exactly matching the
 // single-graph solvers in core/pagerank.h and core/gauss_seidel.h (which
 // themselves match core/teleport.h semantics). In-process, the "exchange"
@@ -15,17 +15,19 @@
 //
 //   * SolvePagerankPartitioned is BIT-IDENTICAL to SolvePagerank for any
 //     partition (any scheme, any shard count), including iteration counts
-//     and residuals. This is by construction, not by tolerance: the
-//     reference Multiply accumulates into out[j] in ascending global
+//     and residuals. This is by construction, not by tolerance: both run
+//     the one kernel of core/transition_kernel.h over the same factors.
+//     The per-source products y = c∘x are the same single multiplies;
+//     the reference Multiply scatters y into out[j] in ascending global
 //     source order (left-associated, from +0.0), and the partition's
-//     in-CSR folds each owned destination's contributions in exactly that
-//     order, with bitwise-equal per-arc products. Dangling mass folds
-//     over the same ascending dangling list, the teleport blend is
-//     element-wise, and the residual is the same full-vector DiffL1 — so
-//     every float the reference computes, the block solve recomputes.
-//     The sliced probabilities are literally the TransitionMatrix
-//     entries (a slice is the matrix permuted into in-CSR order, or the
-//     matrix-free kernel's bitwise-equal recomputation).
+//     in-CSR gathers each owned destination's y terms in exactly that
+//     order; both end in the same u∘ pass (FinishDestination). Dangling
+//     mass folds over the same ascending dangling list, the teleport
+//     blend is element-wise, and the residual is the same full-vector
+//     DiffL1 — so every float the reference computes, the block solve
+//     recomputes. The factors are literally the TransitionMatrix's (a
+//     share of it, or the shard-local builder's bitwise-equal
+//     recomputation).
 //   * SolveGaussSeidelPartitioned is a genuine *block* method — classic
 //     Gauss-Seidel within a shard, Jacobi across shards (remote values
 //     frozen at sweep start) — so its iterate path differs from the
@@ -40,10 +42,10 @@
 // stay sequential on the calling thread — they are O(n) and their
 // summation order is part of the bit-parity contract.
 //
-// Each sweep streams a per-shard contiguous prob slice in lockstep with
-// the in-CSR, so both hot arrays advance sequentially. A caller holding
-// a whole-graph TransitionMatrix slices it first (BuildTransitionSlices);
-// the shard fleet builds its slices matrix-free.
+// Each power sweep computes y = c∘x once (O(|V|), on the calling thread)
+// and every shard gathers it along its in-CSR: no per-arc probability
+// exists. A caller holding a whole-graph TransitionMatrix shares it
+// (BuildTransitionSlices); the shard fleet builds its factors from cuts.
 
 #ifndef D2PR_CORE_BLOCK_SOLVER_H_
 #define D2PR_CORE_BLOCK_SOLVER_H_
@@ -53,6 +55,7 @@
 
 #include "common/result.h"
 #include "core/pagerank.h"
+#include "core/transition_slices.h"
 #include "graph/partition.h"
 
 namespace d2pr {
@@ -72,13 +75,13 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling);
 
 /// \brief Block power iteration: bit-identical to
 /// SolvePagerank(graph, transition, teleport, options) for any partition
-/// of the same graph, when `slices` holds that transition's probabilities.
+/// of the same graph, when `slices` holds that transition.
 ///
 /// Requirements mirror SolvePagerank (alpha in [0, 1), tolerance > 0,
 /// max_iterations >= 1, teleport a distribution over the nodes), plus
-/// `slices` shaped for `partition` (GraphPartition::ValidateSlices)
-/// holding valid row-stochastic probabilities — both builders in
-/// core/transition_slices.h guarantee this.
+/// `slices` shaped for `partition`: a transition over its nodes, and the
+/// weights of every arc under the beta blend (InvalidArgument otherwise;
+/// both builders in core/transition_slices.h guarantee this).
 Result<PagerankResult> SolvePagerankPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,

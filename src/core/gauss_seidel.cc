@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "core/teleport.h"
+#include "core/transition_kernel.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
@@ -26,31 +27,12 @@ Result<PagerankResult> SolvePagerankGaussSeidel(
     return result;
   }
 
-  // Gauss-Seidel needs incoming arcs per node: precompute the transpose
-  // once, with probabilities carried over to the transposed arc order.
+  // Gauss-Seidel needs incoming arcs per node: the transpose lists each
+  // node's sources ascending, with their arc weights for the β blend.
   const CsrGraph reverse = graph.Transpose();
-  std::vector<double> reverse_probs(
-      static_cast<size_t>(reverse.num_arcs()));
-  {
-    // Walk forward arcs and scatter into transpose slots in the same
-    // order Transpose() emitted them (ascending source per target row).
-    std::vector<EdgeIndex> cursor(static_cast<size_t>(n));
-    for (NodeId v = 0; v < n; ++v) {
-      cursor[static_cast<size_t>(v)] = reverse.ArcBegin(v);
-    }
-    const auto targets = graph.targets();
-    const auto probs = transition.probs();
-    for (NodeId src = 0; src < n; ++src) {
-      const EdgeIndex begin = graph.ArcBegin(src);
-      const EdgeIndex end = begin + graph.OutDegree(src);
-      for (EdgeIndex e = begin; e < end; ++e) {
-        const NodeId dst = targets[static_cast<size_t>(e)];
-        reverse_probs[static_cast<size_t>(
-            cursor[static_cast<size_t>(dst)]++)] =
-            probs[static_cast<size_t>(e)];
-      }
-    }
-  }
+  const auto sources = reverse.targets();
+  const auto reverse_weights = reverse.weights();
+  const TransitionFactors& factors = transition.factors();
   const std::vector<NodeId> dangling = transition.DanglingNodes();
 
   std::vector<double> x(teleport.begin(), teleport.end());
@@ -62,14 +44,15 @@ Result<PagerankResult> SolvePagerankGaussSeidel(
     for (NodeId v : dangling) dangling_mass += x[static_cast<size_t>(v)];
 
     for (NodeId v = 0; v < n; ++v) {
-      double incoming = 0.0;
-      const EdgeIndex begin = reverse.ArcBegin(v);
-      const EdgeIndex end = begin + reverse.OutDegree(v);
-      const auto sources = reverse.targets();
-      for (EdgeIndex e = begin; e < end; ++e) {
-        incoming += reverse_probs[static_cast<size_t>(e)] *
-                    x[static_cast<size_t>(sources[static_cast<size_t>(e)])];
-      }
+      const size_t begin = static_cast<size_t>(reverse.ArcBegin(v));
+      const size_t end = begin + static_cast<size_t>(reverse.OutDegree(v));
+      const auto source = [&](size_t e) {
+        return static_cast<size_t>(sources[e]);
+      };
+      const double incoming = PullLive(
+          factors, static_cast<size_t>(v), begin, end, source,
+          [&](size_t e) { return x[source(e)]; },
+          [&](size_t e) { return reverse_weights[e]; });
       double value = options.alpha * incoming +
                      (1.0 - options.alpha) * teleport[static_cast<size_t>(v)];
       switch (options.dangling) {

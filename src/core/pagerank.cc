@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "core/teleport.h"
+#include "core/transition_kernel.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
@@ -33,6 +34,10 @@ Status ValidateTeleportVector(std::span<const double> teleport,
   }
   double sum = 0.0;
   for (double t : teleport) {
+    if (!std::isfinite(t)) {
+      return Status::InvalidArgument(
+          StrCat("teleport entries must be finite, got ", t));
+    }
     if (t < 0.0) {
       return Status::InvalidArgument("teleport entries must be >= 0");
     }
@@ -69,6 +74,10 @@ Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
     return Status::InvalidArgument("initial vector size mismatch");
   }
   for (double v : initial) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          StrCat("initial entries must be finite, got ", v));
+    }
     if (v < 0.0) {
       return Status::InvalidArgument("initial entries must be >= 0");
     }
@@ -80,41 +89,41 @@ Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
     return result;
   }
 
+  const TransitionFactors& factors = transition.factors();
   const std::vector<NodeId> dangling = transition.DanglingNodes();
   std::vector<double> current(initial.begin(), initial.end());
   NormalizeL1(current);  // defensive: keep the iterate a distribution
   std::vector<double> next(static_cast<size_t>(n), 0.0);
+  std::vector<double> blend_sums(factors.has_blend() ? next.size() : 0);
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    transition.Multiply(graph, current, next);
+    // The scatter half of T·x; the u∘ pass is fused into the per-node
+    // pass below, which applies each node's terms in the order the block
+    // solvers do (core/block_solver.cc).
+    ScatterProducts(graph, factors, current, next, blend_sums);
 
     double dangling_mass = 0.0;
     for (NodeId v : dangling) dangling_mass += current[static_cast<size_t>(v)];
 
-    switch (options.dangling) {
-      case DanglingPolicy::kTeleport:
-        if (dangling_mass > 0.0) {
-          for (NodeId v = 0; v < n; ++v) {
-            next[static_cast<size_t>(v)] +=
-                dangling_mass * teleport[static_cast<size_t>(v)];
-          }
-        }
-        break;
-      case DanglingPolicy::kSelfLoop:
-        for (NodeId v : dangling) {
-          next[static_cast<size_t>(v)] += current[static_cast<size_t>(v)];
-        }
-        break;
-      case DanglingPolicy::kRenormalize:
-        // Mass is dropped here; the blend below plus the final renormalize
-        // keeps the iterate a distribution.
-        break;
-    }
-
     for (NodeId v = 0; v < n; ++v) {
-      next[static_cast<size_t>(v)] =
-          options.alpha * next[static_cast<size_t>(v)] +
-          (1.0 - options.alpha) * teleport[static_cast<size_t>(v)];
+      const size_t node = static_cast<size_t>(v);
+      double value = FinishDestination(
+          factors, node, next[node],
+          factors.has_blend() ? blend_sums[node] : 0.0);
+      switch (options.dangling) {
+        case DanglingPolicy::kTeleport:
+          if (dangling_mass > 0.0) value += dangling_mass * teleport[node];
+          break;
+        case DanglingPolicy::kSelfLoop:
+          if (transition.IsDangling(v)) value += current[node];
+          break;
+        case DanglingPolicy::kRenormalize:
+          // Mass is dropped here; the blend below plus the final
+          // renormalize keeps the iterate a distribution.
+          break;
+      }
+      next[node] =
+          options.alpha * value + (1.0 - options.alpha) * teleport[node];
     }
     if (options.dangling == DanglingPolicy::kRenormalize) {
       NormalizeL1(next);

@@ -56,7 +56,7 @@ struct PagerankResult {
 Status ValidatePagerankOptions(const PagerankOptions& options);
 
 /// \brief Validates a teleport vector against a node count: exact size,
-/// non-negative entries, sum 1 within 1e-9. Shared like
+/// finite non-negative entries, sum 1 within 1e-9. Shared like
 /// ValidatePagerankOptions.
 Status ValidateTeleportVector(std::span<const double> teleport,
                               NodeId num_nodes);
@@ -65,7 +65,7 @@ Status ValidateTeleportVector(std::span<const double> teleport,
 ///
 /// Requirements (else InvalidArgument): alpha in [0, 1); tolerance > 0;
 /// max_iterations >= 1; teleport.size() == num nodes; teleport entries
-/// non-negative summing to 1 (within 1e-9).
+/// finite, non-negative and summing to 1 (within 1e-9).
 Result<PagerankResult> SolvePagerank(const CsrGraph& graph,
                                      const TransitionMatrix& transition,
                                      std::span<const double> teleport,
@@ -75,7 +75,8 @@ Result<PagerankResult> SolvePagerank(const CsrGraph& graph,
 /// the teleport vector. The fixed point is unique (the iteration is a
 /// contraction for alpha < 1), so the answer is independent of the start —
 /// but a nearby start (e.g. the previous point of a p-sweep) converges in
-/// far fewer iterations. `initial` must be a distribution over the nodes.
+/// far fewer iterations. `initial` must be a distribution over the nodes
+/// (finite, non-negative entries).
 Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
                                          const TransitionMatrix& transition,
                                          std::span<const double> teleport,

@@ -58,7 +58,6 @@ Result<PushResult> ForwardPushPpr(const CsrGraph& graph,
   }
 
   const auto targets = graph.targets();
-  const auto probs = transition.probs();
   while (!queue.empty() && result.pushes < max_pushes) {
     const NodeId u = queue.front();
     queue.pop_front();
@@ -90,11 +89,13 @@ Result<PushResult> ForwardPushPpr(const CsrGraph& graph,
       }
       continue;
     }
+    // Each out-neighbour j receives α·mass·c_u·u_j.
+    const TransitionMatrix::OutRow row =
+        transition.Row(graph, u, options.alpha * mass);
     const EdgeIndex begin = graph.ArcBegin(u);
     const EdgeIndex end = begin + graph.OutDegree(u);
     for (EdgeIndex e = begin; e < end; ++e) {
-      spread(targets[static_cast<size_t>(e)],
-             options.alpha * mass * probs[static_cast<size_t>(e)]);
+      spread(targets[static_cast<size_t>(e)], row.Prob(e));
     }
   }
 

@@ -6,46 +6,92 @@
 #include <limits>
 
 #include "common/string_util.h"
+#include "core/transition_kernel.h"
 
 namespace d2pr {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
 /// Successful whole-graph materializations (see BuildCount()).
 std::atomic<uint64_t> g_build_count{0};
 
+/// The widest exponent span whose smallest factor exp(-span) is still a
+/// normal double: -ln(DBL_MIN).
+const double kMaxExponentSpan = -std::log(std::numeric_limits<double>::min());
+
 }  // namespace
 
-double DecoupledArcExponent(double log_metric_target, double p) {
-  if (log_metric_target == kNegInf) {
-    // metric(j) = 0: limit semantics. p > 0 => j dominates the row
-    // (+inf); p < 0 => weight 0 (-inf); p = 0 => neutral (0^0 := 1).
-    return p > 0.0   ? std::numeric_limits<double>::infinity()
-           : p < 0.0 ? kNegInf
-                     : 0.0;
+Status BuildDestinationFactors(std::span<const double> metric_values,
+                               double p, TransitionFactors* factors) {
+  const size_t n = metric_values.size();
+  // The exponent -p·ln m of every node with metric > 0, and its range.
+  double max_exponent = -std::numeric_limits<double>::infinity();
+  double min_exponent = std::numeric_limits<double>::infinity();
+  bool has_zero_metric = false;
+  for (double m : metric_values) {
+    if (m > 0.0) {
+      const double exponent = -p * std::log(m);
+      max_exponent = std::max(max_exponent, exponent);
+      min_exponent = std::min(min_exponent, exponent);
+    } else {
+      has_zero_metric = true;
+    }
   }
-  return -p * log_metric_target;
+  // At p = 0 every node weighs 1, metric 0 included (0^0 := 1).
+  const bool sink_term = p != 0.0 && has_zero_metric;
+  factors->u.assign(n, 1.0);
+  factors->sink.assign(sink_term ? n : 0, 0);
+  for (size_t v = 0; v < n; ++v) {
+    const double m = metric_values[v];
+    if (m > 0.0 && p != 0.0) {
+      const double u = std::exp(-p * std::log(m) - max_exponent);
+      if (!(u >= std::numeric_limits<double>::min())) {
+        return Status::OutOfRange(StrCat(
+            "exponent span |p|*ln(max metric / min metric) = ",
+            max_exponent - min_exponent, " at p = ", p,
+            " leaves the transition factors outside the normal double "
+            "range (the span must stay below -ln(DBL_MIN) = ",
+            kMaxExponentSpan, ")"));
+      }
+      factors->u[v] = u;
+    } else if (sink_term) {
+      // A sink's row share lives in sink_c; its destination scale is 1.
+      factors->sink[v] = 1;
+    }
+  }
+  return Status::OK();
 }
 
-double DecoupledArcNumerator(double exponent, double max_exponent) {
-  if (std::isinf(max_exponent) && max_exponent > 0.0) {
-    // At least one +inf exponent: those destinations split the row.
-    return (std::isinf(exponent) && exponent > 0.0) ? 1.0 : 0.0;
+SourceFactors FoldSourceRow(std::span<const NodeId> targets,
+                            std::span<const double> weights,
+                            const TransitionFactors& destinations, double p,
+                            double beta) {
+  // Z_i over the non-sink targets, left to right, and the sink count.
+  double z = 0.0;
+  size_t sinks = 0;
+  for (NodeId j : targets) {
+    const size_t k = static_cast<size_t>(j);
+    if (destinations.has_sink() && destinations.sink[k]) {
+      ++sinks;
+    } else {
+      z += destinations.u[k];
+    }
   }
-  if (exponent == kNegInf) return 0.0;
-  return std::exp(exponent - max_exponent);
-}
-
-double BlendedArcProb(double numerator, double row_sum, double beta,
-                      double arc_weight, double strength_total) {
-  const double t_decoupled = numerator / row_sum;
+  SourceFactors row;
+  if (sinks > 0 && (p > 0.0 || z == 0.0)) {
+    // Flagged: the sinks take the row (p > 0), or every target is a sink
+    // and the row is uniform over them (p < 0).
+    row.sink_c = (1.0 - beta) / static_cast<double>(sinks);
+  } else {
+    row.c = (1.0 - beta) / z;
+  }
   if (beta > 0.0) {
-    const double t_conn = arc_weight / strength_total;
-    return beta * t_conn + (1.0 - beta) * t_decoupled;
+    // The ascending-arc-order sum CsrGraph::OutStrength performs.
+    double theta = 0.0;
+    for (double w : weights) theta += w;
+    row.blend_c = beta / theta;
   }
-  return t_decoupled;
+  return row;
 }
 
 Status ValidateTransitionConfig(const CsrGraph& graph,
@@ -104,72 +150,47 @@ std::vector<double> MetricValues(const CsrGraph& graph, DegreeMetric metric) {
   return values;
 }
 
+TransitionMatrix::TransitionMatrix(TransitionFactors factors,
+                                   std::vector<uint8_t> dangling,
+                                   EdgeIndex num_arcs)
+    : factors_(std::move(factors)),
+      dangling_(std::move(dangling)),
+      num_arcs_(num_arcs) {}
+
 Result<TransitionMatrix> TransitionMatrix::Build(
     const CsrGraph& graph, const TransitionConfig& config) {
   D2PR_RETURN_NOT_OK(ValidateTransitionConfig(graph, config));
-  const DegreeMetric metric = ResolveMetric(graph, config.metric);
   // On unweighted graphs connection strength is uniform, which equals the
   // p = 0 de-coupled matrix; folding beta into 0 keeps one code path.
   const double beta = graph.weighted() ? config.beta : 0.0;
-  const double p = config.p;
-
   const NodeId n = graph.num_nodes();
-  const std::vector<double> metric_values = MetricValues(graph, metric);
 
-  std::vector<double> probs(static_cast<size_t>(graph.num_arcs()), 0.0);
+  TransitionFactors factors;
+  D2PR_RETURN_NOT_OK(BuildDestinationFactors(
+      MetricValues(graph, ResolveMetric(graph, config.metric)), config.p,
+      &factors));
+  factors.c.assign(static_cast<size_t>(n), 0.0);
+  if (factors.has_sink()) factors.sink_c.assign(static_cast<size_t>(n), 0.0);
+  if (beta > 0.0) factors.blend_c.assign(static_cast<size_t>(n), 0.0);
   std::vector<uint8_t> dangling(static_cast<size_t>(n), 0);
-
-  // Log-metric per node; metric 0 marked with -inf sentinel.
-  std::vector<double> log_metric(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    log_metric[v] =
-        metric_values[v] > 0.0 ? std::log(metric_values[v]) : kNegInf;
-  }
-
-  std::vector<double> row;  // scratch: de-coupled weights of one source row
   for (NodeId i = 0; i < n; ++i) {
-    const EdgeIndex begin = graph.ArcBegin(i);
-    const EdgeIndex end = begin + graph.OutDegree(i);
-    if (begin == end) {
-      dangling[static_cast<size_t>(i)] = 1;
+    const size_t row = static_cast<size_t>(i);
+    if (graph.OutDegree(i) == 0) {
+      dangling[row] = 1;
       continue;
     }
-
-    // --- Degree de-coupled component T_D: softmax of -p * log(metric). ---
-    row.clear();
-    double max_exponent = kNegInf;
-    for (EdgeIndex e = begin; e < end; ++e) {
-      const NodeId j = graph.targets()[static_cast<size_t>(e)];
-      const double exponent = DecoupledArcExponent(log_metric[j], p);
-      row.push_back(exponent);
-      max_exponent = std::max(max_exponent, exponent);
-    }
-    double row_sum = 0.0;
-    for (double& exponent : row) {
-      exponent = DecoupledArcNumerator(exponent, max_exponent);
-      row_sum += exponent;
-    }
-    if (row_sum == 0.0) {
-      // Every destination had metric 0 and p < 0 (all weights vanish in the
-      // limit). Fall back to a uniform row: no degree information exists to
-      // differentiate the neighbors.
-      std::fill(row.begin(), row.end(), 1.0);
-      row_sum = static_cast<double>(row.size());
-    }
-
-    // --- Connection-strength component T_conn (only if beta > 0). ---
-    const double strength_total = beta > 0.0 ? graph.OutStrength(i) : 0.0;
-
-    for (EdgeIndex e = begin; e < end; ++e) {
-      const size_t arc = static_cast<size_t>(e);
-      probs[arc] = BlendedArcProb(
-          row[static_cast<size_t>(e - begin)], row_sum, beta,
-          beta > 0.0 ? graph.weights()[arc] : 0.0, strength_total);
-    }
+    const SourceFactors source = FoldSourceRow(
+        graph.OutNeighbors(i),
+        beta > 0.0 ? graph.OutWeights(i) : std::span<const double>{}, factors,
+        config.p, beta);
+    factors.c[row] = source.c;
+    if (factors.has_sink()) factors.sink_c[row] = source.sink_c;
+    if (beta > 0.0) factors.blend_c[row] = source.blend_c;
   }
 
   g_build_count.fetch_add(1, std::memory_order_relaxed);
-  return TransitionMatrix(n, std::move(probs), std::move(dangling));
+  return TransitionMatrix(std::move(factors), std::move(dangling),
+                          graph.num_arcs());
 }
 
 uint64_t TransitionMatrix::BuildCount() {
@@ -178,28 +199,55 @@ uint64_t TransitionMatrix::BuildCount() {
 
 std::vector<NodeId> TransitionMatrix::DanglingNodes() const {
   std::vector<NodeId> nodes;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
+  for (NodeId v = 0; v < num_nodes(); ++v) {
     if (dangling_[static_cast<size_t>(v)]) nodes.push_back(v);
   }
   return nodes;
 }
 
+void ScatterProducts(const CsrGraph& graph, const TransitionFactors& f,
+                     std::span<const double> x, std::span<double> sums,
+                     std::span<double> blend_sums) {
+  std::fill(sums.begin(), sums.end(), 0.0);
+  std::fill(blend_sums.begin(), blend_sums.end(), 0.0);
+  const auto targets = graph.targets();
+  const auto weights = graph.weights();
+  // Scatter y_i = c_i·x_i along each row in ascending source order: the
+  // order the gather form folds each destination's in-row. A zero x_i
+  // adds only +0.0 terms there, so skipping it changes no bit.
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0.0) continue;
+    const NodeId row = static_cast<NodeId>(i);
+    const size_t begin = static_cast<size_t>(graph.ArcBegin(row));
+    const size_t end = begin + static_cast<size_t>(graph.OutDegree(row));
+    const double y = f.c[i] * x[i];
+    if (!f.has_sink() && !f.has_blend()) {
+      for (size_t e = begin; e < end; ++e) {
+        sums[static_cast<size_t>(targets[e])] += y;
+      }
+      continue;
+    }
+    const double y_sink = f.has_sink() ? f.sink_c[i] * x[i] : 0.0;
+    const double y_blend = f.has_blend() ? f.blend_c[i] * x[i] : 0.0;
+    for (size_t e = begin; e < end; ++e) {
+      const size_t j = static_cast<size_t>(targets[e]);
+      sums[j] += f.has_sink() && f.sink[j] ? y_sink : y;
+      if (f.has_blend()) blend_sums[j] += weights[e] * y_blend;
+    }
+  }
+}
+
 void TransitionMatrix::Multiply(const CsrGraph& graph,
                                 std::span<const double> x,
                                 std::span<double> out) const {
-  D2PR_CHECK_EQ(x.size(), static_cast<size_t>(num_nodes_));
-  D2PR_CHECK_EQ(out.size(), static_cast<size_t>(num_nodes_));
-  std::fill(out.begin(), out.end(), 0.0);
-  const auto targets = graph.targets();
-  for (NodeId i = 0; i < num_nodes_; ++i) {
-    const double mass = x[static_cast<size_t>(i)];
-    if (mass == 0.0) continue;
-    const EdgeIndex begin = graph.ArcBegin(i);
-    const EdgeIndex end = begin + graph.OutDegree(i);
-    for (EdgeIndex e = begin; e < end; ++e) {
-      out[static_cast<size_t>(targets[static_cast<size_t>(e)])] +=
-          mass * probs_[static_cast<size_t>(e)];
-    }
+  const size_t n = static_cast<size_t>(num_nodes());
+  D2PR_CHECK_EQ(x.size(), n);
+  D2PR_CHECK_EQ(out.size(), n);
+  std::vector<double> blend_sums(factors_.has_blend() ? n : 0);
+  ScatterProducts(graph, factors_, x, out, blend_sums);
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = FinishDestination(factors_, j, out[j],
+                               factors_.has_blend() ? blend_sums[j] : 0.0);
   }
 }
 
@@ -208,7 +256,7 @@ double TransitionMatrix::Prob(const CsrGraph& graph, NodeId u,
   auto row = graph.OutNeighbors(u);
   auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it == row.end() || *it != v) return 0.0;
-  return probs_[static_cast<size_t>(graph.ArcBegin(u) + (it - row.begin()))];
+  return Row(graph, u).Prob(graph.ArcBegin(u) + (it - row.begin()));
 }
 
 }  // namespace d2pr

@@ -1,9 +1,7 @@
 #include "core/transition_slices.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -12,137 +10,39 @@ namespace d2pr {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// log(metric(v)) per node, -inf at metric 0: the exponent input
-/// TransitionMatrix::Build derives from the same values.
-std::vector<double> LogMetric(std::span<const double> metric_values) {
-  std::vector<double> log_metric(metric_values.size());
-  for (size_t v = 0; v < metric_values.size(); ++v) {
-    log_metric[v] =
-        metric_values[v] > 0.0 ? std::log(metric_values[v]) : kNegInf;
-  }
-  return log_metric;
+/// Sizes `factors`' source side for `count` sources, sink and blend terms
+/// included as the destination side and `beta` call for.
+void SizeSources(size_t count, double beta, TransitionFactors* factors) {
+  factors->c.assign(count, 0.0);
+  factors->sink_c.assign(factors->has_sink() ? count : 0, 0.0);
+  factors->blend_c.assign(beta > 0.0 ? count : 0, 0.0);
 }
 
-/// One source's out-row as the kernel reads it: ascending global target
-/// ids and, when the beta blend needs them, the aligned arc weights.
-struct SourceRow {
-  std::span<const NodeId> targets;
-  std::span<const double> weights;
-};
-
-/// The matrix-free slice kernel: `shard`'s in-CSR-aligned probability
-/// slice under exponent `p` and blend `beta`.
-///
-/// The in-CSR can name only the shard's own nodes and its boundary
-/// sources, so those are the rows folded: slot k < owned is owned[k],
-/// slot owned + b is boundary_sources[b], and row(slot, node) returns
-/// that node's out-row. Each row folds in ascending arc order into its
-/// normalization state, exactly as TransitionMatrix::Build folds it.
-/// The per-arc numerators are recomputed in the fill instead of stored:
-/// that trades one exp per arc for never holding O(|E|) state.
-/// in_weight(idx) is the weight of the arc at in-CSR position idx, read
-/// only when beta > 0. `log_metric` covers every node of the graph.
-template <typename RowFn, typename InWeightFn>
-std::vector<double> BuildShardSlice(const PartitionShard& shard,
-                                    std::span<const NodeId> boundary_sources,
-                                    std::span<const double> log_metric,
-                                    double p, double beta, RowFn row,
-                                    InWeightFn in_weight) {
-  const size_t num_owned = shard.owned.size();
-  const size_t num_slots = num_owned + boundary_sources.size();
-  std::vector<uint32_t> slot_of(log_metric.size());
-  std::vector<double> max_exponent(num_slots, kNegInf);
-  std::vector<double> row_sum(num_slots, 0.0);
-  std::vector<uint8_t> uniform_row(num_slots, 0);
-  std::vector<double> strength_total(beta > 0.0 ? num_slots : 0, 0.0);
-
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    const NodeId node = slot < num_owned
-                            ? shard.owned[slot]
-                            : boundary_sources[slot - num_owned];
-    slot_of[static_cast<size_t>(node)] = static_cast<uint32_t>(slot);
-    const SourceRow source = row(slot, node);
-    if (source.targets.empty()) continue;  // dangling: no row to normalize
-    double row_max = kNegInf;
-    for (NodeId j : source.targets) {
-      row_max = std::max(
-          row_max, DecoupledArcExponent(log_metric[static_cast<size_t>(j)], p));
-    }
-    // Summed left to right, so the denominator is Build's double bit for
-    // bit.
-    double sum = 0.0;
-    for (NodeId j : source.targets) {
-      sum += DecoupledArcNumerator(
-          DecoupledArcExponent(log_metric[static_cast<size_t>(j)], p),
-          row_max);
-    }
-    if (sum == 0.0) {
-      // All destinations vanished in the limit (metric 0, p < 0): the row
-      // falls back to uniform, mirroring Build.
-      uniform_row[slot] = 1;
-      sum = static_cast<double>(source.targets.size());
-    }
-    max_exponent[slot] = row_max;
-    row_sum[slot] = sum;
-    if (beta > 0.0) {
-      // The ascending-arc-order weight sum CsrGraph::OutStrength performs.
-      double theta = 0.0;
-      for (double w : source.weights) theta += w;
-      strength_total[slot] = theta;
-    }
-  }
-
-  std::vector<double> slice(shard.in_sources.size());
-  for (size_t k = 0; k < num_owned; ++k) {
-    const double exponent = DecoupledArcExponent(
-        log_metric[static_cast<size_t>(shard.owned[k])], p);
-    const size_t begin = static_cast<size_t>(shard.in_offsets[k]);
-    const size_t end = static_cast<size_t>(shard.in_offsets[k + 1]);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const size_t slot =
-          slot_of[static_cast<size_t>(shard.in_sources[idx])];
-      const double numerator =
-          uniform_row[slot]
-              ? 1.0
-              : DecoupledArcNumerator(exponent, max_exponent[slot]);
-      slice[idx] = BlendedArcProb(numerator, row_sum[slot], beta,
-                                  beta > 0.0 ? in_weight(idx) : 0.0,
-                                  beta > 0.0 ? strength_total[slot] : 0.0);
-    }
-  }
-  return slice;
+/// Writes one source's folded row into position `slot` of `factors`.
+void StoreSource(const SourceFactors& source, size_t slot,
+                 TransitionFactors* factors) {
+  factors->c[slot] = source.c;
+  if (factors->has_sink()) factors->sink_c[slot] = source.sink_c;
+  if (factors->has_blend()) factors->blend_c[slot] = source.blend_c;
 }
 
 }  // namespace
 
 Result<TransitionSlices> BuildTransitionSlices(
-    const GraphPartition& partition, const TransitionMatrix& transition) {
-  if (partition.num_nodes() != transition.num_nodes()) {
+    const CsrGraph& graph, const GraphPartition& partition,
+    std::shared_ptr<const TransitionMatrix> transition) {
+  if (partition.num_nodes() != transition->num_nodes() ||
+      graph.num_nodes() != transition->num_nodes()) {
     return Status::InvalidArgument(
-        StrCat("partition covers ", partition.num_nodes(),
-               " nodes but transition matrix has ", transition.num_nodes()));
+        StrCat("partition covers ", partition.num_nodes(), " nodes, graph ",
+               graph.num_nodes(), ", but transition matrix has ",
+               transition->num_nodes()));
   }
   TransitionSlices slices;
-  slices.num_nodes = transition.num_nodes();
-  slices.in_probs.resize(partition.num_shards());
-  const auto probs = transition.probs();
-  for (size_t s = 0; s < partition.num_shards(); ++s) {
-    const PartitionShard& shard = partition.shard(s);
-    std::vector<double>& slice = slices.in_probs[s];
-    slice.resize(shard.in_arc_index.size());
-    // A pure permutation copy: position idx of the slice is the
-    // probability the sweep used to gather at in_arc_index[idx].
-    for (size_t idx = 0; idx < shard.in_arc_index.size(); ++idx) {
-      slice[idx] = probs[static_cast<size_t>(shard.in_arc_index[idx])];
-    }
-  }
-  slices.is_dangling.assign(static_cast<size_t>(transition.num_nodes()), 0);
-  slices.dangling = transition.DanglingNodes();
-  for (NodeId v : slices.dangling) {
-    slices.is_dangling[static_cast<size_t>(v)] = 1;
-  }
+  slices.arc_weights = transition->factors().has_blend()
+                           ? graph.weights()
+                           : std::span<const double>{};
+  slices.transition = std::move(transition);
   return slices;
 }
 
@@ -158,39 +58,44 @@ Result<TransitionSlices> BuildTransitionSlicesLocal(
   // Beta folds to 0 on unweighted graphs, exactly as in
   // TransitionMatrix::Build (see the comment there).
   const double beta = graph.weighted() ? config.beta : 0.0;
-  const std::vector<double> log_metric =
-      LogMetric(MetricValues(graph, ResolveMetric(graph, config.metric)));
-  const auto weights =
-      beta > 0.0 ? graph.weights() : std::span<const double>{};
+  const NodeId n = graph.num_nodes();
+  TransitionFactors factors;
+  D2PR_RETURN_NOT_OK(BuildDestinationFactors(
+      MetricValues(graph, ResolveMetric(graph, config.metric)), config.p,
+      &factors));
+  SizeSources(static_cast<size_t>(n), beta, &factors);
 
-  TransitionSlices slices;
-  slices.num_nodes = graph.num_nodes();
-  slices.in_probs.reserve(partition.num_shards());
+  // Each shard folds the rows its in-CSR names: its owned rows and its
+  // boundary sources' rows. A source several shards read is folded once.
+  std::vector<uint8_t> folded(static_cast<size_t>(n), 0);
+  const auto fold = [&](NodeId node) {
+    const size_t v = static_cast<size_t>(node);
+    if (folded[v] || graph.OutDegree(node) == 0) return;
+    folded[v] = 1;
+    StoreSource(FoldSourceRow(graph.OutNeighbors(node),
+                              beta > 0.0 ? graph.OutWeights(node)
+                                         : std::span<const double>{},
+                              factors, config.p, beta),
+                v, &factors);
+  };
   for (size_t s = 0; s < partition.num_shards(); ++s) {
     const PartitionShard& shard = partition.shard(s);
-    slices.in_probs.push_back(BuildShardSlice(
-        shard, BoundarySources(shard, graph.num_nodes()), log_metric,
-        config.p, beta,
-        [&](size_t, NodeId node) {
-          return SourceRow{graph.OutNeighbors(node),
-                           beta > 0.0 ? graph.OutWeights(node)
-                                      : std::span<const double>{}};
-        },
-        [&](size_t idx) {
-          return weights[static_cast<size_t>(shard.in_arc_index[idx])];
-        }));
+    for (NodeId node : shard.owned) fold(node);
+    for (NodeId node : BoundarySources(shard, n)) fold(node);
   }
-  slices.is_dangling.assign(static_cast<size_t>(graph.num_nodes()), 0);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (graph.OutDegree(v) == 0) {
-      slices.is_dangling[static_cast<size_t>(v)] = 1;
-      slices.dangling.push_back(v);
-    }
+
+  std::vector<uint8_t> dangling(static_cast<size_t>(n), 0);
+  for (NodeId v = 0; v < n; ++v) {
+    dangling[static_cast<size_t>(v)] = graph.OutDegree(v) == 0 ? 1 : 0;
   }
+  TransitionSlices slices;
+  slices.transition = std::make_shared<const TransitionMatrix>(
+      std::move(factors), std::move(dangling), graph.num_arcs());
+  if (beta > 0.0) slices.arc_weights = graph.weights();
   return slices;
 }
 
-Result<std::vector<double>> BuildShardSliceFromCut(
+Result<TransitionFactors> BuildShardSliceFromCut(
     const ShardCut& cut, std::span<const double> metric_values,
     const TransitionConfig& config) {
   D2PR_RETURN_NOT_OK(ValidateTransitionConfig(cut.meta.weighted, config));
@@ -202,8 +107,8 @@ Result<std::vector<double>> BuildShardSliceFromCut(
   }
   for (size_t v = 0; v < metric_values.size(); ++v) {
     // A degree or strength is finite and non-negative. Anything else
-    // would fold into NaN probabilities (+inf at p = 0 gives -0 * inf),
-    // or silently read as metric 0 (NaN, negatives).
+    // would fold into NaN factors (ln of +inf or of a negative), or
+    // silently read as metric 0 (NaN, negatives).
     if (!std::isfinite(metric_values[v]) || metric_values[v] < 0.0) {
       return Status::InvalidArgument(
           StrCat("metric value of node ", v, " is ", metric_values[v],
@@ -211,32 +116,50 @@ Result<std::vector<double>> BuildShardSliceFromCut(
     }
   }
   const double beta = cut.meta.weighted ? config.beta : 0.0;
-  const size_t num_owned = cut.shard.owned.size();
-  const auto out_targets = std::span<const NodeId>(cut.shard.out_targets);
-  const auto ghost_targets = std::span<const NodeId>(cut.ghost_targets);
+  // u and the sink flags over every node (a row's targets may be any
+  // node), with the whole graph's global shift.
+  TransitionFactors global;
+  D2PR_RETURN_NOT_OK(
+      BuildDestinationFactors(metric_values, config.p, &global));
+
+  const PartitionShard& shard = cut.shard;
+  const size_t num_owned = shard.owned.size();
+  TransitionFactors factors;
+  factors.u.reserve(num_owned);
+  for (NodeId v : shard.owned) {
+    factors.u.push_back(global.u[static_cast<size_t>(v)]);
+  }
+  if (global.has_sink()) {
+    factors.sink.reserve(num_owned);
+    for (NodeId v : shard.owned) {
+      factors.sink.push_back(global.sink[static_cast<size_t>(v)]);
+    }
+  }
+  SizeSources(num_owned + cut.boundary_sources.size(), beta, &factors);
+
   // Owned rows come from the cut's out-CSR, boundary rows from its ghost
   // rows: those sources' rows verbatim, in row order.
-  return BuildShardSlice(
-      cut.shard, cut.boundary_sources, LogMetric(metric_values), config.p,
-      beta,
-      [&](size_t slot, NodeId) {
-        const bool owned = slot < num_owned;
-        const size_t r = owned ? slot : slot - num_owned;
-        const auto& offsets = owned ? cut.shard.out_offsets : cut.ghost_offsets;
-        const size_t begin = static_cast<size_t>(offsets[r]);
-        const size_t count = static_cast<size_t>(offsets[r + 1]) - begin;
-        SourceRow source{(owned ? out_targets : ghost_targets)
-                             .subspan(begin, count),
-                         {}};
-        if (beta > 0.0) {
-          source.weights =
-              std::span<const double>(owned ? cut.out_weights
-                                            : cut.ghost_weights)
-                  .subspan(begin, count);
-        }
-        return source;
-      },
-      [&](size_t idx) { return cut.in_weights[idx]; });
+  const auto fold_rows = [&](const std::vector<EdgeIndex>& offsets,
+                             const std::vector<NodeId>& targets,
+                             const std::vector<double>& weights,
+                             size_t first_slot) {
+    for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+      const size_t begin = static_cast<size_t>(offsets[r]);
+      const size_t count = static_cast<size_t>(offsets[r + 1]) - begin;
+      if (count == 0) continue;  // dangling: c stays 0
+      StoreSource(
+          FoldSourceRow(std::span<const NodeId>(targets).subspan(begin, count),
+                        beta > 0.0 ? std::span<const double>(weights).subspan(
+                                         begin, count)
+                                   : std::span<const double>{},
+                        global, config.p, beta),
+          first_slot + r, &factors);
+    }
+  };
+  fold_rows(shard.out_offsets, shard.out_targets, cut.out_weights, 0);
+  fold_rows(cut.ghost_offsets, cut.ghost_targets, cut.ghost_weights,
+            num_owned);
+  return factors;
 }
 
 }  // namespace d2pr

@@ -11,6 +11,7 @@
 #include "api/rank_request.h"
 #include "common/string_util.h"
 #include "core/block_solver.h"
+#include "core/transition_kernel.h"
 #include "core/transition_slices.h"
 #include "net/shard_wire.h"
 
@@ -236,10 +237,10 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   }
 
   if (!slice_ready_) {
-    // First solve: build the slice from the cut plus the broadcast
-    // metric vector the ack asked for. Wrong-sized or non-finite vectors
-    // reject from BuildShardSliceFromCut with its own message, leaving
-    // the worker unbuilt for a well-formed retry.
+    // First solve: build the shard's factors from the cut plus the
+    // broadcast metric vector the ack asked for. Wrong-sized or
+    // non-finite vectors reject from BuildShardSliceFromCut with its own
+    // message, leaving the worker unbuilt for a well-formed retry.
     if (begin.metric_values.empty()) {
       return StatusReply(
           request.request_id,
@@ -248,19 +249,22 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
               "the global metric vector the handshake ack requested "
               "(needs_metric_values)"));
     }
-    Result<std::vector<double>> slice =
+    Result<TransitionFactors> factors =
         BuildShardSliceFromCut(cut_, begin.metric_values, config_);
-    if (!slice.ok()) return StatusReply(request.request_id, slice.status());
-    probs_ = std::move(*slice);
-    // The slice is built: drop the ghost rows, weights, and the forward
-    // slice the sweeps never read.
+    if (!factors.ok()) {
+      return StatusReply(request.request_id, factors.status());
+    }
+    factors_ = std::move(*factors);
+    // The factors are built: drop the ghost rows, the forward slice and
+    // every weight the sweeps never read (the in-arc weights stay for
+    // the beta blend).
     Release(cut_.shard.out_offsets);
     Release(cut_.shard.out_targets);
     Release(cut_.shard.out_arc_begin);
     Release(cut_.ghost_offsets);
     Release(cut_.ghost_targets);
     Release(cut_.out_weights);
-    Release(cut_.in_weights);
+    if (!factors_.has_blend()) Release(cut_.in_weights);
     Release(cut_.ghost_weights);
     slice_ready_ = true;
   }
@@ -367,18 +371,16 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
 
   // `next_` keeps the pre-sweep owned slice afterwards (for the advisory
   // residual partial); during a power sweep it holds the new values.
-  const double* slice = probs_.data();
+  const auto source = [&](size_t idx) { return src_slot_[idx]; };
+  const auto weight = [&](size_t idx) { return cut_.in_weights[idx]; };
   if (method_ == static_cast<uint32_t>(SolverMethod::kPower)) {
-    // Line-for-line the power sweep of SolvePagerankPartitioned's sliced
-    // overload, with current[src] read through the slot map.
+    // Line-for-line the power sweep of SolvePagerankPartitioned, with the
+    // products y = c∘x over the [owned | boundary] slots.
+    products_.Compute(factors_, vals_);
     for (size_t k = 0; k < num_owned; ++k) {
-      double value = 0.0;
-      const EdgeIndex begin = shard.in_offsets[k];
-      const EdgeIndex end = shard.in_offsets[k + 1];
-      for (EdgeIndex idx = begin; idx < end; ++idx) {
-        value += vals_[src_slot_[static_cast<size_t>(idx)]] *
-                 slice[static_cast<size_t>(idx)];
-      }
+      double value = PullProducts(
+          factors_, products_, k, static_cast<size_t>(shard.in_offsets[k]),
+          static_cast<size_t>(shard.in_offsets[k + 1]), source, weight);
       switch (dangling_policy_) {
         case DanglingPolicy::kTeleport:
           if (dangling_mass > 0.0) {
@@ -404,17 +406,14 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
   // Block Gauss-Seidel: in-place on the owned prefix — interior sources
   // read live (possibly already-updated) slots, boundary slots hold the
   // coordinator's frozen exchange copy. Same arithmetic as
-  // SolveGaussSeidelPartitioned's sliced overload.
+  // SolveGaussSeidelPartitioned.
   std::copy(vals_.begin(), vals_.begin() + static_cast<long>(num_owned),
             next_.begin());
   for (size_t k = 0; k < num_owned; ++k) {
-    double incoming = 0.0;
-    const EdgeIndex begin = shard.in_offsets[k];
-    const EdgeIndex end = shard.in_offsets[k + 1];
-    for (EdgeIndex idx = begin; idx < end; ++idx) {
-      incoming += slice[static_cast<size_t>(idx)] *
-                  vals_[src_slot_[static_cast<size_t>(idx)]];
-    }
+    const double incoming = PullLive(
+        factors_, k, static_cast<size_t>(shard.in_offsets[k]),
+        static_cast<size_t>(shard.in_offsets[k + 1]), source,
+        [&](size_t idx) { return vals_[src_slot_[idx]]; }, weight);
     double value = alpha_ * incoming + (1.0 - alpha_) * teleport_[k];
     switch (dangling_policy_) {
       case DanglingPolicy::kTeleport:

@@ -4,26 +4,27 @@
 // net/shard_wire.h.
 //
 // A worker hosts one ShardCut (graph/shard_cut.h): the shard's
-// PartitionShard plus the ghost rows and weights its matrix-free
-// transition slice needs. It has one factory, Create(ShardCut, config);
+// PartitionShard plus the ghost rows and weights its transition factors
+// need. It has one factory, Create(ShardCut, config);
 // CreateFromCutFile() is LoadShardCut followed by Create. The cut comes
 // from a pre-cut file (`d2pr_server --shard-file`, the deployment path,
 // where no whole-graph structure of ANY kind exists in the process —
 // tests/dist_cut_test.cc pins this via GraphBuilder::BuildCount and
 // TransitionMatrix::BuildCount) or from CutShard in memory (tests,
 // `d2pr_server --shard-role` without a file). Either way the worker
-// defers its transition-slice build until the first kSolveBegin, whose
-// trailing section carries the O(|V|) global metric vector the ack
-// requested (needs_metric_values); the slice it builds is bitwise the
-// whole-graph matrix's slice. Per solve it
+// defers its factor build until the first kSolveBegin, whose trailing
+// section carries the O(|V|) global metric vector the ack requested
+// (needs_metric_values): u over its owned nodes and c over its in-arc
+// sources, c of a boundary source derived from its ghost row, each
+// bitwise the whole-graph factor (core/transition_slices.h). Per solve it
 // retains its owned slice of the iterate across sweeps, so a sweep
 // request carries only the O(boundary) remote values, the globally
 // folded dangling mass, and — after iterations the coordinator
 // L1-normalized globally — the exact 1/norm scalar to replay on the
-// retained slice. The sweep arithmetic is lifted line-for-line from
-// core/block_solver.cc: same fold order (ascending global source within
-// each owned row, owned rows in ascending order), same policy terms,
-// same teleport blend — which is what makes the distributed power solve
+// retained slice. The sweep runs the block solvers' kernel
+// (core/transition_kernel.h): same fold order (ascending global source
+// within each owned row, owned rows in ascending order), same policy
+// terms, same teleport blend — which is what makes the distributed power solve
 // bitwise identical to SolvePagerankPartitioned and block Gauss-Seidel
 // identical to its in-process form (tests/dist_parity_test.cc).
 //
@@ -58,6 +59,7 @@
 
 #include "common/result.h"
 #include "core/transition.h"
+#include "core/transition_kernel.h"
 #include "dist/channel.h"
 #include "graph/partition.h"
 #include "graph/shard_cut.h"
@@ -72,7 +74,7 @@ class ShardWorker {
   /// normalizes its cache key, so coordinator and worker agree on the
   /// resolved key bitwise). Shard id, shard count, scheme, fingerprint,
   /// and node/arc totals all come from the cut's metadata. The
-  /// transition slice is NOT built here — it needs the global metric
+  /// transition factors are NOT built here — they need the global metric
   /// vector, which the coordinator ships in the first kSolveBegin after
   /// the handshake ack sets needs_metric_values. Errors: an invalid
   /// config.
@@ -106,10 +108,10 @@ class ShardWorker {
 
   /// Bytes of graph-shaped structure resident in this worker right now:
   /// the shard's CSR arrays, boundary/slot indexes, and — until the
-  /// first solve builds the slice — the cut's out-CSR, ghost rows, and
+  /// first solve builds the factors — the cut's out-CSR, ghost rows, and
   /// weights. The per-worker evidence behind the ~1/N resident-memory
   /// claim (tests/dist_cut_test.cc, results/dist_bench.md). Excludes the
-  /// transition slice and iterate (per-key solve state, not graph).
+  /// transition factors and iterate (per-key solve state, not graph).
   int64_t resident_graph_bytes() const;
 
   /// Bytes of graph-shaped INPUT this worker consumed at creation: its
@@ -145,17 +147,21 @@ class ShardWorker {
                     const std::vector<double>& boundary);
 
   /// The hosted cut. Its out-CSR, ghost rows, and weights are dropped
-  /// once the first solve begin has built the slice; the in-CSR, owned
-  /// and dangling lists, and boundary sources stay for the sweeps.
+  /// once the first solve begin has built the factors; the in-CSR (with
+  /// its weights under the beta blend), owned and dangling lists, and
+  /// boundary sources stay for the sweeps.
   ShardCut cut_;
   TransitionConfig config_;
   ResolvedKey key_;
-  /// True once probs_ holds this shard's slice (after the first
+  /// True once factors_ holds this shard's transition (after the first
   /// metric-carrying solve begin).
   bool slice_ready_ = false;
   int64_t build_input_bytes_ = 0;
-  /// This shard's contiguous in-CSR-aligned probability slice.
-  std::vector<double> probs_;
+  /// This shard's transition factors: u over owned positions, c over
+  /// [owned | boundary] slots (core/transition_slices.h).
+  TransitionFactors factors_;
+  /// A power sweep's products y = c∘x over the slots.
+  SourceProducts products_;
   /// dangling flag per owned local index (ascending owned order).
   std::vector<uint8_t> owned_dangling_;
   /// Scratch slot of each in-CSR position: local owned index, or

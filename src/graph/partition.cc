@@ -163,34 +163,6 @@ size_t GraphPartition::OwnerOf(NodeId node) const {
   return PartitionOwnerOf(scheme_, node, num_nodes_, num_shards());
 }
 
-Status GraphPartition::ValidateSlices(const TransitionSlices& slices) const {
-  if (slices.num_nodes != num_nodes_) {
-    return Status::InvalidArgument(
-        StrCat("partition covers ", num_nodes_,
-               " nodes but transition slices cover ", slices.num_nodes));
-  }
-  if (slices.in_probs.size() != num_shards()) {
-    return Status::InvalidArgument(
-        StrCat("partition has ", num_shards(), " shards but slices carry ",
-               slices.in_probs.size()));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (slices.in_probs[s].size() !=
-        static_cast<size_t>(shards_[s].num_in_arcs())) {
-      return Status::InvalidArgument(
-          StrCat("shard ", s, " has ", shards_[s].num_in_arcs(),
-                 " in-arcs but its slice holds ", slices.in_probs[s].size(),
-                 " probabilities"));
-    }
-  }
-  if (slices.is_dangling.size() != static_cast<size_t>(num_nodes_)) {
-    return Status::InvalidArgument(
-        StrCat("dangling bitmap covers ", slices.is_dangling.size(),
-               " nodes, expected ", num_nodes_));
-  }
-  return Status::OK();
-}
-
 double GraphPartition::BoundaryFraction() const {
   // Totaled over the in-CSR, which exists in every build mode (the
   // out-CSR is optional); both sides sum to the graph's arc count.

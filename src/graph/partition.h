@@ -7,8 +7,7 @@
 //   * an out-CSR of the owned rows — the shard's slice of the forward
 //     adjacency, targets kept as global ids so cross-shard arcs are
 //     directly visible, plus the global arc offset of each row so the
-//     shard can slice per-arc data (transition probabilities) out of a
-//     shared TransitionMatrix without copying it;
+//     shard can address per-arc data (arc weights) of the whole graph;
 //   * an in-CSR of the owned nodes as *destinations* — for each owned
 //     node, its incoming arcs sorted by ascending global source, each
 //     carrying the global arc index of the forward arc it mirrors. This
@@ -25,12 +24,10 @@
 // core/block_solver.h) requires contributions to fold in ascending global
 // source order — the same order TransitionMatrix::Multiply produces.
 //
-// TransitionSlices (below, built by core/transition_slices.h) pairs each
-// shard's in-CSR with a contiguous slice of transition probabilities in
-// the same order, so a block sweep streams its per-arc data instead of
-// gathering it through the O(|E|) global arc index — the locality (and,
-// for the shard-local construction path, the O(|V|)-exchange memory
-// model) the distributed story depends on.
+// A block sweep reads no per-arc probability: the transition is factored
+// (core/transition.h), so a shard's in-CSR plus u over its owned nodes
+// and c over its in-arc sources is the whole operator. TransitionSlices
+// (core/transition_slices.h) carries those factors to the block solvers.
 //
 // Two schemes:
 //   * kRange — contiguous, balanced node ranges (locality-preserving for
@@ -84,9 +81,7 @@ struct PartitionOptions {
   /// callers who want clamping decide that policy themselves).
   size_t num_shards = 2;
   /// Materialize each shard's out-CSR (the forward adjacency slice).
-  /// The pull-style block solvers consume only the in-CSR — and the
-  /// transition slices (TransitionSlices) are in-CSR-aligned too — so
-  /// consumers that exist purely to serve (EngineRouter) pass false and
+  /// The pull-style block solvers consume only the in-CSR, so consumers that exist purely to serve (EngineRouter) pass false and
   /// save an O(|E|) copy of the arc arrays; the boundary/dangling
   /// accounting is computed either way. Push-style consumers keep the default.
   bool build_out_csr = true;
@@ -120,8 +115,8 @@ struct PartitionShard {
   std::vector<EdgeIndex> in_offsets;
   /// Global source ids, strictly ascending within each row.
   std::vector<NodeId> in_sources;
-  /// Global arc index (into CsrGraph::targets() / TransitionMatrix::
-  /// probs()) of the forward arc source -> owned destination.
+  /// Global arc index (into CsrGraph::targets() and weights()) of the
+  /// forward arc source -> owned destination.
   std::vector<EdgeIndex> in_arc_index;
   /// 1 when the arc's source is owned by this shard, 0 when it crosses
   /// the boundary. Precomputed so per-sweep consumers (block
@@ -150,37 +145,10 @@ struct PartitionShard {
 /// \brief The distinct sources of `shard`'s boundary in-arcs, ascending
 /// global ids, for a partition of a `num_nodes`-node graph. The one
 /// derivation of the boundary list: the cut file stores it, the shard
-/// worker's handshake ack publishes it, and a shard-local slice build
+/// worker's handshake ack publishes it, and a shard-local factor build
 /// folds exactly these foreign rows.
 std::vector<NodeId> BoundarySources(const PartitionShard& shard,
                                     NodeId num_nodes);
-
-/// \brief Per-shard contiguous transition-probability slices, aligned
-/// position-for-position with each shard's in-CSR.
-///
-/// in_probs[s][idx] is the probability of the arc a shard's pull sweep
-/// reads at in-CSR position idx — the same value as
-/// TransitionMatrix::probs()[shard.in_arc_index[idx]], but laid out so
-/// the block solvers' inner loops stream it sequentially instead of
-/// gathering through the O(|E|) global arc index (the indirection that
-/// costs ~65% at 100k nodes; see results/partition_bench.md). The
-/// dangling view (bitmap + ascending list) rides along because the
-/// sliced solvers never see a TransitionMatrix at all.
-///
-/// Built by core/transition_slices.h, either by slicing a resolved
-/// whole-graph matrix or locally from each shard's rows plus an O(|V|)
-/// broadcast of per-node metric state — the two paths are bitwise
-/// identical (tests/partition_slice_test.cc).
-struct TransitionSlices {
-  NodeId num_nodes = 0;
-  /// One contiguous prob slice per shard, sized shard.num_in_arcs().
-  std::vector<std::vector<double>> in_probs;
-  /// is_dangling[v] != 0 iff node v has no outgoing arcs; size num_nodes.
-  std::vector<uint8_t> is_dangling;
-  /// Dangling nodes, ascending global ids (the fold order the solvers'
-  /// bit-parity contract requires).
-  std::vector<NodeId> dangling;
-};
 
 /// \brief A complete vertex partition of one graph.
 class GraphPartition {
@@ -199,12 +167,6 @@ class GraphPartition {
 
   /// The shard owning `node` (O(1), closed-form per scheme).
   size_t OwnerOf(NodeId node) const;
-
-  /// OK iff `slices` is shaped for this partition: matching node count,
-  /// one prob slice per shard, each sized to that shard's in-CSR, and a
-  /// node-sized dangling bitmap. The sliced block solvers call this
-  /// before trusting the slice layout.
-  Status ValidateSlices(const TransitionSlices& slices) const;
 
   /// Total cross-shard arcs (each boundary arc counted once, on its
   /// destination's shard).

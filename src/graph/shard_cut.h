@@ -19,13 +19,13 @@
 //   * the ascending dangling-owned and boundary-source lists the
 //     handshake publishes;
 //   * GHOST ROWS: the full out-row of every boundary source. A shard's
-//     transition slice needs each in-arc source's row-normalization
-//     state (softmax max, row sum, out-strength); for boundary sources
-//     that row lives on another shard. Shipping those rows in the cut —
-//     they are static graph structure, O(boundary) rows — lets the
-//     worker recompute the state locally with the exact fold order the
-//     owner shard would use, keeping the slice bitwise identical to
-//     BuildTransitionSlicesLocal. The only whole-graph-sized input left
+//     transition factors need each in-arc source's row factor c_i =
+//     1/Z_i (and, under the beta blend, its out-strength); for boundary
+//     sources that row lives on another shard. Shipping those rows in
+//     the cut — they are static graph structure, O(boundary) rows — lets
+//     the worker derive c locally with the exact fold order the owner
+//     shard would use, keeping every factor bitwise identical to the
+//     whole-graph build. The only whole-graph-sized input left
 //     is the O(|V|) metric vector, which the coordinator broadcasts in
 //     the solve-begin frame;
 //   * for weighted graphs, the weights of all three arc families
@@ -72,7 +72,7 @@ struct ShardCutMetadata {
 };
 
 /// \brief One loaded cut: the shard's PartitionShard (out-CSR included)
-/// plus the ghost rows and weight arrays the matrix-free slice build
+/// plus the ghost rows and weight arrays the shard's factor build
 /// needs. All node ids are global.
 struct ShardCut {
   ShardCutMetadata meta;

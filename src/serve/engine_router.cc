@@ -12,6 +12,7 @@
 #include "common/string_util.h"
 #include "core/block_solver.h"
 #include "core/teleport.h"
+#include "core/transition_slices.h"
 
 namespace d2pr {
 
@@ -105,17 +106,20 @@ Result<RankResponse> EngineRouter::Solve(const RankRequest& request,
     teleport = uniform_teleport_;
   }
 
-  // Row probabilities depend on global destination metrics (a boundary
-  // target's degree is invisible inside one shard), so the slices come
-  // from one shared whole-graph matrix: per-key single-flight over
-  // cache, store, build.
+  // Row factors depend on global destination metrics (a boundary
+  // target's degree is invisible inside one shard), so the shards share
+  // one whole-graph matrix: per-key single-flight over cache, store,
+  // build.
   TransitionKey key;
   key.p = request.p;
   key.beta = graph_->weighted() ? request.beta : 0.0;
   key.metric = ResolveMetric(*graph_, request.metric);
   TransitionResolver::Outcome outcome;
-  D2PR_ASSIGN_OR_RETURN(std::shared_ptr<const TransitionSlices> slices,
-                        resolver_.ResolveSlices(key, partition_, &outcome));
+  D2PR_ASSIGN_OR_RETURN(std::shared_ptr<const TransitionMatrix> transition,
+                        resolver_.Resolve(key, &outcome));
+  D2PR_ASSIGN_OR_RETURN(
+      const TransitionSlices slices,
+      BuildTransitionSlices(*graph_, partition_, std::move(transition)));
 
   PagerankOptions solver;
   solver.alpha = request.alpha;
@@ -158,9 +162,9 @@ Result<RankResponse> EngineRouter::Solve(const RankRequest& request,
   Result<PagerankResult> solved = [&]() -> Result<PagerankResult> {
     try {
       return request.method == SolverMethod::kGaussSeidel
-                 ? SolveGaussSeidelPartitioned(*slices, partition_, teleport,
+                 ? SolveGaussSeidelPartitioned(slices, partition_, teleport,
                                                solver, parallel)
-                 : SolvePagerankPartitioned(*slices, partition_, teleport,
+                 : SolvePagerankPartitioned(slices, partition_, teleport,
                                             solver, parallel);
     } catch (const std::exception& e) {
       return Status::Internal(

@@ -15,14 +15,13 @@
 // Gauss-Seidel iteration (core/block_solver.h) that sweeps each shard's
 // owned slice and exchanges boundary mass between sweeps, with dangling
 // mass and teleportation handled globally. Each shard touches only its
-// own CSR slice during a sweep. The router keys per-shard
-// TransitionSlices per (p, beta, metric) — contiguous, in-CSR-aligned
-// probability slices each sweep streams (core/transition_slices.h). The
-// slices are cut from one shared whole-graph TransitionMatrix, resolved
-// through the cache / persistent store exactly as D2prEngine resolves it
-// — a boundary target's degree is not visible inside one shard, so every
-// slice depends on global state. The matrix-free deployment, where no
-// process ever holds the whole graph, is the pre-cut shard fleet.
+// own CSR slice during a sweep. Per (p, beta, metric) the shards share
+// one whole-graph TransitionMatrix — O(|V|) factors, resolved through
+// the cache / persistent store exactly as D2prEngine resolves it — read
+// through each shard's in-CSR (core/transition_slices.h): a boundary
+// target's degree is not visible inside one shard, so every row's factor
+// depends on global state. The deployment where no process ever holds
+// the whole graph is the pre-cut shard fleet.
 //
 // Contract (tests/partition_parity_test.cc and
 // tests/partition_fuzz_test.cc enforce it):
@@ -111,15 +110,14 @@ class EngineRouter {
   const GraphPartition& partition() const { return partition_; }
 
   /// The shared transition resolver the block solves read their
-  /// per-key matrices and slices from, with its build, cache, store and
-  /// slice counters.
+  /// per-key matrices from, with its build, cache and store counters.
   const TransitionResolver& transition_resolver() const { return resolver_; }
   const ScoreCache& score_cache() const { return score_cache_; }
   size_t num_worker_threads() const { return pool_.num_threads(); }
 
   /// \brief One query: validate (mirroring D2prEngine::Rank), resolve
-  /// the shared transition slices, run the block solve with the shard
-  /// sweeps fanned across the worker pool.
+  /// the shared transition, run the block solve with the shard sweeps
+  /// fanned across the worker pool.
   Result<RankResponse> Rank(const RankRequest& request);
 
   /// \brief Executes `requests` in submission order, fail-fast, and
@@ -156,7 +154,7 @@ class EngineRouter {
   /// Immutable after construction.
   const GraphPartition partition_;
   const std::vector<double> uniform_teleport_;
-  /// Per-key matrices and slices (single-flight LRUs over the store).
+  /// Per-key matrices (single-flight LRUs over the store).
   TransitionResolver resolver_;
   ScoreCache score_cache_;
 

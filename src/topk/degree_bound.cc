@@ -11,19 +11,21 @@ DegreeBoundIndex DegreeBoundIndex::Build(const CsrGraph& graph,
   DegreeBoundIndex index;
   index.max_in_prob_.assign(static_cast<size_t>(n), 0.0);
 
-  const auto targets = graph.targets();
-  const auto probs = transition.probs();
+  // Without the sink and blend terms an arc's probability is c_u·u_t, so
+  // the bound is u_t·max c_u over t's in-arcs: rounding is monotone, so
+  // the per-arc maximum below is that same double.
   for (NodeId u = 0; u < n; ++u) {
     if (transition.IsDangling(u)) {
       index.has_dangling_ = true;
       continue;
     }
+    const TransitionMatrix::OutRow row = transition.Row(graph, u);
     const EdgeIndex begin = graph.ArcBegin(u);
     const EdgeIndex end = begin + graph.OutDegree(u);
     for (EdgeIndex e = begin; e < end; ++e) {
-      double& bound =
-          index.max_in_prob_[static_cast<size_t>(targets[static_cast<size_t>(e)])];
-      bound = std::max(bound, probs[static_cast<size_t>(e)]);
+      double& bound = index.max_in_prob_[static_cast<size_t>(
+          graph.targets()[static_cast<size_t>(e)])];
+      bound = std::max(bound, row.Prob(e));
     }
   }
 

@@ -4,10 +4,11 @@
 // The paper's central observation is that a node's significance is tightly
 // coupled to its degree through the transition model: every column of the
 // de-coupled transition matrix T assigns destination t a probability
-// proportional to m(t)^-p (its metric raised to -p), so the largest
-// probability any single arc can deliver into t,
+// proportional to m(t)^-p (its metric raised to -p), T(t, u) = c_u·u_t in
+// the factored form (core/transition.h), so the largest probability any
+// single arc can deliver into t,
 //
-//   ub_in(t) = max over arcs (u -> t) of T(t, u),
+//   ub_in(t) = max over arcs (u -> t) of T(t, u) = u_t · max c_u,
 //
 // is a pure function of the degree structure — computable in one O(|E|)
 // pass, once per (graph, p, beta, metric), independent of the query seed.
@@ -44,8 +45,8 @@ namespace d2pr {
 /// matrix, plus a descending-by-bound node order.
 class DegreeBoundIndex {
  public:
-  /// One O(|E|) pass over the transition probabilities plus an
-  /// O(|V| log |V|) sort. `transition` must have been built from `graph`.
+  /// One O(|E|) pass forming each arc's probability from the factors,
+  /// plus an O(|V| log |V|) sort. `transition` must have been built from `graph`.
   static DegreeBoundIndex Build(const CsrGraph& graph,
                                 const TransitionMatrix& transition);
 

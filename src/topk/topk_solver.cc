@@ -221,7 +221,6 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
 
   // --- bounded push ---
   const auto targets = graph.targets();
-  const auto probs = transition.probs();
   auto spread = [&](NodeId v, double amount) {
     double& rv = residual[static_cast<size_t>(v)];
     rv += amount;
@@ -268,11 +267,13 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
         }
       }
     } else {
+      // Each out-neighbour j receives α·push_mass·c_u·u_j.
+      const TransitionMatrix::OutRow row =
+          transition.Row(graph, u, alpha * push_mass);
       const EdgeIndex begin = graph.ArcBegin(u);
       const EdgeIndex end = begin + graph.OutDegree(u);
       for (EdgeIndex e = begin; e < end; ++e) {
-        spread(targets[static_cast<size_t>(e)],
-               alpha * push_mass * probs[static_cast<size_t>(e)]);
+        spread(targets[static_cast<size_t>(e)], row.Prob(e));
       }
     }
 

@@ -164,6 +164,22 @@ TEST(DistParityTest, GaussSeidelRejectsRenormalizeExactlyAsInProcess) {
                 .code());
 }
 
+TEST(DistParityTest, CoordinatorRejectsNonFiniteTeleport) {
+  Rng rng(45);
+  auto graph = BarabasiAlbert(100, 2, &rng);
+  ASSERT_TRUE(graph.ok());
+  DistFleet fleet = MakeFleet(*graph, 2);
+  DistributedCoordinator coordinator(fleet.raw,
+                                     MakeCoordinatorOptions(*graph));
+  ASSERT_TRUE(coordinator.Handshake().ok());
+  std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  teleport[7] = std::nan("");
+  auto result = coordinator.Solve(SolverMethod::kPower, teleport, {});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("finite"), std::string::npos);
+}
+
 TEST(DistParityTest, SeededFuzzMatchesBlockSolversOnRandomGraphs) {
   // 25 graphs from the partition fuzz family, cycling shard counts
   // {1, 2, 4, 8}, both schemes, both methods, random transition configs

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/teleport.h"
 #include "datagen/classic_generators.h"
@@ -115,6 +119,19 @@ TEST(GaussSeidelTest, ValidationMirrorsPowerIteration) {
   std::vector<double> short_teleport{1.0};
   EXPECT_FALSE(
       SolvePagerankGaussSeidel(*graph, t, short_teleport, {}).ok());
+}
+
+TEST(GaussSeidelTest, RejectsNonFiniteTeleport) {
+  GraphBuilder builder(3, GraphKind::kDirected);
+  ASSERT_TRUE(builder.AddEdge(0, 1).ok());
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+  TransitionMatrix t = Transition(*graph);
+  const std::vector<double> teleport{0.5, std::nan(""), 0.5};
+  auto solved = SolvePagerankGaussSeidel(*graph, t, teleport, {});
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(solved.status().message().find("finite"), std::string::npos);
 }
 
 TEST(GaussSeidelTest, EmptyGraphConverges) {

@@ -1,6 +1,8 @@
 #include "core/pagerank.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,42 @@ TEST(PagerankValidationTest, RejectsBadTeleport) {
   // Negative entry.
   std::vector<double> negative{1.5, -0.5};
   EXPECT_FALSE(SolvePagerank(graph, t, negative, {}).ok());
+}
+
+TEST(PagerankValidationTest, RejectsNonFiniteTeleport) {
+  // NaN fails every ordered comparison, so a `t < 0` check lets it
+  // through; non-finite entries get their own InvalidArgument.
+  GraphBuilder builder(3, GraphKind::kDirected);
+  ASSERT_TRUE(builder.AddEdge(0, 1).ok());
+  CsrGraph graph = BuildOrDie(&builder);
+  TransitionMatrix t = Transition(graph);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    const std::vector<double> teleport{0.5, bad, 0.5};
+    EXPECT_EQ(ValidateTeleportVector(teleport, 3).code(),
+              StatusCode::kInvalidArgument);
+    auto solved = SolvePagerank(graph, t, teleport, {});
+    ASSERT_FALSE(solved.ok());
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(solved.status().message().find("finite"), std::string::npos)
+        << solved.status().ToString();
+  }
+}
+
+TEST(PagerankValidationTest, RejectsNonFiniteWarmStart) {
+  GraphBuilder builder(3, GraphKind::kDirected);
+  ASSERT_TRUE(builder.AddEdge(0, 1).ok());
+  CsrGraph graph = BuildOrDie(&builder);
+  TransitionMatrix t = Transition(graph);
+  const std::vector<double> teleport = UniformTeleport(3);
+  for (double bad : {std::nan(""), HUGE_VAL}) {
+    const std::vector<double> initial{0.5, bad, 0.5};
+    auto solved = SolvePagerankFrom(graph, t, teleport, initial, {});
+    ASSERT_FALSE(solved.ok());
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(solved.status().message().find("initial entries must be finite"),
+              std::string::npos)
+        << solved.status().ToString();
+  }
 }
 
 TEST(PagerankValidationTest, RejectsMismatchedTransition) {

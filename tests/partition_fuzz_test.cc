@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "linalg/vec_ops.h"
 #include "serve/engine_router.h"
 #include "stats/ranking.h"
+#include "transition_test_util.h"
 
 namespace d2pr {
 namespace {
@@ -221,14 +223,16 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
         *graph, {.scheme = scheme, .num_shards = num_shards});
     ASSERT_TRUE(partition.ok());
 
-    // Both slice builders (permutation of the matrix and the matrix-free
-    // kernel) are bit-identical, so one solve per builder proves the
+    // Both slice builders (sharing the matrix and the shard-by-shard
+    // build) are bit-identical, so one solve per builder proves the
     // whole chain.
-    auto from_matrix = BuildTransitionSlices(*partition, *transition);
+    auto from_matrix = BuildTransitionSlices(
+        *graph, *partition,
+        std::make_shared<const TransitionMatrix>(std::move(*transition)));
     ASSERT_TRUE(from_matrix.ok());
     auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
     ASSERT_TRUE(local.ok());
-    EXPECT_EQ(local->in_probs, from_matrix->in_probs);
+    ExpectSameMatrix(*local->transition, *from_matrix->transition);
     for (const TransitionSlices* slices : {&*from_matrix, &*local}) {
       auto sliced =
           SolvePagerankPartitioned(*slices, *partition, teleport, options);

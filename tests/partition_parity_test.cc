@@ -19,6 +19,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <memory>
 #include <vector>
 
 #include "api/engine.h"
@@ -73,9 +74,10 @@ CsrGraph WeightedDirectedGraph() {
 }
 
 /// `transition` sliced through `partition` — the block solvers' input.
-TransitionSlices Sliced(const GraphPartition& partition,
+TransitionSlices Sliced(const CsrGraph& graph, const GraphPartition& partition,
                         const TransitionMatrix& transition) {
-  auto slices = BuildTransitionSlices(partition, transition);
+  auto slices = BuildTransitionSlices(
+      graph, partition, std::make_shared<const TransitionMatrix>(transition));
   EXPECT_TRUE(slices.ok()) << slices.status().ToString();
   return std::move(slices).value();
 }
@@ -140,8 +142,8 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
                   *graph, {.scheme = scheme, .num_shards = shards});
               ASSERT_TRUE(partition.ok());
               auto block = SolvePagerankPartitioned(
-                  Sliced(*partition, *transition), *partition, *teleport,
-                  options);
+                  Sliced(*graph, *partition, *transition), *partition,
+                  *teleport, options);
               ASSERT_TRUE(block.ok()) << block.status().ToString();
               // Bitwise: vector operator== compares every double exactly.
               EXPECT_EQ(block->scores, reference->scores);
@@ -190,7 +192,7 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
               *graph, {.scheme = scheme, .num_shards = shards});
           ASSERT_TRUE(partition.ok());
           auto block = SolveGaussSeidelPartitioned(
-              Sliced(*partition, *transition), *partition, *teleport,
+              Sliced(*graph, *partition, *transition), *partition, *teleport,
               options);
           ASSERT_TRUE(block.ok());
           EXPECT_TRUE(block->converged);
@@ -220,8 +222,8 @@ TEST(PartitionParityTest, SingleShardGaussSeidelEqualsBlockFixedPoint) {
   ASSERT_TRUE(reference.ok());
   auto partition = GraphPartition::Build(graph, {.num_shards = 1});
   ASSERT_TRUE(partition.ok());
-  auto block = SolveGaussSeidelPartitioned(Sliced(*partition, *transition),
-                                           *partition, teleport, options);
+  auto block = SolveGaussSeidelPartitioned(
+      Sliced(graph, *partition, *transition), *partition, teleport, options);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block->scores, reference->scores);
   EXPECT_EQ(block->iterations, reference->iterations);
@@ -234,7 +236,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
-  const TransitionSlices slices = Sliced(*partition, *transition);
+  const TransitionSlices slices = Sliced(graph, *partition, *transition);
 
   PagerankOptions bad_alpha;
   bad_alpha.alpha = 1.0;
@@ -268,13 +270,29 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(PartitionParityTest, BlockPowerRejectsNonFiniteTeleport) {
+  const CsrGraph graph = UnweightedGraph();
+  auto transition = TransitionMatrix::Build(graph, {});
+  ASSERT_TRUE(transition.ok());
+  auto partition = GraphPartition::Build(graph, {.num_shards = 2});
+  ASSERT_TRUE(partition.ok());
+  std::vector<double> teleport = UniformTeleport(graph.num_nodes());
+  teleport[1] = std::nan("");
+  auto solved = SolvePagerankPartitioned(
+      Sliced(graph, *partition, *transition), *partition, teleport, {});
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(solved.status().message().find("finite"), std::string::npos);
+}
+
 TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
   auto transition = TransitionMatrix::Build(CsrGraph(), {});
   ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(CsrGraph(), {.num_shards = 4});
   ASSERT_TRUE(partition.ok());
-  auto solved = SolvePagerankPartitioned(Sliced(*partition, *transition),
-                                         *partition, {}, PagerankOptions{});
+  auto solved =
+      SolvePagerankPartitioned(Sliced(CsrGraph(), *partition, *transition),
+                               *partition, {}, PagerankOptions{});
   ASSERT_TRUE(solved.ok());
   EXPECT_TRUE(solved->converged);
   EXPECT_TRUE(solved->scores.empty());
@@ -394,7 +412,7 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   PagerankOptions options;
   options.dangling = DanglingPolicy::kRenormalize;
   auto solved = SolveGaussSeidelPartitioned(
-      Sliced(*partition, *transition), *partition,
+      Sliced(graph, *partition, *transition), *partition,
       UniformTeleport(graph.num_nodes()), options);
   EXPECT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);

@@ -3,13 +3,12 @@
 // solver parity, edge-case shapes, and the hash ownership pin.
 //
 // The load-bearing claims proven here (see core/transition_slices.h):
-//   * BuildTransitionSlices is a pure permutation of the matrix:
-//     in_probs[s][idx] == probs()[shard.in_arc_index[idx]], bit for bit;
-//   * BuildTransitionSlicesLocal — which never materializes a whole-graph
-//     TransitionMatrix (asserted via TransitionMatrix::BuildCount) —
-//     produces bitwise the SAME slices from the shard rows plus the
-//     O(|V|) broadcast metric state, for every metric, p sign, and the
-//     weighted beta blend;
+//   * BuildTransitionSlices shares the matrix's factors, no copy;
+//   * BuildTransitionSlicesLocal — which never calls
+//     TransitionMatrix::Build (asserted via TransitionMatrix::BuildCount)
+//     — produces bitwise the SAME factors from the shard rows plus the
+//     O(|V|) metric vector, for every metric, p sign, and the weighted
+//     beta blend;
 //   * the sliced block solvers inherit the parity contracts verbatim:
 //     power bit-identical to SolvePagerank, Gauss-Seidel within 1e-9;
 //   * GraphPartitioner's kHash owner is node id modulo shard count, the
@@ -18,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,7 @@
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
 #include "serve/engine_router.h"
+#include "transition_test_util.h"
 
 namespace d2pr {
 namespace {
@@ -70,28 +71,28 @@ CsrGraph WeightedDirectedGraph() {
   return std::move(graph).value();
 }
 
-/// Asserts `slices` is bitwise the permutation of `transition` through
-/// `partition`'s in-CSR arc index — the structural cross-check both
-/// construction paths must satisfy.
+/// Shares a copy of `transition` as slices for `partition`, the
+/// serving path.
+Result<TransitionSlices> SliceMatrix(const CsrGraph& graph,
+                                     const GraphPartition& partition,
+                                     const TransitionMatrix& transition) {
+  return BuildTransitionSlices(
+      graph, partition, std::make_shared<const TransitionMatrix>(transition));
+}
+
+/// Asserts `slices` carry bitwise `transition`'s factors and dangling
+/// view, and the graph's weights exactly when the blend is on — the
+/// structural cross-check both construction paths must satisfy.
 void ExpectSlicesMatchMatrix(const TransitionSlices& slices,
-                             const GraphPartition& partition,
+                             const CsrGraph& graph,
                              const TransitionMatrix& transition) {
-  ASSERT_TRUE(partition.ValidateSlices(slices).ok());
-  const auto probs = transition.probs();
-  for (size_t s = 0; s < partition.num_shards(); ++s) {
-    const PartitionShard& shard = partition.shard(s);
-    ASSERT_EQ(slices.in_probs[s].size(), shard.in_arc_index.size());
-    for (size_t idx = 0; idx < shard.in_arc_index.size(); ++idx) {
-      // Bitwise, not approximate: EXPECT_EQ on doubles.
-      EXPECT_EQ(slices.in_probs[s][idx],
-                probs[static_cast<size_t>(shard.in_arc_index[idx])])
-          << "shard " << s << " slice position " << idx;
-    }
-  }
-  EXPECT_EQ(slices.dangling, transition.DanglingNodes());
-  for (NodeId v = 0; v < slices.num_nodes; ++v) {
-    EXPECT_EQ(slices.is_dangling[static_cast<size_t>(v)] != 0,
-              transition.IsDangling(v));
+  ASSERT_NE(slices.transition, nullptr);
+  ExpectSameMatrix(*slices.transition, transition);
+  if (transition.factors().has_blend()) {
+    EXPECT_EQ(slices.arc_weights.data(), graph.weights().data());
+    EXPECT_EQ(slices.arc_weights.size(), graph.weights().size());
+  } else {
+    EXPECT_TRUE(slices.arc_weights.empty());
   }
 }
 
@@ -135,18 +136,16 @@ TEST(PartitionSliceTest, BothBuildPathsAreBitwiseIdenticalToTheMatrix) {
                 *graph, {.scheme = scheme, .num_shards = shards});
             ASSERT_TRUE(partition.ok());
 
-            auto from_matrix = BuildTransitionSlices(*partition, *transition);
+            auto from_matrix = SliceMatrix(*graph, *partition, *transition);
             ASSERT_TRUE(from_matrix.ok());
-            ExpectSlicesMatchMatrix(*from_matrix, *partition, *transition);
+            ExpectSlicesMatchMatrix(*from_matrix, *graph, *transition);
 
             auto local =
                 BuildTransitionSlicesLocal(*graph, *partition, config);
             ASSERT_TRUE(local.ok()) << local.status().ToString();
             // The local path must match the matrix path bit for bit —
-            // including the ±inf sentinel rows and uniform fallbacks.
-            EXPECT_EQ(local->in_probs, from_matrix->in_probs);
-            EXPECT_EQ(local->dangling, from_matrix->dangling);
-            EXPECT_EQ(local->is_dangling, from_matrix->is_dangling);
+            // including the sink rows and uniform fallbacks.
+            ExpectSlicesMatchMatrix(*local, *graph, *transition);
           }
         }
       }
@@ -172,7 +171,7 @@ TEST(PartitionSliceTest, WeightedBetaBlendMetricsMatchBitwise) {
     SCOPED_TRACE("beta=" + std::to_string(beta));
     auto local = BuildTransitionSlicesLocal(graph, *partition, config);
     ASSERT_TRUE(local.ok());
-    ExpectSlicesMatchMatrix(*local, *partition, *transition);
+    ExpectSlicesMatchMatrix(*local, graph, *transition);
   }
 }
 
@@ -226,9 +225,8 @@ TEST(PartitionSliceTest, LocalBuildRejectsExactlyWhatBuildRejects) {
             StatusCode::kInvalidArgument);
   auto transition = TransitionMatrix::Build(other, {});
   ASSERT_TRUE(transition.ok());
-  EXPECT_EQ(
-      BuildTransitionSlices(*partition, *transition).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(SliceMatrix(graph, *partition, *transition).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------
@@ -241,13 +239,11 @@ TEST(PartitionSliceTest, EmptyGraphYieldsEmptySlices) {
   ASSERT_TRUE(partition.ok());
   auto local = BuildTransitionSlicesLocal(empty, *partition, {});
   ASSERT_TRUE(local.ok());
-  EXPECT_EQ(local->num_nodes, 0);
-  ASSERT_EQ(local->in_probs.size(), 4u);
-  for (const auto& slice : local->in_probs) EXPECT_TRUE(slice.empty());
-  EXPECT_TRUE(local->dangling.empty());
+  EXPECT_EQ(local->num_nodes(), 0);
+  EXPECT_TRUE(local->transition->DanglingNodes().empty());
   auto transition = TransitionMatrix::Build(empty, {});
   ASSERT_TRUE(transition.ok());
-  ExpectSlicesMatchMatrix(*local, *partition, *transition);
+  ExpectSlicesMatchMatrix(*local, empty, *transition);
 }
 
 TEST(PartitionSliceTest, AllDanglingShardHasEmptyRowsAndFullDanglingView) {
@@ -271,11 +267,11 @@ TEST(PartitionSliceTest, AllDanglingShardHasEmptyRowsAndFullDanglingView) {
   ASSERT_TRUE(transition.ok());
   auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
   ASSERT_TRUE(local.ok());
-  ExpectSlicesMatchMatrix(*local, *partition, *transition);
-  EXPECT_EQ(local->dangling, (std::vector<NodeId>{6, 7}));
-  // The dangling nodes still RECEIVE arcs: their owner's slice is
+  ExpectSlicesMatchMatrix(*local, *graph, *transition);
+  EXPECT_EQ(local->transition->DanglingNodes(), (std::vector<NodeId>{6, 7}));
+  // The dangling nodes still RECEIVE arcs: their owner's in-CSR is
   // non-empty even though the nodes emit nothing.
-  EXPECT_FALSE(local->in_probs[3].empty());
+  EXPECT_GT(partition->shard(3).num_in_arcs(), 0);
 }
 
 TEST(PartitionSliceTest, MoreShardsThanNodesLeavesTrailingSlicesEmpty) {
@@ -290,38 +286,47 @@ TEST(PartitionSliceTest, MoreShardsThanNodesLeavesTrailingSlicesEmpty) {
   ASSERT_TRUE(transition.ok());
   auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
   ASSERT_TRUE(local.ok());
-  ExpectSlicesMatchMatrix(*local, *partition, *transition);
+  ExpectSlicesMatchMatrix(*local, *graph, *transition);
   for (size_t s = 5; s < 9; ++s) {
     EXPECT_TRUE(partition->shard(s).owned.empty());
-    EXPECT_TRUE(local->in_probs[s].empty());
+    EXPECT_EQ(partition->shard(s).num_in_arcs(), 0);
   }
 }
 
 TEST(PartitionSliceTest, ValidateSlicesCatchesEveryShapeMismatch) {
-  const CsrGraph graph = UnweightedGraph();
+  // The block solvers check the slice shape before sweeping: a
+  // transition over the partition's nodes, and the weights of every arc
+  // when the blend is on.
+  const CsrGraph graph = WeightedDirectedGraph();
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
-  auto transition = TransitionMatrix::Build(graph, {});
+  auto transition = TransitionMatrix::Build(graph, {.p = 0.5, .beta = 0.5});
   ASSERT_TRUE(transition.ok());
-  auto good = BuildTransitionSlices(*partition, *transition);
+  auto good = SliceMatrix(graph, *partition, *transition);
   ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(partition->ValidateSlices(*good).ok());
+  const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
+  const auto code = [&](const TransitionSlices& slices) {
+    return SolvePagerankPartitioned(slices, *partition, teleport, {})
+        .status()
+        .code();
+  };
+  EXPECT_EQ(code(*good), StatusCode::kOk);
 
+  TransitionSlices no_transition = *good;
+  no_transition.transition = nullptr;
+  EXPECT_EQ(code(no_transition), StatusCode::kInvalidArgument);
+
+  const CsrGraph other = UnweightedGraph();
+  auto other_transition = TransitionMatrix::Build(other, {});
+  ASSERT_TRUE(other_transition.ok());
   TransitionSlices wrong_nodes = *good;
-  wrong_nodes.num_nodes = 3;
-  EXPECT_FALSE(partition->ValidateSlices(wrong_nodes).ok());
+  wrong_nodes.transition =
+      std::make_shared<const TransitionMatrix>(std::move(*other_transition));
+  EXPECT_EQ(code(wrong_nodes), StatusCode::kInvalidArgument);
 
-  TransitionSlices wrong_shards = *good;
-  wrong_shards.in_probs.pop_back();
-  EXPECT_FALSE(partition->ValidateSlices(wrong_shards).ok());
-
-  TransitionSlices wrong_arcs = *good;
-  wrong_arcs.in_probs[0].push_back(0.0);
-  EXPECT_FALSE(partition->ValidateSlices(wrong_arcs).ok());
-
-  TransitionSlices wrong_bitmap = *good;
-  wrong_bitmap.is_dangling.pop_back();
-  EXPECT_FALSE(partition->ValidateSlices(wrong_bitmap).ok());
+  TransitionSlices missing_weights = *good;
+  missing_weights.arc_weights = missing_weights.arc_weights.first(3);
+  EXPECT_EQ(code(missing_weights), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------
@@ -360,7 +365,7 @@ TEST(PartitionSliceTest, SlicedPowerIsBitIdenticalToTheReference) {
           ASSERT_TRUE(partition.ok());
           // Both builders, both solved; each result must carry the
           // reference's bits.
-          auto from_matrix = BuildTransitionSlices(*partition, *transition);
+          auto from_matrix = SliceMatrix(*graph, *partition, *transition);
           ASSERT_TRUE(from_matrix.ok());
           auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
           ASSERT_TRUE(local.ok());
@@ -410,9 +415,8 @@ TEST(PartitionSliceTest, SlicedGaussSeidelAgreesWithinTolerance) {
     EXPECT_NEAR(Sum(block->scores), 1.0, 1e-12);
 
     // And bit-identical to the block solve over the matrix's slices,
-    // which runs the same frozen-exchange sweep over the same
-    // probabilities.
-    auto from_matrix = BuildTransitionSlices(*partition, *transition);
+    // which runs the same frozen-exchange sweep over the same factors.
+    auto from_matrix = SliceMatrix(graph, *partition, *transition);
     ASSERT_TRUE(from_matrix.ok());
     auto matrix_block =
         SolveGaussSeidelPartitioned(*from_matrix, *partition, teleport,
@@ -429,12 +433,12 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
   ASSERT_TRUE(partition.ok());
   auto transition = TransitionMatrix::Build(graph, {});
   ASSERT_TRUE(transition.ok());
-  auto slices = BuildTransitionSlices(*partition, *transition);
+  auto slices = SliceMatrix(graph, *partition, *transition);
   ASSERT_TRUE(slices.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
 
   TransitionSlices misshapen = *slices;
-  misshapen.in_probs[0].pop_back();
+  misshapen.transition = nullptr;
   EXPECT_EQ(SolvePagerankPartitioned(misshapen, *partition, teleport,
                                      PagerankOptions{})
                 .status()
@@ -455,9 +459,8 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
 // ---------------------------------------------------------------------
 
 TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
-  // The router slices the resolved matrix and keeps the historical
-  // matrix-side observables: one build then cache hits, slices riding
-  // behind.
+  // The router shares the resolved matrix and keeps the historical
+  // matrix-side observables: one build then cache hits.
   const CsrGraph graph = UnweightedGraph();
   RouterOptions options;
   options.num_shards = 2;
@@ -467,12 +470,10 @@ TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
   request.p = 0.5;
   ASSERT_TRUE(router.Rank(request).ok());
   EXPECT_EQ(router.transition_resolver().builds(), 1);
-  EXPECT_EQ(router.transition_resolver().slice_builds(), 1);
   auto again = router.Rank(request);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->transition_cache_hit);
   EXPECT_EQ(router.transition_resolver().builds(), 1);
-  EXPECT_EQ(router.transition_resolver().slice_builds(), 1);
 }
 
 TEST(PartitionSliceTest, HashOwnershipIsNodeModuloShardCount) {

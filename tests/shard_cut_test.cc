@@ -28,6 +28,7 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_fingerprint.h"
 #include "graph/partition.h"
+#include "transition_test_util.h"
 
 namespace d2pr {
 namespace {
@@ -329,12 +330,12 @@ TEST(ShardCutTest, SliceFromCutIsBitwiseTheWholeGraphSlice) {
       const size_t shards = 4;
       const GraphPartition partition =
           BuildPartition(c.graph, scheme, shards);
-      // The reference shares no code with the kernel: the whole-graph
-      // matrix, permuted into slices.
+      // The reference is the whole-graph matrix, read at the shard's
+      // owned nodes (destination side) and [owned | boundary] slots
+      // (source side).
       auto matrix = TransitionMatrix::Build(c.graph, c.config);
       ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
-      auto reference = BuildTransitionSlices(partition, *matrix);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      const TransitionFactors& whole = matrix->factors();
       const std::vector<double> metric = MetricValues(
           c.graph, ResolveMetric(c.graph, c.config.metric));
       for (size_t s = 0; s < shards; ++s) {
@@ -342,13 +343,25 @@ TEST(ShardCutTest, SliceFromCutIsBitwiseTheWholeGraphSlice) {
         const std::string path = SaveCut(c.graph, partition, s, dir);
         auto cut = LoadShardCut(path);
         ASSERT_TRUE(cut.ok()) << cut.status().ToString();
-        auto slice = BuildShardSliceFromCut(*cut, metric, c.config);
-        ASSERT_TRUE(slice.ok()) << slice.status().ToString();
-        const std::vector<double>& want = reference->in_probs[s];
-        ASSERT_EQ(slice->size(), want.size());
-        EXPECT_EQ(std::memcmp(slice->data(), want.data(),
-                              want.size() * sizeof(double)),
-                  0);
+        auto factors = BuildShardSliceFromCut(*cut, metric, c.config);
+        ASSERT_TRUE(factors.ok()) << factors.status().ToString();
+        std::vector<NodeId> slots = cut->shard.owned;
+        slots.insert(slots.end(), cut->boundary_sources.begin(),
+                     cut->boundary_sources.end());
+        TransitionFactors want;
+        for (NodeId v : cut->shard.owned) {
+          want.u.push_back(whole.u[static_cast<size_t>(v)]);
+          if (whole.has_sink()) {
+            want.sink.push_back(whole.sink[static_cast<size_t>(v)]);
+          }
+        }
+        for (NodeId v : slots) {
+          const size_t i = static_cast<size_t>(v);
+          want.c.push_back(whole.c[i]);
+          if (whole.has_sink()) want.sink_c.push_back(whole.sink_c[i]);
+          if (whole.has_blend()) want.blend_c.push_back(whole.blend_c[i]);
+        }
+        ExpectSameFactors(*factors, want);
       }
     }
   }

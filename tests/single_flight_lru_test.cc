@@ -120,7 +120,7 @@ TEST(SingleFlightLruTest, SharedOwnershipSurvivesEviction) {
   EXPECT_EQ(cache.Keys()[0].p, 2.0);
   // The evicted matrix stays valid for holders of the shared_ptr.
   EXPECT_EQ((*held)->num_nodes(), 40);
-  EXPECT_FALSE((*held)->probs().empty());
+  EXPECT_FALSE((*held)->factors().c.empty());
 }
 
 TEST(SingleFlightLruTest, RebuildAfterEvictionRefreshesValueWithoutGrowth) {

@@ -75,14 +75,11 @@ TEST(TopKBoundTest, MaxInProbMatchesBruteForceMaximum) {
   // force over every source's out-neighbor span (a BA graph has no
   // dangling nodes, so every arc's probability is live).
   std::vector<double> expected(static_cast<size_t>(graph->num_nodes()), 0.0);
-  const auto probs = t.probs();
   for (NodeId u = 0; u < graph->num_nodes(); ++u) {
     ASSERT_FALSE(t.IsDangling(u));
-    const auto targets = graph->OutNeighbors(u);
-    const size_t begin = static_cast<size_t>(graph->ArcBegin(u));
-    for (size_t j = 0; j < targets.size(); ++j) {
-      auto& slot = expected[static_cast<size_t>(targets[j])];
-      slot = std::max(slot, probs[begin + j]);
+    for (NodeId v : graph->OutNeighbors(u)) {
+      auto& slot = expected[static_cast<size_t>(v)];
+      slot = std::max(slot, t.Prob(*graph, u, v));
     }
   }
   for (NodeId v = 0; v < graph->num_nodes(); ++v) {

@@ -24,6 +24,7 @@
 #include "datagen/classic_generators.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_fingerprint.h"
+#include "transition_test_util.h"
 
 namespace d2pr {
 namespace {
@@ -57,14 +58,7 @@ std::shared_ptr<const TransitionMatrix> BuildMatrix(const CsrGraph& graph,
 
 void ExpectByteExact(const TransitionMatrix& loaded,
                      const TransitionMatrix& built) {
-  ASSERT_EQ(loaded.num_nodes(), built.num_nodes());
-  ASSERT_EQ(loaded.probs().size(), built.probs().size());
-  EXPECT_EQ(std::memcmp(loaded.probs().data(), built.probs().data(),
-                        built.probs().size_bytes()),
-            0);
-  for (NodeId v = 0; v < built.num_nodes(); ++v) {
-    EXPECT_EQ(loaded.IsDangling(v), built.IsDangling(v)) << "node " << v;
-  }
+  ExpectSameMatrix(loaded, built);
 }
 
 std::vector<char> ReadFileBytes(const std::string& path) {

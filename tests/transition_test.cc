@@ -1,12 +1,20 @@
 #include "core/transition.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/pagerank.h"
+#include "core/sweeps.h"
+#include "core/transition_slices.h"
 #include "datagen/classic_generators.h"
 #include "graph/graph_builder.h"
+#include "graph/partition.h"
+#include "transition_test_util.h"
 
 namespace d2pr {
 namespace {
@@ -129,10 +137,13 @@ TEST_P(TransitionStochasticTest, ProbabilitiesAreFiniteAndNonNegative) {
   auto graph = ErdosRenyi(150, 600, &rng);
   ASSERT_TRUE(graph.ok());
   TransitionMatrix t = BuildTransitionOrDie(*graph, {.p = GetParam()});
-  for (double prob : t.probs()) {
-    EXPECT_TRUE(std::isfinite(prob));
-    EXPECT_GE(prob, 0.0);
-    EXPECT_LE(prob, 1.0 + 1e-12);
+  for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+    for (NodeId v : graph->OutNeighbors(u)) {
+      const double prob = t.Prob(*graph, u, v);
+      EXPECT_TRUE(std::isfinite(prob));
+      EXPECT_GE(prob, 0.0);
+      EXPECT_LE(prob, 1.0 + 1e-12);
+    }
   }
 }
 
@@ -196,8 +207,10 @@ TEST(TransitionWeightedTest, BetaIgnoredOnUnweightedGraphs) {
       BuildTransitionOrDie(graph, {.p = 2.0, .beta = 0.75});
   TransitionMatrix without =
       BuildTransitionOrDie(graph, {.p = 2.0, .beta = 0.0});
-  for (size_t e = 0; e < with_beta.probs().size(); ++e) {
-    EXPECT_DOUBLE_EQ(with_beta.probs()[e], without.probs()[e]);
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    for (NodeId v : graph.OutNeighbors(u)) {
+      EXPECT_DOUBLE_EQ(with_beta.Prob(graph, u, v), without.Prob(graph, u, v));
+    }
   }
 }
 
@@ -311,6 +324,154 @@ TEST(TransitionMultiplyTest, PreservesTotalMassWithoutDangling) {
   double total = 0.0;
   for (double v : out) total += v;
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+// --- The factored operator against the per-arc reference. ---
+
+/// Asserts every arc's factored probability and the power-iteration
+/// scores agree with the per-arc reference within 1e-12.
+void ExpectMatchesReference(const CsrGraph& graph,
+                            const TransitionConfig& config) {
+  SCOPED_TRACE(testing::Message() << "p=" << config.p
+                                  << " beta=" << config.beta);
+  TransitionMatrix t = BuildTransitionOrDie(graph, config);
+  const std::vector<double> reference = ReferenceArcProbs(graph, config);
+  double max_prob_diff = 0.0;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const auto targets = graph.OutNeighbors(u);
+    const size_t begin = static_cast<size_t>(graph.ArcBegin(u));
+    for (size_t k = 0; k < targets.size(); ++k) {
+      max_prob_diff = std::max(
+          max_prob_diff,
+          std::abs(t.Prob(graph, u, targets[k]) - reference[begin + k]));
+    }
+  }
+  EXPECT_LE(max_prob_diff, 1e-12);
+
+  PagerankOptions options;
+  options.tolerance = 1e-12;
+  options.max_iterations = 1000;
+  auto solved = SolvePagerank(graph, t, options);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  const std::vector<double> want =
+      ReferenceSolve(graph, reference, options.alpha, options.tolerance,
+                     options.max_iterations);
+  double max_score_diff = 0.0;
+  for (size_t v = 0; v < want.size(); ++v) {
+    max_score_diff = std::max(max_score_diff,
+                              std::abs(solved->scores[v] - want[v]));
+  }
+  EXPECT_LE(max_score_diff, 1e-12);
+}
+
+/// Directed graph whose sinks (out-degree 0, so metric 0) exercise both
+/// limit rules: row 0 reaches one sink among other targets, row 1 reaches
+/// only sinks.
+CsrGraph SinkGraph() {
+  GraphBuilder builder(8, GraphKind::kDirected);
+  const std::pair<NodeId, NodeId> arcs[] = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 3}, {1, 4}, {2, 0}, {2, 1}, {2, 5},
+      {5, 0}, {5, 2}, {5, 6}, {5, 7}, {6, 0}, {7, 2}, {7, 5}};
+  for (const auto& [u, v] : arcs) EXPECT_TRUE(builder.AddEdge(u, v).ok());
+  return BuildOrDie(&builder);
+}
+
+/// Directed, weighted, with dangling nodes: out-strength metric 0 gives
+/// the sink term, beta > 0 the blend term.
+CsrGraph WeightedGraphWithDangling() {
+  Rng rng(19);
+  GraphBuilder builder(60, GraphKind::kDirected, /*weighted=*/true);
+  for (NodeId v = 0; v < 55; ++v) {  // 55..59 stay dangling
+    const int degree = 1 + static_cast<int>(rng.UniformInt(0, 4));
+    for (int j = 0; j < degree; ++j) {
+      const auto target = static_cast<NodeId>(rng.UniformInt(0, 59));
+      if (target == v) continue;
+      EXPECT_TRUE(builder.AddEdge(v, target, 0.5 + rng.Uniform() * 3.0).ok());
+    }
+  }
+  return BuildOrDie(&builder);
+}
+
+TEST(TransitionFactoredTest, MatchesPerArcReferenceOnBarabasiAlbert) {
+  Rng rng(2016);
+  auto graph = BarabasiAlbert(300, 3, &rng);
+  ASSERT_TRUE(graph.ok());
+  for (double p : PaperPGrid()) ExpectMatchesReference(*graph, {.p = p});
+}
+
+TEST(TransitionFactoredTest, MatchesPerArcReferenceWithMetricZeroSinks) {
+  const CsrGraph graph = SinkGraph();
+  std::vector<double> grid = PaperPGrid();
+  grid.insert(grid.end(), {-60.0, -4.0, 0.0, 4.0, 60.0});
+  for (double p : grid) ExpectMatchesReference(graph, {.p = p});
+
+  // Both limit rules hold exactly: at p > 0 the sink takes row 0, at
+  // p < 0 it gets nothing there, and the all-sink row 1 is uniform.
+  TransitionMatrix penal = BuildTransitionOrDie(graph, {.p = 4.0});
+  EXPECT_DOUBLE_EQ(penal.Prob(graph, 0, 3), 1.0);
+  EXPECT_EQ(penal.Prob(graph, 0, 1), 0.0);
+  TransitionMatrix boost = BuildTransitionOrDie(graph, {.p = -4.0});
+  EXPECT_EQ(boost.Prob(graph, 0, 3), 0.0);
+  EXPECT_DOUBLE_EQ(boost.Prob(graph, 1, 3), 0.5);
+  EXPECT_DOUBLE_EQ(boost.Prob(graph, 1, 4), 0.5);
+  EXPECT_TRUE(boost.factors().has_sink());
+  EXPECT_FALSE(BuildTransitionOrDie(graph, {.p = 0.0}).factors().has_sink());
+}
+
+TEST(TransitionFactoredTest, MatchesPerArcReferenceUnderTheBetaBlend) {
+  const CsrGraph graph = WeightedGraphWithDangling();
+  for (double beta : {0.0, 0.5, 1.0}) {
+    for (double p : PaperPGrid()) {
+      ExpectMatchesReference(graph, {.p = p, .beta = beta});
+    }
+  }
+}
+
+/// A graph whose metrics are 1 and 2 only, so the exponent span at p is
+/// |p|·ln 2.
+CsrGraph TwoMetricGraph() {
+  GraphBuilder builder(3, GraphKind::kDirected);
+  EXPECT_TRUE(builder.AddEdge(0, 1).ok());
+  EXPECT_TRUE(builder.AddEdge(0, 2).ok());
+  EXPECT_TRUE(builder.AddEdge(1, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(2, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(2, 1).ok());
+  return BuildOrDie(&builder);
+}
+
+TEST(TransitionFactoredTest, SpanJustInsideTheNormalRangeBuilds) {
+  // 1000·ln 2 ≈ 693 < -ln(DBL_MIN) ≈ 708.4: u of a metric-2 node is
+  // exp(-693) ≈ 6e-302, still a normal double.
+  const CsrGraph graph = TwoMetricGraph();
+  for (double p : {1000.0, -1000.0}) {
+    TransitionMatrix t = BuildTransitionOrDie(graph, {.p = p});
+    for (double u : t.factors().u) EXPECT_TRUE(std::isnormal(u)) << u;
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      EXPECT_TRUE(std::isnormal(t.factors().c[static_cast<size_t>(v)]));
+      double total = 0.0;
+      for (NodeId w : graph.OutNeighbors(v)) total += t.Prob(graph, v, w);
+      EXPECT_NEAR(total, 1.0, 1e-12) << "p=" << p << " row " << v;
+    }
+  }
+}
+
+TEST(TransitionFactoredTest, SpanJustPastTheNormalRangeIsOutOfRange) {
+  // 1030·ln 2 ≈ 714 > 708.4: the factors would go subnormal. Every
+  // builder refuses with the same OutOfRange naming the span.
+  const CsrGraph graph = TwoMetricGraph();
+  auto partition = GraphPartition::Build(graph, {.num_shards = 2});
+  ASSERT_TRUE(partition.ok());
+  for (double p : {1030.0, -1030.0}) {
+    auto built = TransitionMatrix::Build(graph, {.p = p});
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(built.status().message().find("exponent span"),
+              std::string::npos)
+        << built.status().ToString();
+    auto local = BuildTransitionSlicesLocal(graph, *partition, {.p = p});
+    ASSERT_FALSE(local.ok());
+    EXPECT_EQ(local.status().ToString(), built.status().ToString());
+  }
 }
 
 TEST(MetricValuesTest, AutoResolution) {
