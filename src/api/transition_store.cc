@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -247,12 +248,11 @@ Result<std::shared_ptr<const TransitionMatrix>> TransitionStore::Load(
         path, ": dangling section checksum mismatch (corrupt store file)"));
   }
 
-  // O(|V|) copies out of the validated mapping.
+  // O(|V|) copies out of the validated mapping, one bulk copy per section.
   for (size_t k = 0; k < factor_sections.size(); ++k) {
     factor_sections[k]->resize(n);
-    for (size_t v = 0; v < n; ++v) {
-      (*factor_sections[k])[v] = ReadF64(factor_bytes + (k * n + v) * 8);
-    }
+    ReadArray(factor_bytes + k * n * 8,
+              std::span<double>(*factor_sections[k]));
   }
   for (size_t k = 0; k < byte_sections.size(); ++k) {
     byte_sections[k]->assign(flag_bytes + k * n, flag_bytes + (k + 1) * n);

@@ -4,7 +4,8 @@
 // Four pieces:
 //   * fixed-width append/read helpers over raw byte buffers, so a file
 //     format can assemble its header in memory, checksum it, and write it
-//     in one shot;
+//     in one shot — plus their bulk array forms, one memcpy per section
+//     or list, which write and read exactly the same bytes;
 //   * Checksum64, the checksum used for per-section corruption detection —
 //     not cryptographic, but deterministic, dependency-free, and reliable
 //     against the truncation and bit-flip failures disks actually produce;
@@ -19,8 +20,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -28,8 +31,8 @@
 
 namespace d2pr {
 
-// The formats are defined as little-endian; on a big-endian target the
-// helpers would need byte swaps that nothing here implements yet.
+// Every helper below copies host bytes, so a big-endian build would write
+// wire, store and cut files no little-endian peer can read: refuse it.
 static_assert(std::endian::native == std::endian::little,
               "d2pr binary formats require a little-endian target");
 
@@ -60,6 +63,29 @@ uint32_t ReadU32(const uint8_t* p);
 uint64_t ReadU64(const uint8_t* p);
 int64_t ReadI64(const uint8_t* p);
 double ReadF64(const uint8_t* p);
+
+/// \brief Appends `values` as consecutive fixed-width little-endian
+/// elements in one bulk copy: byte for byte what appending each element
+/// with the helper of its width writes (an int32 node id lands as the
+/// u32 of the same bits, a double as its IEEE-754 pattern).
+template <typename T>
+void AppendArray(std::vector<uint8_t>& out, std::span<const T> values) {
+  static_assert(std::is_arithmetic_v<T>);
+  if (values.empty()) return;
+  const size_t offset = out.size();
+  out.resize(offset + values.size_bytes());
+  std::memcpy(out.data() + offset, values.data(), values.size_bytes());
+}
+
+/// \brief Fills `out` from consecutive fixed-width little-endian elements
+/// at `p` (any alignment; caller has bounds-checked `out.size_bytes()`)
+/// in one bulk copy.
+template <typename T>
+void ReadArray(const uint8_t* p, std::span<T> out) {
+  static_assert(std::is_arithmetic_v<T>);
+  if (out.empty()) return;
+  std::memcpy(out.data(), p, out.size_bytes());
+}
 
 /// \brief Writes the concatenation of `chunks` to `path` so that readers
 /// see either the old file or the complete new one.

@@ -66,9 +66,9 @@ Result<ShardFrame> SocketShardChannel::Call(const ShardFrame& request,
     }
     return Status::OK();
   };
-  const std::vector<uint8_t> frame =
-      EncodeFrame(request.type, request.request_id, request.payload);
-  D2PR_RETURN_NOT_OK(socket_.SendAll(frame.data(), frame.size()));
+  const FrameHeaderBytes header = EncodeFrameHeader(
+      request.type, request.request_id, request.payload.size());
+  D2PR_RETURN_NOT_OK(socket_.SendAll(header, request.payload));
 
   // Read frames until one matches the request id. Older ids are stale
   // replies of retried calls — drained, not errors; anything else means

@@ -95,6 +95,7 @@ Status DistributedCoordinator::Handshake() {
   }
 
   boundary_.assign(num_shards, {});
+  sweep_requests_.assign(num_shards, {});
   needs_metric_.assign(num_shards, 0);
   dangling_.clear();
 
@@ -272,27 +273,25 @@ Result<PagerankResult> DistributedCoordinator::Solve(
     for (NodeId v : dangling_) {
       dangling_mass += current[static_cast<size_t>(v)];
     }
+    ShardSweepRequestFields sweep;
+    sweep.solve_id = solve_id;
+    sweep.sweep = static_cast<uint32_t>(iter);
+    sweep.dangling_mass = dangling_mass;
+    sweep.has_rescale = prev_norm > 0.0;
+    sweep.rescale = prev_norm > 0.0 ? 1.0 / prev_norm : 1.0;
 
     // One synchronized sweep round. Shards are driven sequentially —
     // the bits cannot tell (disjoint writes, frozen reads); overlapping
     // the round trips is the async follow-up in ROADMAP.md.
     for (size_t s = 0; s < num_shards; ++s) {
-      ShardSweepRequest sweep;
-      sweep.solve_id = solve_id;
-      sweep.sweep = static_cast<uint32_t>(iter);
-      sweep.dangling_mass = dangling_mass;
-      sweep.has_rescale = prev_norm > 0.0;
-      sweep.rescale = prev_norm > 0.0 ? 1.0 / prev_norm : 1.0;
-      sweep.boundary.reserve(boundary_[s].size());
-      for (NodeId v : boundary_[s]) {
-        sweep.boundary.push_back(current[static_cast<size_t>(v)]);
-      }
-      stats_.boundary_values += static_cast<int64_t>(sweep.boundary.size());
-
-      ShardFrame request;
+      // Gather the boundary values straight into the shard's reused
+      // request bytes.
+      ShardFrame& request = sweep_requests_[s];
       request.type = FrameType::kSweepRequest;
       request.request_id = next_request_id_++;
-      request.payload = EncodeShardSweepRequest(sweep);
+      EncodeShardSweepRequest(sweep, current, boundary_[s], request.payload);
+      stats_.boundary_values += static_cast<int64_t>(boundary_[s].size());
+
       Result<ShardFrame> reply =
           CallShard(s, request, FrameType::kSweepResponse);
       if (!reply.ok()) {
@@ -300,30 +299,33 @@ Result<PagerankResult> DistributedCoordinator::Solve(
         stats_.elapsed_ms += NowMs() - t0;
         return reply.status();
       }
-      Result<ShardSweepResponse> decoded =
-          DecodeShardSweepResponse(reply->payload);
-      if (!decoded.ok()) {
+      ShardSweepResponseFields response;
+      WireScores owned;
+      if (Status decoded =
+              DecodeShardSweepResponse(reply->payload, &response, &owned);
+          !decoded.ok()) {
         EndSolve(solve_id);
         stats_.elapsed_ms += NowMs() - t0;
         return Status::Unavailable(
             StrCat("shard ", s, " sent a malformed sweep response: ",
-                   decoded.status().ToString()));
+                   decoded.ToString()));
       }
-      const ShardSweepResponse& response = *decoded;
       if (response.solve_id != solve_id ||
           response.sweep != static_cast<uint32_t>(iter) ||
-          response.owned.size() != owned_[s].size()) {
+          owned.size() != owned_[s].size()) {
         EndSolve(solve_id);
         stats_.elapsed_ms += NowMs() - t0;
         return Status::Unavailable(
             StrCat("shard ", s, " answered the wrong sweep (solve ",
                    response.solve_id, ", sweep ", response.sweep, ", ",
-                   response.owned.size(), " values)"));
+                   owned.size(), " values)"));
       }
-      for (size_t k = 0; k < owned_[s].size(); ++k) {
-        next[static_cast<size_t>(owned_[s][k])] = response.owned[k];
+      // Scatter straight out of the reply bytes into the next iterate.
+      const std::vector<NodeId>& nodes = owned_[s];
+      for (size_t k = 0; k < nodes.size(); ++k) {
+        next[static_cast<size_t>(nodes[k])] = owned[k];
       }
-      stats_.owned_values += static_cast<int64_t>(response.owned.size());
+      stats_.owned_values += static_cast<int64_t>(owned.size());
     }
     ++stats_.sweeps;
 

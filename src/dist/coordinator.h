@@ -16,10 +16,16 @@
 // broadcasts that exact scalar and each shard replays the multiply on
 // its retained slice — bitwise the slice of the normalized vector.
 //
-// Per-sweep wire cost per shard: O(boundary sources) values down,
-// O(owned) values up, plus two scalars — the exchange volume
+// Per-sweep cost per shard: on the wire, O(boundary sources) values
+// down, O(owned) values up, plus two scalars — the exchange volume
 // graph/partition.h accounts as boundary_in_arcs, deduplicated by
-// source.
+// source. In memory, one gather and one scatter and no staging: the
+// boundary values are gathered from the iterate straight into the
+// shard's request bytes (a buffer kept across sweeps and solves, so it
+// stops allocating once warm), and the reply is decoded as a view whose
+// owned values are scattered straight into the next iterate. The one
+// allocation left per call is the reply buffer ShardChannel::Call
+// returns.
 //
 // Fault policy (tests/dist_fault_test.cc):
 //   * A call that times out (DeadlineExceeded from the channel) is
@@ -154,6 +160,9 @@ class DistributedCoordinator {
   /// Per-shard boundary sources (from the acks; the order boundary
   /// values are shipped in).
   std::vector<std::vector<NodeId>> boundary_;
+  /// Per-shard sweep request frame, re-encoded in place every sweep so
+  /// its payload buffer is allocated once per coordinator, not per call.
+  std::vector<ShardFrame> sweep_requests_;
   /// 1 while shard s still needs the metric vector in its next solve
   /// begin (from the acks; cleared after a solve begin it accepted).
   std::vector<uint8_t> needs_metric_;

@@ -102,9 +102,9 @@ void ShardServer::ServeConnection(
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    const std::vector<uint8_t> frame =
-        EncodeFrame(reply->type, reply->request_id, reply->payload);
-    if (!connection->socket.SendAll(frame.data(), frame.size()).ok()) {
+    const FrameHeaderBytes frame_header = EncodeFrameHeader(
+        reply->type, reply->request_id, reply->payload.size());
+    if (!connection->socket.SendAll(frame_header, reply->payload).ok()) {
       break;
     }
     stats_.frames_handled.fetch_add(1, std::memory_order_relaxed);

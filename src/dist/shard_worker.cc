@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -277,9 +278,10 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   teleport_ = std::move(begin.teleport);
   vals_.assign(num_owned + cut_.boundary_sources.size(), 0.0);
   std::copy(begin.initial.begin(), begin.initial.end(), vals_.begin());
-  next_.assign(num_owned, 0.0);
+  next_.assign(
+      method_ == static_cast<uint32_t>(SolverMethod::kPower) ? num_owned : 0,
+      0.0);
   last_sweep_ = 0;
-  cached_reply_.clear();
 
   return StatusReply(request.request_id, Status::OK());
 }
@@ -292,72 +294,62 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
                            "sweep from a session that never completed a "
                            "handshake"));
   }
-  Result<ShardSweepRequest> decoded = DecodeShardSweepRequest(request.payload);
-  if (!decoded.ok()) return StatusReply(request.request_id, decoded.status());
-  const ShardSweepRequest& sweep = *decoded;
+  ShardSweepRequestFields sweep;
+  WireScores boundary;
+  if (Status decoded = DecodeShardSweepRequest(request.payload, &sweep,
+                                               &boundary);
+      !decoded.ok()) {
+    return StatusReply(request.request_id, decoded);
+  }
 
   if (!solve_active_ || sweep.solve_id != solve_id_) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(StrCat(
                            "sweep for unknown solve ", sweep.solve_id)));
   }
-  if (sweep.boundary.size() != cut_.boundary_sources.size()) {
+  const size_t num_owned = cut_.shard.owned.size();
+  if (boundary.size() != cut_.boundary_sources.size()) {
     return StatusReply(
         request.request_id,
         Status::InvalidArgument(StrCat(
-            "sweep carries ", sweep.boundary.size(), " boundary values, ",
+            "sweep carries ", boundary.size(), " boundary values, ",
             "shard pulls ", cut_.boundary_sources.size(), " sources")));
   }
-  if (sweep.sweep == last_sweep_ && !cached_reply_.empty()) {
-    // Idempotent retry: the coordinator (or a duplicating transport)
-    // re-sent a sweep that already executed. Resend the cached reply —
-    // re-executing would double-advance the iterate.
-    ShardFrame reply;
-    reply.type = FrameType::kSweepResponse;
-    reply.request_id = request.request_id;
-    reply.payload = cached_reply_;
-    return reply;
-  }
-  if (sweep.sweep != last_sweep_ + 1) {
-    return StatusReply(
-        request.request_id,
-        Status::FailedPrecondition(StrCat("sweep ", sweep.sweep,
-                                          " out of order (last executed ",
-                                          last_sweep_, ")")));
+  // A request repeating the sweep that last executed is an idempotent
+  // retry (the coordinator, or a duplicating transport, re-sent it). It
+  // is answered again from the retained slice, which nothing has touched
+  // since — re-executing would double-advance the iterate.
+  const bool retry = last_sweep_ != 0 && sweep.sweep == last_sweep_;
+  if (!retry) {
+    if (sweep.sweep != last_sweep_ + 1) {
+      return StatusReply(
+          request.request_id,
+          Status::FailedPrecondition(StrCat("sweep ", sweep.sweep,
+                                            " out of order (last executed ",
+                                            last_sweep_, ")")));
+    }
+    boundary.CopyTo(std::span<double>(vals_).subspan(num_owned));
+    ExecuteSweep(sweep.dangling_mass, sweep.has_rescale, sweep.rescale);
+    last_sweep_ = sweep.sweep;
+    ++sweeps_executed_;
   }
 
-  ExecuteSweep(sweep.dangling_mass, sweep.has_rescale, sweep.rescale,
-               sweep.boundary);
-  last_sweep_ = sweep.sweep;
-  ++sweeps_executed_;
-
-  ShardSweepResponse response;
+  ShardSweepResponseFields response;
   response.solve_id = solve_id_;
   response.sweep = last_sweep_;
-  response.owned.assign(vals_.begin(),
-                        vals_.begin() + static_cast<long>(next_.size()));
-  // Advisory partials: the shard's own fold grouping (telemetry; the
-  // coordinator recomputes the canonical global folds).
-  response.dangling_partial = 0.0;
-  for (size_t k = 0; k < owned_dangling_.size(); ++k) {
-    if (owned_dangling_[k]) response.dangling_partial += vals_[k];
-  }
-  response.residual_partial = 0.0;
-  for (size_t k = 0; k < next_.size(); ++k) {
-    response.residual_partial += std::abs(vals_[k] - next_[k]);
-  }
-  cached_reply_ = EncodeShardSweepResponse(response);
-
+  response.dangling_partial = dangling_partial_;
+  response.residual_partial = residual_partial_;
   ShardFrame reply;
   reply.type = FrameType::kSweepResponse;
   reply.request_id = request.request_id;
-  reply.payload = cached_reply_;
+  EncodeShardSweepResponse(
+      response, std::span<const double>(vals_.data(), num_owned),
+      reply.payload);
   return reply;
 }
 
 void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
-                               double rescale,
-                               const std::vector<double>& boundary) {
+                               double rescale) {
   const PartitionShard& shard = cut_.shard;
   const size_t num_owned = shard.owned.size();
   if (has_rescale) {
@@ -367,10 +359,12 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
     // vector.
     for (size_t k = 0; k < num_owned; ++k) vals_[k] *= rescale;
   }
-  std::copy(boundary.begin(), boundary.end(), vals_.begin() + num_owned);
 
-  // `next_` keeps the pre-sweep owned slice afterwards (for the advisory
-  // residual partial); during a power sweep it holds the new values.
+  // The advisory partials fold inside the node loop, in ascending owned
+  // order — the order a separate pass over the new slice would use, so
+  // they are bitwise that pass's sums.
+  double dangling_partial = 0.0;
+  double residual_partial = 0.0;
   const auto source = [&](size_t idx) { return src_slot_[idx]; };
   const auto weight = [&](size_t idx) { return cut_.in_weights[idx]; };
   if (method_ == static_cast<uint32_t>(SolverMethod::kPower)) {
@@ -395,40 +389,43 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
         case DanglingPolicy::kRenormalize:
           break;
       }
-      next_[k] = alpha_ * value + (1.0 - alpha_) * teleport_[k];
+      const double updated = alpha_ * value + (1.0 - alpha_) * teleport_[k];
+      if (owned_dangling_[k]) dangling_partial += updated;
+      residual_partial += std::abs(updated - vals_[k]);
+      next_[k] = updated;
     }
-    // Swap the new slice into the retained prefix; next_ now holds the
-    // previous values for the residual partial.
-    for (size_t k = 0; k < num_owned; ++k) std::swap(vals_[k], next_[k]);
-    return;
-  }
-
-  // Block Gauss-Seidel: in-place on the owned prefix — interior sources
-  // read live (possibly already-updated) slots, boundary slots hold the
-  // coordinator's frozen exchange copy. Same arithmetic as
-  // SolveGaussSeidelPartitioned.
-  std::copy(vals_.begin(), vals_.begin() + static_cast<long>(num_owned),
-            next_.begin());
-  for (size_t k = 0; k < num_owned; ++k) {
-    const double incoming = PullLive(
-        factors_, k, static_cast<size_t>(shard.in_offsets[k]),
-        static_cast<size_t>(shard.in_offsets[k + 1]), source,
-        [&](size_t idx) { return vals_[src_slot_[idx]]; }, weight);
-    double value = alpha_ * incoming + (1.0 - alpha_) * teleport_[k];
-    switch (dangling_policy_) {
-      case DanglingPolicy::kTeleport:
-        value += alpha_ * dangling_mass * teleport_[k];
-        break;
-      case DanglingPolicy::kSelfLoop:
-        if (owned_dangling_[k]) {
-          value /= (1.0 - alpha_);
-        }
-        break;
-      case DanglingPolicy::kRenormalize:
-        break;
+    // Every row has read the old slice; now the new one is retained.
+    std::copy(next_.begin(), next_.end(), vals_.begin());
+  } else {
+    // Block Gauss-Seidel: in-place on the owned prefix — interior sources
+    // read live (possibly already-updated) slots, boundary slots hold the
+    // coordinator's frozen exchange copy. Same arithmetic as
+    // SolveGaussSeidelPartitioned.
+    for (size_t k = 0; k < num_owned; ++k) {
+      const double incoming = PullLive(
+          factors_, k, static_cast<size_t>(shard.in_offsets[k]),
+          static_cast<size_t>(shard.in_offsets[k + 1]), source,
+          [&](size_t idx) { return vals_[src_slot_[idx]]; }, weight);
+      double value = alpha_ * incoming + (1.0 - alpha_) * teleport_[k];
+      switch (dangling_policy_) {
+        case DanglingPolicy::kTeleport:
+          value += alpha_ * dangling_mass * teleport_[k];
+          break;
+        case DanglingPolicy::kSelfLoop:
+          if (owned_dangling_[k]) {
+            value /= (1.0 - alpha_);
+          }
+          break;
+        case DanglingPolicy::kRenormalize:
+          break;
+      }
+      if (owned_dangling_[k]) dangling_partial += value;
+      residual_partial += std::abs(value - vals_[k]);
+      vals_[k] = value;
     }
-    vals_[k] = value;
   }
+  dangling_partial_ = dangling_partial;
+  residual_partial_ = residual_partial;
 }
 
 ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,
@@ -446,7 +443,6 @@ ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,
     teleport_.clear();
     vals_.clear();
     next_.clear();
-    cached_reply_.clear();
   }
   // Ending an unknown (or already-ended) solve is OK — the coordinator
   // may retry a lost end frame.
@@ -461,7 +457,6 @@ void ShardWorker::CloseSession(uint64_t session_id) {
   teleport_.clear();
   vals_.clear();
   next_.clear();
-  cached_reply_.clear();
 }
 
 int64_t ShardWorker::sweeps_executed() const {

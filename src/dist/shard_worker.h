@@ -39,9 +39,16 @@
 //   shard already claimed by a live session -> AlreadyExists
 //
 // Every reply the worker produces is safe to resend: a sweep request
-// repeating the last executed sweep returns the cached reply without
-// re-executing, so coordinator retries after a timeout (and duplicated
-// frames from a flaky transport) cannot double-advance the iterate.
+// repeating the last executed sweep is answered again, byte for byte,
+// from the retained slice without re-executing, so coordinator retries
+// after a timeout (and duplicated frames from a flaky transport) cannot
+// double-advance the iterate.
+//
+// Copy discipline per sweep: the request's boundary list is copied once,
+// straight from the payload into the tail of the iterate scratch; the
+// advisory partials fold inside the sweep's node loop (no extra pass);
+// and the reply is encoded once, straight from the retained owned slice
+// into the reply frame — nothing is staged or cached as bytes.
 //
 // Thread model: Handle() is serialized by an internal mutex. Multiple
 // connections may talk to one worker concurrently (that is how the
@@ -141,10 +148,11 @@ class ShardWorker {
   ShardFrame HandleSweep(const ShardFrame& request, uint64_t session_id);
   ShardFrame HandleSolveEnd(const ShardFrame& request, uint64_t session_id);
 
-  /// Executes one sweep over the retained slice (see the .cc for the
-  /// line-for-line correspondence with core/block_solver.cc).
-  void ExecuteSweep(double dangling_mass, bool has_rescale, double rescale,
-                    const std::vector<double>& boundary);
+  /// Executes one sweep over the retained slice, the boundary values
+  /// already in the vals_ tail (see the .cc for the line-for-line
+  /// correspondence with core/block_solver.cc), and folds the advisory
+  /// partials in the same node loop.
+  void ExecuteSweep(double dangling_mass, bool has_rescale, double rescale);
 
   /// The hosted cut. Its out-CSR, ghost rows, and weights are dropped
   /// once the first solve begin has built the factors; the in-CSR (with
@@ -182,14 +190,18 @@ class ShardWorker {
   /// Owned slice of the teleport vector.
   std::vector<double> teleport_;
   /// Iterate scratch: [owned values | boundary values], indexed by
-  /// src_slot_. The owned prefix is the retained slice.
+  /// src_slot_. The owned prefix is the retained slice; a sweep request's
+  /// boundary list is copied straight into the tail.
   std::vector<double> vals_;
-  /// Power's double buffer for the new owned slice (GS sweeps in place).
+  /// Power's double buffer for the new owned slice (empty under
+  /// Gauss-Seidel, which sweeps in place).
   std::vector<double> next_;
-  /// Last executed sweep (0 before the first) and its cached reply
-  /// payload, re-sent verbatim when the coordinator retries.
+  /// Last executed sweep (0 before the first) and its advisory partials.
+  /// Its reply is re-encoded from these and the untouched owned prefix
+  /// when the coordinator retries — byte for byte the first reply.
   uint32_t last_sweep_ = 0;
-  std::vector<uint8_t> cached_reply_;
+  double dangling_partial_ = 0.0;
+  double residual_partial_ = 0.0;
 
   int64_t sweeps_executed_ = 0;
 };

@@ -35,8 +35,9 @@ Result<RpcClient::RawFrame> RpcClient::ReadFrame() {
 Result<RpcClient::RawFrame> RpcClient::Call(FrameType type,
                                             std::vector<uint8_t> payload) {
   const uint64_t request_id = next_request_id_++;
-  const std::vector<uint8_t> frame = EncodeFrame(type, request_id, payload);
-  D2PR_RETURN_NOT_OK(socket_.SendAll(frame.data(), frame.size()));
+  const FrameHeaderBytes header =
+      EncodeFrameHeader(type, request_id, payload.size());
+  D2PR_RETURN_NOT_OK(socket_.SendAll(header, payload));
   auto reply = ReadFrame();
   if (!reply.ok()) return reply.status();
   if (reply.value().request_id != request_id) {

@@ -14,6 +14,14 @@ namespace {
 
 constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 
+/// A kStatus / kUnavailable frame, its payload encoded in place.
+std::vector<uint8_t> StatusFrame(FrameType type, uint64_t request_id,
+                                 const Status& status) {
+  return BuildFrame(type, request_id, [&](std::vector<uint8_t>& out) {
+    AppendStatusPayload(out, status);
+  });
+}
+
 class RuntimeBackend final : public RankBackend {
  public:
   explicit RuntimeBackend(ServingRuntime& runtime) : runtime_(runtime) {}
@@ -224,9 +232,11 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
     }
     switch (frame.type) {
       case FrameType::kInfoRequest: {
-        connection->EnqueueWrite(EncodeFrame(FrameType::kInfoResponse,
-                                             frame.request_id,
-                                             EncodeServerInfo(backend_.info())));
+        connection->EnqueueWrite(BuildFrame(
+            FrameType::kInfoResponse, frame.request_id,
+            [&](std::vector<uint8_t>& out) {
+              AppendServerInfo(out, backend_.info());
+            }));
         ++stats_.responses_sent;
         break;
       }
@@ -236,9 +246,8 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
           // The framing is intact — only this request is bad. Tell the
           // client and keep serving the connection.
           ++stats_.decode_errors;
-          connection->EnqueueWrite(
-              EncodeFrame(FrameType::kStatus, frame.request_id,
-                          EncodeStatusPayload(request.status())));
+          connection->EnqueueWrite(StatusFrame(
+              FrameType::kStatus, frame.request_id, request.status()));
           ++stats_.responses_sent;
           break;
         }
@@ -316,10 +325,10 @@ void RpcServer::HandleRank(const std::shared_ptr<Connection>& connection,
     }
     if (backend_.queue_depth() >= options_.max_queue_depth) {
       ++stats_.shed_unavailable;
-      connection->EnqueueWrite(EncodeFrame(
+      connection->EnqueueWrite(StatusFrame(
           FrameType::kUnavailable, request_id,
-          EncodeStatusPayload(Status::Unavailable(
-              "server overloaded (admission queue full); retry later"))));
+          Status::Unavailable(
+              "server overloaded (admission queue full); retry later")));
       ++stats_.responses_sent;
       return;
     }
@@ -409,15 +418,17 @@ void RpcServer::DeliverTo(const Waiter& waiter,
   std::vector<uint8_t> frame;
   if (expired_at_delivery) {
     ++stats_.deadline_expired_delivery;
-    frame = EncodeFrame(FrameType::kStatus, waiter.request_id,
-                        EncodeStatusPayload(Status::DeadlineExceeded(
-                            "deadline expired before response delivery")));
+    frame = StatusFrame(FrameType::kStatus, waiter.request_id,
+                        Status::DeadlineExceeded(
+                            "deadline expired before response delivery"));
   } else if (result.ok()) {
-    frame = EncodeFrame(FrameType::kRankResponse, waiter.request_id,
-                        EncodeRankResponse(result.value()));
+    frame = BuildFrame(FrameType::kRankResponse, waiter.request_id,
+                       [&](std::vector<uint8_t>& out) {
+                         AppendRankResponse(out, result.value());
+                       });
   } else {
-    frame = EncodeFrame(FrameType::kStatus, waiter.request_id,
-                        EncodeStatusPayload(result.status()));
+    frame = StatusFrame(FrameType::kStatus, waiter.request_id,
+                        result.status());
   }
   waiter.connection->EnqueueWrite(std::move(frame));
   ++stats_.responses_sent;

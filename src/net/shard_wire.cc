@@ -2,10 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/check.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -25,54 +27,59 @@ using wire_internal::Truncated;
 constexpr uint32_t kSliceModeShardLocal = 1;
 
 // Node-id lists travel as u32 counts + u32 ids; score slices as u32
-// counts + f64 values. Counts are checked against the bytes actually
-// remaining BEFORE any reserve, so a lying count is an InvalidArgument,
-// never an allocation.
+// counts + f64 values, each list one bulk copy. Counts are checked
+// against the bytes actually remaining BEFORE any allocation, so a lying
+// count is an InvalidArgument, never an allocation.
 
-void AppendNodeList(std::vector<uint8_t>& out, const std::vector<NodeId>& ids) {
+void AppendNodeList(std::vector<uint8_t>& out, std::span<const NodeId> ids) {
   AppendU32(out, static_cast<uint32_t>(ids.size()));
-  for (NodeId id : ids) AppendU32(out, static_cast<uint32_t>(id));
+  AppendArray(out, ids);
 }
 
-Status ReadNodeList(Cursor& cursor, const char* what,
-                    std::vector<NodeId>* ids) {
+/// Reads a list's u32 count and views its `element_bytes`-wide elements
+/// in place.
+Status ReadListBytes(Cursor& cursor, const char* what, size_t element_bytes,
+                     std::span<const uint8_t>* bytes) {
   uint32_t count = 0;
   if (!cursor.ReadU32(&count)) return Truncated(what);
-  if (count > cursor.remaining() / 4) {
+  if (count > cursor.remaining() / element_bytes) {
     return Status::InvalidArgument(
         StrCat(what, " count ", count, " exceeds payload"));
   }
-  ids->clear();
-  ids->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id = 0;
-    if (!cursor.ReadU32(&id)) return Truncated(what);
-    ids->push_back(static_cast<NodeId>(id));
+  if (!cursor.ReadBytes(uint64_t{count} * element_bytes, bytes)) {
+    return Truncated(what);
   }
   return Status::OK();
 }
 
+Status ReadNodeList(Cursor& cursor, const char* what,
+                    std::vector<NodeId>* ids) {
+  std::span<const uint8_t> bytes;
+  D2PR_RETURN_NOT_OK(ReadListBytes(cursor, what, sizeof(NodeId), &bytes));
+  ids->resize(bytes.size() / sizeof(NodeId));
+  ReadArray(bytes.data(), std::span<NodeId>(*ids));
+  return Status::OK();
+}
+
 void AppendScoreList(std::vector<uint8_t>& out,
-                     const std::vector<double>& values) {
+                     std::span<const double> values) {
   AppendU32(out, static_cast<uint32_t>(values.size()));
-  for (double value : values) AppendF64(out, value);
+  AppendArray(out, values);
+}
+
+Status ReadScoreView(Cursor& cursor, const char* what, WireScores* values) {
+  std::span<const uint8_t> bytes;
+  D2PR_RETURN_NOT_OK(ReadListBytes(cursor, what, sizeof(double), &bytes));
+  *values = WireScores(bytes);
+  return Status::OK();
 }
 
 Status ReadScoreList(Cursor& cursor, const char* what,
                      std::vector<double>* values) {
-  uint32_t count = 0;
-  if (!cursor.ReadU32(&count)) return Truncated(what);
-  if (count > cursor.remaining() / 8) {
-    return Status::InvalidArgument(
-        StrCat(what, " count ", count, " exceeds payload"));
-  }
-  values->clear();
-  values->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    double value = 0.0;
-    if (!cursor.ReadF64(&value)) return Truncated(what);
-    values->push_back(value);
-  }
+  WireScores scores;
+  D2PR_RETURN_NOT_OK(ReadScoreView(cursor, what, &scores));
+  values->resize(scores.size());
+  scores.CopyTo(*values);
   return Status::OK();
 }
 
@@ -85,6 +92,11 @@ Status RejectTrailing(const Cursor& cursor, const char* what) {
 }
 
 }  // namespace
+
+void WireScores::CopyTo(std::span<double> out) const {
+  D2PR_CHECK(out.size() == size()) << "WireScores::CopyTo size mismatch";
+  ReadArray(bytes_.data(), out);
+}
 
 // --- ShardHandshake ---
 
@@ -147,6 +159,9 @@ Result<ShardHandshake> DecodeShardHandshake(std::span<const uint8_t> payload) {
 
 std::vector<uint8_t> EncodeShardHandshakeAck(const ShardHandshakeAck& ack) {
   std::vector<uint8_t> out;
+  out.reserve(8 * 4 + 4 * (2 + ack.dangling_owned.size() +
+                           ack.boundary_sources.size()) +
+              1);
   AppendU64(out, ack.num_nodes);
   AppendU64(out, ack.num_arcs);
   AppendU64(out, ack.num_owned);
@@ -200,6 +215,9 @@ Result<ShardHandshakeAck> DecodeShardHandshakeAck(
 
 std::vector<uint8_t> EncodeShardSolveBegin(const ShardSolveBegin& begin) {
   std::vector<uint8_t> out;
+  out.reserve(8 + 4 + 4 + 8 +
+              (4 + 8 * begin.initial.size()) * 2 +
+              (4 + 8 * begin.metric_values.size()));
   AppendU64(out, begin.solve_id);
   AppendU32(out, begin.method);
   AppendU32(out, static_cast<uint32_t>(begin.dangling));
@@ -269,84 +287,126 @@ Result<ShardSolveBegin> DecodeShardSolveBegin(
 
 // --- ShardSweepRequest ---
 
+namespace {
+
+constexpr size_t kSweepRequestFixedBytes = 8 + 4 + 8 + 1 + 8;
+
+void AppendSweepRequestFields(std::vector<uint8_t>& out,
+                              const ShardSweepRequestFields& fields,
+                              size_t boundary_count) {
+  out.clear();
+  out.reserve(kSweepRequestFixedBytes + 4 + 8 * boundary_count);
+  AppendU64(out, fields.solve_id);
+  AppendU32(out, fields.sweep);
+  AppendF64(out, fields.dangling_mass);
+  out.push_back(fields.has_rescale ? 1 : 0);
+  AppendF64(out, fields.rescale);
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeShardSweepRequest(const ShardSweepRequest& request) {
   std::vector<uint8_t> out;
-  AppendU64(out, request.solve_id);
-  AppendU32(out, request.sweep);
-  AppendF64(out, request.dangling_mass);
-  out.push_back(request.has_rescale ? 1 : 0);
-  AppendF64(out, request.rescale);
+  AppendSweepRequestFields(out, request, request.boundary.size());
   AppendScoreList(out, request.boundary);
   return out;
 }
 
-Result<ShardSweepRequest> DecodeShardSweepRequest(
-    std::span<const uint8_t> payload) {
+void EncodeShardSweepRequest(const ShardSweepRequestFields& fields,
+                             std::span<const double> iterate,
+                             std::span<const NodeId> sources,
+                             std::vector<uint8_t>& out) {
+  AppendSweepRequestFields(out, fields, sources.size());
+  AppendU32(out, static_cast<uint32_t>(sources.size()));
+  const size_t offset = out.size();
+  out.resize(offset + sizeof(double) * sources.size());
+  uint8_t* p = out.data() + offset;
+  for (NodeId v : sources) {
+    std::memcpy(p, &iterate[static_cast<size_t>(v)], sizeof(double));
+    p += sizeof(double);
+  }
+}
+
+Status DecodeShardSweepRequest(std::span<const uint8_t> payload,
+                               ShardSweepRequestFields* fields,
+                               WireScores* boundary) {
   Cursor cursor(payload);
-  ShardSweepRequest request;
   uint8_t has_rescale = 0;
-  if (!cursor.ReadU64(&request.solve_id) || !cursor.ReadU32(&request.sweep) ||
-      !cursor.ReadF64(&request.dangling_mass) ||
-      !cursor.ReadU8(&has_rescale) || !cursor.ReadF64(&request.rescale)) {
+  if (!cursor.ReadU64(&fields->solve_id) || !cursor.ReadU32(&fields->sweep) ||
+      !cursor.ReadF64(&fields->dangling_mass) ||
+      !cursor.ReadU8(&has_rescale) || !cursor.ReadF64(&fields->rescale)) {
     return Truncated("ShardSweepRequest");
   }
   if (has_rescale > 1) {
     return Status::InvalidArgument(
         StrCat("bad has_rescale byte ", has_rescale));
   }
-  if (request.sweep == 0) {
+  if (fields->sweep == 0) {
     return Status::InvalidArgument("sweep index is zero (sweeps are 1-based)");
   }
-  if (Status s = ReadScoreList(cursor, "ShardSweepRequest boundary",
-                               &request.boundary);
-      !s.ok()) {
-    return s;
-  }
-  if (Status trailing = RejectTrailing(cursor, "ShardSweepRequest");
-      !trailing.ok()) {
-    return trailing;
-  }
-  request.has_rescale = has_rescale != 0;
+  D2PR_RETURN_NOT_OK(
+      ReadScoreView(cursor, "ShardSweepRequest boundary", boundary));
+  D2PR_RETURN_NOT_OK(RejectTrailing(cursor, "ShardSweepRequest"));
+  fields->has_rescale = has_rescale != 0;
+  return Status::OK();
+}
+
+Result<ShardSweepRequest> DecodeShardSweepRequest(
+    std::span<const uint8_t> payload) {
+  ShardSweepRequest request;
+  WireScores boundary;
+  D2PR_RETURN_NOT_OK(DecodeShardSweepRequest(payload, &request, &boundary));
+  request.boundary.resize(boundary.size());
+  boundary.CopyTo(request.boundary);
   return request;
 }
 
 // --- ShardSweepResponse ---
 
+void EncodeShardSweepResponse(const ShardSweepResponseFields& fields,
+                              std::span<const double> owned,
+                              std::vector<uint8_t>& out) {
+  out.clear();
+  out.reserve(8 + 4 + 4 + 8 * owned.size() + 8 + 8);
+  AppendU64(out, fields.solve_id);
+  AppendU32(out, fields.sweep);
+  AppendScoreList(out, owned);
+  AppendF64(out, fields.dangling_partial);
+  AppendF64(out, fields.residual_partial);
+}
+
 std::vector<uint8_t> EncodeShardSweepResponse(
     const ShardSweepResponse& response) {
   std::vector<uint8_t> out;
-  AppendU64(out, response.solve_id);
-  AppendU32(out, response.sweep);
-  AppendScoreList(out, response.owned);
-  AppendF64(out, response.dangling_partial);
-  AppendF64(out, response.residual_partial);
+  EncodeShardSweepResponse(response, response.owned, out);
   return out;
+}
+
+Status DecodeShardSweepResponse(std::span<const uint8_t> payload,
+                                ShardSweepResponseFields* fields,
+                                WireScores* owned) {
+  Cursor cursor(payload);
+  if (!cursor.ReadU64(&fields->solve_id) || !cursor.ReadU32(&fields->sweep)) {
+    return Truncated("ShardSweepResponse");
+  }
+  if (fields->sweep == 0) {
+    return Status::InvalidArgument("sweep index is zero (sweeps are 1-based)");
+  }
+  D2PR_RETURN_NOT_OK(ReadScoreView(cursor, "ShardSweepResponse owned", owned));
+  if (!cursor.ReadF64(&fields->dangling_partial) ||
+      !cursor.ReadF64(&fields->residual_partial)) {
+    return Truncated("ShardSweepResponse");
+  }
+  return RejectTrailing(cursor, "ShardSweepResponse");
 }
 
 Result<ShardSweepResponse> DecodeShardSweepResponse(
     std::span<const uint8_t> payload) {
-  Cursor cursor(payload);
   ShardSweepResponse response;
-  if (!cursor.ReadU64(&response.solve_id) ||
-      !cursor.ReadU32(&response.sweep)) {
-    return Truncated("ShardSweepResponse");
-  }
-  if (response.sweep == 0) {
-    return Status::InvalidArgument("sweep index is zero (sweeps are 1-based)");
-  }
-  if (Status s = ReadScoreList(cursor, "ShardSweepResponse owned",
-                               &response.owned);
-      !s.ok()) {
-    return s;
-  }
-  if (!cursor.ReadF64(&response.dangling_partial) ||
-      !cursor.ReadF64(&response.residual_partial)) {
-    return Truncated("ShardSweepResponse");
-  }
-  if (Status trailing = RejectTrailing(cursor, "ShardSweepResponse");
-      !trailing.ok()) {
-    return trailing;
-  }
+  WireScores owned;
+  D2PR_RETURN_NOT_OK(DecodeShardSweepResponse(payload, &response, &owned));
+  response.owned.resize(owned.size());
+  owned.CopyTo(response.owned);
   return response;
 }
 

@@ -49,16 +49,30 @@
 // reject-all-malformed discipline as the v1 codecs in net/wire.h:
 // truncation at any offset, trailing garbage, out-of-range enums, and
 // element counts the remaining bytes cannot hold are all InvalidArgument,
-// never a crash or an allocation sized from a lie.
+// never a crash or an allocation sized from a lie (the count is checked
+// against the remaining bytes before anything is allocated).
+//
+// Copy discipline. A node-id or score list travels as a u32 count plus
+// its elements' little-endian bytes, and crosses a codec in ONE bulk copy
+// (AppendArray / ReadArray, common/binary_io.h); the bytes are pinned by
+// tests/wire_golden_test.cc. On the per-sweep path a list is not staged
+// in a vector at all (the in-place codecs at the end of this header): the
+// coordinator gathers boundary values straight into its request bytes and
+// scatters owned values straight out of the reply bytes, and the worker
+// copies the boundary list straight into its iterate and encodes its
+// reply once, from its retained owned slice.
 
 #ifndef D2PR_NET_SHARD_WIRE_H_
 #define D2PR_NET_SHARD_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "core/pagerank.h"
 #include "core/transition.h"
 #include "graph/partition.h"
@@ -140,12 +154,34 @@ struct ShardSolveBegin {
   std::vector<double> metric_values;
 };
 
-/// \brief Coordinator -> shard: one synchronized sweep (kSweepRequest).
-struct ShardSweepRequest {
+/// \brief A score list decoded in place: `size()` f64 values left in the
+/// payload bytes they arrived in, at any alignment. Borrowed — valid only
+/// while that payload lives.
+class WireScores {
+ public:
+  WireScores() = default;
+  explicit WireScores(std::span<const uint8_t> bytes) : bytes_(bytes) {}
+
+  size_t size() const { return bytes_.size() / sizeof(double); }
+  double operator[](size_t i) const {
+    double value;
+    std::memcpy(&value, bytes_.data() + i * sizeof(double), sizeof(value));
+    return value;
+  }
+  /// One bulk copy of every value into `out`, which must hold exactly
+  /// size() values (D2PR_CHECKed).
+  void CopyTo(std::span<double> out) const;
+
+ private:
+  std::span<const uint8_t> bytes_;
+};
+
+/// \brief The fixed fields of a kSweepRequest (all but its score list).
+struct ShardSweepRequestFields {
   uint64_t solve_id = 0;
   /// 1-based iteration index. A request repeating the last completed
-  /// sweep is answered from the shard's cached reply (idempotent
-  /// retries); anything else out of order is FailedPrecondition.
+  /// sweep is answered again without re-executing (idempotent retries);
+  /// anything else out of order is FailedPrecondition.
   uint32_t sweep = 0;
   /// Dangling mass of the current iterate, folded by the coordinator
   /// over the global ascending dangling list (the canonical order).
@@ -155,24 +191,33 @@ struct ShardSweepRequest {
   /// the previous iterate, replayed bitwise.
   bool has_rescale = false;
   double rescale = 1.0;
+};
+
+/// \brief Coordinator -> shard: one synchronized sweep (kSweepRequest).
+struct ShardSweepRequest : ShardSweepRequestFields {
   /// Current iterate at the shard's boundary sources, in the ack's
   /// published order.
   std::vector<double> boundary;
 };
 
-/// \brief Shard -> coordinator: one sweep's published slice
-/// (kSweepResponse).
-struct ShardSweepResponse {
+/// \brief The fixed fields of a kSweepResponse (all but its score list).
+struct ShardSweepResponseFields {
   uint64_t solve_id = 0;
   uint32_t sweep = 0;
+  /// Advisory shard-folded partials (see the file comment): dangling
+  /// mass of the new slice over dangling_owned, and Σ|new - old| over
+  /// owned, each folded in ascending owned order. Telemetry, not control
+  /// inputs.
+  double dangling_partial = 0.0;
+  double residual_partial = 0.0;
+};
+
+/// \brief Shard -> coordinator: one sweep's published slice
+/// (kSweepResponse).
+struct ShardSweepResponse : ShardSweepResponseFields {
   /// The shard's new owned slice, ascending owned order (pre-normalize
   /// under policies that normalize globally).
   std::vector<double> owned;
-  /// Advisory shard-folded partials (see the file comment): dangling
-  /// mass of the new slice over dangling_owned, and Σ|new - old| over
-  /// owned. Telemetry, not control inputs.
-  double dangling_partial = 0.0;
-  double residual_partial = 0.0;
 };
 
 /// \brief Coordinator -> shard: release per-solve state (kSolveEnd).
@@ -204,6 +249,32 @@ Result<ShardSweepResponse> DecodeShardSweepResponse(
 
 std::vector<uint8_t> EncodeShardSolveEnd(const ShardSolveEnd& end);
 Result<ShardSolveEnd> DecodeShardSolveEnd(std::span<const uint8_t> payload);
+
+// --- in-place sweep codecs: the per-sweep path ---
+//
+// The same bytes as the value codecs above, with the score list kept
+// apart from the fixed fields so neither side stages it in a vector of
+// its own. The encoders replace `out`'s contents and keep its capacity,
+// so a buffer reused across sweeps stops allocating once warm; the
+// decoders leave the list in `payload` as a WireScores view.
+
+/// Encodes a kSweepRequest whose boundary list is `iterate` gathered at
+/// `sources` (boundary value i = iterate[sources[i]]): the coordinator's
+/// gather writes straight into the request bytes.
+void EncodeShardSweepRequest(const ShardSweepRequestFields& fields,
+                             std::span<const double> iterate,
+                             std::span<const NodeId> sources,
+                             std::vector<uint8_t>& out);
+Status DecodeShardSweepRequest(std::span<const uint8_t> payload,
+                               ShardSweepRequestFields* fields,
+                               WireScores* boundary);
+
+void EncodeShardSweepResponse(const ShardSweepResponseFields& fields,
+                              std::span<const double> owned,
+                              std::vector<uint8_t>& out);
+Status DecodeShardSweepResponse(std::span<const uint8_t> payload,
+                                ShardSweepResponseFields* fields,
+                                WireScores* owned);
 
 }  // namespace d2pr
 

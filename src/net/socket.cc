@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -79,6 +80,45 @@ Status Socket::SendAll(const void* data, size_t len) {
     if (sent == 0) return Status::IoError("send: connection closed");
     p += sent;
     len -= static_cast<size_t>(sent);
+  }
+  return Status::OK();
+}
+
+Status Socket::SendAll(std::span<const uint8_t> head,
+                       std::span<const uint8_t> body) {
+  if (fd_ < 0) return Status::FailedPrecondition("send on invalid socket");
+  iovec parts[2] = {
+      {const_cast<uint8_t*>(head.data()), head.size()},
+      {const_cast<uint8_t*>(body.data()), body.size()},
+  };
+  iovec* next = parts;
+  size_t count = 2;
+  while (count > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --count;
+      continue;
+    }
+    msghdr message{};
+    message.msg_iov = next;
+    message.msg_iovlen = count;
+    const ssize_t sent = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return Errno("sendmsg");
+    }
+    if (sent == 0) return Status::IoError("sendmsg: connection closed");
+    // Step past what went out: whole parts first, then into a partial one.
+    size_t done = static_cast<size_t>(sent);
+    while (count > 0 && done >= next->iov_len) {
+      done -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<uint8_t*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
   return Status::OK();
 }

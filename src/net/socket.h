@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -49,6 +50,12 @@ class Socket {
   /// Writes all `len` bytes (looping over partial sends; SIGPIPE
   /// suppressed). IoError when the peer is gone.
   Status SendAll(const void* data, size_t len);
+
+  /// Writes `head` then `body` as one gathered stream write (sendmsg of
+  /// two iovecs, looping over partial sends) — how a frame's header and
+  /// payload go out without first being copied into one buffer. Same
+  /// errors as SendAll.
+  Status SendAll(std::span<const uint8_t> head, std::span<const uint8_t> body);
 
   /// Reads exactly `len` bytes. IoError on failure; when `clean_eof` is
   /// non-null it is set to true iff the peer closed before the FIRST

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "common/binary_io.h"
@@ -15,30 +16,34 @@ namespace {
 using wire_internal::Cursor;
 using wire_internal::Truncated;
 
-void AppendU16(std::vector<uint8_t>& out, uint16_t value) {
-  out.push_back(static_cast<uint8_t>(value & 0xff));
-  out.push_back(static_cast<uint8_t>(value >> 8));
-}
-
 uint16_t ReadU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));
 }
 
 }  // namespace
 
+FrameHeaderBytes EncodeFrameHeader(FrameType type, uint64_t request_id,
+                                   size_t payload_len) {
+  D2PR_CHECK(payload_len <= kMaxPayloadBytes)
+      << "frame payload exceeds kMaxPayloadBytes";
+  // Host order is little-endian (the static_assert in
+  // common/binary_io.h), so each field is its own bytes.
+  const uint32_t len = static_cast<uint32_t>(payload_len);
+  const uint16_t type_code = static_cast<uint16_t>(type);
+  FrameHeaderBytes header;
+  std::memcpy(header.data(), &len, 4);
+  std::memcpy(header.data() + 4, &kWireMagic, 4);
+  std::memcpy(header.data() + 8, &kWireVersion, 2);
+  std::memcpy(header.data() + 10, &type_code, 2);
+  std::memcpy(header.data() + 12, &request_id, 8);
+  return header;
+}
+
 std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
                                  std::span<const uint8_t> payload) {
-  D2PR_CHECK(payload.size() <= kMaxPayloadBytes)
-      << "frame payload exceeds kMaxPayloadBytes";
-  std::vector<uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  AppendU32(out, static_cast<uint32_t>(payload.size()));
-  AppendU32(out, kWireMagic);
-  AppendU16(out, kWireVersion);
-  AppendU16(out, static_cast<uint16_t>(type));
-  AppendU64(out, request_id);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return BuildFrame(type, request_id, [&](std::vector<uint8_t>& out) {
+    AppendArray(out, payload);
+  });
 }
 
 Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes) {
@@ -168,11 +173,12 @@ Result<WireRankRequest> DecodeRankRequest(std::span<const uint8_t> payload) {
   return wire;
 }
 
-std::vector<uint8_t> EncodeRankResponse(const RankResponse& response) {
-  std::vector<uint8_t> out;
-  out.reserve(8 * response.scores.size() + 64);
+void AppendRankResponse(std::vector<uint8_t>& out,
+                        const RankResponse& response) {
+  out.reserve(out.size() + 8 * response.scores.size() + 64 +
+              13 * response.top.size());
   AppendU64(out, response.scores.size());
-  for (double score : response.scores) AppendF64(out, score);
+  AppendArray(out, std::span<const double>(response.scores));
   AppendU32(out, static_cast<uint32_t>(response.method));
   AppendU32(out, static_cast<uint32_t>(response.iterations));
   AppendI64(out, response.pushes);
@@ -198,6 +204,11 @@ std::vector<uint8_t> EncodeRankResponse(const RankResponse& response) {
     }
     AppendF64(out, response.uncertainty_gap);
   }
+}
+
+std::vector<uint8_t> EncodeRankResponse(const RankResponse& response) {
+  std::vector<uint8_t> out;
+  AppendRankResponse(out, response);
   return out;
 }
 
@@ -207,12 +218,12 @@ Result<RankResponse> DecodeRankResponse(std::span<const uint8_t> payload) {
   uint64_t num_scores = 0;
   if (!cursor.ReadU64(&num_scores)) return Truncated("RankResponse");
   if (num_scores > cursor.remaining() / 8) return Truncated("RankResponse");
-  response.scores.reserve(static_cast<size_t>(num_scores));
-  for (uint64_t i = 0; i < num_scores; ++i) {
-    double score = 0.0;
-    if (!cursor.ReadF64(&score)) return Truncated("RankResponse");
-    response.scores.push_back(score);
+  std::span<const uint8_t> score_bytes;
+  if (!cursor.ReadBytes(num_scores * 8, &score_bytes)) {
+    return Truncated("RankResponse");
   }
+  response.scores.resize(static_cast<size_t>(num_scores));
+  ReadArray(score_bytes.data(), std::span<double>(response.scores));
   uint32_t method = 0;
   uint32_t iterations = 0;
   uint32_t flags = 0;
@@ -270,13 +281,17 @@ Result<RankResponse> DecodeRankResponse(std::span<const uint8_t> payload) {
   return response;
 }
 
-std::vector<uint8_t> EncodeStatusPayload(const Status& status) {
-  std::vector<uint8_t> out;
+void AppendStatusPayload(std::vector<uint8_t>& out, const Status& status) {
   const std::string& message = status.message();
-  out.reserve(12 + message.size());
+  out.reserve(out.size() + 12 + message.size());
   AppendU32(out, static_cast<uint32_t>(status.code()));
   AppendU64(out, message.size());
   out.insert(out.end(), message.begin(), message.end());
+}
+
+std::vector<uint8_t> EncodeStatusPayload(const Status& status) {
+  std::vector<uint8_t> out;
+  AppendStatusPayload(out, status);
   return out;
 }
 
@@ -300,13 +315,17 @@ Status DecodeStatusPayload(std::span<const uint8_t> payload, Status* decoded) {
   return Status::OK();
 }
 
-std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
-  std::vector<uint8_t> out;
-  out.reserve(32);
+void AppendServerInfo(std::vector<uint8_t>& out, const ServerInfo& info) {
+  out.reserve(out.size() + 32);
   AppendU64(out, info.num_nodes);
   AppendU64(out, info.num_arcs);
   AppendU64(out, info.num_shards);
   AppendU64(out, info.num_threads);
+}
+
+std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
+  std::vector<uint8_t> out;
+  AppendServerInfo(out, info);
   return out;
 }
 

@@ -48,6 +48,8 @@
 #ifndef D2PR_NET_WIRE_H_
 #define D2PR_NET_WIRE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -116,9 +118,35 @@ struct ServerInfo {
   uint64_t num_threads = 1;
 };
 
-/// \brief Assembles a complete frame (header + payload) ready to write.
-/// D2PR_CHECKs that `payload` fits kMaxPayloadBytes — encoders below
-/// cannot produce an oversize payload from valid inputs.
+/// The fixed header of one frame, as written on the stream.
+using FrameHeaderBytes = std::array<uint8_t, kFrameHeaderBytes>;
+
+/// \brief Encodes the fixed header of a frame carrying `payload_len`
+/// payload bytes. D2PR_CHECKs that the length fits kMaxPayloadBytes —
+/// encoders below cannot produce an oversize payload from valid inputs.
+///
+/// Framing never copies a payload: a blocking sender writes these bytes
+/// and the payload with one gathered send (Socket::SendAll(head, body)),
+/// and a queued writer builds its frame with BuildFrame.
+FrameHeaderBytes EncodeFrameHeader(FrameType type, uint64_t request_id,
+                                   size_t payload_len);
+
+/// \brief Builds a complete frame in one vector: `append_payload(out)`
+/// appends the payload after reserved header room, then the header is
+/// written in front — the payload is encoded in place, never copied.
+template <typename AppendPayload>
+std::vector<uint8_t> BuildFrame(FrameType type, uint64_t request_id,
+                                AppendPayload&& append_payload) {
+  std::vector<uint8_t> frame(kFrameHeaderBytes);
+  append_payload(frame);
+  const FrameHeaderBytes header =
+      EncodeFrameHeader(type, request_id, frame.size() - kFrameHeaderBytes);
+  std::copy(header.begin(), header.end(), frame.begin());
+  return frame;
+}
+
+/// \brief A complete frame (header + a copy of `payload`) in one vector —
+/// for tests and load generators that pre-build raw frames.
 std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
                                  std::span<const uint8_t> payload);
 
@@ -133,6 +161,8 @@ Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes);
 std::vector<uint8_t> EncodeRankRequest(const WireRankRequest& request);
 Result<WireRankRequest> DecodeRankRequest(std::span<const uint8_t> payload);
 
+/// The scores section (u64 count + f64 values) crosses the codec as one
+/// bulk copy each way; tests/wire_golden_test.cc pins its bytes.
 std::vector<uint8_t> EncodeRankResponse(const RankResponse& response);
 Result<RankResponse> DecodeRankResponse(std::span<const uint8_t> payload);
 
@@ -146,6 +176,13 @@ Status DecodeStatusPayload(std::span<const uint8_t> payload, Status* decoded);
 
 std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info);
 Result<ServerInfo> DecodeServerInfo(std::span<const uint8_t> payload);
+
+/// Append forms of the reply encoders — the same bytes, appended to `out`
+/// — so a reply can be encoded straight into a BuildFrame buffer.
+void AppendRankResponse(std::vector<uint8_t>& out,
+                        const RankResponse& response);
+void AppendStatusPayload(std::vector<uint8_t>& out, const Status& status);
+void AppendServerInfo(std::vector<uint8_t>& out, const ServerInfo& info);
 
 }  // namespace d2pr
 

@@ -60,6 +60,14 @@ class Cursor {
     Advance(1);
     return true;
   }
+  /// Views the next `length` bytes in place (no copy) and steps past
+  /// them; false, with nothing consumed, when fewer remain.
+  bool ReadBytes(uint64_t length, std::span<const uint8_t>* bytes) {
+    if (remaining_ < length) return false;
+    *bytes = std::span<const uint8_t>(p_, static_cast<size_t>(length));
+    Advance(static_cast<size_t>(length));
+    return true;
+  }
   bool ReadString(uint64_t length, std::string* value) {
     if (remaining_ < length) return false;
     value->assign(reinterpret_cast<const char*>(p_),

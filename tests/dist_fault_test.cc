@@ -99,7 +99,7 @@ TEST(DistFaultTest, LostRepliesAreRetriedAndStayBitwise) {
   EXPECT_EQ(run.result->scores, Fixture().reference.scores);
   EXPECT_EQ(run.result->iterations, Fixture().reference.iterations);
   EXPECT_EQ(run.result->residual, Fixture().reference.residual);
-  // The fault fired and the retry path (cached-reply resend) healed it.
+  // The fault fired and the retry path (idempotent re-answer) healed it.
   EXPECT_GT(run.faulty[0]->replies_dropped() +
                 run.faulty[1]->replies_dropped(),
             0);

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "dist/coordinator.h"
 #include "dist_test_util.h"
 #include "graph/partition.h"
+#include "net/shard_wire.h"
 
 namespace d2pr {
 namespace {
@@ -280,6 +283,191 @@ TEST(DistParityTest, BackToBackSolvesOverOneFleetStayBitwise) {
     ASSERT_TRUE(reference.ok());
     ExpectBitwiseEqual(*distributed, *reference);
   }
+}
+
+/// Checks every sweep response passing through against a reference fold
+/// rebuilt from the frames alone: the shard's retained slice starts as
+/// its solve-begin `initial`, is multiplied by each request's rescale,
+/// and is replaced by each response's owned slice. The advisory partials
+/// must be bitwise the ascending folds over that slice — the dangling
+/// mass of the new slice, and Σ|new - old|.
+class PartialsCheckingChannel : public ShardChannel {
+ public:
+  PartialsCheckingChannel(ShardChannel& inner, const PartitionShard& shard)
+      : inner_(inner), dangling_(shard.owned.size(), 0) {
+    for (NodeId v : shard.dangling_owned) {
+      dangling_[static_cast<size_t>(
+          std::lower_bound(shard.owned.begin(), shard.owned.end(), v) -
+          shard.owned.begin())] = 1;
+    }
+  }
+
+  Result<ShardFrame> Call(const ShardFrame& request,
+                          int64_t deadline_ms) override {
+    if (request.type == FrameType::kSolveBegin) {
+      auto begin = DecodeShardSolveBegin(request.payload);
+      EXPECT_TRUE(begin.ok());
+      if (begin.ok()) retained_ = begin->initial;
+    } else if (request.type == FrameType::kSweepRequest) {
+      auto sweep = DecodeShardSweepRequest(request.payload);
+      EXPECT_TRUE(sweep.ok());
+      if (sweep.ok() && sweep->has_rescale) {
+        for (double& value : retained_) value *= sweep->rescale;
+      }
+    }
+    Result<ShardFrame> reply = inner_.Call(request, deadline_ms);
+    if (reply.ok() && reply->type == FrameType::kSweepResponse) {
+      auto response = DecodeShardSweepResponse(reply->payload);
+      EXPECT_TRUE(response.ok());
+      if (!response.ok()) return reply;
+      const std::vector<double>& owned = response->owned;
+      EXPECT_EQ(owned.size(), retained_.size());
+      double dangling = 0.0;
+      double residual = 0.0;
+      for (size_t k = 0; k < owned.size() && k < retained_.size(); ++k) {
+        if (dangling_[k]) dangling += owned[k];
+      }
+      for (size_t k = 0; k < owned.size() && k < retained_.size(); ++k) {
+        residual += std::abs(owned[k] - retained_[k]);
+      }
+      EXPECT_EQ(std::memcmp(&dangling, &response->dangling_partial, 8), 0)
+          << "sweep " << response->sweep << ": " << dangling << " vs "
+          << response->dangling_partial;
+      EXPECT_EQ(std::memcmp(&residual, &response->residual_partial, 8), 0)
+          << "sweep " << response->sweep << ": " << residual << " vs "
+          << response->residual_partial;
+      retained_ = owned;
+      ++responses_checked_;
+    }
+    return reply;
+  }
+
+  int64_t responses_checked() const { return responses_checked_; }
+
+ private:
+  ShardChannel& inner_;
+  std::vector<uint8_t> dangling_;
+  std::vector<double> retained_;
+  int64_t responses_checked_ = 0;
+};
+
+TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
+  Rng rng(46);
+  auto graph = BarabasiAlbert(240, 3, &rng);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+
+  for (size_t shards : {1, 3}) {
+    for (DanglingPolicy dangling :
+         {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
+          DanglingPolicy::kRenormalize}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, dangling " +
+                   std::to_string(static_cast<int>(dangling)));
+      DistFleet fleet = MakeFleet(*graph, shards, PartitionScheme::kHash);
+      std::vector<std::unique_ptr<PartialsCheckingChannel>> checked;
+      for (size_t s = 0; s < shards; ++s) {
+        checked.push_back(std::make_unique<PartialsCheckingChannel>(
+            *fleet.raw[s], fleet.workers[s]->shard()));
+        fleet.raw[s] = checked.back().get();
+      }
+      DistributedCoordinator coordinator(
+          fleet.raw, MakeCoordinatorOptions(*graph, PartitionScheme::kHash));
+      ASSERT_TRUE(coordinator.Handshake().ok());
+      PagerankOptions options;
+      options.tolerance = 1e-11;
+      options.max_iterations = 2000;
+      options.dangling = dangling;
+      auto result = coordinator.Solve(SolverMethod::kPower, teleport, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const auto& channel : checked) {
+        EXPECT_EQ(channel->responses_checked(), result->iterations);
+      }
+    }
+  }
+}
+
+/// Passes every call through until armed; then the `n`-th sweep request
+/// from the arming on gets a reply that lost its last byte — a malformed
+/// reply that fails the solve mid-sweep, after the shard executed it.
+class FailOneSweepChannel : public ShardChannel {
+ public:
+  explicit FailOneSweepChannel(ShardChannel& inner) : inner_(inner) {}
+
+  void FailNthSweepFromNow(int n) { fail_at_ = sweeps_ + n; }
+
+  Result<ShardFrame> Call(const ShardFrame& request,
+                          int64_t deadline_ms) override {
+    Result<ShardFrame> reply = inner_.Call(request, deadline_ms);
+    if (request.type == FrameType::kSweepRequest && ++sweeps_ == fail_at_ &&
+        reply.ok()) {
+      reply->payload.pop_back();
+    }
+    return reply;
+  }
+
+ private:
+  ShardChannel& inner_;
+  int sweeps_ = 0;
+  int fail_at_ = -1;
+};
+
+bool SameBits(const PagerankResult& a, const PagerankResult& b) {
+  return a.iterations == b.iterations && a.converged == b.converged &&
+         std::memcmp(&a.residual, &b.residual, sizeof(double)) == 0 &&
+         a.scores.size() == b.scores.size() &&
+         std::memcmp(a.scores.data(), b.scores.data(),
+                     a.scores.size() * sizeof(double)) == 0;
+}
+
+TEST(DistParityTest, ReusedSweepBuffersRepeatSolvesBitwiseEvenAfterAFailure) {
+  Rng rng(47);
+  auto graph = BarabasiAlbert(260, 3, &rng);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  constexpr size_t kShards = 3;
+
+  DistFleet fleet = MakeFleet(*graph, kShards, PartitionScheme::kHash);
+  FailOneSweepChannel failing(*fleet.raw[1]);
+  fleet.raw[1] = &failing;
+  DistributedCoordinator coordinator(
+      fleet.raw, MakeCoordinatorOptions(*graph, PartitionScheme::kHash));
+  ASSERT_TRUE(coordinator.Handshake().ok());
+
+  for (DanglingPolicy dangling :
+       {DanglingPolicy::kTeleport, DanglingPolicy::kRenormalize}) {
+    SCOPED_TRACE("dangling " + std::to_string(static_cast<int>(dangling)));
+    PagerankOptions options;
+    options.tolerance = 1e-11;
+    options.max_iterations = 2000;
+    options.dangling = dangling;
+    auto reference = ReferenceSolve(*graph, PartitionScheme::kHash, kShards,
+                                    SolverMethod::kPower, {}, teleport,
+                                    options);
+    ASSERT_TRUE(reference.ok());
+
+    auto first = coordinator.Solve(SolverMethod::kPower, teleport, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_TRUE(SameBits(*first, *reference));
+    auto second = coordinator.Solve(SolverMethod::kPower, teleport, options);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_TRUE(SameBits(*second, *first));
+  }
+
+  // A solve that fails in its fifth sweep leaves the reused buffers
+  // behind; the solve after it still matches the reference bitwise.
+  PagerankOptions options;
+  options.tolerance = 1e-11;
+  options.max_iterations = 2000;
+  failing.FailNthSweepFromNow(5);
+  auto before = coordinator.Solve(SolverMethod::kPower, teleport, options);
+  ASSERT_FALSE(before.ok());
+  EXPECT_EQ(before.status().code(), StatusCode::kUnavailable);
+  auto after = coordinator.Solve(SolverMethod::kPower, teleport, options);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto reference = ReferenceSolve(*graph, PartitionScheme::kHash, kShards,
+                                  SolverMethod::kPower, {}, teleport, options);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_TRUE(SameBits(*after, *reference));
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ class FaultyChannel : public ShardChannel {
     /// Deliver the request, then lose the reply (DeadlineExceeded to the
     /// caller) on every `drop_reply_every`-th call; 0 disables. The
     /// request WAS processed — the retry must hit the worker's
-    /// idempotent cached-reply path.
+    /// idempotent re-answer path.
     int drop_reply_every = 0;
     /// Swallow the request undelivered (DeadlineExceeded, worker never
     /// saw it) on every `drop_request_every`-th call; 0 disables.
