@@ -273,7 +273,7 @@ Result<PagerankResult> DistributedCoordinator::Solve(
     for (NodeId v : dangling_) {
       dangling_mass += current[static_cast<size_t>(v)];
     }
-    ShardSweepRequestFields sweep;
+    ShardSweepRequest sweep;
     sweep.solve_id = solve_id;
     sweep.sweep = static_cast<uint32_t>(iter);
     sweep.dangling_mass = dangling_mass;
@@ -299,7 +299,7 @@ Result<PagerankResult> DistributedCoordinator::Solve(
         stats_.elapsed_ms += NowMs() - t0;
         return reply.status();
       }
-      ShardSweepResponseFields response;
+      ShardSweepResponse response;
       WireScores owned;
       if (Status decoded =
               DecodeShardSweepResponse(reply->payload, &response, &owned);

@@ -294,7 +294,7 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
                            "sweep from a session that never completed a "
                            "handshake"));
   }
-  ShardSweepRequestFields sweep;
+  ShardSweepRequest sweep;
   WireScores boundary;
   if (Status decoded = DecodeShardSweepRequest(request.payload, &sweep,
                                                &boundary);
@@ -334,7 +334,7 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
     ++sweeps_executed_;
   }
 
-  ShardSweepResponseFields response;
+  ShardSweepResponse response;
   response.solve_id = solve_id_;
   response.sweep = last_sweep_;
   response.dangling_partial = dangling_partial_;

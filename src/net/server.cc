@@ -14,14 +14,6 @@ namespace {
 
 constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 
-/// A kStatus / kUnavailable frame, its payload encoded in place.
-std::vector<uint8_t> StatusFrame(FrameType type, uint64_t request_id,
-                                 const Status& status) {
-  return BuildFrame(type, request_id, [&](std::vector<uint8_t>& out) {
-    AppendStatusPayload(out, status);
-  });
-}
-
 class RuntimeBackend final : public RankBackend {
  public:
   explicit RuntimeBackend(ServingRuntime& runtime) : runtime_(runtime) {}
@@ -232,11 +224,9 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
     }
     switch (frame.type) {
       case FrameType::kInfoRequest: {
-        connection->EnqueueWrite(BuildFrame(
-            FrameType::kInfoResponse, frame.request_id,
-            [&](std::vector<uint8_t>& out) {
-              AppendServerInfo(out, backend_.info());
-            }));
+        connection->EnqueueWrite(EncodeFrame(FrameType::kInfoResponse,
+                                             frame.request_id,
+                                             EncodeServerInfo(backend_.info())));
         ++stats_.responses_sent;
         break;
       }
@@ -246,8 +236,9 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
           // The framing is intact — only this request is bad. Tell the
           // client and keep serving the connection.
           ++stats_.decode_errors;
-          connection->EnqueueWrite(StatusFrame(
-              FrameType::kStatus, frame.request_id, request.status()));
+          connection->EnqueueWrite(
+              EncodeFrame(FrameType::kStatus, frame.request_id,
+                          EncodeStatusPayload(request.status())));
           ++stats_.responses_sent;
           break;
         }
@@ -325,10 +316,10 @@ void RpcServer::HandleRank(const std::shared_ptr<Connection>& connection,
     }
     if (backend_.queue_depth() >= options_.max_queue_depth) {
       ++stats_.shed_unavailable;
-      connection->EnqueueWrite(StatusFrame(
+      connection->EnqueueWrite(EncodeFrame(
           FrameType::kUnavailable, request_id,
-          Status::Unavailable(
-              "server overloaded (admission queue full); retry later")));
+          EncodeStatusPayload(Status::Unavailable(
+              "server overloaded (admission queue full); retry later"))));
       ++stats_.responses_sent;
       return;
     }
@@ -418,17 +409,17 @@ void RpcServer::DeliverTo(const Waiter& waiter,
   std::vector<uint8_t> frame;
   if (expired_at_delivery) {
     ++stats_.deadline_expired_delivery;
-    frame = StatusFrame(FrameType::kStatus, waiter.request_id,
-                        Status::DeadlineExceeded(
-                            "deadline expired before response delivery"));
+    frame = EncodeFrame(FrameType::kStatus, waiter.request_id,
+                        EncodeStatusPayload(Status::DeadlineExceeded(
+                            "deadline expired before response delivery")));
   } else if (result.ok()) {
     frame = BuildFrame(FrameType::kRankResponse, waiter.request_id,
                        [&](std::vector<uint8_t>& out) {
                          AppendRankResponse(out, result.value());
                        });
   } else {
-    frame = StatusFrame(FrameType::kStatus, waiter.request_id,
-                        result.status());
+    frame = EncodeFrame(FrameType::kStatus, waiter.request_id,
+                        EncodeStatusPayload(result.status()));
   }
   waiter.connection->EnqueueWrite(std::move(frame));
   ++stats_.responses_sent;

@@ -159,9 +159,6 @@ Result<ShardHandshake> DecodeShardHandshake(std::span<const uint8_t> payload) {
 
 std::vector<uint8_t> EncodeShardHandshakeAck(const ShardHandshakeAck& ack) {
   std::vector<uint8_t> out;
-  out.reserve(8 * 4 + 4 * (2 + ack.dangling_owned.size() +
-                           ack.boundary_sources.size()) +
-              1);
   AppendU64(out, ack.num_nodes);
   AppendU64(out, ack.num_arcs);
   AppendU64(out, ack.num_owned);
@@ -215,9 +212,6 @@ Result<ShardHandshakeAck> DecodeShardHandshakeAck(
 
 std::vector<uint8_t> EncodeShardSolveBegin(const ShardSolveBegin& begin) {
   std::vector<uint8_t> out;
-  out.reserve(8 + 4 + 4 + 8 +
-              (4 + 8 * begin.initial.size()) * 2 +
-              (4 + 8 * begin.metric_values.size()));
   AppendU64(out, begin.solve_id);
   AppendU32(out, begin.method);
   AppendU32(out, static_cast<uint32_t>(begin.dangling));
@@ -287,36 +281,16 @@ Result<ShardSolveBegin> DecodeShardSolveBegin(
 
 // --- ShardSweepRequest ---
 
-namespace {
-
-constexpr size_t kSweepRequestFixedBytes = 8 + 4 + 8 + 1 + 8;
-
-void AppendSweepRequestFields(std::vector<uint8_t>& out,
-                              const ShardSweepRequestFields& fields,
-                              size_t boundary_count) {
-  out.clear();
-  out.reserve(kSweepRequestFixedBytes + 4 + 8 * boundary_count);
-  AppendU64(out, fields.solve_id);
-  AppendU32(out, fields.sweep);
-  AppendF64(out, fields.dangling_mass);
-  out.push_back(fields.has_rescale ? 1 : 0);
-  AppendF64(out, fields.rescale);
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeShardSweepRequest(const ShardSweepRequest& request) {
-  std::vector<uint8_t> out;
-  AppendSweepRequestFields(out, request, request.boundary.size());
-  AppendScoreList(out, request.boundary);
-  return out;
-}
-
-void EncodeShardSweepRequest(const ShardSweepRequestFields& fields,
+void EncodeShardSweepRequest(const ShardSweepRequest& request,
                              std::span<const double> iterate,
                              std::span<const NodeId> sources,
                              std::vector<uint8_t>& out) {
-  AppendSweepRequestFields(out, fields, sources.size());
+  out.clear();
+  AppendU64(out, request.solve_id);
+  AppendU32(out, request.sweep);
+  AppendF64(out, request.dangling_mass);
+  out.push_back(request.has_rescale ? 1 : 0);
+  AppendF64(out, request.rescale);
   AppendU32(out, static_cast<uint32_t>(sources.size()));
   const size_t offset = out.size();
   out.resize(offset + sizeof(double) * sources.size());
@@ -328,86 +302,61 @@ void EncodeShardSweepRequest(const ShardSweepRequestFields& fields,
 }
 
 Status DecodeShardSweepRequest(std::span<const uint8_t> payload,
-                               ShardSweepRequestFields* fields,
+                               ShardSweepRequest* request,
                                WireScores* boundary) {
   Cursor cursor(payload);
   uint8_t has_rescale = 0;
-  if (!cursor.ReadU64(&fields->solve_id) || !cursor.ReadU32(&fields->sweep) ||
-      !cursor.ReadF64(&fields->dangling_mass) ||
-      !cursor.ReadU8(&has_rescale) || !cursor.ReadF64(&fields->rescale)) {
+  if (!cursor.ReadU64(&request->solve_id) || !cursor.ReadU32(&request->sweep) ||
+      !cursor.ReadF64(&request->dangling_mass) ||
+      !cursor.ReadU8(&has_rescale) || !cursor.ReadF64(&request->rescale)) {
     return Truncated("ShardSweepRequest");
   }
   if (has_rescale > 1) {
     return Status::InvalidArgument(
         StrCat("bad has_rescale byte ", has_rescale));
   }
-  if (fields->sweep == 0) {
+  if (request->sweep == 0) {
     return Status::InvalidArgument("sweep index is zero (sweeps are 1-based)");
   }
   D2PR_RETURN_NOT_OK(
       ReadScoreView(cursor, "ShardSweepRequest boundary", boundary));
   D2PR_RETURN_NOT_OK(RejectTrailing(cursor, "ShardSweepRequest"));
-  fields->has_rescale = has_rescale != 0;
+  request->has_rescale = has_rescale != 0;
   return Status::OK();
-}
-
-Result<ShardSweepRequest> DecodeShardSweepRequest(
-    std::span<const uint8_t> payload) {
-  ShardSweepRequest request;
-  WireScores boundary;
-  D2PR_RETURN_NOT_OK(DecodeShardSweepRequest(payload, &request, &boundary));
-  request.boundary.resize(boundary.size());
-  boundary.CopyTo(request.boundary);
-  return request;
 }
 
 // --- ShardSweepResponse ---
 
-void EncodeShardSweepResponse(const ShardSweepResponseFields& fields,
+void EncodeShardSweepResponse(const ShardSweepResponse& response,
                               std::span<const double> owned,
                               std::vector<uint8_t>& out) {
   out.clear();
+  // The partials trail the list: without room for them up front, a fresh
+  // buffer sized exactly by the list's append would be copied again.
   out.reserve(8 + 4 + 4 + 8 * owned.size() + 8 + 8);
-  AppendU64(out, fields.solve_id);
-  AppendU32(out, fields.sweep);
+  AppendU64(out, response.solve_id);
+  AppendU32(out, response.sweep);
   AppendScoreList(out, owned);
-  AppendF64(out, fields.dangling_partial);
-  AppendF64(out, fields.residual_partial);
-}
-
-std::vector<uint8_t> EncodeShardSweepResponse(
-    const ShardSweepResponse& response) {
-  std::vector<uint8_t> out;
-  EncodeShardSweepResponse(response, response.owned, out);
-  return out;
+  AppendF64(out, response.dangling_partial);
+  AppendF64(out, response.residual_partial);
 }
 
 Status DecodeShardSweepResponse(std::span<const uint8_t> payload,
-                                ShardSweepResponseFields* fields,
+                                ShardSweepResponse* response,
                                 WireScores* owned) {
   Cursor cursor(payload);
-  if (!cursor.ReadU64(&fields->solve_id) || !cursor.ReadU32(&fields->sweep)) {
+  if (!cursor.ReadU64(&response->solve_id) || !cursor.ReadU32(&response->sweep)) {
     return Truncated("ShardSweepResponse");
   }
-  if (fields->sweep == 0) {
+  if (response->sweep == 0) {
     return Status::InvalidArgument("sweep index is zero (sweeps are 1-based)");
   }
   D2PR_RETURN_NOT_OK(ReadScoreView(cursor, "ShardSweepResponse owned", owned));
-  if (!cursor.ReadF64(&fields->dangling_partial) ||
-      !cursor.ReadF64(&fields->residual_partial)) {
+  if (!cursor.ReadF64(&response->dangling_partial) ||
+      !cursor.ReadF64(&response->residual_partial)) {
     return Truncated("ShardSweepResponse");
   }
   return RejectTrailing(cursor, "ShardSweepResponse");
-}
-
-Result<ShardSweepResponse> DecodeShardSweepResponse(
-    std::span<const uint8_t> payload) {
-  ShardSweepResponse response;
-  WireScores owned;
-  D2PR_RETURN_NOT_OK(DecodeShardSweepResponse(payload, &response, &owned));
-  response.owned.resize(owned.size());
-  owned.CopyTo(response.owned);
-  return response;
 }
 
 // --- ShardSolveEnd ---

@@ -56,7 +56,7 @@
 // its elements' little-endian bytes, and crosses a codec in ONE bulk copy
 // (AppendArray / ReadArray, common/binary_io.h); the bytes are pinned by
 // tests/wire_golden_test.cc. On the per-sweep path a list is not staged
-// in a vector at all (the in-place codecs at the end of this header): the
+// in a vector at all (the sweep codecs at the end of this header): the
 // coordinator gathers boundary values straight into its request bytes and
 // scatters owned values straight out of the reply bytes, and the worker
 // copies the boundary list straight into its iterate and encodes its
@@ -176,8 +176,11 @@ class WireScores {
   std::span<const uint8_t> bytes_;
 };
 
-/// \brief The fixed fields of a kSweepRequest (all but its score list).
-struct ShardSweepRequestFields {
+/// \brief Coordinator -> shard: one synchronized sweep (kSweepRequest),
+/// all but its boundary list — the current iterate at the shard's
+/// boundary sources, in the ack's published order, which the codec
+/// gathers and views in place (see the sweep codecs below).
+struct ShardSweepRequest {
   uint64_t solve_id = 0;
   /// 1-based iteration index. A request repeating the last completed
   /// sweep is answered again without re-executing (idempotent retries);
@@ -193,15 +196,11 @@ struct ShardSweepRequestFields {
   double rescale = 1.0;
 };
 
-/// \brief Coordinator -> shard: one synchronized sweep (kSweepRequest).
-struct ShardSweepRequest : ShardSweepRequestFields {
-  /// Current iterate at the shard's boundary sources, in the ack's
-  /// published order.
-  std::vector<double> boundary;
-};
-
-/// \brief The fixed fields of a kSweepResponse (all but its score list).
-struct ShardSweepResponseFields {
+/// \brief Shard -> coordinator: one sweep's published slice
+/// (kSweepResponse), all but its owned list — the shard's new owned
+/// slice, ascending owned order (pre-normalize under policies that
+/// normalize globally).
+struct ShardSweepResponse {
   uint64_t solve_id = 0;
   uint32_t sweep = 0;
   /// Advisory shard-folded partials (see the file comment): dangling
@@ -210,14 +209,6 @@ struct ShardSweepResponseFields {
   /// inputs.
   double dangling_partial = 0.0;
   double residual_partial = 0.0;
-};
-
-/// \brief Shard -> coordinator: one sweep's published slice
-/// (kSweepResponse).
-struct ShardSweepResponse : ShardSweepResponseFields {
-  /// The shard's new owned slice, ascending owned order (pre-normalize
-  /// under policies that normalize globally).
-  std::vector<double> owned;
 };
 
 /// \brief Coordinator -> shard: release per-solve state (kSolveEnd).
@@ -238,42 +229,32 @@ std::vector<uint8_t> EncodeShardSolveBegin(const ShardSolveBegin& begin);
 Result<ShardSolveBegin> DecodeShardSolveBegin(
     std::span<const uint8_t> payload);
 
-std::vector<uint8_t> EncodeShardSweepRequest(const ShardSweepRequest& request);
-Result<ShardSweepRequest> DecodeShardSweepRequest(
-    std::span<const uint8_t> payload);
-
-std::vector<uint8_t> EncodeShardSweepResponse(
-    const ShardSweepResponse& response);
-Result<ShardSweepResponse> DecodeShardSweepResponse(
-    std::span<const uint8_t> payload);
-
 std::vector<uint8_t> EncodeShardSolveEnd(const ShardSolveEnd& end);
 Result<ShardSolveEnd> DecodeShardSolveEnd(std::span<const uint8_t> payload);
 
-// --- in-place sweep codecs: the per-sweep path ---
+// --- sweep codecs: the per-sweep path ---
 //
-// The same bytes as the value codecs above, with the score list kept
-// apart from the fixed fields so neither side stages it in a vector of
-// its own. The encoders replace `out`'s contents and keep its capacity,
-// so a buffer reused across sweeps stops allocating once warm; the
-// decoders leave the list in `payload` as a WireScores view.
+// A sweep frame's score list is never staged in a vector of its own. The
+// encoders replace `out`'s contents and keep its capacity, so a buffer
+// reused across sweeps stops allocating once warm; the decoders leave the
+// list in `payload` as a WireScores view.
 
 /// Encodes a kSweepRequest whose boundary list is `iterate` gathered at
 /// `sources` (boundary value i = iterate[sources[i]]): the coordinator's
 /// gather writes straight into the request bytes.
-void EncodeShardSweepRequest(const ShardSweepRequestFields& fields,
+void EncodeShardSweepRequest(const ShardSweepRequest& request,
                              std::span<const double> iterate,
                              std::span<const NodeId> sources,
                              std::vector<uint8_t>& out);
 Status DecodeShardSweepRequest(std::span<const uint8_t> payload,
-                               ShardSweepRequestFields* fields,
+                               ShardSweepRequest* request,
                                WireScores* boundary);
 
-void EncodeShardSweepResponse(const ShardSweepResponseFields& fields,
+void EncodeShardSweepResponse(const ShardSweepResponse& response,
                               std::span<const double> owned,
                               std::vector<uint8_t>& out);
 Status DecodeShardSweepResponse(std::span<const uint8_t> payload,
-                                ShardSweepResponseFields* fields,
+                                ShardSweepResponse* response,
                                 WireScores* owned);
 
 }  // namespace d2pr

@@ -67,21 +67,7 @@ Result<Socket> Socket::Connect(const std::string& host, uint16_t port) {
 }
 
 Status Socket::SendAll(const void* data, size_t len) {
-  if (fd_ < 0) return Status::FailedPrecondition("send on invalid socket");
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (len > 0) {
-    // MSG_NOSIGNAL: a dead peer surfaces as EPIPE, not a process-killing
-    // SIGPIPE.
-    const ssize_t sent = ::send(fd_, p, len, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return Errno("send");
-    }
-    if (sent == 0) return Status::IoError("send: connection closed");
-    p += sent;
-    len -= static_cast<size_t>(sent);
-  }
-  return Status::OK();
+  return SendAll({static_cast<const uint8_t*>(data), len}, {});
 }
 
 Status Socket::SendAll(std::span<const uint8_t> head,
@@ -102,12 +88,14 @@ Status Socket::SendAll(std::span<const uint8_t> head,
     msghdr message{};
     message.msg_iov = next;
     message.msg_iovlen = count;
+    // MSG_NOSIGNAL: a dead peer surfaces as EPIPE, not a process-killing
+    // SIGPIPE.
     const ssize_t sent = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
-      return Errno("sendmsg");
+      return Errno("send");
     }
-    if (sent == 0) return Status::IoError("sendmsg: connection closed");
+    if (sent == 0) return Status::IoError("send: connection closed");
     // Step past what went out: whole parts first, then into a partial one.
     size_t done = static_cast<size_t>(sent);
     while (count > 0 && done >= next->iov_len) {

@@ -47,14 +47,14 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Writes all `len` bytes (looping over partial sends; SIGPIPE
-  /// suppressed). IoError when the peer is gone.
+  /// Writes all `len` bytes: the one-part form of the gathered write
+  /// below.
   Status SendAll(const void* data, size_t len);
 
   /// Writes `head` then `body` as one gathered stream write (sendmsg of
-  /// two iovecs, looping over partial sends) — how a frame's header and
-  /// payload go out without first being copied into one buffer. Same
-  /// errors as SendAll.
+  /// two iovecs, looping over partial sends; SIGPIPE suppressed) — how a
+  /// frame's header and payload go out without first being copied into
+  /// one buffer. Empty parts are skipped. IoError when the peer is gone.
   Status SendAll(std::span<const uint8_t> head, std::span<const uint8_t> body);
 
   /// Reads exactly `len` bytes. IoError on failure; when `clean_eof` is

@@ -281,17 +281,13 @@ Result<RankResponse> DecodeRankResponse(std::span<const uint8_t> payload) {
   return response;
 }
 
-void AppendStatusPayload(std::vector<uint8_t>& out, const Status& status) {
+std::vector<uint8_t> EncodeStatusPayload(const Status& status) {
+  std::vector<uint8_t> out;
   const std::string& message = status.message();
-  out.reserve(out.size() + 12 + message.size());
+  out.reserve(12 + message.size());
   AppendU32(out, static_cast<uint32_t>(status.code()));
   AppendU64(out, message.size());
   out.insert(out.end(), message.begin(), message.end());
-}
-
-std::vector<uint8_t> EncodeStatusPayload(const Status& status) {
-  std::vector<uint8_t> out;
-  AppendStatusPayload(out, status);
   return out;
 }
 
@@ -315,17 +311,13 @@ Status DecodeStatusPayload(std::span<const uint8_t> payload, Status* decoded) {
   return Status::OK();
 }
 
-void AppendServerInfo(std::vector<uint8_t>& out, const ServerInfo& info) {
-  out.reserve(out.size() + 32);
+std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
+  std::vector<uint8_t> out;
+  out.reserve(32);
   AppendU64(out, info.num_nodes);
   AppendU64(out, info.num_arcs);
   AppendU64(out, info.num_shards);
   AppendU64(out, info.num_threads);
-}
-
-std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
-  std::vector<uint8_t> out;
-  AppendServerInfo(out, info);
   return out;
 }
 

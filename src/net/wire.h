@@ -125,9 +125,10 @@ using FrameHeaderBytes = std::array<uint8_t, kFrameHeaderBytes>;
 /// payload bytes. D2PR_CHECKs that the length fits kMaxPayloadBytes —
 /// encoders below cannot produce an oversize payload from valid inputs.
 ///
-/// Framing never copies a payload: a blocking sender writes these bytes
-/// and the payload with one gathered send (Socket::SendAll(head, body)),
-/// and a queued writer builds its frame with BuildFrame.
+/// Score-carrying frames never have their payload copied: a blocking
+/// sender writes these bytes and the payload with one gathered send
+/// (Socket::SendAll(head, body)), and RpcServer builds its queued rank
+/// replies with BuildFrame.
 FrameHeaderBytes EncodeFrameHeader(FrameType type, uint64_t request_id,
                                    size_t payload_len);
 
@@ -146,7 +147,8 @@ std::vector<uint8_t> BuildFrame(FrameType type, uint64_t request_id,
 }
 
 /// \brief A complete frame (header + a copy of `payload`) in one vector —
-/// for tests and load generators that pre-build raw frames.
+/// for small replies, and for tests and load generators that pre-build
+/// raw frames.
 std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
                                  std::span<const uint8_t> payload);
 
@@ -177,12 +179,10 @@ Status DecodeStatusPayload(std::span<const uint8_t> payload, Status* decoded);
 std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info);
 Result<ServerInfo> DecodeServerInfo(std::span<const uint8_t> payload);
 
-/// Append forms of the reply encoders — the same bytes, appended to `out`
-/// — so a reply can be encoded straight into a BuildFrame buffer.
+/// The append form of EncodeRankResponse — the same bytes, appended to
+/// `out` — so a rank reply is encoded straight into its BuildFrame buffer.
 void AppendRankResponse(std::vector<uint8_t>& out,
                         const RankResponse& response);
-void AppendStatusPayload(std::vector<uint8_t>& out, const Status& status);
-void AppendServerInfo(std::vector<uint8_t>& out, const ServerInfo& info);
 
 }  // namespace d2pr
 

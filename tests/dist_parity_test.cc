@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/block_solver.h"
@@ -309,18 +310,25 @@ class PartialsCheckingChannel : public ShardChannel {
       EXPECT_TRUE(begin.ok());
       if (begin.ok()) retained_ = begin->initial;
     } else if (request.type == FrameType::kSweepRequest) {
-      auto sweep = DecodeShardSweepRequest(request.payload);
-      EXPECT_TRUE(sweep.ok());
-      if (sweep.ok() && sweep->has_rescale) {
-        for (double& value : retained_) value *= sweep->rescale;
+      ShardSweepRequest sweep;
+      WireScores boundary;
+      const Status decoded =
+          DecodeShardSweepRequest(request.payload, &sweep, &boundary);
+      EXPECT_TRUE(decoded.ok());
+      if (decoded.ok() && sweep.has_rescale) {
+        for (double& value : retained_) value *= sweep.rescale;
       }
     }
     Result<ShardFrame> reply = inner_.Call(request, deadline_ms);
     if (reply.ok() && reply->type == FrameType::kSweepResponse) {
-      auto response = DecodeShardSweepResponse(reply->payload);
-      EXPECT_TRUE(response.ok());
-      if (!response.ok()) return reply;
-      const std::vector<double>& owned = response->owned;
+      ShardSweepResponse response;
+      WireScores view;
+      const Status decoded =
+          DecodeShardSweepResponse(reply->payload, &response, &view);
+      EXPECT_TRUE(decoded.ok());
+      if (!decoded.ok()) return reply;
+      std::vector<double> owned(view.size());
+      view.CopyTo(owned);
       EXPECT_EQ(owned.size(), retained_.size());
       double dangling = 0.0;
       double residual = 0.0;
@@ -330,13 +338,13 @@ class PartialsCheckingChannel : public ShardChannel {
       for (size_t k = 0; k < owned.size() && k < retained_.size(); ++k) {
         residual += std::abs(owned[k] - retained_[k]);
       }
-      EXPECT_EQ(std::memcmp(&dangling, &response->dangling_partial, 8), 0)
-          << "sweep " << response->sweep << ": " << dangling << " vs "
-          << response->dangling_partial;
-      EXPECT_EQ(std::memcmp(&residual, &response->residual_partial, 8), 0)
-          << "sweep " << response->sweep << ": " << residual << " vs "
-          << response->residual_partial;
-      retained_ = owned;
+      EXPECT_EQ(std::memcmp(&dangling, &response.dangling_partial, 8), 0)
+          << "sweep " << response.sweep << ": " << dangling << " vs "
+          << response.dangling_partial;
+      EXPECT_EQ(std::memcmp(&residual, &response.residual_partial, 8), 0)
+          << "sweep " << response.sweep << ": " << residual << " vs "
+          << response.residual_partial;
+      retained_ = std::move(owned);
       ++responses_checked_;
     }
     return reply;
@@ -357,30 +365,42 @@ TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
   ASSERT_TRUE(graph.ok());
   const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
 
-  for (size_t shards : {1, 3}) {
-    for (DanglingPolicy dangling :
-         {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
-          DanglingPolicy::kRenormalize}) {
-      SCOPED_TRACE(std::to_string(shards) + " shards, dangling " +
-                   std::to_string(static_cast<int>(dangling)));
-      DistFleet fleet = MakeFleet(*graph, shards, PartitionScheme::kHash);
-      std::vector<std::unique_ptr<PartialsCheckingChannel>> checked;
-      for (size_t s = 0; s < shards; ++s) {
-        checked.push_back(std::make_unique<PartialsCheckingChannel>(
-            *fleet.raw[s], fleet.workers[s]->shard()));
-        fleet.raw[s] = checked.back().get();
-      }
-      DistributedCoordinator coordinator(
-          fleet.raw, MakeCoordinatorOptions(*graph, PartitionScheme::kHash));
-      ASSERT_TRUE(coordinator.Handshake().ok());
-      PagerankOptions options;
-      options.tolerance = 1e-11;
-      options.max_iterations = 2000;
-      options.dangling = dangling;
-      auto result = coordinator.Solve(SolverMethod::kPower, teleport, options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      for (const auto& channel : checked) {
-        EXPECT_EQ(channel->responses_checked(), result->iterations);
+  // Power under every dangling policy; block Gauss-Seidel, whose sweep
+  // updates the owned slice in place, under the two it accepts.
+  for (SolverMethod method :
+       {SolverMethod::kPower, SolverMethod::kGaussSeidel}) {
+    for (size_t shards : {1, 3}) {
+      for (DanglingPolicy dangling :
+           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
+            DanglingPolicy::kRenormalize}) {
+        if (method == SolverMethod::kGaussSeidel &&
+            dangling == DanglingPolicy::kRenormalize) {
+          continue;
+        }
+        SCOPED_TRACE(std::string(method == SolverMethod::kPower ? "power"
+                                                                : "gs") +
+                     ", " + std::to_string(shards) + " shards, dangling " +
+                     std::to_string(static_cast<int>(dangling)));
+        DistFleet fleet = MakeFleet(*graph, shards, PartitionScheme::kHash);
+        std::vector<std::unique_ptr<PartialsCheckingChannel>> checked;
+        for (size_t s = 0; s < shards; ++s) {
+          checked.push_back(std::make_unique<PartialsCheckingChannel>(
+              *fleet.raw[s], fleet.workers[s]->shard()));
+          fleet.raw[s] = checked.back().get();
+        }
+        DistributedCoordinator coordinator(
+            fleet.raw,
+            MakeCoordinatorOptions(*graph, PartitionScheme::kHash));
+        ASSERT_TRUE(coordinator.Handshake().ok());
+        PagerankOptions options;
+        options.tolerance = 1e-11;
+        options.max_iterations = 2000;
+        options.dangling = dangling;
+        auto result = coordinator.Solve(method, teleport, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        for (const auto& channel : checked) {
+          EXPECT_EQ(channel->responses_checked(), result->iterations);
+        }
       }
     }
   }

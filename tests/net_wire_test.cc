@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -534,18 +536,53 @@ ShardSweepRequest SampleSweepRequest() {
   request.dangling_mass = 0.0625;
   request.has_rescale = true;
   request.rescale = 1.0 / 3.0;
-  request.boundary = {0.1, 0.2, 0.3};
   return request;
 }
+const std::vector<double> kSampleBoundary = {0.1, 0.2, 0.3};
 
 ShardSweepResponse SampleSweepResponse() {
   ShardSweepResponse response;
   response.solve_id = 77;
   response.sweep = 3;
-  response.owned = {0.4, 0.6};
   response.dangling_partial = 0.03125;
   response.residual_partial = 1e-7;
   return response;
+}
+const std::vector<double> kSampleOwned = {0.4, 0.6};
+
+/// A sweep request carrying kSampleBoundary: the coordinator's gather
+/// over the identity source list.
+std::vector<uint8_t> SweepRequestBytes(const ShardSweepRequest& request) {
+  std::vector<NodeId> sources(kSampleBoundary.size());
+  std::iota(sources.begin(), sources.end(), NodeId{0});
+  std::vector<uint8_t> out;
+  EncodeShardSweepRequest(request, kSampleBoundary, sources, out);
+  return out;
+}
+
+/// A sweep response carrying kSampleOwned.
+std::vector<uint8_t> SweepResponseBytes(const ShardSweepResponse& response) {
+  std::vector<uint8_t> out;
+  EncodeShardSweepResponse(response, kSampleOwned, out);
+  return out;
+}
+
+Status DecodeSweepRequestStatus(std::span<const uint8_t> payload) {
+  ShardSweepRequest request;
+  WireScores boundary;
+  return DecodeShardSweepRequest(payload, &request, &boundary);
+}
+
+Status DecodeSweepResponseStatus(std::span<const uint8_t> payload) {
+  ShardSweepResponse response;
+  WireScores owned;
+  return DecodeShardSweepResponse(payload, &response, &owned);
+}
+
+std::vector<double> ToVector(const WireScores& scores) {
+  std::vector<double> values(scores.size());
+  scores.CopyTo(values);
+  return values;
 }
 
 TEST(ShardWireTest, HandshakeRoundTripsEverySchemeBuildMetricCombo) {
@@ -789,14 +826,17 @@ TEST(ShardWireTest, SweepRequestRoundTripsWithAndWithoutRescale) {
   for (bool has_rescale : {false, true}) {
     ShardSweepRequest request = SampleSweepRequest();
     request.has_rescale = has_rescale;
-    auto decoded = DecodeShardSweepRequest(EncodeShardSweepRequest(request));
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->solve_id, request.solve_id);
-    EXPECT_EQ(decoded->sweep, request.sweep);
-    EXPECT_EQ(decoded->dangling_mass, request.dangling_mass);
-    EXPECT_EQ(decoded->has_rescale, has_rescale);
-    EXPECT_EQ(decoded->rescale, request.rescale);
-    EXPECT_EQ(decoded->boundary, request.boundary);
+    const std::vector<uint8_t> bytes = SweepRequestBytes(request);
+    ShardSweepRequest decoded;
+    WireScores boundary;
+    const Status status = DecodeShardSweepRequest(bytes, &decoded, &boundary);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(decoded.solve_id, request.solve_id);
+    EXPECT_EQ(decoded.sweep, request.sweep);
+    EXPECT_EQ(decoded.dangling_mass, request.dangling_mass);
+    EXPECT_EQ(decoded.has_rescale, has_rescale);
+    EXPECT_EQ(decoded.rescale, request.rescale);
+    EXPECT_EQ(ToVector(boundary), kSampleBoundary);
   }
 }
 
@@ -804,44 +844,45 @@ TEST(ShardWireTest, SweepFramesRejectZeroSweepAndBadRescaleByte) {
   {
     ShardSweepRequest request = SampleSweepRequest();
     request.sweep = 0;  // sweeps are 1-based
-    EXPECT_FALSE(
-        DecodeShardSweepRequest(EncodeShardSweepRequest(request)).ok());
+    EXPECT_FALSE(DecodeSweepRequestStatus(SweepRequestBytes(request)).ok());
   }
   {
-    std::vector<uint8_t> bad = EncodeShardSweepRequest(SampleSweepRequest());
+    std::vector<uint8_t> bad = SweepRequestBytes(SampleSweepRequest());
     bad[20] = 2;  // has_rescale byte at offset 20: only 0/1 are booleans
-    EXPECT_FALSE(DecodeShardSweepRequest(bad).ok());
+    EXPECT_FALSE(DecodeSweepRequestStatus(bad).ok());
   }
   {
     ShardSweepResponse response = SampleSweepResponse();
     response.sweep = 0;
     EXPECT_FALSE(
-        DecodeShardSweepResponse(EncodeShardSweepResponse(response)).ok());
+        DecodeSweepResponseStatus(SweepResponseBytes(response)).ok());
   }
 }
 
 TEST(ShardWireTest, SweepFramesRejectLyingScoreCounts) {
-  std::vector<uint8_t> request = EncodeShardSweepRequest(SampleSweepRequest());
+  std::vector<uint8_t> request = SweepRequestBytes(SampleSweepRequest());
   // boundary count u32 at offset 8 + 4 + 8 + 1 + 8 = 29.
   for (int b = 0; b < 4; ++b) request[29 + b] = 0xff;
-  EXPECT_FALSE(DecodeShardSweepRequest(request).ok());
+  EXPECT_FALSE(DecodeSweepRequestStatus(request).ok());
 
-  std::vector<uint8_t> response =
-      EncodeShardSweepResponse(SampleSweepResponse());
+  std::vector<uint8_t> response = SweepResponseBytes(SampleSweepResponse());
   // owned count u32 at offset 8 + 4 = 12.
   for (int b = 0; b < 4; ++b) response[12 + b] = 0xff;
-  EXPECT_FALSE(DecodeShardSweepResponse(response).ok());
+  EXPECT_FALSE(DecodeSweepResponseStatus(response).ok());
 }
 
 TEST(ShardWireTest, SweepResponseAndSolveEndRoundTrip) {
   const ShardSweepResponse response = SampleSweepResponse();
-  auto decoded = DecodeShardSweepResponse(EncodeShardSweepResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->solve_id, response.solve_id);
-  EXPECT_EQ(decoded->sweep, response.sweep);
-  EXPECT_EQ(decoded->owned, response.owned);
-  EXPECT_EQ(decoded->dangling_partial, response.dangling_partial);
-  EXPECT_EQ(decoded->residual_partial, response.residual_partial);
+  const std::vector<uint8_t> bytes = SweepResponseBytes(response);
+  ShardSweepResponse decoded;
+  WireScores owned;
+  const Status status = DecodeShardSweepResponse(bytes, &decoded, &owned);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(decoded.solve_id, response.solve_id);
+  EXPECT_EQ(decoded.sweep, response.sweep);
+  EXPECT_EQ(ToVector(owned), kSampleOwned);
+  EXPECT_EQ(decoded.dangling_partial, response.dangling_partial);
+  EXPECT_EQ(decoded.residual_partial, response.residual_partial);
 
   ShardSolveEnd end;
   end.solve_id = 0xabcdef0123456789ull;
@@ -855,8 +896,8 @@ TEST(ShardWireTest, EveryDecoderRejectsEveryTruncationOffset) {
       EncodeShardHandshake(SampleHandshake()),
       EncodeShardHandshakeAck(SampleAck()),
       EncodeShardSolveBegin(SampleSolveBegin()),
-      EncodeShardSweepRequest(SampleSweepRequest()),
-      EncodeShardSweepResponse(SampleSweepResponse()),
+      SweepRequestBytes(SampleSweepRequest()),
+      SweepResponseBytes(SampleSweepResponse()),
       EncodeShardSolveEnd(ShardSolveEnd{77}),
   };
   for (size_t which = 0; which < 6; ++which) {
@@ -870,8 +911,8 @@ TEST(ShardWireTest, EveryDecoderRejectsEveryTruncationOffset) {
         case 0: ok = DecodeShardHandshake(cut).ok(); break;
         case 1: ok = DecodeShardHandshakeAck(cut).ok(); break;
         case 2: ok = DecodeShardSolveBegin(cut).ok(); break;
-        case 3: ok = DecodeShardSweepRequest(cut).ok(); break;
-        case 4: ok = DecodeShardSweepResponse(cut).ok(); break;
+        case 3: ok = DecodeSweepRequestStatus(cut).ok(); break;
+        case 4: ok = DecodeSweepResponseStatus(cut).ok(); break;
         case 5: ok = DecodeShardSolveEnd(cut).ok(); break;
       }
       EXPECT_FALSE(ok);
@@ -896,16 +937,14 @@ TEST(ShardWireTest, EveryDecoderRejectsTrailingGarbage) {
     EXPECT_FALSE(DecodeShardSolveBegin(padded).ok());
   }
   {
-    std::vector<uint8_t> padded =
-        EncodeShardSweepRequest(SampleSweepRequest());
+    std::vector<uint8_t> padded = SweepRequestBytes(SampleSweepRequest());
     padded.push_back(0);
-    EXPECT_FALSE(DecodeShardSweepRequest(padded).ok());
+    EXPECT_FALSE(DecodeSweepRequestStatus(padded).ok());
   }
   {
-    std::vector<uint8_t> padded =
-        EncodeShardSweepResponse(SampleSweepResponse());
+    std::vector<uint8_t> padded = SweepResponseBytes(SampleSweepResponse());
     padded.push_back(0);
-    EXPECT_FALSE(DecodeShardSweepResponse(padded).ok());
+    EXPECT_FALSE(DecodeSweepResponseStatus(padded).ok());
   }
   {
     std::vector<uint8_t> padded = EncodeShardSolveEnd(ShardSolveEnd{1});
@@ -940,8 +979,8 @@ TEST(ShardWireTest, RandomCorruptionNeverCrashesV2Decoders) {
       EncodeShardHandshake(SampleHandshake()),
       EncodeShardHandshakeAck(SampleAck()),
       EncodeShardSolveBegin(SampleSolveBegin()),
-      EncodeShardSweepRequest(SampleSweepRequest()),
-      EncodeShardSweepResponse(SampleSweepResponse()),
+      SweepRequestBytes(SampleSweepRequest()),
+      SweepResponseBytes(SampleSweepResponse()),
       EncodeShardSolveEnd(ShardSolveEnd{77}),
   };
   for (int trial = 0; trial < 2000; ++trial) {
@@ -956,8 +995,8 @@ TEST(ShardWireTest, RandomCorruptionNeverCrashesV2Decoders) {
       case 0: (void)DecodeShardHandshake(corrupted); break;
       case 1: (void)DecodeShardHandshakeAck(corrupted); break;
       case 2: (void)DecodeShardSolveBegin(corrupted); break;
-      case 3: (void)DecodeShardSweepRequest(corrupted); break;
-      case 4: (void)DecodeShardSweepResponse(corrupted); break;
+      case 3: (void)DecodeSweepRequestStatus(corrupted); break;
+      case 4: (void)DecodeSweepResponseStatus(corrupted); break;
       case 5: (void)DecodeShardSolveEnd(corrupted); break;
     }
   }

@@ -69,7 +69,7 @@ using golden::GoldenPayload;
 // allocation of thousands of bytes or more from these ~100-byte frames.
 constexpr size_t kMessageSlack = 1024;
 
-/// Runs one mutated payload through `golden`'s decoders and checks the
+/// Runs one mutated payload through `golden`'s decoder and checks the
 /// allocation bound. Returns whether it decoded OK.
 bool Replay(const GoldenPayload& golden, const std::vector<uint8_t>& bytes,
             const char* mutation, size_t at) {

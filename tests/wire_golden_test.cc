@@ -102,11 +102,11 @@ TEST(WireGoldenTest, SolveBeginWithTheMetricSection) {
   EXPECT_EQ(EncodeShardSolveBegin(*decoded), kSolveBeginGolden);
 }
 
-TEST(WireGoldenTest, SweepRequestWithARescaleInBothCodecForms) {
+TEST(WireGoldenTest, SweepRequestWithARescale) {
   const ShardSweepRequest want = GoldenSweepRequest();
-  EXPECT_EQ(EncodeShardSweepRequest(want), kSweepRequestGolden);
+  const std::vector<double> want_boundary = GoldenBoundary();
 
-  // The coordinator's form gathers the boundary out of a full iterate.
+  // The coordinator gathers the boundary out of a full iterate.
   const std::vector<double> iterate = {9.0, kSubnormal, 9.0,  kNegZero,
                                        0.75, kNanPayload, 9.0};
   const std::vector<NodeId> sources = {3, 5, 1, 4};
@@ -114,61 +114,62 @@ TEST(WireGoldenTest, SweepRequestWithARescaleInBothCodecForms) {
   EncodeShardSweepRequest(want, iterate, sources, gathered);
   EXPECT_EQ(gathered, kSweepRequestGolden);
 
-  auto decoded = DecodeShardSweepRequest(kSweepRequestGolden);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->solve_id, want.solve_id);
-  EXPECT_EQ(decoded->sweep, want.sweep);
-  EXPECT_TRUE(SameBits(decoded->dangling_mass, want.dangling_mass));
-  EXPECT_TRUE(decoded->has_rescale);
-  EXPECT_TRUE(SameBits(decoded->rescale, want.rescale));
-  EXPECT_TRUE(SameBits(decoded->boundary, want.boundary));
-  EXPECT_EQ(EncodeShardSweepRequest(*decoded), kSweepRequestGolden);
-
-  // The worker's form leaves the list in the payload until it is copied.
-  ShardSweepRequestFields fields;
+  // The worker leaves the list in the payload until it is copied.
+  ShardSweepRequest decoded;
   WireScores boundary;
   ASSERT_TRUE(
-      DecodeShardSweepRequest(kSweepRequestGolden, &fields, &boundary).ok());
-  EXPECT_EQ(fields.sweep, want.sweep);
-  ASSERT_EQ(boundary.size(), want.boundary.size());
+      DecodeShardSweepRequest(kSweepRequestGolden, &decoded, &boundary).ok());
+  EXPECT_EQ(decoded.solve_id, want.solve_id);
+  EXPECT_EQ(decoded.sweep, want.sweep);
+  EXPECT_TRUE(SameBits(decoded.dangling_mass, want.dangling_mass));
+  EXPECT_TRUE(decoded.has_rescale);
+  EXPECT_TRUE(SameBits(decoded.rescale, want.rescale));
+  ASSERT_EQ(boundary.size(), want_boundary.size());
   std::vector<double> copied(boundary.size());
   boundary.CopyTo(copied);
-  EXPECT_TRUE(SameBits(copied, want.boundary));
+  EXPECT_TRUE(SameBits(copied, want_boundary));
   for (size_t i = 0; i < boundary.size(); ++i) {
-    EXPECT_TRUE(SameBits(boundary[i], want.boundary[i])) << i;
+    EXPECT_TRUE(SameBits(boundary[i], want_boundary[i])) << i;
   }
+
+  // Re-encoding the decoded request (identity gather) round-trips.
+  const std::vector<NodeId> identity = {0, 1, 2, 3};
+  std::vector<uint8_t> again;
+  EncodeShardSweepRequest(decoded, copied, identity, again);
+  EXPECT_EQ(again, kSweepRequestGolden);
 }
 
-TEST(WireGoldenTest, SweepResponseInBothCodecForms) {
+TEST(WireGoldenTest, SweepResponse) {
   const ShardSweepResponse want = GoldenSweepResponse();
-  EXPECT_EQ(EncodeShardSweepResponse(want), kSweepResponseGolden);
-  std::vector<uint8_t> in_place(1000, 0xcc);  // replaced, not appended
-  EncodeShardSweepResponse(want, want.owned, in_place);
-  EXPECT_EQ(in_place, kSweepResponseGolden);
+  const std::vector<double> want_owned = GoldenOwned();
+  std::vector<uint8_t> encoded(1000, 0xcc);  // replaced, not appended
+  EncodeShardSweepResponse(want, want_owned, encoded);
+  EXPECT_EQ(encoded, kSweepResponseGolden);
 
-  auto decoded = DecodeShardSweepResponse(kSweepResponseGolden);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->solve_id, want.solve_id);
-  EXPECT_EQ(decoded->sweep, want.sweep);
-  EXPECT_TRUE(SameBits(decoded->owned, want.owned));
-  EXPECT_TRUE(SameBits(decoded->dangling_partial, want.dangling_partial));
-  EXPECT_TRUE(SameBits(decoded->residual_partial, want.residual_partial));
-  EXPECT_EQ(EncodeShardSweepResponse(*decoded), kSweepResponseGolden);
-
-  ShardSweepResponseFields fields;
+  ShardSweepResponse decoded;
   WireScores owned;
   ASSERT_TRUE(
-      DecodeShardSweepResponse(kSweepResponseGolden, &fields, &owned).ok());
-  EXPECT_TRUE(SameBits(fields.residual_partial, want.residual_partial));
-  ASSERT_EQ(owned.size(), want.owned.size());
+      DecodeShardSweepResponse(kSweepResponseGolden, &decoded, &owned).ok());
+  EXPECT_EQ(decoded.solve_id, want.solve_id);
+  EXPECT_EQ(decoded.sweep, want.sweep);
+  EXPECT_TRUE(SameBits(decoded.dangling_partial, want.dangling_partial));
+  EXPECT_TRUE(SameBits(decoded.residual_partial, want.residual_partial));
+  ASSERT_EQ(owned.size(), want_owned.size());
+  std::vector<double> copied(owned.size());
+  owned.CopyTo(copied);
+  EXPECT_TRUE(SameBits(copied, want_owned));
   for (size_t i = 0; i < owned.size(); ++i) {
-    EXPECT_TRUE(SameBits(owned[i], want.owned[i])) << i;
+    EXPECT_TRUE(SameBits(owned[i], want_owned[i])) << i;
   }
+
+  std::vector<uint8_t> again;
+  EncodeShardSweepResponse(decoded, copied, again);
+  EXPECT_EQ(again, kSweepResponseGolden);
 }
 
 TEST(WireGoldenTest, EveryFramingPathWritesTheSameFrame) {
-  const std::vector<uint8_t> payload =
-      EncodeShardSweepResponse(GoldenSweepResponse());
+  std::vector<uint8_t> payload;
+  EncodeShardSweepResponse(GoldenSweepResponse(), GoldenOwned(), payload);
   EXPECT_EQ(EncodeFrame(FrameType::kSweepResponse, kGoldenRequestId, payload),
             kSweepResponseFrameGolden);
   EXPECT_EQ(BuildFrame(FrameType::kSweepResponse, kGoldenRequestId,
