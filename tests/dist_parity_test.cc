@@ -22,6 +22,7 @@
 #include "core/transition_slices.h"
 #include "dist/coordinator.h"
 #include "dist_test_util.h"
+#include "graph/graph_builder.h"
 #include "graph/partition.h"
 #include "net/shard_wire.h"
 
@@ -338,6 +339,7 @@ class PartialsCheckingChannel : public ShardChannel {
       for (size_t k = 0; k < owned.size() && k < retained_.size(); ++k) {
         residual += std::abs(owned[k] - retained_[k]);
       }
+      if (dangling != 0.0) ++nonzero_dangling_;
       EXPECT_EQ(std::memcmp(&dangling, &response.dangling_partial, 8), 0)
           << "sweep " << response.sweep << ": " << dangling << " vs "
           << response.dangling_partial;
@@ -351,19 +353,41 @@ class PartialsCheckingChannel : public ShardChannel {
   }
 
   int64_t responses_checked() const { return responses_checked_; }
+  /// Responses whose reference dangling fold is non-zero — the ones
+  /// where a wrongly folded dangling partial would show.
+  int64_t nonzero_dangling() const { return nonzero_dangling_; }
 
  private:
   ShardChannel& inner_;
   std::vector<uint8_t> dangling_;
   std::vector<double> retained_;
   int64_t responses_checked_ = 0;
+  int64_t nonzero_dangling_ = 0;
 };
 
+/// A directed graph in which every seventh node has no out-arcs, so each
+/// shard owns dangling nodes and the dangling partials are not all zero.
+CsrGraph DirectedGraphWithDanglingNodes(NodeId num_nodes, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(num_nodes, GraphKind::kDirected);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    if (v % 7 == 0) continue;
+    const int degree = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    for (int j = 0; j < degree; ++j) {
+      const auto target =
+          static_cast<NodeId>(rng.UniformInt(0, num_nodes - 1));
+      if (target == v) continue;
+      EXPECT_TRUE(builder.AddEdge(v, target).ok());
+    }
+  }
+  auto graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
 TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
-  Rng rng(46);
-  auto graph = BarabasiAlbert(240, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  const CsrGraph graph = DirectedGraphWithDanglingNodes(240, 46);
+  const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
 
   // Power under every dangling policy; block Gauss-Seidel, whose sweep
   // updates the owned slice in place, under the two it accepts.
@@ -381,7 +405,7 @@ TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
                                                                 : "gs") +
                      ", " + std::to_string(shards) + " shards, dangling " +
                      std::to_string(static_cast<int>(dangling)));
-        DistFleet fleet = MakeFleet(*graph, shards, PartitionScheme::kHash);
+        DistFleet fleet = MakeFleet(graph, shards, PartitionScheme::kHash);
         std::vector<std::unique_ptr<PartialsCheckingChannel>> checked;
         for (size_t s = 0; s < shards; ++s) {
           checked.push_back(std::make_unique<PartialsCheckingChannel>(
@@ -390,7 +414,7 @@ TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
         }
         DistributedCoordinator coordinator(
             fleet.raw,
-            MakeCoordinatorOptions(*graph, PartitionScheme::kHash));
+            MakeCoordinatorOptions(graph, PartitionScheme::kHash));
         ASSERT_TRUE(coordinator.Handshake().ok());
         PagerankOptions options;
         options.tolerance = 1e-11;
@@ -400,6 +424,7 @@ TEST(DistParityTest, FusedPartialsEqualAnAscendingFoldOverTheOwnedSlice) {
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         for (const auto& channel : checked) {
           EXPECT_EQ(channel->responses_checked(), result->iterations);
+          EXPECT_GT(channel->nonzero_dangling(), 0);
         }
       }
     }
