@@ -45,8 +45,12 @@ void BM_RankEngineCached(benchmark::State& state) {
 }
 BENCHMARK(BM_RankEngineCached)->Arg(1000)->Arg(10000);
 
-// The paper's p grid as independent cold solves (fresh engine per sweep,
-// caches cleared every round) versus one warm engine.
+// The paper's p grid as 17 independent one-shot solves (ComputeD2pr: a
+// call-scoped engine per point, so every point rebuilds its transition
+// and solves alone) versus SweepP on one long-lived engine (its cache
+// holds the 17 transitions after the first round, and RankBatch solves
+// the grid in batched passes of up to kMaxBatchColumns points). Both
+// sides solve every point cold.
 void BM_SweepPCold(benchmark::State& state) {
   const CsrGraph graph = MakeGraph(10000);
   D2prOptions base;

@@ -1,18 +1,24 @@
 // Microbenchmarks for the power-iteration solver: scaling with graph size,
-// de-coupling weight, and residual probability.
+// de-coupling weight, and residual probability, and the batched kernel
+// against one solve per column.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/d2pr.h"
+#include "core/sweeps.h"
+#include "core/teleport.h"
 #include "datagen/classic_generators.h"
 
 namespace d2pr {
 namespace {
 
-CsrGraph MakeGraph(int64_t nodes) {
+CsrGraph MakeGraph(int64_t nodes, int32_t edges_per_node = 4) {
   Rng rng(42);
-  auto graph = BarabasiAlbert(static_cast<NodeId>(nodes), 4, &rng);
+  auto graph =
+      BarabasiAlbert(static_cast<NodeId>(nodes), edges_per_node, &rng);
   D2PR_CHECK(graph.ok());
   return std::move(graph).value();
 }
@@ -67,6 +73,57 @@ void BM_SingleIterationMultiply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_arcs());
 }
 BENCHMARK(BM_SingleIterationMultiply)->Arg(10000)->Arg(100000);
+
+// K points of the paper's p grid (spread over it; all 17 at K = 17) on
+// BA(nodes, 8), the sweep workload's graph shape, solved cold from the
+// uniform teleport: as one SolvePagerankBatch call (batched = 1) or as K
+// SolvePagerank calls (batched = 0). Transitions are built outside the
+// timed loop. 10k nodes keep the iterates near L2; 100k nodes are
+// DRAM-resident.
+void BM_PowerBatch(benchmark::State& state) {
+  const CsrGraph graph = MakeGraph(state.range(0), 8);
+  const size_t width = static_cast<size_t>(state.range(1));
+  const bool batched = state.range(2) != 0;
+  const std::vector<double> grid = PaperPGrid();
+  std::vector<TransitionMatrix> transitions;
+  for (size_t k = 0; k < width; ++k) {
+    auto built =
+        TransitionMatrix::Build(graph, {.p = grid[k * grid.size() / width]});
+    D2PR_CHECK(built.ok());
+    transitions.push_back(std::move(built).value());
+  }
+  std::vector<PagerankColumn> columns;
+  for (const TransitionMatrix& transition : transitions) {
+    columns.push_back({&transition, {}});
+  }
+  const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
+  int64_t column_iterations = 0;
+  for (auto _ : state) {
+    column_iterations = 0;
+    if (batched) {
+      auto results = SolvePagerankBatch(graph, columns, teleport);
+      D2PR_CHECK(results.ok());
+      for (const PagerankResult& result : *results) {
+        column_iterations += result.iterations;
+      }
+      benchmark::DoNotOptimize(results->data());
+    } else {
+      for (const PagerankColumn& column : columns) {
+        auto result =
+            SolvePagerank(graph, *column.transition, teleport, column.options);
+        D2PR_CHECK(result.ok());
+        column_iterations += result->iterations;
+        benchmark::DoNotOptimize(result->scores.data());
+      }
+    }
+  }
+  state.counters["column_iterations"] =
+      static_cast<double>(column_iterations);
+}
+BENCHMARK(BM_PowerBatch)
+    ->ArgNames({"nodes", "K", "batched"})
+    ->ArgsProduct({{10000, 100000}, {1, 6, 17}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace d2pr

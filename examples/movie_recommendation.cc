@@ -62,9 +62,8 @@ int main() {
   const std::vector<double> significance =
       AvgVenueQualitySignificance(*world, /*noise_sigma=*/0.05, &noise);
 
-  // Rank actors at several de-coupling weights. The engine sweep reuses
-  // one warm-start trajectory, so the later points cost a fraction of a
-  // cold solve each.
+  // Rank actors at several de-coupling weights. The engine sweep solves
+  // the five points together, one pass over the arcs per iteration.
   D2prEngine engine(std::move(*graph));
   auto sweep = SweepP(engine, {-1.0, 0.0, 0.5, 1.0, 2.0}, {.beta = 0.0});
   if (!sweep.ok()) {
@@ -91,9 +90,9 @@ int main() {
       best_p = point.parameter;
     }
   }
-  std::printf("(%lld transition builds, %lld warm-started solves)\n",
+  std::printf("(%lld transition builds, %lld power iterations)\n",
               static_cast<long long>(engine.stats().transition_builds),
-              static_cast<long long>(engine.stats().warm_start_hits));
+              static_cast<long long>(engine.stats().solver_iterations));
   std::printf(
       "\nBest correlation at p = %+.1f: penalizing prolific co-star "
       "counts\nsurfaces discriminating actors, exactly the paper's "

@@ -25,6 +25,22 @@ constexpr double kMaxExtrapolationFactor = 4.0;
 // solutions of its trajectory).
 constexpr size_t kWarmStartCapacity = 8;
 
+// Whether RankBatch may solve `request` in a batched power pass: an exact
+// power solve that neither reads nor writes the warm-start store.
+bool Batchable(const RankRequest& request) {
+  return request.method == SolverMethod::kPower &&
+         request.warm_start_tag.empty();
+}
+
+PagerankOptions SolverOptions(const RankRequest& request) {
+  PagerankOptions solver;
+  solver.alpha = request.alpha;
+  solver.tolerance = request.tolerance;
+  solver.max_iterations = request.max_iterations;
+  solver.dangling = request.dangling;
+  return solver;
+}
+
 }  // namespace
 
 const char* SolverMethodName(SolverMethod method) {
@@ -77,6 +93,14 @@ std::span<const double> D2prEngine::UniformTeleportVector() {
   return uniform_teleport_;
 }
 
+Result<std::span<const double>> D2prEngine::TeleportFor(
+    const RankRequest& request, std::vector<double>* seeded) {
+  if (request.seeds.empty()) return UniformTeleportVector();
+  D2PR_ASSIGN_OR_RETURN(*seeded,
+                        SeededTeleport(graph_->num_nodes(), request.seeds));
+  return std::span<const double>(*seeded);
+}
+
 Result<std::shared_ptr<const TransitionMatrix>> D2prEngine::GetTransition(
     const TransitionKey& key, bool* cache_hit, bool* store_hit) {
   TransitionResolver::Outcome outcome;
@@ -103,14 +127,8 @@ Result<RankResponse> D2prEngine::Rank(const RankRequest& request) {
   // the same reason as the parameter checks above: bad seeds must not pay
   // a build or evict a cached matrix.
   std::vector<double> seeded;
-  std::span<const double> teleport;
-  if (!request.seeds.empty()) {
-    D2PR_ASSIGN_OR_RETURN(seeded,
-                          SeededTeleport(graph_->num_nodes(), request.seeds));
-    teleport = seeded;
-  } else {
-    teleport = UniformTeleportVector();
-  }
+  D2PR_ASSIGN_OR_RETURN(std::span<const double> teleport,
+                        TeleportFor(request, &seeded));
 
   const TransitionKey key = ResolveKey(request);
 
@@ -165,12 +183,7 @@ Result<RankResponse> D2prEngine::Rank(const RankRequest& request) {
     return response;
   }
 
-  PagerankOptions solver;
-  solver.alpha = request.alpha;
-  solver.tolerance = request.tolerance;
-  solver.max_iterations = request.max_iterations;
-  solver.dangling = request.dangling;
-
+  const PagerankOptions solver = SolverOptions(request);
   Result<PagerankResult> solved = [&]() -> Result<PagerankResult> {
     if (request.method == SolverMethod::kGaussSeidel) {
       return SolvePagerankGaussSeidel(*graph_, *transition, teleport, solver);
@@ -187,37 +200,94 @@ Result<RankResponse> D2prEngine::Rank(const RankRequest& request) {
     return SolvePagerankFrom(*graph_, *transition, teleport, start, solver);
   }();
   if (!solved.ok()) return solved.status();
-
-  stats_.solver_iterations += solved->iterations;
-  response.iterations = solved->iterations;
-  response.converged = solved->converged;
-  response.residual = solved->residual;
-  response.scores = std::move(solved->scores);
   if (!request.warm_start_tag.empty()) {
     // Store the FULL solution before any truncation: the trajectory must
     // stay usable as a starting iterate for the next exact solve.
-    StoreWarmStart(request, key, response.scores);
+    StoreWarmStart(request, key, solved->scores);
   }
+  FinishExactResponse(request, std::move(*solved), &response);
+  return response;
+}
+
+void D2prEngine::FinishExactResponse(const RankRequest& request,
+                                     PagerankResult solved,
+                                     RankResponse* response) {
+  stats_.solver_iterations += solved.iterations;
+  response->iterations = solved.iterations;
+  response->converged = solved.converged;
+  response->residual = solved.residual;
+  response->scores = std::move(solved.scores);
   if (request.top_k > 0) {
     // Exact solve, then truncate: every served entry is the true score,
     // so the whole set is certified with zero gap.
-    response.top = TruncateToTopK(response.scores, request.top_k);
-    response.uncertainty_gap = 0.0;
-    response.truncated = true;
-    response.scores.clear();
+    response->top = TruncateToTopK(response->scores, request.top_k);
+    response->uncertainty_gap = 0.0;
+    response->truncated = true;
+    response->scores.clear();
   }
-  return response;
 }
 
 Result<std::vector<RankResponse>> D2prEngine::RankBatch(
     std::span<const RankRequest> requests) {
   std::vector<RankResponse> responses;
   responses.reserve(requests.size());
-  for (const RankRequest& request : requests) {
-    D2PR_ASSIGN_OR_RETURN(RankResponse response, Rank(request));
-    responses.push_back(std::move(response));
+  size_t begin = 0;
+  while (begin < requests.size()) {
+    size_t end = begin + 1;
+    if (Batchable(requests[begin])) {
+      while (end < requests.size() && Batchable(requests[end]) &&
+             requests[end].seeds == requests[begin].seeds) {
+        ++end;
+      }
+    }
+    if (end - begin == 1) {
+      D2PR_ASSIGN_OR_RETURN(RankResponse response, Rank(requests[begin]));
+      responses.push_back(std::move(response));
+    } else {
+      D2PR_RETURN_NOT_OK(
+          RankPowerRun(requests.subspan(begin, end - begin), &responses));
+    }
+    begin = end;
   }
   return responses;
+}
+
+Status D2prEngine::RankPowerRun(std::span<const RankRequest> run,
+                                std::vector<RankResponse>* responses) {
+  // Rank's steps before the solve, request by request: the same
+  // counters, checks and transition resolves in the same order.
+  std::vector<double> seeded;
+  std::span<const double> teleport;
+  std::vector<std::shared_ptr<const TransitionMatrix>> transitions;
+  const size_t first = responses->size();
+  for (const RankRequest& request : run) {
+    ++stats_.requests;
+    D2PR_RETURN_NOT_OK(ValidateRankRequestParameters(request));
+    if (transitions.empty()) {
+      // The run shares one seed list, so one teleport vector.
+      D2PR_ASSIGN_OR_RETURN(teleport, TeleportFor(request, &seeded));
+    }
+    RankResponse response;
+    response.method = request.method;
+    D2PR_ASSIGN_OR_RETURN(
+        std::shared_ptr<const TransitionMatrix> transition,
+        GetTransition(ResolveKey(request), &response.transition_cache_hit,
+                      &response.transition_store_hit));
+    responses->push_back(std::move(response));
+    transitions.push_back(std::move(transition));
+  }
+
+  std::vector<PagerankColumn> columns;
+  for (size_t k = 0; k < run.size(); ++k) {
+    columns.push_back({transitions[k].get(), SolverOptions(run[k])});
+  }
+  D2PR_ASSIGN_OR_RETURN(std::vector<PagerankResult> solved,
+                        SolvePagerankBatch(*graph_, columns, teleport));
+  for (size_t k = 0; k < run.size(); ++k) {
+    FinishExactResponse(run[k], std::move(solved[k]),
+                        &(*responses)[first + k]);
+  }
+  return Status::OK();
 }
 
 void D2prEngine::ForgetWarmStart(const std::string& tag) {

@@ -15,13 +15,16 @@
 //     api/transition_store.h,
 //   * a warm-start store: previous solutions, keyed by caller-chosen tag,
 //     reused (with linear extrapolation along a parameter trajectory) as
-//     starting iterates for nearby queries,
+//     starting iterates for nearby queries (the tuner's probes, tagged
+//     wire requests),
 //   * the uniform teleportation vector.
 //
 // Queries go through one RankRequest / RankResponse pair regardless of
 // solver (power iteration, Gauss-Seidel, forward push) and personalization
-// (global or seeded). Cumulative EngineStats counters expose build/hit/
-// iteration accounting for telemetry and efficiency tests.
+// (global or seeded). RankBatch solves runs of untagged power requests
+// (a sweep's grid) in batched passes over the arcs. Cumulative
+// EngineStats counters expose build/hit/iteration accounting for
+// telemetry and efficiency tests.
 //
 //   CsrGraph graph = ...;
 //   D2prEngine engine(std::move(graph));
@@ -125,16 +128,26 @@ class D2prEngine {
 
   /// \brief Executes queries in order, failing fast on the first error.
   ///
-  /// Requests within a batch see each other's cache and warm-start
-  /// effects, in order; a batch is deterministic and equivalent to the
-  /// same sequence of Rank() calls.
+  /// A run of two or more consecutive power requests without a
+  /// warm-start tag and with the same seed list (the shape of a sweep)
+  /// is solved by SolvePagerankBatch: one pass over the arcs per
+  /// iteration for up to kMaxBatchColumns requests. Each response is
+  /// still bit-identical to its own Rank() call. Every other request
+  /// runs through Rank() itself.
+  ///
+  /// Each request is validated and its transition resolved in request
+  /// order, so requests see each other's cache and warm-start effects in
+  /// order, and on success the responses and EngineStats equal those of
+  /// the same sequence of Rank() calls. On failure the first failing
+  /// request's Status comes back; the batched requests before it are
+  /// then left unsolved, so solver_iterations does not count them.
   Result<std::vector<RankResponse>> RankBatch(
       std::span<const RankRequest> requests);
 
   /// \brief Drops the stored trajectory under `tag` (no-op when absent).
   ///
-  /// Sweeps call this before their first point so a re-run does not
-  /// warm-start p = -4 from the far end (p = +4) of the previous run.
+  /// The tuner calls this before its first probe so a re-run does not
+  /// warm-start p_min from the far end (p_max) of the previous run.
   void ForgetWarmStart(const std::string& tag);
 
   /// \brief The resolved transition-cache key `request` maps to: beta
@@ -171,6 +184,22 @@ class D2prEngine {
   /// folds the resolve outcome into this engine's EngineStats counters.
   Result<std::shared_ptr<const TransitionMatrix>> GetTransition(
       const TransitionKey& key, bool* cache_hit, bool* store_hit);
+
+  /// The teleport vector `request` solves under: the engine's uniform
+  /// vector when unseeded, else SeededTeleport's, built into *seeded.
+  Result<std::span<const double>> TeleportFor(const RankRequest& request,
+                                              std::vector<double>* seeded);
+
+  /// Moves an exact (power or Gauss-Seidel) solve into `response` and
+  /// counts its iterations; truncates to request.top_k when asked.
+  void FinishExactResponse(const RankRequest& request, PagerankResult solved,
+                           RankResponse* response);
+
+  /// RankBatch's batched run: requests that all satisfy its grouping
+  /// rule, solved by one SolvePagerankBatch call; appends one response
+  /// per request.
+  Status RankPowerRun(std::span<const RankRequest> run,
+                      std::vector<RankResponse>* responses);
 
   /// Returns the starting iterate for a power solve under `request`, or an
   /// empty vector when no compatible warm start exists. When two

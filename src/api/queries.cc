@@ -8,7 +8,8 @@
 // exactly the seed sequence (Build, then SolvePagerank from the teleport
 // vector), so their results are bit-identical to the pre-engine
 // implementations. The engine-taking overloads reuse the caller's
-// transition cache and warm-start trajectories across calls.
+// transition cache across calls; the tuner also keeps a warm-start
+// trajectory in it.
 
 #include <algorithm>
 #include <cmath>
@@ -61,26 +62,27 @@ Result<PagerankResult> ComputePersonalizedD2pr(const CsrGraph& graph,
 
 namespace {
 
-// Shared sweep loop: one knob of D2prOptions varies, everything else is
-// fixed. Adjacent grid points have nearby stationary vectors, so each
-// solve warm-starts from (an extrapolation of) its predecessors under a
-// per-knob trajectory tag; the fixed point is unique, so results match a
-// cold sweep within tolerance at a fraction of the iterations.
+// Shared sweep: one knob of D2prOptions varies, everything else is
+// fixed. The grid goes to RankBatch as untagged power requests, so it is
+// solved in batched passes over the arcs (SolvePagerankBatch) and every
+// point is bit-identical to its own cold solve.
 Result<std::vector<SweepPoint>> SweepField(D2prEngine& engine,
                                            const std::vector<double>& values,
                                            const D2prOptions& base,
-                                           double D2prOptions::*field,
-                                           const std::string& tag) {
-  engine.ForgetWarmStart(tag);
-  std::vector<SweepPoint> points;
-  points.reserve(values.size());
+                                           double D2prOptions::*field) {
+  std::vector<RankRequest> requests;
+  requests.reserve(values.size());
   for (double value : values) {
     D2prOptions options = base;
     options.*field = value;
-    RankRequest request = ToRankRequest(options);
-    request.warm_start_tag = tag;
-    D2PR_ASSIGN_OR_RETURN(RankResponse response, engine.Rank(request));
-    points.push_back({value, ToPagerankResult(std::move(response))});
+    requests.push_back(ToRankRequest(options));
+  }
+  D2PR_ASSIGN_OR_RETURN(std::vector<RankResponse> responses,
+                        engine.RankBatch(requests));
+  std::vector<SweepPoint> points;
+  points.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    points.push_back({values[i], ToPagerankResult(std::move(responses[i]))});
   }
   return points;
 }
@@ -90,21 +92,19 @@ Result<std::vector<SweepPoint>> SweepField(D2prEngine& engine,
 Result<std::vector<SweepPoint>> SweepP(D2prEngine& engine,
                                        const std::vector<double>& p_values,
                                        const D2prOptions& base) {
-  return SweepField(engine, p_values, base, &D2prOptions::p, "sweep:p");
+  return SweepField(engine, p_values, base, &D2prOptions::p);
 }
 
 Result<std::vector<SweepPoint>> SweepAlpha(
     D2prEngine& engine, const std::vector<double>& alpha_values,
     const D2prOptions& base) {
-  return SweepField(engine, alpha_values, base, &D2prOptions::alpha,
-                    "sweep:alpha");
+  return SweepField(engine, alpha_values, base, &D2prOptions::alpha);
 }
 
 Result<std::vector<SweepPoint>> SweepBeta(
     D2prEngine& engine, const std::vector<double>& beta_values,
     const D2prOptions& base) {
-  return SweepField(engine, beta_values, base, &D2prOptions::beta,
-                    "sweep:beta");
+  return SweepField(engine, beta_values, base, &D2prOptions::beta);
 }
 
 Result<std::vector<SweepPoint>> SweepP(const CsrGraph& graph,

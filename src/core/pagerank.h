@@ -4,11 +4,14 @@
 // recurrence until the L1 change falls below a tolerance. Dangling nodes
 // (empty transition columns) are handled by a configurable policy; the
 // default re-injects their mass through the teleportation vector, the
-// standard stochastic completion.
+// standard stochastic completion. SolvePagerankBatch solves several
+// transitions of one graph in one pass over the arcs per iteration; a
+// single solve is its one-column case.
 
 #ifndef D2PR_CORE_PAGERANK_H_
 #define D2PR_CORE_PAGERANK_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -82,6 +85,39 @@ Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
                                          std::span<const double> teleport,
                                          std::span<const double> initial,
                                          const PagerankOptions& options);
+
+/// \brief The widest group one batched kernel pass carries. The width is a
+/// template parameter of the kernel (a runtime-width loop gives up much of
+/// the gain), and each column of a group adds two |V|-sized iterate rows,
+/// so the cap bounds a batch's extra memory.
+inline constexpr size_t kMaxBatchColumns = 6;
+
+/// \brief One column of a batched solve: a transition over the batch's
+/// graph and the options to solve it under.
+struct PagerankColumn {
+  const TransitionMatrix* transition = nullptr;  ///< Must be non-null.
+  PagerankOptions options;
+};
+
+/// \brief Power iteration for many transitions over one graph and one
+/// teleport vector, every column started cold from the teleport vector.
+///
+/// K columns run in ceil(K / kMaxBatchColumns) contiguous groups of
+/// near-equal size (17 -> 6/6/5). A group keeps a row-major iterate,
+/// x[v * width + k], and each iteration makes one pass over the out-CSR
+/// for all of its live columns. A column leaves its group when it
+/// converges or reaches its max_iterations. Every column keeps the
+/// operation order of SolvePagerankFrom (SolvePagerankFrom is the
+/// width-1 case of the same kernel), so results[k] is bit-identical —
+/// scores, iterations, converged and residual — to
+/// SolvePagerank(graph, *columns[k].transition, teleport,
+/// columns[k].options).
+///
+/// Errors: the Status SolvePagerank returns for the first column whose
+/// own solve would fail.
+Result<std::vector<PagerankResult>> SolvePagerankBatch(
+    const CsrGraph& graph, std::span<const PagerankColumn> columns,
+    std::span<const double> teleport);
 
 /// \brief Convenience overload with the uniform teleport ~t[i] = 1/|V|.
 Result<PagerankResult> SolvePagerank(const CsrGraph& graph,

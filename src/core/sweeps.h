@@ -54,10 +54,12 @@ Result<std::vector<SweepPoint>> SweepBeta(
     const D2prOptions& base = {});
 
 // Engine-routed variants: reuse the engine's transition cache across calls
-// and warm-start each grid point from (an extrapolation of) its
-// predecessors. The free functions above are thin wrappers running these
-// on a call-scoped engine; pass a long-lived engine to amortize transition
-// builds across repeated sweeps and tuner probes on the same graph.
+// and solve the grid through D2prEngine::RankBatch, which runs up to
+// kMaxBatchColumns points per pass over the arcs (SolvePagerankBatch).
+// Every point is bit-identical to its own cold solve. The free functions
+// above are thin wrappers running these on a call-scoped engine; pass a
+// long-lived engine to amortize transition builds across repeated sweeps
+// and tuner probes on the same graph.
 
 Result<std::vector<SweepPoint>> SweepP(D2prEngine& engine,
                                        const std::vector<double>& p_values,

@@ -205,38 +205,6 @@ std::vector<NodeId> TransitionMatrix::DanglingNodes() const {
   return nodes;
 }
 
-void ScatterProducts(const CsrGraph& graph, const TransitionFactors& f,
-                     std::span<const double> x, std::span<double> sums,
-                     std::span<double> blend_sums) {
-  std::fill(sums.begin(), sums.end(), 0.0);
-  std::fill(blend_sums.begin(), blend_sums.end(), 0.0);
-  const auto targets = graph.targets();
-  const auto weights = graph.weights();
-  // Scatter y_i = c_i·x_i along each row in ascending source order: the
-  // order the gather form folds each destination's in-row. A zero x_i
-  // adds only +0.0 terms there, so skipping it changes no bit.
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (x[i] == 0.0) continue;
-    const NodeId row = static_cast<NodeId>(i);
-    const size_t begin = static_cast<size_t>(graph.ArcBegin(row));
-    const size_t end = begin + static_cast<size_t>(graph.OutDegree(row));
-    const double y = f.c[i] * x[i];
-    if (!f.has_sink() && !f.has_blend()) {
-      for (size_t e = begin; e < end; ++e) {
-        sums[static_cast<size_t>(targets[e])] += y;
-      }
-      continue;
-    }
-    const double y_sink = f.has_sink() ? f.sink_c[i] * x[i] : 0.0;
-    const double y_blend = f.has_blend() ? f.blend_c[i] * x[i] : 0.0;
-    for (size_t e = begin; e < end; ++e) {
-      const size_t j = static_cast<size_t>(targets[e]);
-      sums[j] += f.has_sink() && f.sink[j] ? y_sink : y;
-      if (f.has_blend()) blend_sums[j] += weights[e] * y_blend;
-    }
-  }
-}
-
 void TransitionMatrix::Multiply(const CsrGraph& graph,
                                 std::span<const double> x,
                                 std::span<double> out) const {
@@ -244,7 +212,8 @@ void TransitionMatrix::Multiply(const CsrGraph& graph,
   D2PR_CHECK_EQ(x.size(), n);
   D2PR_CHECK_EQ(out.size(), n);
   std::vector<double> blend_sums(factors_.has_blend() ? n : 0);
-  ScatterProducts(graph, factors_, x, out, blend_sums);
+  const TransitionFactors* columns[1] = {&factors_};
+  ScatterColumns<1>(graph, columns, x, out, blend_sums);
   for (size_t j = 0; j < n; ++j) {
     out[j] = FinishDestination(factors_, j, out[j],
                                factors_.has_blend() ? blend_sums[j] : 0.0);

@@ -1,4 +1,4 @@
-// D2prEngine behavior: transition-cache accounting, warm-started sweeps,
+// D2prEngine behavior: transition-cache accounting, cold batched sweeps,
 // batch determinism, solver dispatch, and validation through the cache.
 
 #include "api/engine.h"
@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -92,31 +94,68 @@ TEST(EngineTest, InvalidBetaRejectedEvenWhenFoldedKeyIsCached) {
   EXPECT_EQ(engine.stats().transition_builds, 1);
 }
 
-TEST(EngineTest, WarmStartedSweepMatchesColdSweep) {
+// Asserts every point of a sweep over `field` is bit-identical to a cold
+// SolvePagerank at that value, with the same iteration count.
+void ExpectColdPoints(const CsrGraph& graph,
+                      const std::vector<SweepPoint>& sweep,
+                      const std::vector<double>& grid, const D2prOptions& base,
+                      double D2prOptions::*field) {
+  ASSERT_EQ(sweep.size(), grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE(grid[i]);
+    D2prOptions point = base;
+    point.*field = grid[i];
+    auto cold =
+        SolvePagerank(graph,
+                      TransitionMatrix::Build(graph, ToTransitionConfig(point))
+                          .value(),
+                      ToPagerankOptions(point));
+    ASSERT_TRUE(cold.ok());
+    const PagerankResult& swept = sweep[i].result;
+    ASSERT_EQ(swept.scores.size(), cold->scores.size());
+    EXPECT_EQ(std::memcmp(swept.scores.data(), cold->scores.data(),
+                          cold->scores.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(swept.iterations, cold->iterations);
+  }
+}
+
+TEST(EngineTest, SweepPointsAreBitIdenticalToColdSolves) {
   auto graph = TestGraph(5, 400, 1600);
   ASSERT_TRUE(graph.ok());
   D2prEngine engine = D2prEngine::Borrowing(*graph);
   D2prOptions base;
   base.tolerance = 1e-11;
   const std::vector<double> grid = LinearGrid(-2.0, 2.0, 0.5);
+  auto sweep = SweepP(engine, grid, base);
+  ASSERT_TRUE(sweep.ok());
+  // The sweep solves batched cold columns: no point reads the warm-start
+  // store.
+  EXPECT_EQ(engine.stats().warm_start_hits, 0);
+  ExpectColdPoints(*graph, *sweep, grid, base, &D2prOptions::p);
 
-  auto warm = SweepP(engine, grid, base);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_GT(engine.stats().warm_start_hits, 0);
+  auto alphas = SweepAlpha(engine, PaperAlphaGrid(), base);
+  ASSERT_TRUE(alphas.ok());
+  ExpectColdPoints(*graph, *alphas, PaperAlphaGrid(), base,
+                   &D2prOptions::alpha);
 
-  for (size_t i = 0; i < grid.size(); ++i) {
-    D2prOptions point = base;
-    point.p = grid[i];
-    auto cold =
-        SolvePagerank(*graph,
-                      TransitionMatrix::Build(*graph,
-                                              ToTransitionConfig(point))
-                          .value(),
-                      ToPagerankOptions(point));
-    ASSERT_TRUE(cold.ok());
-    EXPECT_LT(DiffLInf((*warm)[i].result.scores, cold->scores), 1e-7)
-        << "p = " << grid[i];
+  // β needs a weighted graph.
+  Rng rng(5);
+  GraphBuilder builder(200, GraphKind::kUndirected, /*weighted=*/true);
+  for (int edge = 0; edge < 800; ++edge) {
+    ASSERT_TRUE(builder
+                    .AddEdge(static_cast<NodeId>(rng.Below(200)),
+                             static_cast<NodeId>(rng.Below(200)),
+                             rng.Uniform(0.5, 3.0))
+                    .ok());
   }
+  auto weighted = builder.Build();
+  ASSERT_TRUE(weighted.ok());
+  base.p = 1.0;
+  auto betas = SweepBeta(*weighted, PaperBetaGrid(), base);
+  ASSERT_TRUE(betas.ok());
+  ExpectColdPoints(*weighted, *betas, PaperBetaGrid(), base,
+                   &D2prOptions::beta);
 }
 
 TEST(EngineTest, RankBatchIsDeterministicAndMatchesSequentialRanks) {
@@ -158,6 +197,124 @@ TEST(EngineTest, BatchFailsFastOnFirstInvalidRequest) {
   requests[1].alpha = 1.5;  // invalid
   auto batch = engine.RankBatch(requests);
   EXPECT_FALSE(batch.ok());
+}
+
+// A mixed list: batched power runs (plain, seeded, top_k) around tagged,
+// Gauss-Seidel, push and differently-seeded requests that run alone.
+std::vector<RankRequest> MixedBatch() {
+  std::vector<RankRequest> requests;
+  auto add = [&requests](double p) -> RankRequest& {
+    requests.push_back({});
+    requests.back().p = p;
+    return requests.back();
+  };
+  add(0.5);
+  add(1.0).dangling = DanglingPolicy::kRenormalize;
+  add(0.5).warm_start_tag = "trajectory";
+  add(0.75).warm_start_tag = "trajectory";
+  add(0.5).method = SolverMethod::kGaussSeidel;
+  RankRequest& push = add(0.5);
+  push.method = SolverMethod::kForwardPush;
+  push.seeds = {3};
+  add(0.0).seeds = {1, 2};
+  add(1.0).seeds = {1, 2};
+  add(1.0).seeds = {4};
+  add(-1.0).top_k = 10;
+  add(2.0).alpha = 0.7;
+  add(0.5).max_iterations = 4;
+  add(-0.5);
+  return requests;
+}
+
+void ExpectSameStats(const EngineStats& a, const EngineStats& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.transition_builds, b.transition_builds);
+  EXPECT_EQ(a.transition_cache_hits, b.transition_cache_hits);
+  EXPECT_EQ(a.transition_store_loads, b.transition_store_loads);
+  EXPECT_EQ(a.transition_store_saves, b.transition_store_saves);
+  EXPECT_EQ(a.warm_start_hits, b.warm_start_hits);
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+  EXPECT_EQ(a.push_operations, b.push_operations);
+}
+
+TEST(EngineTest, RankBatchMixedListIsBitIdenticalToSequentialRanks) {
+  auto graph = TestGraph(9);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<RankRequest> requests = MixedBatch();
+  D2prEngine sequential = D2prEngine::Borrowing(*graph);
+  std::vector<RankResponse> expected;
+  for (const RankRequest& request : requests) {
+    auto response = sequential.Rank(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    expected.push_back(std::move(response).value());
+  }
+
+  D2prEngine batched = D2prEngine::Borrowing(*graph);
+  auto responses = batched.RankBatch(requests);
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  ASSERT_EQ(responses->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RankResponse& got = (*responses)[i];
+    const RankResponse& want = expected[i];
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    EXPECT_EQ(std::memcmp(got.scores.data(), want.scores.data(),
+                          want.scores.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(got.top, want.top);
+    EXPECT_EQ(got.truncated, want.truncated);
+    EXPECT_EQ(got.method, want.method);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.pushes, want.pushes);
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof(double)), 0);
+    EXPECT_EQ(got.transition_cache_hit, want.transition_cache_hit);
+    EXPECT_EQ(got.transition_store_hit, want.transition_store_hit);
+    EXPECT_EQ(got.warm_start_hit, want.warm_start_hit);
+  }
+  ExpectSameStats(batched.stats(), sequential.stats());
+}
+
+TEST(EngineTest, RankBatchReturnsTheFirstFailingRequestsStatus) {
+  auto graph = TestGraph(10);
+  ASSERT_TRUE(graph.ok());
+  // Each failure sits inside a batched run, behind valid requests.
+  RankRequest bad_alpha;
+  bad_alpha.alpha = 1.5;
+  RankRequest bad_span;
+  bad_span.p = 1e6;  // the transition build rejects the exponent span
+  for (const auto& [position, bad] :
+       std::vector<std::pair<size_t, RankRequest>>{
+           {10, bad_alpha}, {12, bad_span}, {0, bad_span}}) {
+    std::vector<RankRequest> requests = MixedBatch();
+    requests.insert(requests.begin() + static_cast<ptrdiff_t>(position), bad);
+    requests.push_back(bad_alpha);  // a second failure, never reached
+    D2prEngine sequential = D2prEngine::Borrowing(*graph);
+    Status first_error;
+    for (const RankRequest& request : requests) {
+      auto response = sequential.Rank(request);
+      if (!response.ok()) {
+        first_error = response.status();
+        break;
+      }
+    }
+    ASSERT_FALSE(first_error.ok());
+    D2prEngine batched = D2prEngine::Borrowing(*graph);
+    auto responses = batched.RankBatch(requests);
+    ASSERT_FALSE(responses.ok());
+    EXPECT_EQ(responses.status(), first_error) << first_error.ToString();
+  }
+  // A bad seed list fails its run's first request, as its Rank would.
+  RankRequest out_of_range;
+  out_of_range.seeds = {100000};
+  std::vector<RankRequest> requests(2, out_of_range);
+  D2prEngine sequential = D2prEngine::Borrowing(*graph);
+  D2prEngine batched = D2prEngine::Borrowing(*graph);
+  auto expected = sequential.Rank(requests[0]);
+  auto responses = batched.RankBatch(requests);
+  ASSERT_FALSE(expected.ok());
+  ASSERT_FALSE(responses.ok());
+  EXPECT_EQ(responses.status(), expected.status());
 }
 
 TEST(EngineTest, GaussSeidelAndPowerAgreeOnScores) {

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "datagen/classic_generators.h"
 #include "graph/graph_builder.h"
+#include "stats/correlation.h"
 
 namespace d2pr {
 namespace {
@@ -85,6 +86,32 @@ TEST(SweepBetaTest, RequiresNothingSpecialOnWeighted) {
   EXPECT_EQ(sweep->size(), 5u);
   // beta = 0 vs beta = 1 must differ (full de-coupling vs pure strength).
   EXPECT_NE((*sweep)[0].result.scores, (*sweep)[4].result.scores);
+}
+
+// The paper's result, pinned at tier 1: on a preferential-attachment
+// graph conventional PageRank (p = 0) follows in-degree closely
+// (Volkovich & Litvak predict the PageRank tail follows the in-degree
+// tail), and strong penalization (p = +4) reverses the relationship.
+TEST(SweepPTest, PaperGridDecouplesScoresFromInDegree) {
+  Rng rng(1);
+  auto graph = BarabasiAlbert(2000, 8, &rng);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<double> grid = PaperPGrid();
+  auto sweep = SweepP(*graph, grid);
+  ASSERT_TRUE(sweep.ok());
+  ASSERT_EQ(sweep->size(), grid.size());
+  std::vector<double> in_degree;
+  for (EdgeIndex d : graph->InDegrees()) {
+    in_degree.push_back(static_cast<double>(d));
+  }
+  const SweepPoint& p0 = (*sweep)[8];
+  const SweepPoint& p4 = sweep->back();
+  ASSERT_EQ(p0.parameter, 0.0);
+  ASSERT_EQ(p4.parameter, 4.0);
+  EXPECT_TRUE(p0.result.converged);
+  EXPECT_TRUE(p4.result.converged);
+  EXPECT_GE(SpearmanCorrelation(in_degree, p0.result.scores), 0.85);
+  EXPECT_LT(SpearmanCorrelation(in_degree, p4.result.scores), 0.0);
 }
 
 TEST(SweepTest, PropagatesInvalidConfig) {

@@ -1,6 +1,6 @@
-// Warm-started solves and warm-started sweeps: correctness (unique fixed
-// point regardless of starting iterate) and effectiveness (fewer
-// iterations than cold starts).
+// Warm-started solves: correctness (unique fixed point regardless of
+// starting iterate) and effectiveness (fewer iterations than cold
+// starts). Sweeps solve cold and are checked against cold solves.
 
 #include <gtest/gtest.h>
 
@@ -114,9 +114,10 @@ TEST(WarmSweepTest, MatchesColdPointwiseSolves) {
   }
 }
 
-TEST(WarmSweepTest, WarmPointsBeatTheirOwnColdSolves) {
-  // Comparison must hold p fixed: more-concentrated transitions (larger p)
-  // mix more slowly regardless of the starting iterate.
+TEST(WarmSweepTest, PointsTakeTheirOwnColdIterations) {
+  // Sweep points are batched cold solves, so each point takes exactly the
+  // iterations of its own cold solve (warm starts stay with the tuner and
+  // tagged requests; see WarmStartTest above).
   Rng rng(13);
   auto graph = BarabasiAlbert(600, 3, &rng);
   ASSERT_TRUE(graph.ok());
@@ -125,16 +126,14 @@ TEST(WarmSweepTest, WarmPointsBeatTheirOwnColdSolves) {
   const std::vector<double> grid = LinearGrid(0.0, 2.0, 0.25);
   auto sweep = SweepP(*graph, grid, base);
   ASSERT_TRUE(sweep.ok());
-  int64_t warm_total = 0, cold_total = 0;
-  for (size_t i = 1; i < sweep->size(); ++i) {
-    warm_total += (*sweep)[i].result.iterations;
+  for (size_t i = 0; i < sweep->size(); ++i) {
     D2prOptions point = base;
     point.p = grid[i];
     auto cold = ComputeD2pr(*graph, point);
     ASSERT_TRUE(cold.ok());
-    cold_total += cold->iterations;
+    EXPECT_EQ((*sweep)[i].result.iterations, cold->iterations)
+        << "p = " << grid[i];
   }
-  EXPECT_LT(warm_total, cold_total);
 }
 
 }  // namespace
