@@ -1,25 +1,14 @@
 #include "core/block_solver.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/string_util.h"
-#include "core/transition_kernel.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
 
 namespace {
-
-/// Runs fn(0) .. fn(count - 1): through `parallel_for` when provided,
-/// sequentially inline otherwise.
-void RunShards(const BlockParallelFor& parallel_for, size_t count,
-               const std::function<void(size_t)>& fn) {
-  if (parallel_for) {
-    parallel_for(count, fn);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) fn(i);
-}
 
 /// The single-graph solvers' shared option/teleport validation plus the
 /// slice shape contract: a transition over the partition's nodes, and
@@ -51,6 +40,86 @@ Status ValidateBlockSliceInputs(const TransitionSlices& slices,
   return ValidateTeleportVector(teleport, slices.num_nodes());
 }
 
+/// The in-process index space: a shard's rows and sources are global
+/// node ids, and both iterates are full vectors.
+struct GlobalIndex {
+  const PartitionShard& shard;
+  const TransitionMatrix& transition;
+  std::span<const double> arc_weights;
+
+  size_t dst(size_t k) const { return static_cast<size_t>(shard.owned[k]); }
+  size_t source(size_t idx) const {
+    return static_cast<size_t>(shard.in_sources[idx]);
+  }
+  double weight(size_t idx) const {
+    return arc_weights[static_cast<size_t>(shard.in_arc_index[idx])];
+  }
+  bool dangling(size_t k) const {
+    return transition.IsDangling(shard.owned[k]);
+  }
+  // Interior sources read the live (in-sweep updated) iterate, boundary
+  // sources the frozen exchange copy; the precomputed flag keeps
+  // ownership resolution out of the inner loop.
+  double live(size_t idx, std::span<const double> next,
+              std::span<const double> x) const {
+    return shard.in_interior[idx] ? next[source(idx)] : x[source(idx)];
+  }
+};
+
+/// Both in-process block solves: RunBlockIteration with a round that
+/// sweeps every shard of `partition` through `parallel_for`.
+Result<PagerankResult> SolveBlockInProcess(
+    bool gauss_seidel, const TransitionSlices& slices,
+    const GraphPartition& partition, std::span<const double> teleport,
+    const PagerankOptions& options, const BlockParallelFor& parallel_for) {
+  D2PR_RETURN_NOT_OK(
+      ValidateBlockSliceInputs(slices, partition, teleport, options));
+  if (gauss_seidel) {
+    D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
+  }
+  const TransitionMatrix& transition = *slices.transition;
+  const TransitionFactors& factors = transition.factors();
+  const std::vector<NodeId> dangling = transition.DanglingNodes();
+  SourceProducts products;
+  BlockSweepParams params;
+  params.gauss_seidel = gauss_seidel;
+  params.dangling = options.dangling;
+  params.alpha = options.alpha;
+  params.teleport = teleport;
+
+  const auto round = [&](const BlockRound& r,
+                         std::span<const double> current,
+                         std::span<double> next) {
+    params.dangling_mass = r.dangling_mass;
+    if (gauss_seidel) {
+      // Exchange step: `current` is the frozen copy every shard reads
+      // remote values from (block Jacobi across shards), while each
+      // shard sweeps its own slice of `next` in place (Gauss-Seidel
+      // within a shard).
+      std::copy(current.begin(), current.end(), next.begin());
+    } else {
+      // y = c∘x of the previous iterate, once for every shard's reads.
+      products.Compute(factors, current);
+    }
+    // One block sweep. Shards write disjoint owned slices of `next` and
+    // read nothing another shard writes, so the sweeps compose in any
+    // order (or concurrently) without changing a bit.
+    const auto sweep = [&](size_t s) {
+      const GlobalIndex index{partition.shard(s), transition,
+                              slices.arc_weights};
+      BlockSweep(factors, index.shard, index, params, products, current,
+                 next, /*partials=*/nullptr);
+    };
+    if (parallel_for) {
+      parallel_for(partition.num_shards(), sweep);
+    } else {
+      for (size_t s = 0; s < partition.num_shards(); ++s) sweep(s);
+    }
+    return Status::OK();
+  };
+  return RunBlockIteration(gauss_seidel, dangling, teleport, options, round);
+}
+
 }  // namespace
 
 Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling) {
@@ -67,83 +136,37 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling) {
   return Status::OK();
 }
 
-Result<PagerankResult> SolvePagerankPartitioned(
-    const TransitionSlices& slices, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockSliceInputs(slices, partition, teleport, options));
-  const NodeId n = slices.num_nodes();
-
+Result<PagerankResult> RunBlockIteration(bool gauss_seidel,
+                                         std::span<const NodeId> dangling,
+                                         std::span<const double> teleport,
+                                         const PagerankOptions& options,
+                                         const BlockRoundFn& round) {
   PagerankResult result;
-  if (n == 0) {
+  if (teleport.empty()) {
     result.converged = true;
     return result;
   }
-
-  const TransitionMatrix& transition = *slices.transition;
-  const TransitionFactors& factors = transition.factors();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  SourceProducts products;
+  // The single-graph solvers' initial iterates: power normalizes its
+  // teleport copy defensively, Gauss-Seidel starts from the raw one.
   std::vector<double> current(teleport.begin(), teleport.end());
-  NormalizeL1(current);  // mirrors the reference's defensive normalize
-  std::vector<double> next(static_cast<size_t>(n), 0.0);
+  if (!gauss_seidel) NormalizeL1(current);
+  std::vector<double> next(current.size(), 0.0);
+  const bool normalize =
+      gauss_seidel || options.dangling == DanglingPolicy::kRenormalize;
 
+  BlockRound r;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     // Dangling mass of the previous iterate, folded over the ascending
-    // dangling list exactly as the reference does. Known before the
-    // sweeps start, so each shard can finish its owned slice end-to-end.
-    double dangling_mass = 0.0;
+    // dangling list exactly as the reference solvers do (lagged, for
+    // Gauss-Seidel). Known before the sweeps start, so each shard can
+    // finish its owned slice end-to-end.
+    r.iteration = iter;
+    r.dangling_mass = 0.0;
     for (NodeId v : dangling) {
-      dangling_mass += current[static_cast<size_t>(v)];
+      r.dangling_mass += current[static_cast<size_t>(v)];
     }
-    // y = c∘x of the previous iterate, once for every shard's reads.
-    products.Compute(factors, current);
-
-    // One block sweep: every shard gathers y along each owned
-    // destination's in-row in ascending global source order — the
-    // accumulation order TransitionMatrix::Multiply scatters in — then
-    // applies the u∘ pass, the dangling policy and the teleport blend
-    // element-wise. Shards write disjoint owned slices of `next` and read
-    // only the frozen products, so the sweeps compose in any order (or
-    // concurrently) without changing a bit.
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      const auto source = [&](size_t idx) {
-        return static_cast<size_t>(shard.in_sources[idx]);
-      };
-      const auto weight = [&](size_t idx) {
-        return slices.arc_weights[static_cast<size_t>(
-            shard.in_arc_index[idx])];
-      };
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double value = PullProducts(
-            factors, products, static_cast<size_t>(dst),
-            static_cast<size_t>(shard.in_offsets[k]),
-            static_cast<size_t>(shard.in_offsets[k + 1]), source, weight);
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            if (dangling_mass > 0.0) {
-              value += dangling_mass * teleport[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value += current[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        next[static_cast<size_t>(dst)] =
-            options.alpha * value +
-            (1.0 - options.alpha) * teleport[static_cast<size_t>(dst)];
-      }
-    });
-    if (options.dangling == DanglingPolicy::kRenormalize) {
-      NormalizeL1(next);
-    }
+    D2PR_RETURN_NOT_OK(round(r, current, next));
+    r.prev_norm = normalize ? NormalizeL1(next) : 0.0;
 
     result.iterations = iter;
     result.residual = DiffL1(next, current);
@@ -153,99 +176,24 @@ Result<PagerankResult> SolvePagerankPartitioned(
       break;
     }
   }
-
   result.scores = std::move(current);
   return result;
+}
+
+Result<PagerankResult> SolvePagerankPartitioned(
+    const TransitionSlices& slices, const GraphPartition& partition,
+    std::span<const double> teleport, const PagerankOptions& options,
+    const BlockParallelFor& parallel_for) {
+  return SolveBlockInProcess(/*gauss_seidel=*/false, slices, partition,
+                             teleport, options, parallel_for);
 }
 
 Result<PagerankResult> SolveGaussSeidelPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockSliceInputs(slices, partition, teleport, options));
-  D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  const NodeId n = slices.num_nodes();
-
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  const TransitionMatrix& transition = *slices.transition;
-  const TransitionFactors& factors = transition.factors();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  std::vector<double> x(teleport.begin(), teleport.end());
-  std::vector<double> frozen(x);
-  std::vector<double> previous(x);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Lagged dangling mass, as in the single-graph Gauss-Seidel sweep.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) {
-      dangling_mass += x[static_cast<size_t>(v)];
-    }
-
-    // Exchange step: publish the whole iterate; each shard reads remote
-    // slices from this frozen copy (block Jacobi across shards) while
-    // sweeping its own slice Gauss-Seidel style (owned sources read the
-    // in-place updated values).
-    frozen = x;
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      const auto source = [&](size_t idx) {
-        return static_cast<size_t>(shard.in_sources[idx]);
-      };
-      // Interior sources read the live (in-sweep updated) iterate,
-      // boundary sources the frozen exchange copy; the precomputed flag
-      // keeps ownership resolution out of the inner loop.
-      const auto value_of = [&](size_t idx) {
-        return shard.in_interior[idx] ? x[source(idx)] : frozen[source(idx)];
-      };
-      const auto weight = [&](size_t idx) {
-        return slices.arc_weights[static_cast<size_t>(
-            shard.in_arc_index[idx])];
-      };
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        const double incoming = PullLive(
-            factors, static_cast<size_t>(dst),
-            static_cast<size_t>(shard.in_offsets[k]),
-            static_cast<size_t>(shard.in_offsets[k + 1]), source, value_of,
-            weight);
-        double value = options.alpha * incoming +
-                       (1.0 - options.alpha) *
-                           teleport[static_cast<size_t>(dst)];
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            value += options.alpha * dangling_mass *
-                     teleport[static_cast<size_t>(dst)];
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value /= (1.0 - options.alpha);
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        x[static_cast<size_t>(dst)] = value;
-      }
-    });
-    NormalizeL1(x);
-
-    result.iterations = iter;
-    result.residual = DiffL1(x, previous);
-    previous = x;
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(x);
-  return result;
+  return SolveBlockInProcess(/*gauss_seidel=*/true, slices, partition,
+                             teleport, options, parallel_for);
 }
 
 }  // namespace d2pr

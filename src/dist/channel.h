@@ -2,7 +2,7 @@
 // and one shard worker.
 //
 // The coordinator speaks strictly call/response (net/shard_wire.h), so
-// the seam is one blocking method: send a frame, return the reply. Three
+// the seam is one blocking method: send a frame, return the reply. Two
 // implementations:
 //
 //   * SocketShardChannel — a real TCP connection to a ShardServer

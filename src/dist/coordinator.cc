@@ -6,7 +6,6 @@
 
 #include "common/string_util.h"
 #include "core/block_solver.h"
-#include "linalg/vec_ops.h"
 #include "net/shard_wire.h"
 
 namespace d2pr {
@@ -193,6 +192,91 @@ void DistributedCoordinator::EndSolve(uint64_t solve_id) {
   }
 }
 
+Status DistributedCoordinator::BeginSolve(uint64_t solve_id,
+                                          SolverMethod method,
+                                          const PagerankOptions& options,
+                                          std::span<const double> initial,
+                                          std::span<const double> teleport) {
+  for (size_t s = 0; s < channels_.size(); ++s) {
+    ShardSolveBegin begin;
+    begin.solve_id = solve_id;
+    begin.method = static_cast<uint32_t>(method);
+    begin.dangling = options.dangling;
+    begin.alpha = options.alpha;
+    begin.initial.reserve(owned_[s].size());
+    begin.teleport.reserve(owned_[s].size());
+    for (NodeId v : owned_[s]) {
+      begin.initial.push_back(initial[static_cast<size_t>(v)]);
+      begin.teleport.push_back(teleport[static_cast<size_t>(v)]);
+    }
+    if (needs_metric_[s]) {
+      // One O(|V|) broadcast, once per shard ever: the shard
+      // builds its transition slice from it and never asks again.
+      begin.metric_values = options_.metric_values;
+      stats_.metric_values_sent +=
+          static_cast<int64_t>(begin.metric_values.size());
+    }
+    ShardFrame request;
+    request.type = FrameType::kSolveBegin;
+    request.request_id = next_request_id_++;
+    request.payload = EncodeShardSolveBegin(begin);
+    D2PR_RETURN_NOT_OK(CallShard(s, request, FrameType::kStatus).status());
+    needs_metric_[s] = 0;
+  }
+  return Status::OK();
+}
+
+Status DistributedCoordinator::SweepRound(uint64_t solve_id,
+                                          const BlockRound& round,
+                                          std::span<const double> current,
+                                          std::span<double> next) {
+  ShardSweepRequest sweep;
+  sweep.solve_id = solve_id;
+  sweep.sweep = static_cast<uint32_t>(round.iteration);
+  sweep.dangling_mass = round.dangling_mass;
+  sweep.has_rescale = round.prev_norm > 0.0;
+  sweep.rescale = round.prev_norm > 0.0 ? 1.0 / round.prev_norm : 1.0;
+
+  // Shards are driven sequentially — the bits cannot tell (disjoint
+  // writes, frozen reads).
+  for (size_t s = 0; s < channels_.size(); ++s) {
+    // Gather the boundary values straight into the shard's reused
+    // request bytes.
+    ShardFrame& request = sweep_requests_[s];
+    request.type = FrameType::kSweepRequest;
+    request.request_id = next_request_id_++;
+    EncodeShardSweepRequest(sweep, current, boundary_[s], request.payload);
+    stats_.boundary_values += static_cast<int64_t>(boundary_[s].size());
+
+    Result<ShardFrame> reply = CallShard(s, request, FrameType::kSweepResponse);
+    if (!reply.ok()) return reply.status();
+    ShardSweepResponse response;
+    WireScores owned;
+    if (Status decoded =
+            DecodeShardSweepResponse(reply->payload, &response, &owned);
+        !decoded.ok()) {
+      return Status::Unavailable(StrCat("shard ", s,
+                                        " sent a malformed sweep response: ",
+                                        decoded.ToString()));
+    }
+    if (response.solve_id != solve_id || response.sweep != sweep.sweep ||
+        owned.size() != owned_[s].size()) {
+      return Status::Unavailable(
+          StrCat("shard ", s, " answered the wrong sweep (solve ",
+                 response.solve_id, ", sweep ", response.sweep, ", ",
+                 owned.size(), " values)"));
+    }
+    // Scatter straight out of the reply bytes into the next iterate.
+    const std::vector<NodeId>& nodes = owned_[s];
+    for (size_t k = 0; k < nodes.size(); ++k) {
+      next[static_cast<size_t>(nodes[k])] = owned[k];
+    }
+    stats_.owned_values += static_cast<int64_t>(owned.size());
+  }
+  ++stats_.sweeps;
+  return Status::OK();
+}
+
 Result<PagerankResult> DistributedCoordinator::Solve(
     SolverMethod method, std::span<const double> teleport,
     const PagerankOptions& options) {
@@ -210,146 +294,27 @@ Result<PagerankResult> DistributedCoordinator::Solve(
   if (gauss_seidel) {
     D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
   }
-  const NodeId n = options_.num_nodes;
   const int64_t t0 = NowMs();
 
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  const size_t num_shards = channels_.size();
-  const uint64_t solve_id = next_solve_id_++;
-
-  // The canonical iterate, initialized exactly as the reference solvers:
-  // power normalizes the teleport copy defensively, Gauss-Seidel starts
-  // from the raw teleport.
-  std::vector<double> current(teleport.begin(), teleport.end());
-  if (!gauss_seidel) NormalizeL1(current);
-  std::vector<double> next(static_cast<size_t>(n), 0.0);
-
-  // Per-solve constants down to every shard.
-  for (size_t s = 0; s < num_shards; ++s) {
-    ShardSolveBegin begin;
-    begin.solve_id = solve_id;
-    begin.method = static_cast<uint32_t>(method);
-    begin.dangling = options.dangling;
-    begin.alpha = options.alpha;
-    begin.initial.reserve(owned_[s].size());
-    begin.teleport.reserve(owned_[s].size());
-    for (NodeId v : owned_[s]) {
-      begin.initial.push_back(current[static_cast<size_t>(v)]);
-      begin.teleport.push_back(teleport[static_cast<size_t>(v)]);
+  // The first round ships the per-solve constants, the initial iterate
+  // among them, down to every shard before its sweep. Once every shard
+  // has begun, a failed round still ends the solve on every shard.
+  uint64_t solve_id = 0;
+  bool begun = false;
+  const auto round = [&](const BlockRound& r,
+                         std::span<const double> current,
+                         std::span<double> next) -> Status {
+    if (r.iteration == 1) {
+      solve_id = next_solve_id_++;
+      D2PR_RETURN_NOT_OK(
+          BeginSolve(solve_id, method, options, current, teleport));
+      begun = true;
     }
-    if (needs_metric_[s]) {
-      // One O(|V|) broadcast, once per shard ever: the shard
-      // builds its transition slice from it and never asks again.
-      begin.metric_values = options_.metric_values;
-      stats_.metric_values_sent +=
-          static_cast<int64_t>(begin.metric_values.size());
-    }
-    ShardFrame request;
-    request.type = FrameType::kSolveBegin;
-    request.request_id = next_request_id_++;
-    request.payload = EncodeShardSolveBegin(begin);
-    Result<ShardFrame> reply = CallShard(s, request, FrameType::kStatus);
-    if (!reply.ok()) {
-      stats_.elapsed_ms += NowMs() - t0;
-      return reply.status();
-    }
-    needs_metric_[s] = 0;
-  }
-
-  // prev_norm > 0 means the previous iteration L1-normalized the global
-  // vector and shards must replay the exact 1/norm multiply on their
-  // retained slices before sweeping.
-  double prev_norm = 0.0;
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Canonical global folds, straight from core/block_solver.cc: the
-    // dangling mass folds over the merged ascending list of `current`.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling_) {
-      dangling_mass += current[static_cast<size_t>(v)];
-    }
-    ShardSweepRequest sweep;
-    sweep.solve_id = solve_id;
-    sweep.sweep = static_cast<uint32_t>(iter);
-    sweep.dangling_mass = dangling_mass;
-    sweep.has_rescale = prev_norm > 0.0;
-    sweep.rescale = prev_norm > 0.0 ? 1.0 / prev_norm : 1.0;
-
-    // One synchronized sweep round. Shards are driven sequentially —
-    // the bits cannot tell (disjoint writes, frozen reads); overlapping
-    // the round trips is the async follow-up in ROADMAP.md.
-    for (size_t s = 0; s < num_shards; ++s) {
-      // Gather the boundary values straight into the shard's reused
-      // request bytes.
-      ShardFrame& request = sweep_requests_[s];
-      request.type = FrameType::kSweepRequest;
-      request.request_id = next_request_id_++;
-      EncodeShardSweepRequest(sweep, current, boundary_[s], request.payload);
-      stats_.boundary_values += static_cast<int64_t>(boundary_[s].size());
-
-      Result<ShardFrame> reply =
-          CallShard(s, request, FrameType::kSweepResponse);
-      if (!reply.ok()) {
-        EndSolve(solve_id);
-        stats_.elapsed_ms += NowMs() - t0;
-        return reply.status();
-      }
-      ShardSweepResponse response;
-      WireScores owned;
-      if (Status decoded =
-              DecodeShardSweepResponse(reply->payload, &response, &owned);
-          !decoded.ok()) {
-        EndSolve(solve_id);
-        stats_.elapsed_ms += NowMs() - t0;
-        return Status::Unavailable(
-            StrCat("shard ", s, " sent a malformed sweep response: ",
-                   decoded.ToString()));
-      }
-      if (response.solve_id != solve_id ||
-          response.sweep != static_cast<uint32_t>(iter) ||
-          owned.size() != owned_[s].size()) {
-        EndSolve(solve_id);
-        stats_.elapsed_ms += NowMs() - t0;
-        return Status::Unavailable(
-            StrCat("shard ", s, " answered the wrong sweep (solve ",
-                   response.solve_id, ", sweep ", response.sweep, ", ",
-                   owned.size(), " values)"));
-      }
-      // Scatter straight out of the reply bytes into the next iterate.
-      const std::vector<NodeId>& nodes = owned_[s];
-      for (size_t k = 0; k < nodes.size(); ++k) {
-        next[static_cast<size_t>(nodes[k])] = owned[k];
-      }
-      stats_.owned_values += static_cast<int64_t>(owned.size());
-    }
-    ++stats_.sweeps;
-
-    // Global normalization: Gauss-Seidel every iteration, power only
-    // under kRenormalize — the reference's exact sequence. NormalizeL1
-    // returns the norm it divided by; broadcasting 1/norm next sweep
-    // keeps the shards' retained slices bitwise in step.
-    if (gauss_seidel || options.dangling == DanglingPolicy::kRenormalize) {
-      prev_norm = NormalizeL1(next);
-    } else {
-      prev_norm = 0.0;
-    }
-
-    result.iterations = iter;
-    result.residual = DiffL1(next, current);
-    current.swap(next);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  EndSolve(solve_id);
-  result.scores = std::move(current);
+    return SweepRound(solve_id, r, current, next);
+  };
+  Result<PagerankResult> result =
+      RunBlockIteration(gauss_seidel, dangling_, teleport, options, round);
+  if (begun) EndSolve(solve_id);
   stats_.elapsed_ms += NowMs() - t0;
   return result;
 }

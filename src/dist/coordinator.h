@@ -1,20 +1,21 @@
 // DistributedCoordinator: the block-iteration loop of
-// core/block_solver.cc driven over N shard connections instead of N
-// in-process shards.
+// core/block_solver.h (RunBlockIteration) driven over N shard
+// connections instead of N in-process shards.
 //
-// The coordinator owns the canonical full iterate and performs every
-// global fold itself, in exactly the reference's order: the dangling
-// mass folds over the merged ascending dangling list, the L1
-// normalization and the DiffL1 residual run over the assembled full
-// vector, and the teleport blend happens shard-side with the same
-// element order the in-process sweep uses. Shards only ever compute
-// their owned slices — so the distributed power solve is BITWISE
-// identical to SolvePagerankPartitioned (scores, iteration count, final
-// residual), and block Gauss-Seidel is bitwise its in-process form
-// (tests/dist_parity_test.cc). The one subtlety is global
-// renormalization: NormalizeL1 multiplies by 1/norm, so the coordinator
-// broadcasts that exact scalar and each shard replays the multiply on
-// its retained slice — bitwise the slice of the normalized vector.
+// The coordinator owns the canonical full iterate, and the loop performs
+// every global fold on it: the dangling mass folds over the merged
+// ascending dangling list, the L1 normalization and the DiffL1 residual
+// run over the assembled full vector. Only the sweep round is the
+// coordinator's own: it ships each shard its boundary values and
+// scatters the owned values it gets back. Shards run the in-process
+// solvers' BlockSweep over their owned slices — so the distributed
+// solve is BITWISE identical to SolvePagerankPartitioned for power and
+// to SolveGaussSeidelPartitioned for block Gauss-Seidel (scores,
+// iteration count, final residual; tests/dist_parity_test.cc). The one
+// subtlety is global renormalization: NormalizeL1 multiplies by 1/norm,
+// so the coordinator broadcasts that exact scalar and each shard replays
+// the multiply on its retained slice — bitwise the slice of the
+// normalized vector.
 //
 // Per-sweep cost per shard: on the wire, O(boundary sources) values
 // down, O(owned) values up, plus two scalars — the exchange volume
@@ -30,7 +31,8 @@
 // Fault policy (tests/dist_fault_test.cc):
 //   * A call that times out (DeadlineExceeded from the channel) is
 //     retried up to `max_retries` times — safe because every shard
-//     request is idempotent (the worker caches its last sweep reply).
+//     request is idempotent (a worker answers a repeat of its last
+//     sweep again from its retained slice, without re-executing it).
 //     Exhausted retries fail the solve with DeadlineExceeded.
 //   * A dead transport (IoError / Unavailable) fails the solve with
 //     Unavailable immediately — no partial vector is ever returned.
@@ -50,6 +52,7 @@
 
 #include "api/rank_request.h"
 #include "common/result.h"
+#include "core/block_solver.h"
 #include "core/pagerank.h"
 #include "core/transition.h"
 #include "dist/channel.h"
@@ -140,6 +143,18 @@ class DistributedCoordinator {
   /// Unavailable on dead transport, unwrap kStatus replies).
   Result<ShardFrame> CallShard(size_t shard, const ShardFrame& request,
                                FrameType expected_reply);
+
+  /// Sends every shard its kSolveBegin: the per-solve constants and its
+  /// owned slices of `initial` and `teleport`.
+  Status BeginSolve(uint64_t solve_id, SolverMethod method,
+                    const PagerankOptions& options,
+                    std::span<const double> initial,
+                    std::span<const double> teleport);
+
+  /// One RunBlockIteration round: boundary values of `current` down to
+  /// every shard, its owned values of `next` back.
+  Status SweepRound(uint64_t solve_id, const BlockRound& round,
+                    std::span<const double> current, std::span<double> next);
 
   /// Best-effort solve teardown (failures ignored — the worker also
   /// clears state when the connection dies).

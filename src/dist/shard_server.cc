@@ -68,6 +68,9 @@ void ShardServer::AcceptLoop() {
 
 void ShardServer::ServeConnection(
     const std::shared_ptr<Connection>& connection, uint64_t session_id) {
+  // One request frame per connection: a frame no larger than the last
+  // reuses its payload capacity instead of zero-filling a fresh buffer.
+  ShardFrame request;
   for (;;) {
     uint8_t header_bytes[kFrameHeaderBytes];
     bool clean_eof = false;
@@ -82,7 +85,6 @@ void ShardServer::ServeConnection(
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    ShardFrame request;
     request.type = header->type;
     request.request_id = header->request_id;
     request.payload.resize(header->payload_len);

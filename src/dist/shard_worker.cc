@@ -1,7 +1,6 @@
 #include "dist/shard_worker.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -11,8 +10,6 @@
 
 #include "api/rank_request.h"
 #include "common/string_util.h"
-#include "core/block_solver.h"
-#include "core/transition_kernel.h"
 #include "core/transition_slices.h"
 #include "net/shard_wire.h"
 
@@ -41,6 +38,24 @@ template <typename T>
 void Release(std::vector<T>& v) {
   std::vector<T>().swap(v);
 }
+
+/// The worker's index space: row k is owned position k, and every in-arc
+/// source is a slot of the [owned | boundary] scratch, so one array holds
+/// the live owned prefix and the frozen boundary tail.
+struct SlotIndex {
+  const std::vector<size_t>& src_slot;
+  const std::vector<double>& in_weights;
+  const std::vector<uint8_t>& owned_dangling;
+
+  size_t dst(size_t k) const { return k; }
+  size_t source(size_t idx) const { return src_slot[idx]; }
+  double weight(size_t idx) const { return in_weights[idx]; }
+  bool dangling(size_t k) const { return owned_dangling[k] != 0; }
+  double live(size_t idx, std::span<const double> next,
+              std::span<const double>) const {
+    return next[src_slot[idx]];
+  }
+};
 
 }  // namespace
 
@@ -272,15 +287,14 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
 
   solve_active_ = true;
   solve_id_ = begin.solve_id;
-  method_ = begin.method;
-  dangling_policy_ = begin.dangling;
-  alpha_ = begin.alpha;
+  params_.gauss_seidel =
+      begin.method == static_cast<uint32_t>(SolverMethod::kGaussSeidel);
+  params_.dangling = begin.dangling;
+  params_.alpha = begin.alpha;
   teleport_ = std::move(begin.teleport);
   vals_.assign(num_owned + cut_.boundary_sources.size(), 0.0);
   std::copy(begin.initial.begin(), begin.initial.end(), vals_.begin());
-  next_.assign(
-      method_ == static_cast<uint32_t>(SolverMethod::kPower) ? num_owned : 0,
-      0.0);
+  next_.assign(params_.gauss_seidel ? 0 : num_owned, 0.0);
   last_sweep_ = 0;
 
   return StatusReply(request.request_id, Status::OK());
@@ -329,7 +343,26 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
                                             last_sweep_, ")")));
     }
     boundary.CopyTo(std::span<double>(vals_).subspan(num_owned));
-    ExecuteSweep(sweep.dangling_mass, sweep.has_rescale, sweep.rescale);
+    if (sweep.has_rescale) {
+      // Replay the coordinator's NormalizeL1 on the retained slice:
+      // Scale(1.0/norm) multiplies every element by the same scalar, so
+      // multiplying the slice is bitwise the slice of the multiplied
+      // vector.
+      for (size_t k = 0; k < num_owned; ++k) vals_[k] *= sweep.rescale;
+    }
+    params_.dangling_mass = sweep.dangling_mass;
+    params_.teleport = teleport_;
+    // Gauss-Seidel sweeps the owned prefix in place: interior sources
+    // read live (possibly already-updated) slots, boundary slots hold
+    // the coordinator's frozen exchange copy. Power writes next_, and
+    // retains it once every row has read the old slice.
+    const bool gauss_seidel = params_.gauss_seidel;
+    if (!gauss_seidel) products_.Compute(factors_, vals_);
+    BlockSweep(factors_, cut_.shard,
+               SlotIndex{src_slot_, cut_.in_weights, owned_dangling_},
+               params_, products_, vals_, gauss_seidel ? vals_ : next_,
+               &partials_);
+    if (!gauss_seidel) std::copy(next_.begin(), next_.end(), vals_.begin());
     last_sweep_ = sweep.sweep;
     ++sweeps_executed_;
   }
@@ -337,8 +370,8 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
   ShardSweepResponse response;
   response.solve_id = solve_id_;
   response.sweep = last_sweep_;
-  response.dangling_partial = dangling_partial_;
-  response.residual_partial = residual_partial_;
+  response.dangling_partial = partials_.dangling;
+  response.residual_partial = partials_.residual;
   ShardFrame reply;
   reply.type = FrameType::kSweepResponse;
   reply.request_id = request.request_id;
@@ -346,86 +379,6 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
       response, std::span<const double>(vals_.data(), num_owned),
       reply.payload);
   return reply;
-}
-
-void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
-                               double rescale) {
-  const PartitionShard& shard = cut_.shard;
-  const size_t num_owned = shard.owned.size();
-  if (has_rescale) {
-    // Replay the coordinator's NormalizeL1 on the retained slice:
-    // Scale(1.0/norm) multiplies every element by the same scalar, so
-    // multiplying the slice is bitwise the slice of the multiplied
-    // vector.
-    for (size_t k = 0; k < num_owned; ++k) vals_[k] *= rescale;
-  }
-
-  // The advisory partials fold inside the node loop, in ascending owned
-  // order — the order a separate pass over the new slice would use, so
-  // they are bitwise that pass's sums.
-  double dangling_partial = 0.0;
-  double residual_partial = 0.0;
-  const auto source = [&](size_t idx) { return src_slot_[idx]; };
-  const auto weight = [&](size_t idx) { return cut_.in_weights[idx]; };
-  if (method_ == static_cast<uint32_t>(SolverMethod::kPower)) {
-    // Line-for-line the power sweep of SolvePagerankPartitioned, with the
-    // products y = c∘x over the [owned | boundary] slots.
-    products_.Compute(factors_, vals_);
-    for (size_t k = 0; k < num_owned; ++k) {
-      double value = PullProducts(
-          factors_, products_, k, static_cast<size_t>(shard.in_offsets[k]),
-          static_cast<size_t>(shard.in_offsets[k + 1]), source, weight);
-      switch (dangling_policy_) {
-        case DanglingPolicy::kTeleport:
-          if (dangling_mass > 0.0) {
-            value += dangling_mass * teleport_[k];
-          }
-          break;
-        case DanglingPolicy::kSelfLoop:
-          if (owned_dangling_[k]) {
-            value += vals_[k];
-          }
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
-      }
-      const double updated = alpha_ * value + (1.0 - alpha_) * teleport_[k];
-      if (owned_dangling_[k]) dangling_partial += updated;
-      residual_partial += std::abs(updated - vals_[k]);
-      next_[k] = updated;
-    }
-    // Every row has read the old slice; now the new one is retained.
-    std::copy(next_.begin(), next_.end(), vals_.begin());
-  } else {
-    // Block Gauss-Seidel: in-place on the owned prefix — interior sources
-    // read live (possibly already-updated) slots, boundary slots hold the
-    // coordinator's frozen exchange copy. Same arithmetic as
-    // SolveGaussSeidelPartitioned.
-    for (size_t k = 0; k < num_owned; ++k) {
-      const double incoming = PullLive(
-          factors_, k, static_cast<size_t>(shard.in_offsets[k]),
-          static_cast<size_t>(shard.in_offsets[k + 1]), source,
-          [&](size_t idx) { return vals_[src_slot_[idx]]; }, weight);
-      double value = alpha_ * incoming + (1.0 - alpha_) * teleport_[k];
-      switch (dangling_policy_) {
-        case DanglingPolicy::kTeleport:
-          value += alpha_ * dangling_mass * teleport_[k];
-          break;
-        case DanglingPolicy::kSelfLoop:
-          if (owned_dangling_[k]) {
-            value /= (1.0 - alpha_);
-          }
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
-      }
-      if (owned_dangling_[k]) dangling_partial += value;
-      residual_partial += std::abs(value - vals_[k]);
-      vals_[k] = value;
-    }
-  }
-  dangling_partial_ = dangling_partial;
-  residual_partial_ = residual_partial;
 }
 
 ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,

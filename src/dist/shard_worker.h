@@ -21,22 +21,25 @@
 // request carries only the O(boundary) remote values, the globally
 // folded dangling mass, and — after iterations the coordinator
 // L1-normalized globally — the exact 1/norm scalar to replay on the
-// retained slice. The sweep runs the block solvers' kernel
-// (core/transition_kernel.h): same fold order (ascending global source
-// within each owned row, owned rows in ascending order), same policy
-// terms, same teleport blend — which is what makes the distributed power solve
-// bitwise identical to SolvePagerankPartitioned and block Gauss-Seidel
-// identical to its in-process form (tests/dist_parity_test.cc).
+// retained slice. The sweep is the in-process solvers' own BlockSweep
+// (core/block_solver.h), run over the worker's [owned | boundary] slots:
+// same fold order (ascending global source within each owned row, owned
+// rows in ascending order), same policy terms, same teleport blend —
+// which is what makes the distributed solve, power and block
+// Gauss-Seidel alike, bitwise identical to its in-process form
+// (tests/dist_parity_test.cc).
 //
 // Handshake rejections are deliberately distinct so a mis-wired cluster
 // diagnoses itself from status codes alone:
 //
 //   wrong shard id for this worker          -> NotFound
 //   wrong shard count                       -> OutOfRange
-//   wrong partition scheme / slice build    -> FailedPrecondition
+//   wrong partition scheme                  -> FailedPrecondition
 //   graph fingerprint mismatch              -> FailedPrecondition
 //   transition key mismatch (p/beta/metric) -> InvalidArgument
 //   shard already claimed by a live session -> AlreadyExists
+//   undecodable handshake (a scheme, slice
+//   mode or metric value out of range)      -> InvalidArgument
 //
 // Every reply the worker produces is safe to resend: a sweep request
 // repeating the last executed sweep is answered again, byte for byte,
@@ -65,8 +68,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/block_solver.h"
 #include "core/transition.h"
-#include "core/transition_kernel.h"
 #include "dist/channel.h"
 #include "graph/partition.h"
 #include "graph/shard_cut.h"
@@ -148,12 +151,6 @@ class ShardWorker {
   ShardFrame HandleSweep(const ShardFrame& request, uint64_t session_id);
   ShardFrame HandleSolveEnd(const ShardFrame& request, uint64_t session_id);
 
-  /// Executes one sweep over the retained slice, the boundary values
-  /// already in the vals_ tail (see the .cc for the line-for-line
-  /// correspondence with core/block_solver.cc), and folds the advisory
-  /// partials in the same node loop.
-  void ExecuteSweep(double dangling_mass, bool has_rescale, double rescale);
-
   /// The hosted cut. Its out-CSR, ghost rows, and weights are dropped
   /// once the first solve begin has built the factors; the in-CSR (with
   /// its weights under the beta blend), owned and dangling lists, and
@@ -184,9 +181,8 @@ class ShardWorker {
   // --- per-solve state (valid while solve_active_) ---
   bool solve_active_ = false;
   uint64_t solve_id_ = 0;
-  uint32_t method_ = 0;
-  DanglingPolicy dangling_policy_ = DanglingPolicy::kTeleport;
-  double alpha_ = 0.85;
+  /// Method, policy and α from the solve begin; each sweep sets the rest.
+  BlockSweepParams params_;
   /// Owned slice of the teleport vector.
   std::vector<double> teleport_;
   /// Iterate scratch: [owned values | boundary values], indexed by
@@ -200,8 +196,7 @@ class ShardWorker {
   /// Its reply is re-encoded from these and the untouched owned prefix
   /// when the coordinator retries — byte for byte the first reply.
   uint32_t last_sweep_ = 0;
-  double dangling_partial_ = 0.0;
-  double residual_partial_ = 0.0;
+  BlockSweepPartials partials_;
 
   int64_t sweeps_executed_ = 0;
 };

@@ -6,17 +6,16 @@
 // DistributedCoordinator, and — unless --compare=false — re-runs the
 // same solve in-process (SolvePagerankPartitioned /
 // SolveGaussSeidelPartitioned over the same partition) and checks
-// parity: bitwise for power (scores, iterations, residual), within 1e-9
-// for block Gauss-Seidel. Exits 0 only when the solve converged-or-
-// capped cleanly AND parity held; the final line reports "0 protocol
-// errors" for smoke scripts to grep.
+// bitwise parity, for either method (scores, iterations, residual).
+// Exits 0 only when the solve converged-or-capped cleanly AND parity
+// held; the final line reports "0 protocol errors" for smoke scripts to
+// grep.
 //
 // The cluster launcher loads the same graph the shard processes load
 // (same flags), because the parity check needs the reference solve; a
 // deployment that only wants the distributed answer needs just the
 // teleport vector, node count, and fingerprint.
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -272,37 +271,20 @@ int Run(const Flags& flags) {
                    reference.status().ToString().c_str());
       return 1;
     }
-    if (method == SolverMethod::kPower) {
-      const bool bitwise =
-          distributed->iterations == reference->iterations &&
-          distributed->residual == reference->residual &&
-          distributed->scores.size() == reference->scores.size() &&
-          std::memcmp(distributed->scores.data(), reference->scores.data(),
-                      distributed->scores.size() * sizeof(double)) == 0;
-      if (!bitwise) {
-        std::fprintf(stderr,
-                     "PARITY FAILURE: distributed power diverged from the "
-                     "in-process block solve\n");
-        return 1;
-      }
-      std::printf("parity ok (bitwise, %d iterations)\n",
-                  reference->iterations);
-    } else {
-      double max_diff = 0.0;
-      for (size_t i = 0; i < distributed->scores.size(); ++i) {
-        max_diff = std::max(
-            max_diff,
-            std::abs(distributed->scores[i] - reference->scores[i]));
-      }
-      if (max_diff > 1e-9) {
-        std::fprintf(stderr,
-                     "PARITY FAILURE: block Gauss-Seidel diverged "
-                     "(max |diff| = %.3e)\n",
-                     max_diff);
-        return 1;
-      }
-      std::printf("parity ok (max |diff| = %.3e)\n", max_diff);
+    const bool bitwise =
+        distributed->iterations == reference->iterations &&
+        distributed->residual == reference->residual &&
+        distributed->scores.size() == reference->scores.size() &&
+        std::memcmp(distributed->scores.data(), reference->scores.data(),
+                    distributed->scores.size() * sizeof(double)) == 0;
+    if (!bitwise) {
+      std::fprintf(stderr,
+                   "PARITY FAILURE: the distributed solve diverged from the "
+                   "in-process block solve\n");
+      return 1;
     }
+    std::printf("parity ok (bitwise, %d iterations)\n",
+                reference->iterations);
   }
 
   const CoordinatorStats& stats = coordinator.stats();
