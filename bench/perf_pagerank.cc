@@ -11,6 +11,7 @@
 #include "core/sweeps.h"
 #include "core/teleport.h"
 #include "datagen/classic_generators.h"
+#include "graph/graph_builder.h"
 
 namespace d2pr {
 namespace {
@@ -74,14 +75,39 @@ void BM_SingleIterationMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleIterationMultiply)->Arg(10000)->Arg(100000);
 
-// K points of the paper's p grid (spread over it; all 17 at K = 17) on
-// BA(nodes, 8), the sweep workload's graph shape, solved cold from the
-// uniform teleport: as one SolvePagerankBatch call (batched = 1) or as K
-// SolvePagerank calls (batched = 0). Transitions are built outside the
+/// A sparse directed graph shaped like a crawl: 28% of the nodes
+/// (chosen at random) have no out-arcs, the rest 2 or 3 (~1.6 arcs per
+/// node), to uniform non-loop targets. Its dangling nodes have out-degree
+/// 0, so every p != 0 transition carries the sink term.
+CsrGraph MakeDirectedWithSinks(int64_t nodes) {
+  Rng rng(42);
+  const NodeId n = static_cast<NodeId>(nodes);
+  GraphBuilder builder(n, GraphKind::kDirected);
+  for (NodeId u = 0; u < n; ++u) {
+    if (rng.Uniform() < 0.28) continue;
+    const int arcs = rng.Below(4) == 0 ? 3 : 2;
+    for (int arc = 0; arc < arcs; ++arc) {
+      const NodeId v = static_cast<NodeId>(rng.Below(static_cast<uint64_t>(n)));
+      if (v != u) D2PR_CHECK(builder.AddEdge(u, v).ok());
+    }
+  }
+  auto graph = builder.Build(DuplicatePolicy::kKeepFirst);
+  D2PR_CHECK(graph.ok());
+  return std::move(graph).value();
+}
+
+// K points of the paper's p grid (spread over it; all 17 at K = 17),
+// solved cold from the uniform teleport: as one SolvePagerankBatch call
+// (batched = 1) or as K SolvePagerank calls (batched = 0). The graph is
+// BA(nodes, 8), the sweep workload's shape (sinks = 0), or
+// MakeDirectedWithSinks (sinks = 1), whose sink term is live and whose
+// in-rows each solve call transposes. Transitions are built outside the
 // timed loop. 10k nodes keep the iterates near L2; 100k nodes are
 // DRAM-resident.
 void BM_PowerBatch(benchmark::State& state) {
-  const CsrGraph graph = MakeGraph(state.range(0), 8);
+  const CsrGraph graph = state.range(3) != 0
+                             ? MakeDirectedWithSinks(state.range(0))
+                             : MakeGraph(state.range(0), 8);
   const size_t width = static_cast<size_t>(state.range(1));
   const bool batched = state.range(2) != 0;
   const std::vector<double> grid = PaperPGrid();
@@ -121,8 +147,8 @@ void BM_PowerBatch(benchmark::State& state) {
       static_cast<double>(column_iterations);
 }
 BENCHMARK(BM_PowerBatch)
-    ->ArgNames({"nodes", "K", "batched"})
-    ->ArgsProduct({{10000, 100000}, {1, 6, 17}, {0, 1}})
+    ->ArgNames({"nodes", "K", "batched", "sinks"})
+    ->ArgsProduct({{10000, 100000}, {1, 6, 17}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

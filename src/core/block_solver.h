@@ -26,16 +26,16 @@
 //     and residuals. This is by construction, not by tolerance: both run
 //     the one kernel of core/transition_kernel.h over the same factors.
 //     The per-source products y = c∘x are the same single multiplies;
-//     the reference Multiply scatters y into out[j] in ascending global
-//     source order (left-associated, from +0.0), and the partition's
-//     in-CSR gathers each owned destination's y terms in exactly that
-//     order; both end in the same u∘ pass (FinishDestination). Dangling
-//     mass folds over the same ascending dangling list, the teleport
-//     blend is element-wise, and the residual is the same full-vector
-//     DiffL1 — so every float the reference computes, the block solve
-//     recomputes. The factors are literally the TransitionMatrix's (a
-//     share of it, or the shard-local builder's bitwise-equal
-//     recomputation).
+//     the whole-graph solve gathers each destination's y terms along the
+//     graph's in-rows in ascending global source order (left-associated,
+//     from +0.0), and the partition's in-CSR gathers each owned
+//     destination's terms in exactly that order; both end in the same
+//     u∘ pass (FinishDestination). Dangling mass folds over the same
+//     ascending dangling list, the teleport blend is element-wise, and
+//     the residual is the same full-vector DiffL1 — so every float the
+//     reference computes, the block solve recomputes. The factors are
+//     literally the TransitionMatrix's (a share of it, or the
+//     shard-local builder's bitwise-equal recomputation).
 //   * SolveGaussSeidelPartitioned is a genuine *block* method — classic
 //     Gauss-Seidel within a shard, Jacobi across shards (remote values
 //     frozen at sweep start) — so its iterate path differs from the

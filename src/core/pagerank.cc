@@ -88,14 +88,15 @@ struct Lane {
 /// One power iteration for W live columns over a row-major iterate:
 /// current[v * W + k] is column k's value at node v. Column k does what
 /// one iteration of a single-column solve does, in the same order: the
-/// scatter (ScatterColumns), the dangling mass over the ascending
-/// dangling list, the per-node pass, the renormalize and the L1 change.
-/// The columns never mix, so SIMD across them changes no bit.
+/// dangling mass over the ascending dangling list, the gather
+/// (GatherColumns) with each destination finished as its in-row is
+/// summed, then the renormalize and the L1 change. The columns never mix,
+/// so SIMD across them changes no bit.
 template <size_t W>
-void PowerStep(const CsrGraph& graph, std::span<const Lane> lanes,
+void PowerStep(const CsrGraph& in_rows, std::span<const Lane> lanes,
                std::span<const double> teleport,
                std::span<const double> current, std::span<double> next,
-               std::span<double> blend_sums, double* residual) {
+               GatherScratch& scratch, double* residual) {
   const size_t n = teleport.size();
   // Each column's factors, and its dangling policy as data: the mass
   // kTeleport re-injects (0 under the other policies, where nothing is
@@ -124,29 +125,31 @@ void PowerStep(const CsrGraph& graph, std::span<const Lane> lanes,
     any_renormalize = any_renormalize || renormalize[k];
   }
 
-  const bool any_blend = !blend_sums.empty();
-  ScatterColumns<W>(graph, f, current, next, blend_sums);
-
   // The u∘ pass, the dangling policy and the teleport blend, applied to
   // each node's terms in the order the block solvers do
-  // (core/block_solver.cc). kRenormalize drops the dangling mass here;
-  // the blend plus the renormalize below keeps the iterate a
-  // distribution.
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t k = 0; k < W; ++k) {
-      const size_t idx = v * W + k;
-      double value = FinishDestination(*f[k], v, next[idx],
-                                       any_blend ? blend_sums[idx] : 0.0);
-      if (teleport_mass[k] > 0.0) value += teleport_mass[k] * teleport[v];
-      if (self_loop[k] != nullptr && self_loop[k][v]) value += current[idx];
-      next[idx] = alpha[k] * value + (1.0 - alpha[k]) * teleport[v];
-    }
-  }
+  // (core/block_solver.cc), and DiffL1 folded in the same loop unless a
+  // column renormalizes. kRenormalize drops the dangling mass here; the
+  // blend plus the renormalize below keeps the iterate a distribution.
+  double diff[W] = {};
+  GatherColumns<W>(
+      in_rows, f, current, scratch,
+      [&](size_t v, const double* sums, const double* blend_sums) {
+        for (size_t k = 0; k < W; ++k) {
+          const size_t idx = v * W + k;
+          double value = FinishDestination(*f[k], v, sums[k], blend_sums[k]);
+          if (teleport_mass[k] > 0.0) value += teleport_mass[k] * teleport[v];
+          if (self_loop[k] != nullptr && self_loop[k][v]) {
+            value += current[idx];
+          }
+          next[idx] = alpha[k] * value + (1.0 - alpha[k]) * teleport[v];
+          if (!any_renormalize) diff[k] += std::abs(next[idx] - current[idx]);
+        }
+      });
 
   if (any_renormalize) {
     // NormalizeL1 per renormalizing column: the L1 norm in ascending node
     // order, then a multiply by its reciprocal. The other columns scale by
-    // 1.0, which is exact.
+    // 1.0, which is exact. Then DiffL1 per column.
     double norm[W] = {};
     for (size_t v = 0; v < n; ++v) {
       for (size_t k = 0; k < W; ++k) norm[k] += std::abs(next[v * W + k]);
@@ -156,15 +159,10 @@ void PowerStep(const CsrGraph& graph, std::span<const Lane> lanes,
       scale[k] = renormalize[k] && norm[k] > 0.0 ? 1.0 / norm[k] : 1.0;
     }
     for (size_t v = 0; v < n; ++v) {
-      for (size_t k = 0; k < W; ++k) next[v * W + k] *= scale[k];
-    }
-  }
-
-  // DiffL1 per column.
-  double diff[W] = {};
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t k = 0; k < W; ++k) {
-      diff[k] += std::abs(next[v * W + k] - current[v * W + k]);
+      for (size_t k = 0; k < W; ++k) {
+        next[v * W + k] *= scale[k];
+        diff[k] += std::abs(next[v * W + k] - current[v * W + k]);
+      }
     }
   }
   for (size_t k = 0; k < W; ++k) residual[k] = diff[k];
@@ -172,7 +170,7 @@ void PowerStep(const CsrGraph& graph, std::span<const Lane> lanes,
 
 using PowerStepFn = void (*)(const CsrGraph&, std::span<const Lane>,
                             std::span<const double>, std::span<const double>,
-                            std::span<double>, std::span<double>, double*);
+                            std::span<double>, GatherScratch&, double*);
 
 /// PowerStep by live width; index width - 1.
 constexpr PowerStepFn kPowerSteps[] = {PowerStep<1>, PowerStep<2>,
@@ -181,9 +179,10 @@ constexpr PowerStepFn kPowerSteps[] = {PowerStep<1>, PowerStep<2>,
 static_assert(std::size(kPowerSteps) == kMaxBatchColumns);
 
 /// The power loop for up to kMaxBatchColumns validated columns over a
-/// non-empty graph, every column starting from `initial` (normalized
-/// first, as a defensive measure). Writes results[k] for columns[k].
-void RunPowerColumns(const CsrGraph& graph,
+/// non-empty graph whose in-rows are `in_rows` (WholeGraphInRows), every
+/// column starting from `initial` (normalized first, as a defensive
+/// measure). Writes results[k] for columns[k].
+void RunPowerColumns(const CsrGraph& in_rows,
                      std::span<const PagerankColumn> columns,
                      std::span<const double> teleport,
                      std::span<const double> initial,
@@ -213,18 +212,20 @@ void RunPowerColumns(const CsrGraph& graph,
     }
   }
   std::vector<double> next;
-  std::vector<double> blend_sums;
+  GatherScratch scratch;
   double residual[kMaxBatchColumns];
+  const TransitionFactors* factors[kMaxBatchColumns];
+  bool columns_changed = true;
 
   for (int iter = 1; width > 0; ++iter) {
     const std::span<const Lane> live(lanes.data(), width);
-    bool any_blend = false;
-    for (const Lane& lane : live) {
-      any_blend = any_blend || lane.factors->has_blend();
+    if (columns_changed) {
+      for (size_t k = 0; k < width; ++k) factors[k] = lanes[k].factors;
+      scratch.Reset(factors, width, n);
+      next.resize(n * width);
+      columns_changed = false;
     }
-    next.resize(n * width);
-    blend_sums.resize(any_blend ? n * width : 0);
-    kPowerSteps[width - 1](graph, live, teleport, current, next, blend_sums,
+    kPowerSteps[width - 1](in_rows, live, teleport, current, next, scratch,
                            residual);
     current.swap(next);
 
@@ -259,6 +260,7 @@ void RunPowerColumns(const CsrGraph& graph,
       for (size_t k = 0; k < kept; ++k) {
         if (keep[k] != k) lanes[k] = std::move(lanes[keep[k]]);
       }
+      columns_changed = true;
     }
     width = kept;
   }
@@ -293,7 +295,9 @@ Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
     return result;
   }
   const PagerankColumn column{&transition, options};
-  RunPowerColumns(graph, {&column, 1}, teleport, initial, {&result, 1});
+  const WholeGraphInRows in_rows(graph);
+  RunPowerColumns(in_rows.rows(), {&column, 1}, teleport, initial,
+                  {&result, 1});
   return result;
 }
 
@@ -320,11 +324,13 @@ Result<std::vector<PagerankResult>> SolvePagerankBatch(
   // one column wider than the rest.
   const size_t groups =
       (columns.size() + kMaxBatchColumns - 1) / kMaxBatchColumns;
+  const WholeGraphInRows in_rows(graph);
   size_t begin = 0;
   for (size_t g = 0; g < groups; ++g) {
     const size_t size =
         columns.size() / groups + (g < columns.size() % groups ? 1 : 0);
-    RunPowerColumns(graph, columns.subspan(begin, size), teleport, teleport,
+    RunPowerColumns(in_rows.rows(), columns.subspan(begin, size), teleport,
+                    teleport,
                     std::span<PagerankResult>(results).subspan(begin, size));
     begin += size;
   }

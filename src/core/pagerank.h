@@ -4,9 +4,12 @@
 // recurrence until the L1 change falls below a tolerance. Dangling nodes
 // (empty transition columns) are handled by a configurable policy; the
 // default re-injects their mass through the teleportation vector, the
-// standard stochastic completion. SolvePagerankBatch solves several
-// transitions of one graph in one pass over the arcs per iteration; a
-// single solve is its one-column case.
+// standard stochastic completion. Each iteration gathers every
+// destination's in-row (core/transition_kernel.h): an undirected graph's
+// out-rows serve as its in-rows, a directed graph is transposed once per
+// solve call. SolvePagerankBatch solves several transitions of one graph
+// in one pass over the arcs per iteration; a single solve is its
+// one-column case.
 
 #ifndef D2PR_CORE_PAGERANK_H_
 #define D2PR_CORE_PAGERANK_H_
@@ -88,8 +91,13 @@ Result<PagerankResult> SolvePagerankFrom(const CsrGraph& graph,
 
 /// \brief The widest group one batched kernel pass carries. The width is a
 /// template parameter of the kernel (a runtime-width loop gives up much of
-/// the gain), and each column of a group adds two |V|-sized iterate rows,
-/// so the cap bounds a batch's extra memory.
+/// the gain), and each column of a group adds three |V|-sized rows (the
+/// iterate, the next iterate and the per-source products), plus one for
+/// the β blend's products and one for the sink term's signed scale when a
+/// column of the group has them, so the cap bounds a batch's extra
+/// memory. A solve call on a directed graph also holds its transpose
+/// while it runs: (|V| + 1) · 8 + |E| · 4 bytes, plus |E| · 8 when
+/// weighted.
 inline constexpr size_t kMaxBatchColumns = 6;
 
 /// \brief One column of a batched solve: a transition over the batch's
@@ -104,11 +112,12 @@ struct PagerankColumn {
 ///
 /// K columns run in ceil(K / kMaxBatchColumns) contiguous groups of
 /// near-equal size (17 -> 6/6/5). A group keeps a row-major iterate,
-/// x[v * width + k], and each iteration makes one pass over the out-CSR
-/// for all of its live columns. A column leaves its group when it
-/// converges or reaches its max_iterations. Every column keeps the
-/// operation order of SolvePagerankFrom (SolvePagerankFrom is the
-/// width-1 case of the same kernel), so results[k] is bit-identical —
+/// x[v * width + k], and each iteration makes one pass over the in-rows
+/// for all of its live columns; the in-rows are decided once per call. A
+/// column leaves its group when it converges or reaches its
+/// max_iterations. Every column keeps the operation order of
+/// SolvePagerankFrom (SolvePagerankFrom is the width-1 case of the same
+/// kernel), so results[k] is bit-identical —
 /// scores, iterations, converged and residual — to
 /// SolvePagerank(graph, *columns[k].transition, teleport,
 /// columns[k].options).

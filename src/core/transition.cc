@@ -24,13 +24,17 @@ const double kMaxExponentSpan = -std::log(std::numeric_limits<double>::min());
 Status BuildDestinationFactors(std::span<const double> metric_values,
                                double p, TransitionFactors* factors) {
   const size_t n = metric_values.size();
-  // The exponent -p·ln m of every node with metric > 0, and its range.
+  // The exponent -p·ln m of every node with metric > 0, kept in u until
+  // the exp pass below, and its range.
   double max_exponent = -std::numeric_limits<double>::infinity();
   double min_exponent = std::numeric_limits<double>::infinity();
   bool has_zero_metric = false;
-  for (double m : metric_values) {
+  factors->u.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    const double m = metric_values[v];
     if (m > 0.0) {
       const double exponent = -p * std::log(m);
+      factors->u[v] = exponent;
       max_exponent = std::max(max_exponent, exponent);
       min_exponent = std::min(min_exponent, exponent);
     } else {
@@ -39,12 +43,10 @@ Status BuildDestinationFactors(std::span<const double> metric_values,
   }
   // At p = 0 every node weighs 1, metric 0 included (0^0 := 1).
   const bool sink_term = p != 0.0 && has_zero_metric;
-  factors->u.assign(n, 1.0);
   factors->sink.assign(sink_term ? n : 0, 0);
   for (size_t v = 0; v < n; ++v) {
-    const double m = metric_values[v];
-    if (m > 0.0 && p != 0.0) {
-      const double u = std::exp(-p * std::log(m) - max_exponent);
+    if (metric_values[v] > 0.0 && p != 0.0) {
+      const double u = std::exp(factors->u[v] - max_exponent);
       if (!(u >= std::numeric_limits<double>::min())) {
         return Status::OutOfRange(StrCat(
             "exponent span |p|*ln(max metric / min metric) = ",
@@ -54,9 +56,10 @@ Status BuildDestinationFactors(std::span<const double> metric_values,
             kMaxExponentSpan, ")"));
       }
       factors->u[v] = u;
-    } else if (sink_term) {
+    } else {
+      factors->u[v] = 1.0;
       // A sink's row share lives in sink_c; its destination scale is 1.
-      factors->sink[v] = 1;
+      if (sink_term) factors->sink[v] = 1;
     }
   }
   return Status::OK();
@@ -211,13 +214,16 @@ void TransitionMatrix::Multiply(const CsrGraph& graph,
   const size_t n = static_cast<size_t>(num_nodes());
   D2PR_CHECK_EQ(x.size(), n);
   D2PR_CHECK_EQ(out.size(), n);
-  std::vector<double> blend_sums(factors_.has_blend() ? n : 0);
+  for (double v : x) D2PR_CHECK(!(v < 0.0)) << "x must be non-negative";
+  const WholeGraphInRows in_rows(graph);
   const TransitionFactors* columns[1] = {&factors_};
-  ScatterColumns<1>(graph, columns, x, out, blend_sums);
-  for (size_t j = 0; j < n; ++j) {
-    out[j] = FinishDestination(factors_, j, out[j],
-                               factors_.has_blend() ? blend_sums[j] : 0.0);
-  }
+  GatherScratch scratch;
+  scratch.Reset(columns, 1, n);
+  GatherColumns<1>(in_rows.rows(), columns, x, scratch,
+                   [&](size_t j, const double* sums, const double* blend_sums) {
+                     out[j] = FinishDestination(factors_, j, sums[0],
+                                                blend_sums[0]);
+                   });
 }
 
 double TransitionMatrix::Prob(const CsrGraph& graph, NodeId u,

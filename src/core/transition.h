@@ -16,8 +16,8 @@
 // matrix, diag(u)·Aᵀ·diag(c) with u_j = m_j^-p and c_i = 1/Z_i, so a
 // transition keeps O(|V|) factors (TransitionFactors) and every consumer
 // forms an arc's probability c_i·u_j on the fly. A power sweep becomes
-// y = c∘x, a scatter or gather of y along the arcs, and one u∘ pass
-// (core/transition_kernel.h holds the shared kernel).
+// y = c∘x, a gather of y along each destination's in-arcs, and one u∘
+// pass (core/transition_kernel.h holds the shared kernel).
 //
 // Numerical range: u_j = exp(-p·ln m_j - shift) with one global shift,
 // the largest exponent, so u ∈ (0, 1] and c_i ∈ [1/outdeg(i), 1/min u].
@@ -215,10 +215,12 @@ class TransitionMatrix {
 
   /// Sparse matrix-vector product: out[j] = Σ_i T(j, i) · x[i].
   /// Dangling columns contribute nothing (the solver redistributes their
-  /// mass according to its dangling policy). Sizes must equal num_nodes().
-  /// This is the scatter form of the shared kernel
-  /// (core/transition_kernel.h) followed by its u∘ pass: bitwise equal to
-  /// the gather form.
+  /// mass according to its dangling policy). Sizes must equal num_nodes(),
+  /// and x must be non-negative, as every solver's iterate is. This is
+  /// the one-column pass of the shared gather kernel
+  /// (core/transition_kernel.h), over the graph's in-rows (a directed
+  /// graph is transposed per call), bitwise equal to one power step's
+  /// product.
   void Multiply(const CsrGraph& graph, std::span<const double> x,
                 std::span<double> out) const;
 

@@ -105,7 +105,9 @@ InProcessShardChannel::InProcessShardChannel(ShardWorker& worker)
 Result<ShardFrame> InProcessShardChannel::Call(const ShardFrame& request,
                                                int64_t deadline_ms) {
   (void)deadline_ms;  // nothing to wait on in-process
-  return worker_.Handle(request, session_id_);
+  ShardFrame reply;
+  D2PR_RETURN_NOT_OK(worker_.Handle(request, session_id_, &reply));
+  return reply;
 }
 
 }  // namespace d2pr

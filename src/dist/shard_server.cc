@@ -68,9 +68,11 @@ void ShardServer::AcceptLoop() {
 
 void ShardServer::ServeConnection(
     const std::shared_ptr<Connection>& connection, uint64_t session_id) {
-  // One request frame per connection: a frame no larger than the last
-  // reuses its payload capacity instead of zero-filling a fresh buffer.
+  // One request and one reply frame per connection: a frame no larger
+  // than the last reuses its payload capacity instead of zero-filling a
+  // fresh buffer.
   ShardFrame request;
+  ShardFrame reply;
   for (;;) {
     uint8_t header_bytes[kFrameHeaderBytes];
     bool clean_eof = false;
@@ -97,20 +99,19 @@ void ShardServer::ServeConnection(
     }
 
     const bool was_handshake = request.type == FrameType::kShardHandshake;
-    Result<ShardFrame> reply = worker_.Handle(request, session_id);
-    if (!reply.ok()) {
+    if (!worker_.Handle(request, session_id, &reply).ok()) {
       // A frame this service cannot answer at all: the stream is
       // confused about who it is talking to.
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     const FrameHeaderBytes frame_header = EncodeFrameHeader(
-        reply->type, reply->request_id, reply->payload.size());
-    if (!connection->socket.SendAll(frame_header, reply->payload).ok()) {
+        reply.type, reply.request_id, reply.payload.size());
+    if (!connection->socket.SendAll(frame_header, reply.payload).ok()) {
       break;
     }
     stats_.frames_handled.fetch_add(1, std::memory_order_relaxed);
-    if (was_handshake && reply->type == FrameType::kStatus) {
+    if (was_handshake && reply.type == FrameType::kStatus) {
       // Rejected identity declaration: close only this connection (the
       // reply already carries the distinct status code).
       stats_.handshake_rejects.fetch_add(1, std::memory_order_relaxed);

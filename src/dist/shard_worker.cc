@@ -39,6 +39,14 @@ void Release(std::vector<T>& v) {
   std::vector<T>().swap(v);
 }
 
+/// Writes a kStatus reply carrying `status` into `reply`.
+void StatusReply(uint64_t request_id, const Status& status,
+                 ShardFrame* reply) {
+  reply->type = FrameType::kStatus;
+  reply->request_id = request_id;
+  reply->payload = EncodeStatusPayload(status);
+}
+
 /// The worker's index space: row k is owned position k, and every in-arc
 /// source is a slot of the [owned | boundary] scratch, so one array holds
 /// the live owned prefix and the frozen boundary tail.
@@ -117,27 +125,22 @@ void ShardWorker::InitDerivedIndexes() {
   }
 }
 
-ShardFrame ShardWorker::StatusReply(uint64_t request_id,
-                                    const Status& status) const {
-  ShardFrame reply;
-  reply.type = FrameType::kStatus;
-  reply.request_id = request_id;
-  reply.payload = EncodeStatusPayload(status);
-  return reply;
-}
-
-Result<ShardFrame> ShardWorker::Handle(const ShardFrame& request,
-                                       uint64_t session_id) {
+Status ShardWorker::Handle(const ShardFrame& request, uint64_t session_id,
+                           ShardFrame* reply) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (request.type) {
     case FrameType::kShardHandshake:
-      return HandleHandshake(request, session_id);
+      HandleHandshake(request, session_id, reply);
+      return Status::OK();
     case FrameType::kSolveBegin:
-      return HandleSolveBegin(request, session_id);
+      HandleSolveBegin(request, session_id, reply);
+      return Status::OK();
     case FrameType::kSweepRequest:
-      return HandleSweep(request, session_id);
+      HandleSweep(request, session_id, reply);
+      return Status::OK();
     case FrameType::kSolveEnd:
-      return HandleSolveEnd(request, session_id);
+      HandleSolveEnd(request, session_id, reply);
+      return Status::OK();
     default:
       // Not part of the shard vocabulary at all — the stream is confused
       // about who it is talking to; the connection must close.
@@ -147,10 +150,12 @@ Result<ShardFrame> ShardWorker::Handle(const ShardFrame& request,
   }
 }
 
-ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
-                                        uint64_t session_id) {
+void ShardWorker::HandleHandshake(const ShardFrame& request,
+                                  uint64_t session_id, ShardFrame* reply) {
   Result<ShardHandshake> decoded = DecodeShardHandshake(request.payload);
-  if (!decoded.ok()) return StatusReply(request.request_id, decoded.status());
+  if (!decoded.ok()) {
+    return StatusReply(request.request_id, decoded.status(), reply);
+  }
   const ShardHandshake& h = *decoded;
 
   // Distinct rejection codes, checked most-specific first (see header).
@@ -159,14 +164,14 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
     return StatusReply(
         request.request_id,
         Status::NotFound(StrCat("this worker hosts shard ", meta.shard_id,
-                                ", not shard ", h.shard_id)));
+                                ", not shard ", h.shard_id)), reply);
   }
   if (h.num_shards != meta.num_shards) {
     return StatusReply(
         request.request_id,
         Status::OutOfRange(StrCat("worker partitioned for ", meta.num_shards,
                                   " shards, handshake declares ",
-                                  h.num_shards)));
+                                  h.num_shards)), reply);
   }
   if (h.scheme != meta.scheme) {
     return StatusReply(request.request_id,
@@ -174,7 +179,7 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
                            "worker partitioned with scheme ",
                            PartitionSchemeName(meta.scheme),
                            ", handshake declares ",
-                           PartitionSchemeName(h.scheme))));
+                           PartitionSchemeName(h.scheme))), reply);
   }
   if (h.graph_fingerprint != meta.graph_fingerprint) {
     return StatusReply(
@@ -182,7 +187,7 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
         Status::FailedPrecondition(StrCat(
             "graph fingerprint mismatch: worker holds ",
             meta.graph_fingerprint,
-            ", handshake declares ", h.graph_fingerprint)));
+            ", handshake declares ", h.graph_fingerprint)), reply);
   }
   if (!SameBits(h.p, key_.p) || !SameBits(h.beta, key_.beta) ||
       h.metric != key_.metric) {
@@ -197,13 +202,14 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
             ", metric=", static_cast<int>(key_.metric),
             "), handshake declares (p=", FormatExactDouble(h.p),
             ", beta=", FormatExactDouble(h.beta),
-            ", metric=", static_cast<int>(h.metric), ")")));
+            ", metric=", static_cast<int>(h.metric), ")")), reply);
   }
   if (claimed_by_ != 0 && claimed_by_ != session_id) {
     return StatusReply(
         request.request_id,
         Status::AlreadyExists(StrCat("shard ", meta.shard_id,
-                                     " already claimed by a live session")));
+                                     " already claimed by a live session")),
+        reply);
   }
   claimed_by_ = session_id;
 
@@ -218,23 +224,23 @@ ShardFrame ShardWorker::HandleHandshake(const ShardFrame& request,
   // The worker asks for the metric vector until its first slice build.
   ack.needs_metric_values = !slice_ready_;
 
-  ShardFrame reply;
-  reply.type = FrameType::kShardHandshakeAck;
-  reply.request_id = request.request_id;
-  reply.payload = EncodeShardHandshakeAck(ack);
-  return reply;
+  reply->type = FrameType::kShardHandshakeAck;
+  reply->request_id = request.request_id;
+  reply->payload = EncodeShardHandshakeAck(ack);
 }
 
-ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
-                                         uint64_t session_id) {
+void ShardWorker::HandleSolveBegin(const ShardFrame& request,
+                                   uint64_t session_id, ShardFrame* reply) {
   if (claimed_by_ != session_id) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(
                            "solve begin from a session that never "
-                           "completed a handshake"));
+                           "completed a handshake"), reply);
   }
   Result<ShardSolveBegin> decoded = DecodeShardSolveBegin(request.payload);
-  if (!decoded.ok()) return StatusReply(request.request_id, decoded.status());
+  if (!decoded.ok()) {
+    return StatusReply(request.request_id, decoded.status(), reply);
+  }
   ShardSolveBegin begin = std::move(*decoded);
 
   const size_t num_owned = cut_.shard.owned.size();
@@ -244,11 +250,11 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
         Status::InvalidArgument(StrCat("solve begin carries ",
                                        begin.initial.size(),
                                        " owned values, shard owns ",
-                                       num_owned, " nodes")));
+                                       num_owned, " nodes")), reply);
   }
   if (begin.method == static_cast<uint32_t>(SolverMethod::kGaussSeidel)) {
     if (Status s = ValidateBlockGaussSeidelPolicy(begin.dangling); !s.ok()) {
-      return StatusReply(request.request_id, s);
+      return StatusReply(request.request_id, s, reply);
     }
   }
 
@@ -263,12 +269,12 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
           Status::FailedPrecondition(
               "worker has no transition slice yet; solve begin must carry "
               "the global metric vector the handshake ack requested "
-              "(needs_metric_values)"));
+              "(needs_metric_values)"), reply);
     }
     Result<TransitionFactors> factors =
         BuildShardSliceFromCut(cut_, begin.metric_values, config_);
     if (!factors.ok()) {
-      return StatusReply(request.request_id, factors.status());
+      return StatusReply(request.request_id, factors.status(), reply);
     }
     factors_ = std::move(*factors);
     // The factors are built: drop the ghost rows, the forward slice and
@@ -297,29 +303,29 @@ ShardFrame ShardWorker::HandleSolveBegin(const ShardFrame& request,
   next_.assign(params_.gauss_seidel ? 0 : num_owned, 0.0);
   last_sweep_ = 0;
 
-  return StatusReply(request.request_id, Status::OK());
+  return StatusReply(request.request_id, Status::OK(), reply);
 }
 
-ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
-                                    uint64_t session_id) {
+void ShardWorker::HandleSweep(const ShardFrame& request,
+                              uint64_t session_id, ShardFrame* reply) {
   if (claimed_by_ != session_id) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(
                            "sweep from a session that never completed a "
-                           "handshake"));
+                           "handshake"), reply);
   }
   ShardSweepRequest sweep;
   WireScores boundary;
   if (Status decoded = DecodeShardSweepRequest(request.payload, &sweep,
                                                &boundary);
       !decoded.ok()) {
-    return StatusReply(request.request_id, decoded);
+    return StatusReply(request.request_id, decoded, reply);
   }
 
   if (!solve_active_ || sweep.solve_id != solve_id_) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(StrCat(
-                           "sweep for unknown solve ", sweep.solve_id)));
+                           "sweep for unknown solve ", sweep.solve_id)), reply);
   }
   const size_t num_owned = cut_.shard.owned.size();
   if (boundary.size() != cut_.boundary_sources.size()) {
@@ -327,7 +333,7 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
         request.request_id,
         Status::InvalidArgument(StrCat(
             "sweep carries ", boundary.size(), " boundary values, ",
-            "shard pulls ", cut_.boundary_sources.size(), " sources")));
+            "shard pulls ", cut_.boundary_sources.size(), " sources")), reply);
   }
   // A request repeating the sweep that last executed is an idempotent
   // retry (the coordinator, or a duplicating transport, re-sent it). It
@@ -340,7 +346,7 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
           request.request_id,
           Status::FailedPrecondition(StrCat("sweep ", sweep.sweep,
                                             " out of order (last executed ",
-                                            last_sweep_, ")")));
+                                            last_sweep_, ")")), reply);
     }
     boundary.CopyTo(std::span<double>(vals_).subspan(num_owned));
     if (sweep.has_rescale) {
@@ -372,25 +378,25 @@ ShardFrame ShardWorker::HandleSweep(const ShardFrame& request,
   response.sweep = last_sweep_;
   response.dangling_partial = partials_.dangling;
   response.residual_partial = partials_.residual;
-  ShardFrame reply;
-  reply.type = FrameType::kSweepResponse;
-  reply.request_id = request.request_id;
+  reply->type = FrameType::kSweepResponse;
+  reply->request_id = request.request_id;
   EncodeShardSweepResponse(
       response, std::span<const double>(vals_.data(), num_owned),
-      reply.payload);
-  return reply;
+      reply->payload);
 }
 
-ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,
-                                       uint64_t session_id) {
+void ShardWorker::HandleSolveEnd(const ShardFrame& request,
+                                 uint64_t session_id, ShardFrame* reply) {
   if (claimed_by_ != session_id) {
     return StatusReply(request.request_id,
                        Status::FailedPrecondition(
                            "solve end from a session that never completed "
-                           "a handshake"));
+                           "a handshake"), reply);
   }
   Result<ShardSolveEnd> decoded = DecodeShardSolveEnd(request.payload);
-  if (!decoded.ok()) return StatusReply(request.request_id, decoded.status());
+  if (!decoded.ok()) {
+    return StatusReply(request.request_id, decoded.status(), reply);
+  }
   if (solve_active_ && decoded->solve_id == solve_id_) {
     solve_active_ = false;
     teleport_.clear();
@@ -399,7 +405,7 @@ ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,
   }
   // Ending an unknown (or already-ended) solve is OK — the coordinator
   // may retry a lost end frame.
-  return StatusReply(request.request_id, Status::OK());
+  return StatusReply(request.request_id, Status::OK(), reply);
 }
 
 void ShardWorker::CloseSession(uint64_t session_id) {

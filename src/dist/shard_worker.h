@@ -51,7 +51,8 @@
 // straight from the payload into the tail of the iterate scratch; the
 // advisory partials fold inside the sweep's node loop (no extra pass);
 // and the reply is encoded once, straight from the retained owned slice
-// into the reply frame — nothing is staged or cached as bytes.
+// into the caller's reply frame, whose payload capacity the next sweep
+// reuses — nothing is staged or cached as bytes.
 //
 // Thread model: Handle() is serialized by an internal mutex. Multiple
 // connections may talk to one worker concurrently (that is how the
@@ -96,13 +97,16 @@ class ShardWorker {
   static Result<std::unique_ptr<ShardWorker>> CreateFromCutFile(
       const std::string& path, const TransitionConfig& config);
 
-  /// Handles one frame from logical connection `session_id` and returns
-  /// the reply frame — application errors (handshake rejections, order
-  /// violations, undecodable payloads) come back as kStatus frames, so
-  /// an OK Result does NOT mean the request succeeded. A non-OK Result
-  /// means the frame is not answerable at all (a type this service never
-  /// accepts) and the hosting connection must close.
-  Result<ShardFrame> Handle(const ShardFrame& request, uint64_t session_id);
+  /// Handles one frame from logical connection `session_id` and writes
+  /// the reply frame into `reply`, a caller-owned frame whose payload
+  /// capacity a sweep reply reuses (a connection keeps one). Application
+  /// errors (handshake rejections, order violations, undecodable
+  /// payloads) come back as kStatus frames, so an OK Status does NOT
+  /// mean the request succeeded. A non-OK Status means the frame is not
+  /// answerable at all (a type this service never accepts), `reply` is
+  /// unspecified, and the hosting connection must close.
+  Status Handle(const ShardFrame& request, uint64_t session_id,
+                ShardFrame* reply);
 
   /// Releases `session_id`'s claim (and its solve state) — the hosting
   /// server calls this when the connection dies, so a crashed
@@ -144,12 +148,16 @@ class ShardWorker {
   /// boundary vector).
   void InitDerivedIndexes();
 
-  ShardFrame StatusReply(uint64_t request_id, const Status& status) const;
-
-  ShardFrame HandleHandshake(const ShardFrame& request, uint64_t session_id);
-  ShardFrame HandleSolveBegin(const ShardFrame& request, uint64_t session_id);
-  ShardFrame HandleSweep(const ShardFrame& request, uint64_t session_id);
-  ShardFrame HandleSolveEnd(const ShardFrame& request, uint64_t session_id);
+  // Each handler writes its reply frame (type, request id, payload) into
+  // `reply`.
+  void HandleHandshake(const ShardFrame& request, uint64_t session_id,
+                       ShardFrame* reply);
+  void HandleSolveBegin(const ShardFrame& request, uint64_t session_id,
+                        ShardFrame* reply);
+  void HandleSweep(const ShardFrame& request, uint64_t session_id,
+                   ShardFrame* reply);
+  void HandleSolveEnd(const ShardFrame& request, uint64_t session_id,
+                      ShardFrame* reply);
 
   /// The hosted cut. Its out-CSR, ghost rows, and weights are dropped
   /// once the first solve begin has built the factors; the in-CSR (with

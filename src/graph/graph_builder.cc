@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
 #include "common/string_util.h"
 
@@ -48,14 +47,33 @@ Status GraphBuilder::AddEdge(NodeId u, NodeId v, double weight) {
 
 Result<CsrGraph> GraphBuilder::Build(DuplicatePolicy policy) {
   const size_t arc_count = srcs_.size();
-  // Sort arc indices by (src, dst) so duplicates become adjacent and CSR
-  // rows come out sorted.
+  // Order arc indices by (src, dst) so duplicates become adjacent and CSR
+  // rows come out sorted: a counting sort by source, then a sort of each
+  // source's arcs by target. Ties keep the insertion order, so duplicates
+  // merge in the order they were added: kKeepFirst keeps the first
+  // weight, and both arcs of an undirected edge fold their duplicates'
+  // weights in the same order, which keeps ArcWeight(u, v) and
+  // ArcWeight(v, u) bitwise equal.
+  std::vector<size_t> row_begin(static_cast<size_t>(num_nodes_) + 1, 0);
+  for (NodeId src : srcs_) ++row_begin[static_cast<size_t>(src) + 1];
+  for (size_t v = 0; v < static_cast<size_t>(num_nodes_); ++v) {
+    row_begin[v + 1] += row_begin[v];
+  }
   std::vector<size_t> order(arc_count);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    if (srcs_[a] != srcs_[b]) return srcs_[a] < srcs_[b];
-    return dsts_[a] < dsts_[b];
-  });
+  {
+    std::vector<size_t> cursor(row_begin.begin(), row_begin.end() - 1);
+    for (size_t i = 0; i < arc_count; ++i) {
+      order[cursor[static_cast<size_t>(srcs_[i])]++] = i;
+    }
+  }
+  for (size_t v = 0; v < static_cast<size_t>(num_nodes_); ++v) {
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(row_begin[v]),
+              order.begin() + static_cast<std::ptrdiff_t>(row_begin[v + 1]),
+              [this](size_t a, size_t b) {
+                if (dsts_[a] != dsts_[b]) return dsts_[a] < dsts_[b];
+                return a < b;
+              });
+  }
 
   std::vector<EdgeIndex> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
   std::vector<NodeId> targets;

@@ -22,7 +22,7 @@
 // interior and boundary arcs merged in source order rather than split,
 // because the block power solver's bit-parity contract (see
 // core/block_solver.h) requires contributions to fold in ascending global
-// source order — the same order TransitionMatrix::Multiply produces.
+// source order — the order the whole-graph gather reads each in-row in.
 //
 // A block sweep reads no per-arc probability: the transition is factored
 // (core/transition.h), so a shard's in-CSR plus u over its owned nodes

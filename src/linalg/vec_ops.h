@@ -1,7 +1,7 @@
 // Dense vector kernels used by the power-iteration inner loop.
 //
 // Kept deliberately simple (no SIMD intrinsics): at the paper's scales the
-// sparse scatter dominates; these are memory-bound loops the compiler
+// sparse gather dominates; these are memory-bound loops the compiler
 // vectorizes on its own under -O2/-O3.
 
 #ifndef D2PR_LINALG_VEC_OPS_H_

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <utility>
+
+#include "common/rng.h"
+
 namespace d2pr {
 namespace {
 
@@ -43,6 +50,73 @@ TEST(GraphBuilderTest, DuplicateKeepFirst) {
   auto graph = builder.Build(DuplicatePolicy::kKeepFirst);
   ASSERT_TRUE(graph.ok());
   EXPECT_DOUBLE_EQ(graph->ArcWeight(0, 1), 1.5);
+}
+
+/// An undirected weighted builder over a few nodes with many repeated
+/// edges, in both orientations — enough arcs that the sort cannot fall
+/// back to an insertion sort. `expected` receives each unordered pair's
+/// weight as `policy` merges it in insertion order.
+GraphBuilder DuplicateHeavyBuilder(uint64_t seed, DuplicatePolicy policy,
+                                   std::map<std::pair<NodeId, NodeId>,
+                                            double>* expected) {
+  constexpr NodeId kNodes = 12;
+  Rng rng(seed);
+  GraphBuilder builder(kNodes, GraphKind::kUndirected, /*weighted=*/true);
+  for (int edge = 0; edge < 400; ++edge) {
+    const NodeId u = static_cast<NodeId>(rng.Below(kNodes));
+    const NodeId v = static_cast<NodeId>(rng.Below(kNodes));
+    const double weight = rng.Uniform(0.1, 3.0);
+    EXPECT_TRUE(builder.AddEdge(u, v, weight).ok());
+    const std::pair<NodeId, NodeId> key{std::min(u, v), std::max(u, v)};
+    auto [it, added] = expected->emplace(key, weight);
+    if (!added && policy == DuplicatePolicy::kSum) it->second += weight;
+  }
+  return builder;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Both arcs of every edge carry the insertion-order merge, bit for bit.
+void ExpectInsertionOrderMerge(DuplicatePolicy policy) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    std::map<std::pair<NodeId, NodeId>, double> expected;
+    GraphBuilder builder = DuplicateHeavyBuilder(seed, policy, &expected);
+    auto graph = builder.Build(policy);
+    ASSERT_TRUE(graph.ok());
+    for (const auto& [pair, weight] : expected) {
+      const auto [u, v] = pair;
+      EXPECT_TRUE(SameBits(graph->ArcWeight(u, v), weight))
+          << u << " -> " << v;
+      EXPECT_TRUE(SameBits(graph->ArcWeight(v, u), weight))
+          << v << " -> " << u;
+    }
+  }
+}
+
+TEST(GraphBuilderTest, UndirectedSumIsSymmetricAndInInsertionOrder) {
+  ExpectInsertionOrderMerge(DuplicatePolicy::kSum);
+}
+
+TEST(GraphBuilderTest, UndirectedKeepFirstKeepsTheFirstWeightAdded) {
+  ExpectInsertionOrderMerge(DuplicatePolicy::kKeepFirst);
+}
+
+TEST(GraphBuilderTest, DirectedKeepFirstKeepsTheFirstWeightAdded) {
+  // Enough copies of one arc, among others, that the sort reorders them.
+  GraphBuilder builder(4, GraphKind::kDirected, /*weighted=*/true);
+  for (int copy = 0; copy < 100; ++copy) {
+    for (NodeId v = 1; v < 4; ++v) {
+      ASSERT_TRUE(builder.AddEdge(0, v, 1.0 + copy + 0.25 * v).ok());
+    }
+  }
+  auto graph = builder.Build(DuplicatePolicy::kKeepFirst);
+  ASSERT_TRUE(graph.ok());
+  for (NodeId v = 1; v < 4; ++v) {
+    EXPECT_DOUBLE_EQ(graph->ArcWeight(0, v), 1.0 + 0.25 * v);
+  }
 }
 
 TEST(GraphBuilderTest, DuplicateErrorFailsBuild) {
