@@ -8,8 +8,6 @@
 //     shard count grows; scores are bit-identical by contract, so this
 //     is a pure mechanics comparison. Each sweep gathers y = c∘x along
 //     the shards' in-CSRs (core/transition_kernel.h).
-//   * BM_PartitionedPowerPooled — the sliced sweep fanned across an
-//     EngineRouter worker pool, i.e. what partitioned serving ships.
 //   * BM_SliceBuild / BM_SliceBuildLocal — the per-p slice cost: sharing
 //     a prebuilt matrix's factors (O(1)), and building them shard by
 //     shard (each shard folds its owned and boundary rows against u from
@@ -34,7 +32,6 @@
 #include "core/transition_slices.h"
 #include "datagen/classic_generators.h"
 #include "graph/partition.h"
-#include "serve/engine_router.h"
 
 namespace d2pr {
 namespace {
@@ -145,24 +142,6 @@ void BM_SliceBuildLocal(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceBuildLocal)
     ->ArgsProduct({{10000, 100000}, {2, 8}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedPowerPooled(benchmark::State& state) {
-  const CsrGraph& graph = GraphOf(state.range(0));
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = static_cast<size_t>(state.range(1)),
-              .partition_scheme = PartitionScheme::kRange});
-  RankRequest request;
-  request.p = 0.5;
-  request.tolerance = 1e-10;
-  for (auto _ : state) {
-    auto response = router.Rank(request);
-    D2PR_CHECK(response.ok());
-    benchmark::DoNotOptimize(response->scores.data());
-  }
-}
-BENCHMARK(BM_PartitionedPowerPooled)
-    ->ArgsProduct({{10000, 100000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionBuild(benchmark::State& state) {

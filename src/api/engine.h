@@ -95,12 +95,6 @@ class D2prEngine {
                               const EngineOptions& options = {});
 
   const CsrGraph& graph() const { return *graph_; }
-  /// The shared handle to the graph, for standing up further engines (or
-  /// an EngineRouter, as tools/d2pr_rank does) over this
-  /// engine's graph without copying it. For a borrowing engine the handle
-  /// carries a no-op deleter: it is only valid while the borrowed graph
-  /// lives.
-  std::shared_ptr<const CsrGraph> graph_ptr() const { return graph_; }
   const EngineOptions& options() const { return options_; }
 
   /// Cumulative counters since construction or the last ResetStats().
@@ -111,13 +105,6 @@ class D2prEngine {
   /// Drops cached transitions and warm-start solutions (counters are
   /// kept; pair with ResetStats() for a full reset).
   void ClearCaches();
-
-  /// True when a persistent transition store is attached (cache_dir set
-  /// and persist_mode != kOff).
-  bool persistent_store_enabled() const { return resolver_.store_enabled(); }
-
-  /// The graph's store fingerprint; 0 when no store is attached.
-  uint64_t graph_fingerprint() const { return resolver_.graph_fingerprint(); }
 
   /// \brief Executes one ranking query.
   ///
@@ -223,8 +210,7 @@ class D2prEngine {
 
   std::shared_ptr<const CsrGraph> graph_;
   EngineOptions options_;
-  /// Cache + persistent store + single-flight build resolution, shared
-  /// logic with EngineRouter's partitioned block solve.
+  /// Cache + persistent store + single-flight build resolution.
   TransitionResolver resolver_;
 
   std::mutex warm_mu_;                 ///< Guards warm_entries_.

@@ -44,10 +44,7 @@ struct RankRequest;
 /// \brief Validates a request's parameters (p finite, beta in [0, 1],
 /// alpha in [0, 1), then the active solver's knobs) with the exact
 /// checks and messages D2prEngine::Rank applies before touching its
-/// caches. Every serving front end (the engine, EngineRouter's
-/// partitioned block solve) calls this one function, so the surface
-/// errors identically no matter which mode backs it — a contract
-/// tests/partition_parity_test.cc asserts string-for-string.
+/// caches, so a rejected request never pays a transition build.
 Status ValidateRankRequestParameters(const RankRequest& request);
 
 /// \brief One ranking query against a D2prEngine.
@@ -134,11 +131,9 @@ struct RankResponse {
   bool transition_store_hit = false;
   bool warm_start_hit = false;        ///< Solve started from a stored
                                       ///< (possibly extrapolated) iterate.
-  /// Served by a block solve over an edge-partitioned graph
-  /// (EngineRouter) instead of a whole-graph engine. Scores are
-  /// reference-parity either way (bit-identical for power iteration);
-  /// the flag exists so telemetry can attribute latency to the exchange
-  /// loop.
+  /// Wire flag bit 4, kept decodable because the golden fixtures pin
+  /// it. No backend sets it: every in-process answer is a whole-graph
+  /// solve.
   bool served_partitioned = false;
 };
 

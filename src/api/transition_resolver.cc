@@ -18,17 +18,8 @@ TransitionResolver::TransitionResolver(std::shared_ptr<const CsrGraph> graph,
       options_.persist_mode != PersistMode::kOff) {
     store_ = std::make_unique<TransitionStore>(options_.cache_dir);
     // O(|E|) once per graph — noise next to a single transition build,
-    // and it gates every store file against this exact graph. Callers
-    // standing up many resolvers over one graph pass it in precomputed.
-    graph_fingerprint_ = options_.precomputed_graph_fingerprint != 0
-                             ? options_.precomputed_graph_fingerprint
-                             : GraphFingerprint(*graph_);
-    // A wrong precomputed fingerprint would let the store replay another
-    // graph's matrices; catch the caller mistake where builds can afford
-    // the re-hash.
-    D2PR_DCHECK(options_.precomputed_graph_fingerprint == 0 ||
-                graph_fingerprint_ == GraphFingerprint(*graph_))
-        << "precomputed_graph_fingerprint does not match this graph";
+    // and it gates every store file against this exact graph.
+    graph_fingerprint_ = GraphFingerprint(*graph_);
   }
 }
 

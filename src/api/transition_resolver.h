@@ -1,8 +1,7 @@
-// TransitionResolver: the one keyed resolver behind every serving mode's
+// TransitionResolver: the one keyed resolver behind D2prEngine's
 // transition lookups.
 //
-// Both whole-graph engines (D2prEngine) and the edge-partitioned router
-// (EngineRouter) resolve a TransitionKey through three layers:
+// A TransitionKey resolves through three layers:
 //
 //   1. an in-memory SingleFlightLru of shared, immutable matrices,
 //   2. a persistent TransitionStore spill layer (mmap-backed load before
@@ -12,9 +11,7 @@
 // Concurrent misses on one key are single-flighted by the LRU: the first
 // requester loads or builds while the rest wait and then take the cache
 // hit, so a key is never built twice. The top-k DegreeBoundIndex derived
-// from a matrix is cached the same way, in its own SingleFlightLru. A
-// matrix is O(|V|) factors (core/transition.h), so the partitioned
-// solve's TransitionSlices share it and need no cache of their own.
+// from a matrix is cached the same way, in its own SingleFlightLru.
 //
 // Thread-safety: Resolve is safe from any number of threads. No lock is
 // held across a load, build or spill, so distinct keys proceed in
@@ -49,8 +46,7 @@ enum class PersistMode {
 };
 
 /// \brief Transition resolution knobs: D2prEngine's construction options,
-/// which it forwards to its resolver verbatim (as EngineRouter forwards
-/// RouterOptions::engine_options).
+/// which it forwards to its resolver verbatim.
 struct EngineOptions {
   /// Max TransitionMatrix instances kept alive, each O(|V|) factors. The
   /// default comfortably holds the paper's p grid (17 points) plus tuner
@@ -64,18 +60,10 @@ struct EngineOptions {
   std::string cache_dir;
   /// Store permissions; ignored while cache_dir is empty.
   PersistMode persist_mode = PersistMode::kReadWrite;
-  /// Precomputed GraphFingerprint of the resolver's graph; 0 = compute at
-  /// construction when a store is attached. Set it when an already
-  /// fingerprinted graph backs another resolver (tools/d2pr_rank passes
-  /// its engine's to the EngineRouter) so the edge arrays hash once.
-  /// Trusted in release builds — passing another graph's fingerprint
-  /// would defeat the store's cross-graph replay gate — so debug builds
-  /// verify it against the graph.
-  uint64_t precomputed_graph_fingerprint = 0;
 };
 
 /// \brief Keyed cache + store + build resolution with single-flight
-/// deduplication, shared by every serving front end.
+/// deduplication.
 class TransitionResolver {
  public:
   /// What one Resolve call did, for the owner's counter accounting
@@ -111,9 +99,6 @@ class TransitionResolver {
   /// Drops cached transitions (counters are kept).
   void Clear();
 
-  /// True when a persistent store is attached (cache_dir set and
-  /// persist_mode != kOff).
-  bool store_enabled() const { return store_ != nullptr; }
   bool store_readable() const {
     return store_ != nullptr &&
            (options_.persist_mode == PersistMode::kReadOnly ||
@@ -124,9 +109,6 @@ class TransitionResolver {
            (options_.persist_mode == PersistMode::kWriteOnly ||
             options_.persist_mode == PersistMode::kReadWrite);
   }
-
-  /// The graph's store fingerprint; 0 when no store is attached.
-  uint64_t graph_fingerprint() const { return graph_fingerprint_; }
 
   /// Cumulative counters (atomic; each individually exact under
   /// concurrent Resolve calls). builds() counts Build attempts, matching

@@ -48,10 +48,11 @@
 //
 // Shard sweeps write disjoint owned slices and read the frozen previous
 // iterate, so they are data-race free and order-independent; pass a
-// `parallel_for` to run them concurrently (serve/engine_router.h passes
-// its worker pool). The global folds (dangling mass, normalization, residual)
-// stay sequential on the calling thread — they are O(n) and their
-// summation order is part of the bit-parity contract.
+// `parallel_for` to run them concurrently or to time each sweep
+// (bench/e2e/cluster_workload.cc passes a timing one). The global folds
+// (dangling mass, normalization, residual) stay sequential on the
+// calling thread — they are O(n) and their summation order is part of
+// the bit-parity contract.
 //
 // Each power sweep computes y = c∘x once (O(|V|), on the calling thread)
 // and every shard gathers it along its in-CSR: no per-arc probability

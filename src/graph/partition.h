@@ -81,7 +81,8 @@ struct PartitionOptions {
   /// callers who want clamping decide that policy themselves).
   size_t num_shards = 2;
   /// Materialize each shard's out-CSR (the forward adjacency slice).
-  /// The pull-style block solvers consume only the in-CSR, so consumers that exist purely to serve (EngineRouter) pass false and
+  /// The pull-style block solvers consume only the in-CSR, so consumers
+  /// that only solve (d2pr_cluster's in-process reference) pass false and
   /// save an O(|E|) copy of the arc arrays; the boundary/dangling
   /// accounting is computed either way. Push-style consumers keep the default.
   bool build_out_csr = true;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serve/engine_router.h"
 #include "serve/score_cache.h"
 #include "serve/serving_runtime.h"
 
@@ -37,37 +36,10 @@ class RuntimeBackend final : public RankBackend {
   ServingRuntime& runtime_;
 };
 
-class RouterBackend final : public RankBackend {
- public:
-  explicit RouterBackend(EngineRouter& router) : router_(router) {}
-
-  void RankAsync(RankRequest request,
-                 std::function<void(Result<RankResponse>)> done,
-                 std::function<Status()> gate) override {
-    router_.RankAsync(std::move(request), std::move(done), std::move(gate));
-  }
-  int64_t queue_depth() override { return router_.pool().queue_depth(); }
-  ServerInfo info() override {
-    ServerInfo info;
-    info.num_nodes = static_cast<uint64_t>(router_.graph().num_nodes());
-    info.num_arcs = static_cast<uint64_t>(router_.graph().num_arcs());
-    info.num_shards = router_.num_shards();
-    info.num_threads = router_.num_worker_threads();
-    return info;
-  }
-
- private:
-  EngineRouter& router_;
-};
-
 }  // namespace
 
 std::unique_ptr<RankBackend> MakeBackend(ServingRuntime& runtime) {
   return std::make_unique<RuntimeBackend>(runtime);
-}
-
-std::unique_ptr<RankBackend> MakeBackend(EngineRouter& router) {
-  return std::make_unique<RouterBackend>(router);
 }
 
 void RpcServer::Connection::EnqueueWrite(std::vector<uint8_t> frame) {

@@ -1,4 +1,4 @@
-// RpcServer: the network front door over a ServingRuntime or EngineRouter.
+// RpcServer: the network front door over a ServingRuntime.
 //
 // One accept thread plus one reader/writer thread pair per connection,
 // all speaking the length-prefixed frame protocol of net/wire.h. Solves
@@ -60,11 +60,10 @@
 namespace d2pr {
 
 class ServingRuntime;
-class EngineRouter;
 
-/// \brief The serving surface RpcServer needs from its backend — the
-/// seam that lets one server front either a single-engine ServingRuntime
-/// or an edge-partitioned EngineRouter.
+/// \brief The serving surface RpcServer needs from its backend: a
+/// ServingRuntime in d2pr_server, a tracing wrapper around one in the
+/// end-to-end benchmark.
 class RankBackend {
  public:
   virtual ~RankBackend() = default;
@@ -86,8 +85,6 @@ class RankBackend {
 
 /// \brief Backend adapter over a ServingRuntime (caller keeps it alive).
 std::unique_ptr<RankBackend> MakeBackend(ServingRuntime& runtime);
-/// \brief Backend adapter over an EngineRouter (caller keeps it alive).
-std::unique_ptr<RankBackend> MakeBackend(EngineRouter& router);
 
 /// \brief RpcServer construction knobs.
 struct ServerOptions {

@@ -114,6 +114,8 @@ struct WireRankRequest {
 struct ServerInfo {
   uint64_t num_nodes = 0;
   uint64_t num_arcs = 0;
+  /// Kept on the wire because the golden fixtures pin it; every backend
+  /// serves the whole graph and reports 1.
   uint64_t num_shards = 1;
   uint64_t num_threads = 1;
 };

@@ -24,11 +24,11 @@
 //     so repeated identical queries skip the solve outright. Warm-started
 //     requests bypass it (their responses depend on trajectory state).
 //
-// This is the one whole-graph serving path: more engines per process
+// This is the one in-process serving path: more engines per process
 // would cost one transition build and matrix per engine per key and add
 // no concurrency, since D2prEngine::Rank blocks other queries only on a
-// shared transition build. For an edge-partitioned graph behind this
-// same query surface, see serve/engine_router.h.
+// shared transition build. A graph split across processes is served by
+// the shard fleet (dist/coordinator.h).
 //
 // One runtime per engine per process is the intended shape:
 //

@@ -3,10 +3,10 @@
 // undercount), concurrent misses on one transition key must build it
 // exactly once (single-flight), per-thread warm-start trajectories on a
 // shared engine must reproduce the single-threaded results, concurrent
-// top-k and partitioned requests on one key must build its bound index
-// and its slices exactly once, and the partitioned EngineRouter's
-// ScoreCache must keep exact counters — and never serve another
-// request's response — under concurrent traffic.
+// top-k requests on one key must build its bound index exactly once, and
+// a ServingRuntime's ScoreCache must memoize every solve exactly once —
+// and never serve another request's response — under concurrent traffic
+// that forces evictions.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "datagen/classic_generators.h"
-#include "serve/engine_router.h"
+#include "serve/serving_runtime.h"
 
 namespace d2pr {
 namespace {
@@ -165,12 +165,11 @@ TEST(EngineConcurrencyTest, PerThreadWarmTrajectoriesMatchSequential) {
   EXPECT_GT(engine.stats().warm_start_hits, 0);
 }
 
-TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
+TEST(EngineConcurrencyTest, RuntimeScoreCacheExactUnderTraffic) {
   auto graph = TestGraph(14);
   ASSERT_TRUE(graph.ok());
 
-  // 16 distinct requests, half global, half personalized with seed sets
-  // spanning several shards of the edge partition.
+  // 16 distinct requests, half global, half personalized.
   std::vector<RankRequest> distinct;
   for (int i = 0; i < 16; ++i) {
     RankRequest request;
@@ -185,12 +184,9 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
     distinct.push_back(std::move(request));
   }
 
-  RouterOptions options;
-  options.num_shards = 4;
-  // Reference responses are deterministic per request (the block solve
-  // has no routing state), computed on a cacheless twin router.
-  options.score_cache_capacity = 0;
-  EngineRouter reference = EngineRouter::Borrowing(*graph, options);
+  // Reference responses are deterministic per request, computed on a
+  // separate engine.
+  D2prEngine reference = D2prEngine::Borrowing(*graph);
   std::vector<std::vector<double>> expected;
   for (const RankRequest& request : distinct) {
     auto response = reference.Rank(request);
@@ -199,8 +195,9 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   }
 
   // Capacity 8 < 16 distinct keys: the LFU path must evict under load.
-  options.score_cache_capacity = 8;
-  EngineRouter router = EngineRouter::Borrowing(*graph, options);
+  D2prEngine engine = D2prEngine::Borrowing(*graph);
+  ServingRuntime runtime =
+      ServingRuntime::Borrowing(engine, {.score_cache_capacity = 8});
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 32;
@@ -212,7 +209,7 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
       for (int i = 0; i < kPerThread; ++i) {
         const size_t index =
             static_cast<size_t>(t * 5 + i) % distinct.size();
-        auto response = router.Rank(distinct[index]);
+        auto response = runtime.Rank(distinct[index]);
         if (!response.ok()) {
           ++failures;
           return;
@@ -228,12 +225,14 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   EXPECT_EQ(mismatches.load(), 0);
 
   constexpr int64_t kTotal = kThreads * kPerThread;
-  const ScoreCacheStats cache = router.score_cache().stats();
-  // Exactness: every Rank call probes the cache exactly once, every miss
-  // inserts exactly once, and nothing is lost under concurrency.
-  EXPECT_EQ(cache.hits + cache.misses, kTotal);
-  EXPECT_EQ(cache.insertions, cache.misses);
-  EXPECT_LE(router.score_cache().size(), 8u);
+  const ScoreCacheStats cache = runtime.score_cache().stats();
+  // Exactness: every solve the engine ran is memoized exactly once, and
+  // every call probed the cache at least once (a caller that loses the
+  // single-flight race probes again after waking).
+  EXPECT_EQ(cache.insertions, engine.stats().requests.load());
+  EXPECT_LE(cache.insertions, cache.misses);
+  EXPECT_GE(cache.hits + cache.misses, kTotal);
+  EXPECT_LE(runtime.score_cache().size(), 8u);
   // 16 distinct keys through an 8-entry cache force evictions.
   EXPECT_GE(cache.evictions, 8);
 }
@@ -266,32 +265,6 @@ TEST(EngineConcurrencyTest, ConcurrentTopKPushesBuildOneBoundIndex) {
   ASSERT_EQ(failures.load(), 0);
   EXPECT_EQ(engine.transition_resolver().builds(), 1);
   EXPECT_EQ(engine.transition_resolver().bound_builds(), 1);
-}
-
-TEST(EngineConcurrencyTest, ConcurrentRouterRanksBuildOneSliceSet) {
-  // Large enough that the concurrent first misses overlap the build.
-  auto graph = TestGraph(16, 20000, 100000);
-  ASSERT_TRUE(graph.ok());
-  RouterOptions options;
-  options.num_shards = 2;
-  EngineRouter router = EngineRouter::Borrowing(*graph, options);
-
-  constexpr int kThreads = 8;
-  std::latch start(kThreads);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      RankRequest request;
-      request.p = 0.5;  // one transition key for every request
-      request.seeds = {static_cast<NodeId>(t)};
-      if (!router.Rank(request).ok()) ++failures;
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  ASSERT_EQ(failures.load(), 0);
-  EXPECT_EQ(router.transition_resolver().builds(), 1);
 }
 
 }  // namespace

@@ -99,22 +99,39 @@ TEST(RankFlagsTest, GraphIsRequired) {
 
 TEST(RankFlagsTest, UnknownFlagRejected) {
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partiton=range"}).ok());
-  // The partitioned router always slices the resolved matrix; the old
-  // slice-construction switch is gone.
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=4", "--slices=matrix"})
-                   .ok());
+  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--slices=matrix"}).ok());
 }
 
-TEST(RankFlagsTest, PartitionRequiresShards) {
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range"}).ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=hash"}).ok());
-  EXPECT_TRUE(
-      ValidateArgs({"--graph=g.txt", "--partition=range", "--shards=4"})
-          .ok());
-  EXPECT_TRUE(
-      ValidateArgs({"--graph=g.txt", "--partition=hash", "--shards=1"})
-          .ok());
+TEST(RankFlagsTest, PartitionAndShardsAreUnknownFlags) {
+  // Every query runs on the one whole-graph engine; a partitioned solve
+  // is the shard fleet's (d2pr_cluster). Each former --partition/--shards
+  // combination is now an unknown-flag usage error, whatever it pairs with.
+  const std::vector<std::vector<const char*>> partition_cases = {
+      {"--graph=g.txt", "--partition=range"},
+      {"--graph=g.txt", "--partition=hash", "--shards=4"},
+      {"--graph=g.txt", "--partition=modulo", "--shards=2"},
+      {"--graph=g.txt", "--partition", "--shards=2"},
+      {"--graph=g.txt", "--partition=range", "--shards=2",
+       "--method=gauss-seidel"},
+      {"--graph=g.txt", "--partition=hash", "--shards=4", "--threads=4",
+       "--repeat=16", "--cache-dir=/tmp/store", "--seeds=1,2,3"},
+  };
+  for (const auto& args : partition_cases) {
+    const Status status = ValidateArgs(args);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unknown flag --partition");
+  }
+  const std::vector<std::vector<const char*>> shards_cases = {
+      {"--graph=g.txt", "--shards=2"},
+      {"--graph=g.txt", "--shards=0"},
+      {"--graph=g.txt", "--shards=1", "--threads=4"},
+      {"--graph=g.txt", "--tune", "--significance=s.txt", "--shards=2"},
+  };
+  for (const auto& args : shards_cases) {
+    const Status status = ValidateArgs(args);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unknown flag --shards");
+  }
 }
 
 TEST(RankFlagsTopKTest, AcceptedAndRejectedCombinations) {
@@ -137,6 +154,7 @@ TEST(RankFlagsTopKTest, ExcludesTuneAndPartitionAndFullVectorOutputs) {
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--top-k=10", "--tune",
                              "--significance=s.txt"})
                    .ok());
+  // A partitioned solve has no --top-k form either: the flag is gone.
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--top-k=10",
                              "--partition=range", "--shards=2"})
                    .ok());
@@ -145,55 +163,6 @@ TEST(RankFlagsTopKTest, ExcludesTuneAndPartitionAndFullVectorOutputs) {
           .ok());
   EXPECT_FALSE(
       ValidateArgs({"--graph=g.txt", "--top-k=10", "--top=20"}).ok());
-}
-
-TEST(RankFlagsTest, PartitionSchemeNamesValidated) {
-  EXPECT_FALSE(
-      ValidateArgs({"--graph=g.txt", "--partition=modulo", "--shards=2"})
-          .ok());
-  EXPECT_FALSE(
-      ValidateArgs({"--graph=g.txt", "--partition", "--shards=2"}).ok());
-  EXPECT_FALSE(ParsePartitionScheme("").ok());
-  EXPECT_TRUE(ParsePartitionScheme("range").ok());
-  EXPECT_EQ(ParsePartitionScheme("hash").value(), PartitionScheme::kHash);
-}
-
-TEST(RankFlagsTest, ShardsRequiresPartition) {
-  // Whole-graph queries run on one engine; --shards only sizes an edge
-  // partition.
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--shards=2"}).ok());
-  EXPECT_FALSE(
-      ValidateArgs({"--graph=g.txt", "--shards=1", "--threads=4"}).ok());
-  EXPECT_TRUE(
-      ValidateArgs({"--graph=g.txt", "--shards=2", "--partition=hash"})
-          .ok());
-}
-
-TEST(RankFlagsTest, PartitionExcludesForwardPush) {
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=2", "--method=forward-push"})
-                   .ok());
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                            "--shards=2", "--method=gauss-seidel"})
-                  .ok());
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                            "--shards=2", "--method=power"})
-                  .ok());
-}
-
-TEST(RankFlagsTest, PartitionExcludesTuneViaShardsRule) {
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=range",
-                             "--shards=2", "--tune",
-                             "--significance=s.txt"})
-                   .ok());
-}
-
-TEST(RankFlagsTest, PartitionComposesWithServingAndCacheFlags) {
-  EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--partition=hash",
-                            "--shards=4", "--threads=4", "--repeat=16",
-                            "--cache-dir=/tmp/store", "--cache-mode=rw",
-                            "--seeds=1,2,3"})
-                  .ok());
 }
 
 TEST(RankFlagsTest, ValueVocabulariesValidated) {
@@ -216,10 +185,6 @@ TEST(RankFlagsTest, ExistingCombinationRulesStillEnforced) {
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--tune",
                              "--significance=s.txt", "--seeds=1"})
                    .ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--tune",
-                             "--significance=s.txt", "--shards=2"})
-                   .ok());
-  EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--shards=0"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--threads=-1"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--repeat=0"}).ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--p=abc"}).ok());

@@ -33,8 +33,8 @@ TEST(NetFlagsTest, ServerDefaultsAreValid) {
 }
 
 TEST(NetFlagsTest, ServerAcceptsFullSyntheticConfiguration) {
-  EXPECT_TRUE(Server({"--port=8080", "--threads=8", "--shards=4",
-                      "--max-queue=64", "--coalesce=false", "--nodes=5000",
+  EXPECT_TRUE(Server({"--port=8080", "--threads=8", "--max-queue=64",
+                      "--coalesce=false", "--nodes=5000",
                       "--edges-per-node=4", "--gen-seed=7"})
                   .ok());
 }
@@ -44,11 +44,14 @@ TEST(NetFlagsTest, ServerAcceptsGraphFileWithOrientationFlags) {
       Server({"--graph=edges.txt", "--directed", "--weighted"}).ok());
 }
 
-TEST(NetFlagsTest, ServerAcceptsAnyShardCount) {
-  // 1 serves one engine; N >= 2 serves an N-shard edge partition.
+TEST(NetFlagsTest, ServerRejectsShardCountAsUnknownFlag) {
+  // The front door serves one whole-graph engine; a partitioned graph is
+  // served by the shard fleet (--shard-role workers under d2pr_cluster).
   for (const char* shards : {"--shards=1", "--shards=2", "--shards=8"}) {
     SCOPED_TRACE(shards);
-    EXPECT_TRUE(Server({shards}).ok());
+    const Status status = Server({shards});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unknown flag --shards");
   }
 }
 
@@ -67,7 +70,6 @@ TEST(NetFlagsTest, ServerRejectsBadPort) {
 
 TEST(NetFlagsTest, ServerRejectsOutOfRangeNumerics) {
   EXPECT_FALSE(Server({"--threads=0"}).ok());
-  EXPECT_FALSE(Server({"--shards=0"}).ok());
   EXPECT_FALSE(Server({"--max-queue=0"}).ok());
   EXPECT_FALSE(Server({"--nodes=1"}).ok());
   EXPECT_FALSE(Server({"--edges-per-node=0"}).ok());

@@ -1,6 +1,5 @@
 // RpcServer end-to-end over loopback: responses must be bit-identical to
-// direct backend calls (single-engine runtime, edge-partitioned
-// router), deadlines must be enforced deterministically through the
+// direct ServingRuntime calls, deadlines must be enforced deterministically through the
 // injected clock (an expired request never reaches the engine), admission
 // control must shed with kUnavailable while admitted work completes,
 // identical in-flight requests must coalesce into one solve, and broken
@@ -28,7 +27,6 @@
 #include "net/client.h"
 #include "net/loadgen.h"
 #include "net/wire.h"
-#include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
 
 namespace d2pr {
@@ -154,49 +152,6 @@ TEST(NetServerTest, LoopbackResponsesIdenticalToDirectRuntime) {
     auto direct = reference.Rank(workload[i]);
     ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    ExpectResponsesIdentical(over_wire.value(), direct.value(), i);
-  }
-}
-
-TEST(NetServerTest, LoopbackResponsesIdenticalToDirectPartitionedSubgraph) {
-  RouterOptions router_options;
-  router_options.num_shards = 2;
-  router_options.worker_threads = 2;
-
-  auto graph = TestGraph(13);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router(std::move(graph).value(), router_options);
-  auto backend = MakeBackend(router);
-  RpcServer server(*backend);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto reference_graph = TestGraph(13);
-  ASSERT_TRUE(reference_graph.ok());
-  EngineRouter reference(std::move(reference_graph).value(), router_options);
-
-  auto client = RpcClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  // Partitioned-subgraph mode serves power and Gauss-Seidel only (no
-  // push, no warm starts); both must agree with a direct block solve.
-  std::vector<RankRequest> workload;
-  RankRequest power;
-  power.p = 0.4;
-  power.tolerance = 1e-10;
-  workload.push_back(power);
-  RankRequest seeded = power;
-  seeded.seeds = {3, 99};
-  workload.push_back(seeded);
-  RankRequest gauss;
-  gauss.p = 0.9;
-  gauss.method = SolverMethod::kGaussSeidel;
-  gauss.tolerance = 1e-10;
-  workload.push_back(gauss);
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto over_wire = client->Rank(workload[i]);
-    auto direct = reference.Rank(workload[i]);
-    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    EXPECT_TRUE(over_wire->served_partitioned);
     ExpectResponsesIdentical(over_wire.value(), direct.value(), i);
   }
 }

@@ -1,25 +1,24 @@
-// Seeded randomized property tests for edge-partitioned serving: over
-// 50+ random graphs (power-law preferential attachment and bipartite
-// member projections, weighted and unweighted) and random request mixes
-// (uniform/personalized teleports, mixed p/alpha/beta, all dangling
-// policies, power and Gauss-Seidel), the partitioned-subgraph router and
-// the block solvers must reproduce the single-engine reference: power
-// bit-identically, Gauss-Seidel within 1e-9 — with total probability
-// mass 1 and top-k ranking agreement on every response. The
-// solver-level sweep feeds the block solver from both slice builders
-// (the matrix permutation and the matrix-free kernel).
+// Seeded randomized property tests for the block solvers: over 50
+// random graphs (power-law preferential attachment and bipartite member
+// projections, weighted and unweighted), random p/alpha/beta, every
+// dangling policy and uniform and seeded teleports, the block solvers
+// must reproduce the whole-graph reference solvers: power bit-identically
+// (fed from both slice builders, the matrix share and the matrix-free
+// kernel), Gauss-Seidel within 1e-9 with total probability mass 1 and
+// top-k ranking agreement on every solve.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/block_solver.h"
 #include "core/gauss_seidel.h"
 #include "core/pagerank.h"
@@ -30,7 +29,6 @@
 #include "datagen/projection.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
-#include "serve/engine_router.h"
 #include "stats/ranking.h"
 #include "transition_test_util.h"
 
@@ -38,7 +36,6 @@ namespace d2pr {
 namespace {
 
 constexpr int kNumCases = 50;
-constexpr int kRequestsPerCase = 6;
 constexpr size_t kTopK = 10;
 constexpr double kGsTolerance = 1e-9;
 constexpr double kMassTolerance = 1e-9;
@@ -65,47 +62,53 @@ Result<CsrGraph> FuzzGraph(int case_id) {
   return ProjectMembers(*world, projection);
 }
 
-RankRequest RandomRequest(Rng& rng, const CsrGraph& graph) {
-  RankRequest request;
-  request.p = rng.Uniform(-1.5, 2.0);
-  request.alpha = rng.Uniform(0.5, 0.9);
-  request.beta = graph.weighted() ? rng.Uniform() : 0.0;
-  request.method =
-      rng.Bernoulli(0.5) ? SolverMethod::kPower : SolverMethod::kGaussSeidel;
-  const double policy_draw = rng.Uniform();
-  request.dangling = policy_draw < 0.6 ? DanglingPolicy::kTeleport
-                     : policy_draw < 0.8 ? DanglingPolicy::kSelfLoop
-                                         : DanglingPolicy::kRenormalize;
-  if (request.method == SolverMethod::kGaussSeidel &&
-      request.dangling == DanglingPolicy::kRenormalize) {
-    // Block Gauss-Seidel rejects kRenormalize by contract (the
-    // renormalized fixed point is sweep-order dependent; see
-    // core/block_solver.h) — the rejection itself is covered by the
-    // parity suite, so the fuzz mix keeps these requests solvable.
-    request.dangling = DanglingPolicy::kTeleport;
-  }
-  request.tolerance = 1e-11;
-  request.max_iterations = 5000;  // always converge: parity needs it
-  if (rng.Bernoulli(0.5)) {
-    const auto num_seeds = static_cast<size_t>(rng.UniformInt(1, 5));
-    while (request.seeds.size() < num_seeds) {
-      const auto seed = static_cast<NodeId>(
-          rng.UniformInt(0, graph.num_nodes() - 1));
-      if (std::find(request.seeds.begin(), request.seeds.end(), seed) ==
-          request.seeds.end()) {
-        request.seeds.push_back(seed);
-      }
+/// 1-5 distinct random nodes, the seeds of a personalized teleport.
+std::vector<NodeId> RandomSeeds(Rng& rng, const CsrGraph& graph) {
+  const auto num_seeds = static_cast<size_t>(rng.UniformInt(1, 5));
+  std::vector<NodeId> seeds;
+  while (seeds.size() < num_seeds) {
+    const auto seed =
+        static_cast<NodeId>(rng.UniformInt(0, graph.num_nodes() - 1));
+    if (std::find(seeds.begin(), seeds.end(), seed) == seeds.end()) {
+      seeds.push_back(seed);
     }
   }
-  return request;
+  return seeds;
 }
+
+/// One random transition model and solver configuration per case, with
+/// the uniform and a seeded teleport to solve it under.
+struct RandomCase {
+  TransitionConfig config;
+  PagerankOptions options;
+  std::vector<double> uniform;
+  std::vector<double> seeded;
+};
+
+RandomCase MakeRandomCase(Rng& rng, const CsrGraph& graph) {
+  RandomCase c;
+  c.config.p = rng.Uniform(-1.5, 2.0);
+  c.config.beta = graph.weighted() ? rng.Uniform() : 0.0;
+  c.options.alpha = rng.Uniform(0.5, 0.9);
+  c.options.tolerance = 1e-11;
+  c.options.max_iterations = 5000;  // always converge: parity needs it
+  c.uniform = UniformTeleport(graph.num_nodes());
+  auto seeded = SeededTeleport(graph.num_nodes(), RandomSeeds(rng, graph));
+  EXPECT_TRUE(seeded.ok()) << seeded.status().ToString();
+  c.seeded = std::move(seeded).value();
+  return c;
+}
+
+constexpr DanglingPolicy kPolicies[] = {DanglingPolicy::kTeleport,
+                                        DanglingPolicy::kSelfLoop,
+                                        DanglingPolicy::kRenormalize};
 
 /// Top-k agreement modulo near-ties: position j may differ only between
 /// nodes whose reference scores are within tolerance of each other.
 void ExpectTopKAgreement(const std::vector<double>& reference,
-                         const std::vector<double>& routed) {
+                         const std::vector<double>& block) {
   const std::vector<NodeId> expected = TopK(reference, kTopK);
-  const std::vector<NodeId> actual = TopK(routed, kTopK);
+  const std::vector<NodeId> actual = TopK(block, kTopK);
   ASSERT_EQ(expected.size(), actual.size());
   for (size_t j = 0; j < expected.size(); ++j) {
     if (expected[j] == actual[j]) continue;
@@ -118,101 +121,21 @@ void ExpectTopKAgreement(const std::vector<double>& reference,
   }
 }
 
-TEST(PartitionFuzzTest, RouterMatchesSingleEngineOnRandomMixes) {
-  int power_responses = 0;
-  int gs_responses = 0;
-  int boundary_heavy_cases = 0;
-  for (int case_id = 0; case_id < kNumCases; ++case_id) {
-    SCOPED_TRACE("case " + std::to_string(case_id));
-    auto graph = FuzzGraph(case_id);
-    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-    ASSERT_GT(graph->num_nodes(), 0);
-
-    Rng rng(11000 + static_cast<uint64_t>(case_id));
-    std::vector<RankRequest> requests;
-    for (int i = 0; i < kRequestsPerCase; ++i) {
-      requests.push_back(RandomRequest(rng, *graph));
-    }
-
-    D2prEngine reference = D2prEngine::Borrowing(*graph);
-    auto sequential = reference.RankBatch(requests);
-    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-    const size_t num_shards = 1 + static_cast<size_t>(case_id % 5);
-    const PartitionScheme scheme = case_id % 2 == 0
-                                       ? PartitionScheme::kRange
-                                       : PartitionScheme::kHash;
-    EngineRouter router = EngineRouter::Borrowing(
-        *graph, {.num_shards = num_shards,
-                 .partition_scheme = scheme});
-    if (router.partition().BoundaryFraction() > 0.25) ++boundary_heavy_cases;
-
-    auto routed = router.RankBatch(requests);
-    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-    ASSERT_EQ(routed->size(), sequential->size());
-
-    for (size_t i = 0; i < requests.size(); ++i) {
-      SCOPED_TRACE("request " + std::to_string(i));
-      const RankResponse& expected = (*sequential)[i];
-      const RankResponse& actual = (*routed)[i];
-      ASSERT_TRUE(expected.converged);
-      ASSERT_TRUE(actual.converged);
-      EXPECT_TRUE(actual.served_partitioned);
-      ASSERT_EQ(actual.scores.size(), expected.scores.size());
-
-      // Mass conservation: every response is a probability distribution.
-      EXPECT_NEAR(Sum(actual.scores), 1.0, kMassTolerance);
-
-      if (requests[i].method == SolverMethod::kPower) {
-        // Bit-identical: scores, iterations, residual.
-        EXPECT_EQ(actual.scores, expected.scores);
-        EXPECT_EQ(actual.iterations, expected.iterations);
-        EXPECT_EQ(actual.residual, expected.residual);
-        ++power_responses;
-      } else {
-        double max_diff = 0.0;
-        for (size_t n = 0; n < actual.scores.size(); ++n) {
-          max_diff = std::max(
-              max_diff, std::abs(actual.scores[n] - expected.scores[n]));
-        }
-        EXPECT_LE(max_diff, kGsTolerance);
-        ++gs_responses;
-      }
-      ExpectTopKAgreement(expected.scores, actual.scores);
-    }
-  }
-  // The property is only meaningful if the mix exercised both solvers
-  // heavily and the partitions actually cut the graphs.
-  EXPECT_GT(power_responses, 80);
-  EXPECT_GT(gs_responses, 80);
-  EXPECT_GT(boundary_heavy_cases, 20);
-}
-
 TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
-  // Below the router: the block power solver against SolvePagerank
-  // directly, cycling shard counts {1, 2, 4, 8} and both schemes over
-  // the same seeded graph family.
+  // The block power solver against SolvePagerank, cycling shard counts
+  // {1, 2, 4, 8} and both schemes, under every dangling policy with the
+  // uniform and a seeded teleport.
+  int power_responses = 0;
+  int boundary_heavy_cases = 0;
   for (int case_id = 0; case_id < kNumCases; ++case_id) {
     SCOPED_TRACE("case " + std::to_string(case_id));
     auto graph = FuzzGraph(case_id);
     ASSERT_TRUE(graph.ok());
 
     Rng rng(17000 + static_cast<uint64_t>(case_id));
-    TransitionConfig config;
-    config.p = rng.Uniform(-1.5, 2.0);
-    config.beta = graph->weighted() ? rng.Uniform() : 0.0;
-    auto transition = TransitionMatrix::Build(*graph, config);
+    RandomCase random = MakeRandomCase(rng, *graph);
+    auto transition = TransitionMatrix::Build(*graph, random.config);
     ASSERT_TRUE(transition.ok());
-
-    PagerankOptions options;
-    options.alpha = rng.Uniform(0.5, 0.9);
-    options.tolerance = 1e-11;
-    options.max_iterations = 5000;
-
-    const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
-    auto reference = SolvePagerank(*graph, *transition, teleport, options);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_TRUE(reference->converged);
 
     const size_t shards[] = {1, 2, 4, 8};
     const size_t num_shards = shards[case_id % 4];
@@ -222,26 +145,123 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
     auto partition = GraphPartition::Build(
         *graph, {.scheme = scheme, .num_shards = num_shards});
     ASSERT_TRUE(partition.ok());
+    if (partition->BoundaryFraction() > 0.25) ++boundary_heavy_cases;
 
     // Both slice builders (sharing the matrix and the shard-by-shard
     // build) are bit-identical, so one solve per builder proves the
     // whole chain.
     auto from_matrix = BuildTransitionSlices(
         *graph, *partition,
-        std::make_shared<const TransitionMatrix>(std::move(*transition)));
+        std::make_shared<const TransitionMatrix>(*transition));
     ASSERT_TRUE(from_matrix.ok());
-    auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
+    auto local = BuildTransitionSlicesLocal(*graph, *partition, random.config);
     ASSERT_TRUE(local.ok());
     ExpectSameMatrix(*local->transition, *from_matrix->transition);
-    for (const TransitionSlices* slices : {&*from_matrix, &*local}) {
-      auto sliced =
-          SolvePagerankPartitioned(*slices, *partition, teleport, options);
-      ASSERT_TRUE(sliced.ok());
-      EXPECT_EQ(sliced->scores, reference->scores);
-      EXPECT_EQ(sliced->iterations, reference->iterations);
-      EXPECT_EQ(sliced->residual, reference->residual);
+
+    for (const DanglingPolicy policy : kPolicies) {
+      for (const std::vector<double>* teleport :
+           {&random.uniform, &random.seeded}) {
+        SCOPED_TRACE(StrCat("policy ", static_cast<int>(policy),
+                            teleport == &random.uniform ? " uniform"
+                                                        : " seeded"));
+        PagerankOptions options = random.options;
+        options.dangling = policy;
+        auto reference =
+            SolvePagerank(*graph, *transition, *teleport, options);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        ASSERT_TRUE(reference->converged);
+        for (const TransitionSlices* slices : {&*from_matrix, &*local}) {
+          auto sliced =
+              SolvePagerankPartitioned(*slices, *partition, *teleport, options);
+          ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+          ExpectSameBits(sliced->scores, reference->scores, "scores");
+          EXPECT_EQ(sliced->iterations, reference->iterations);
+          EXPECT_EQ(std::memcmp(&sliced->residual, &reference->residual,
+                                sizeof(double)),
+                    0);
+        }
+        ++power_responses;
+      }
     }
   }
+  // The property is only meaningful if the partitions actually cut the
+  // graphs.
+  EXPECT_GT(power_responses, 80);
+  EXPECT_GT(boundary_heavy_cases, 20);
+}
+
+TEST(PartitionFuzzTest, SolverLevelGaussSeidelOnRandomGraphs) {
+  // Block Gauss-Seidel against SolvePagerankGaussSeidel over the same
+  // graph family: within 1e-9 at tolerance 1e-11, total mass 1 and top-k
+  // agreement on every solve, kRenormalize rejected (its fixed point
+  // depends on the sweep order; see core/block_solver.h).
+  int gs_responses = 0;
+  int renormalize_rejections = 0;
+  int boundary_heavy_cases = 0;
+  for (int case_id = 0; case_id < kNumCases; ++case_id) {
+    SCOPED_TRACE("case " + std::to_string(case_id));
+    auto graph = FuzzGraph(case_id);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    ASSERT_GT(graph->num_nodes(), 0);
+
+    Rng rng(11000 + static_cast<uint64_t>(case_id));
+    RandomCase random = MakeRandomCase(rng, *graph);
+    auto transition = TransitionMatrix::Build(*graph, random.config);
+    ASSERT_TRUE(transition.ok());
+
+    const size_t num_shards = 1 + static_cast<size_t>(case_id % 5);
+    const PartitionScheme scheme = case_id % 2 == 0
+                                       ? PartitionScheme::kRange
+                                       : PartitionScheme::kHash;
+    auto partition = GraphPartition::Build(
+        *graph, {.scheme = scheme, .num_shards = num_shards});
+    ASSERT_TRUE(partition.ok());
+    if (partition->BoundaryFraction() > 0.25) ++boundary_heavy_cases;
+    auto slices = BuildTransitionSlices(
+        *graph, *partition,
+        std::make_shared<const TransitionMatrix>(*transition));
+    ASSERT_TRUE(slices.ok());
+
+    for (const DanglingPolicy policy : kPolicies) {
+      for (const std::vector<double>* teleport :
+           {&random.uniform, &random.seeded}) {
+        SCOPED_TRACE(StrCat("policy ", static_cast<int>(policy),
+                            teleport == &random.uniform ? " uniform"
+                                                        : " seeded"));
+        PagerankOptions options = random.options;
+        options.dangling = policy;
+        auto block =
+            SolveGaussSeidelPartitioned(*slices, *partition, *teleport,
+                                        options);
+        if (policy == DanglingPolicy::kRenormalize) {
+          EXPECT_EQ(block.status().code(), StatusCode::kInvalidArgument);
+          ++renormalize_rejections;
+          continue;
+        }
+        ASSERT_TRUE(block.ok()) << block.status().ToString();
+        auto reference =
+            SolvePagerankGaussSeidel(*graph, *transition, *teleport, options);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        ASSERT_TRUE(reference->converged);
+        ASSERT_TRUE(block->converged);
+        ASSERT_EQ(block->scores.size(), reference->scores.size());
+
+        // Mass conservation: every solve is a probability distribution.
+        EXPECT_NEAR(Sum(block->scores), 1.0, kMassTolerance);
+        double max_diff = 0.0;
+        for (size_t n = 0; n < block->scores.size(); ++n) {
+          max_diff = std::max(
+              max_diff, std::abs(block->scores[n] - reference->scores[n]));
+        }
+        EXPECT_LE(max_diff, kGsTolerance);
+        ExpectTopKAgreement(reference->scores, block->scores);
+        ++gs_responses;
+      }
+    }
+  }
+  EXPECT_GT(gs_responses, 80);
+  EXPECT_EQ(renormalize_rejections, 2 * kNumCases);
+  EXPECT_GT(boundary_heavy_cases, 20);
 }
 
 }  // namespace

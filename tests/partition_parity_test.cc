@@ -9,20 +9,16 @@
 //   * block Gauss-Seidel (Gauss-Seidel within a shard, Jacobi across
 //     shards) agrees with SolvePagerankGaussSeidel within 1e-9 at
 //     tolerance 1e-11.
-// The same parity is then asserted one layer up, through EngineRouter
-// against a whole-graph D2prEngine, where the
-// serving surface (validation, seeded teleports, diagnostics) must also
-// behave identically.
+// tests/partition_fuzz_test.cc asserts the same contract on random
+// graphs, and tests/dist_parity_test.cc carries it to the shard fleet.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <memory>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
 #include "core/block_solver.h"
 #include "core/gauss_seidel.h"
@@ -34,7 +30,6 @@
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
-#include "serve/engine_router.h"
 
 namespace d2pr {
 namespace {
@@ -298,112 +293,11 @@ TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
   EXPECT_TRUE(solved->scores.empty());
 }
 
-// ---------------------------------------------------------------------
-// Router-level parity: the partitioned-subgraph serving mode.
-// ---------------------------------------------------------------------
-
-std::vector<RankRequest> ServingMix(const CsrGraph& graph) {
-  std::vector<RankRequest> requests;
-  for (SolverMethod method :
-       {SolverMethod::kPower, SolverMethod::kGaussSeidel}) {
-    RankRequest uniform;
-    uniform.p = 0.8;
-    uniform.method = method;
-    uniform.tolerance = 1e-11;
-    uniform.max_iterations = 5000;
-    requests.push_back(uniform);
-
-    RankRequest personalized = uniform;
-    personalized.p = -0.4;
-    personalized.alpha = 0.7;
-    personalized.seeds = {0, graph.num_nodes() / 2,
-                          static_cast<NodeId>(graph.num_nodes() - 1)};
-    requests.push_back(personalized);
-
-    if (graph.weighted()) {
-      RankRequest blended = uniform;
-      blended.beta = 0.4;
-      requests.push_back(blended);
-    }
-  }
-  // Repeat the first request: its transition must come back as a cache
-  // hit, matching the single-engine reference's diagnostic.
-  requests.push_back(requests.front());
-  return requests;
-}
-
-TEST(PartitionParityTest, RouterMatchesSingleEngineReference) {
-  const CsrGraph unweighted = UnweightedGraph();
-  const CsrGraph weighted = WeightedDirectedGraph();
-  for (const CsrGraph* graph : {&unweighted, &weighted}) {
-    const std::vector<RankRequest> requests = ServingMix(*graph);
-    D2prEngine reference = D2prEngine::Borrowing(*graph);
-    auto sequential = reference.RankBatch(requests);
-    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-    for (PartitionScheme scheme : kSchemes) {
-      for (size_t shards : kShardCounts) {
-        SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x" +
-                     std::to_string(shards));
-        EngineRouter router = EngineRouter::Borrowing(
-            *graph, {.num_shards = shards,
-                     .partition_scheme = scheme});
-        EXPECT_EQ(router.num_shards(), shards);
-        EXPECT_EQ(router.partition().scheme(), scheme);
-
-        auto routed = router.RankBatch(requests);
-        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-        ASSERT_EQ(routed->size(), sequential->size());
-        for (size_t i = 0; i < requests.size(); ++i) {
-          SCOPED_TRACE("request " + std::to_string(i));
-          const RankResponse& expected = (*sequential)[i];
-          const RankResponse& actual = (*routed)[i];
-          EXPECT_TRUE(actual.served_partitioned);
-          EXPECT_FALSE(expected.served_partitioned);
-          EXPECT_EQ(actual.converged, expected.converged);
-          // One shared transition cache serves the block solves, so the
-          // hit pattern matches the sequential reference exactly.
-          EXPECT_EQ(actual.transition_cache_hit,
-                    expected.transition_cache_hit);
-          if (requests[i].method == SolverMethod::kPower) {
-            EXPECT_EQ(actual.scores, expected.scores);
-            EXPECT_EQ(actual.iterations, expected.iterations);
-            EXPECT_EQ(actual.residual, expected.residual);
-          } else {
-            EXPECT_LE(MaxAbsDiff(actual.scores, expected.scores),
-                      kGsTolerance);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PartitionParityTest, RouterAsyncMatchesSyncPath) {
-  // RankAsync solves inline on a pool worker (no nested fan-out); the
-  // result must still be bit-identical to the pooled sync path.
-  const CsrGraph graph = UnweightedGraph();
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 4});
-  RankRequest request;
-  request.p = 0.5;
-  request.tolerance = 1e-11;
-  request.max_iterations = 5000;
-  auto sync = router.Rank(request);
-  ASSERT_TRUE(sync.ok());
-  auto future = router.RankAsync(request);
-  auto async = future.get();
-  ASSERT_TRUE(async.ok());
-  EXPECT_EQ(async->scores, sync->scores);
-  EXPECT_EQ(async->iterations, sync->iterations);
-  EXPECT_TRUE(async->served_partitioned);
-}
-
 TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   // The renormalized Gauss-Seidel fixed point depends on the sweep order
   // once dangling mass is dropped, so a block sweep cannot reproduce the
-  // single-graph reference; both the solver and the serving mode must
-  // fail loudly rather than serve an O(1e-3)-off solution.
+  // single-graph reference; the solver must fail loudly rather than
+  // serve an O(1e-3)-off solution.
   const CsrGraph graph = WeightedDirectedGraph();  // has dangling nodes
   auto transition = TransitionMatrix::Build(graph, {});
   ASSERT_TRUE(transition.ok());
@@ -417,138 +311,15 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   EXPECT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2});
-  RankRequest request;
-  request.method = SolverMethod::kGaussSeidel;
-  request.dangling = DanglingPolicy::kRenormalize;
-  auto response = router.Rank(request);
-  EXPECT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
-  // No transition build was paid for the rejected request.
-  EXPECT_EQ(router.transition_resolver().builds(), 0);
-
   // Power iteration under kRenormalize stays fully (bitwise) supported.
-  request.method = SolverMethod::kPower;
-  auto power = router.Rank(request);
-  ASSERT_TRUE(power.ok());
-  D2prEngine engine = D2prEngine::Borrowing(graph);
-  auto reference = engine.Rank(request);
+  auto power = SolvePagerankPartitioned(
+      Sliced(graph, *partition, *transition), *partition,
+      UniformTeleport(graph.num_nodes()), options);
+  ASSERT_TRUE(power.ok()) << power.status().ToString();
+  auto reference = SolvePagerank(graph, *transition,
+                                 UniformTeleport(graph.num_nodes()), options);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(power->scores, reference->scores);
-}
-
-TEST(PartitionParityTest, RouterRejectsForwardPushCleanly) {
-  const CsrGraph graph = UnweightedGraph();
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2});
-  RankRequest request;
-  request.method = SolverMethod::kForwardPush;
-  request.seeds = {3};
-  auto response = router.Rank(request);
-  EXPECT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PartitionParityTest, RouterValidatesLikeTheEngine) {
-  const CsrGraph graph = UnweightedGraph();
-  D2prEngine engine = D2prEngine::Borrowing(graph);
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2});
-
-  std::vector<RankRequest> bad_requests;
-  RankRequest bad_alpha;
-  bad_alpha.alpha = 1.5;
-  bad_requests.push_back(bad_alpha);
-  RankRequest bad_beta;
-  bad_beta.beta = 2.0;
-  bad_requests.push_back(bad_beta);
-  RankRequest bad_seed;
-  bad_seed.seeds = {graph.num_nodes() + 5};
-  bad_requests.push_back(bad_seed);
-  RankRequest bad_tolerance;
-  bad_tolerance.tolerance = -1.0;
-  bad_requests.push_back(bad_tolerance);
-
-  for (size_t i = 0; i < bad_requests.size(); ++i) {
-    SCOPED_TRACE("bad request " + std::to_string(i));
-    auto from_engine = engine.Rank(bad_requests[i]);
-    auto from_router = router.Rank(bad_requests[i]);
-    ASSERT_FALSE(from_engine.ok());
-    ASSERT_FALSE(from_router.ok());
-    EXPECT_EQ(from_router.status().code(), from_engine.status().code());
-    EXPECT_EQ(from_router.status().ToString(),
-              from_engine.status().ToString());
-  }
-}
-
-TEST(PartitionParityTest, RouterWarmTagsSolveColdButSucceed) {
-  const CsrGraph graph = UnweightedGraph();
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 2});
-  RankRequest tagged;
-  tagged.p = 0.3;
-  tagged.warm_start_tag = "sweep";
-  auto first = router.Rank(tagged);
-  ASSERT_TRUE(first.ok());
-  auto second = router.Rank(tagged);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second->warm_start_hit);
-  // Cold both times: identical solves.
-  EXPECT_EQ(second->scores, first->scores);
-  EXPECT_EQ(second->iterations, first->iterations);
-}
-
-TEST(PartitionParityTest, RouterHonorsPersistentTransitionStore) {
-  // --cache-dir composes with partitioned serving: the first router
-  // builds and spills the shared matrix; a restarted router maps it back
-  // (zero builds) with bit-identical scores.
-  const std::string dir = testing::TempDir() + "/d2pr_partition_store";
-  std::filesystem::remove_all(dir);
-  const CsrGraph graph = UnweightedGraph();
-  RankRequest request;
-  request.p = 0.9;
-  request.tolerance = 1e-11;
-  request.max_iterations = 5000;
-
-  RouterOptions options;
-  options.num_shards = 4;
-  options.engine_options.cache_dir = dir;
-
-  std::vector<double> first_scores;
-  {
-    EngineRouter router = EngineRouter::Borrowing(graph, options);
-    auto response = router.Rank(request);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_FALSE(response->transition_store_hit);
-    EXPECT_EQ(router.transition_resolver().builds(), 1);
-    EXPECT_EQ(router.transition_resolver().store_saves(), 1);
-    first_scores = response->scores;
-  }
-  {
-    EngineRouter restarted = EngineRouter::Borrowing(graph, options);
-    auto response = restarted.Rank(request);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_TRUE(response->transition_store_hit);
-    EXPECT_EQ(restarted.transition_resolver().builds(), 0);
-    EXPECT_EQ(restarted.transition_resolver().store_loads(), 1);
-    EXPECT_EQ(response->scores, first_scores);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PartitionParityTest, RouterTransitionAccountingIsShared) {
-  const CsrGraph graph = UnweightedGraph();
-  EngineRouter router = EngineRouter::Borrowing(
-      graph, {.num_shards = 4});
-  RankRequest request;
-  request.p = 1.1;
-  ASSERT_TRUE(router.Rank(request).ok());
-  ASSERT_TRUE(router.Rank(request).ok());
-  // One build for the key, shared by all four shards' sweeps; the second
-  // request is a pure cache hit.
-  EXPECT_EQ(router.transition_resolver().builds(), 1);
-  EXPECT_EQ(router.transition_resolver().cache_lookup_hits(), 1);
 }
 
 }  // namespace

@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
-#include "api/rank_request.h"
 #include "common/rng.h"
 #include "core/block_solver.h"
 #include "core/gauss_seidel.h"
@@ -34,7 +32,6 @@
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
-#include "serve/engine_router.h"
 #include "transition_test_util.h"
 
 namespace d2pr {
@@ -452,28 +449,6 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------
-// Serving stack.
-// ---------------------------------------------------------------------
-
-TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
-  // The router shares the resolved matrix and keeps the historical
-  // matrix-side observables: one build then cache hits.
-  const CsrGraph graph = UnweightedGraph();
-  RouterOptions options;
-  options.num_shards = 2;
-  EngineRouter router = EngineRouter::Borrowing(graph, options);
-
-  RankRequest request;
-  request.p = 0.5;
-  ASSERT_TRUE(router.Rank(request).ok());
-  EXPECT_EQ(router.transition_resolver().builds(), 1);
-  auto again = router.Rank(request);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->transition_cache_hit);
-  EXPECT_EQ(router.transition_resolver().builds(), 1);
 }
 
 TEST(PartitionSliceTest, HashOwnershipIsNodeModuloShardCount) {

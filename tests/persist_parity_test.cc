@@ -3,12 +3,12 @@
 // engine that built them. Engine A solves and persists; engine B
 // "restarts" on the same cache_dir and must reproduce every score,
 // iteration count, and convergence flag exactly, with EngineStats proving
-// that not a single transition Build ran after the restart. The same
-// holds for an edge-partitioned EngineRouter restarting on a store an
-// engine wrote.
+// that not a single transition Build ran after the restart. A block
+// solve over a store-mapped matrix is held to the same bit parity.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,10 +16,15 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "api/transition_resolver.h"
 #include "common/rng.h"
+#include "core/block_solver.h"
+#include "core/pagerank.h"
+#include "core/teleport.h"
+#include "core/transition_slices.h"
 #include "datagen/classic_generators.h"
 #include "graph/graph_builder.h"
-#include "serve/engine_router.h"
+#include "graph/partition.h"
 
 namespace d2pr {
 namespace {
@@ -172,56 +177,74 @@ TEST(PersistParityTest, DifferentGraphNeverReusesTheStore) {
   EXPECT_EQ(engine_b.stats().transition_builds, 1);
 }
 
-// A partitioned router restarting over a cache_dir an engine wrote: its
-// shared resolver maps the persisted matrices, zero builds, and the
-// power batch stays bit-identical to a persistence-free single engine.
-TEST(PersistParityTest, RouterSharedCacheDirRestartsWithZeroBuilds) {
+// A block solve over a matrix mapped back from a store an engine wrote
+// is bit-identical to SolvePagerank over a freshly built matrix: the
+// store round trip and the partition each preserve every float, so they
+// compose. The resolver behind the restart maps all three keys and
+// never rebuilds.
+TEST(PersistParityTest, BlockSolveOverStoreMappedTransitionIsBitIdentical) {
   Rng rng(34);
-  auto graph = BarabasiAlbert(250, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::string dir = FreshDir("router");
-
-  std::vector<RankRequest> batch;
-  for (int i = 0; i < 24; ++i) {
-    RankRequest request;
-    request.p = (i % 3) * 0.5;
-    request.tolerance = 1e-11;
-    batch.push_back(request);
-  }
-
-  // Reference: plain single engine, no persistence anywhere.
-  D2prEngine reference_engine = D2prEngine::Borrowing(*graph);
-  auto reference = reference_engine.RankBatch(batch);
-  ASSERT_TRUE(reference.ok());
+  auto built_graph = BarabasiAlbert(250, 3, &rng);
+  ASSERT_TRUE(built_graph.ok());
+  const auto graph =
+      std::make_shared<const CsrGraph>(std::move(built_graph).value());
+  const std::string dir = FreshDir("block");
+  constexpr double kPs[] = {0.0, 0.5, 1.0};
 
   // Warm the store (a previous serving process).
   EngineOptions persist_options;
   persist_options.cache_dir = dir;
   {
-    D2prEngine warmer = D2prEngine::Borrowing(*graph, persist_options);
-    for (const RankRequest& request : batch) {
+    D2prEngine warmer(graph, persist_options);
+    for (const double p : kPs) {
+      RankRequest request;
+      request.p = p;
       ASSERT_TRUE(warmer.Rank(request).ok());
     }
   }
   EXPECT_EQ(StoreFileCount(dir), 3u);
 
-  for (const size_t num_shards : {2u, 4u}) {
-    SCOPED_TRACE(testing::Message() << num_shards << " shards");
-    RouterOptions router_options;
-    router_options.num_shards = num_shards;
-    router_options.engine_options = persist_options;
-    EngineRouter router(reference_engine.graph_ptr(), router_options);
-    auto routed = router.RankBatch(batch);
-    ASSERT_TRUE(routed.ok());
-    ASSERT_EQ(routed->size(), reference->size());
-    for (size_t i = 0; i < reference->size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "request " << i);
-      ExpectBitIdentical((*routed)[i], (*reference)[i]);
+  PagerankOptions options;
+  options.tolerance = 1e-11;
+  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  TransitionResolver restarted(graph, persist_options);
+  for (const double p : kPs) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    TransitionKey key;
+    key.p = p;
+    key.metric = ResolveMetric(*graph, DegreeMetric::kAuto);
+    TransitionResolver::Outcome outcome;
+    auto mapped = restarted.Resolve(key, &outcome);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_TRUE(outcome.store_hit);
+
+    auto built = TransitionMatrix::Build(*graph, {.p = p});
+    ASSERT_TRUE(built.ok());
+    auto reference = SolvePagerank(*graph, *built, teleport, options);
+    ASSERT_TRUE(reference.ok());
+
+    for (const size_t num_shards : {2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << num_shards << " shards");
+      auto partition =
+          GraphPartition::Build(*graph, {.num_shards = num_shards});
+      ASSERT_TRUE(partition.ok());
+      auto slices = BuildTransitionSlices(*graph, *partition, *mapped);
+      ASSERT_TRUE(slices.ok());
+      auto block =
+          SolvePagerankPartitioned(*slices, *partition, teleport, options);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      ASSERT_EQ(block->scores.size(), reference->scores.size());
+      EXPECT_EQ(std::memcmp(block->scores.data(), reference->scores.data(),
+                            reference->scores.size() * sizeof(double)),
+                0);
+      EXPECT_EQ(block->iterations, reference->iterations);
+      EXPECT_EQ(std::memcmp(&block->residual, &reference->residual,
+                            sizeof(double)),
+                0);
     }
-    EXPECT_EQ(router.transition_resolver().builds(), 0)
-        << "restarted router must never rebuild";
-    EXPECT_EQ(router.transition_resolver().store_loads(), 3);  // one per key
   }
+  EXPECT_EQ(restarted.builds(), 0) << "restart must never rebuild";
+  EXPECT_EQ(restarted.store_loads(), 3);  // one per key
 }
 
 // A corrupt store file forces a rebuild; the write-through spill after

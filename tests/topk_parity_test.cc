@@ -18,7 +18,6 @@
 #include "datagen/bipartite_world.h"
 #include "datagen/classic_generators.h"
 #include "datagen/projection.h"
-#include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
 
 namespace d2pr {
@@ -241,23 +240,6 @@ TEST(TopKServingRuntimeTest, TruncatedResponsesAreServedAndCached) {
   ASSERT_TRUE(full.ok());
   EXPECT_FALSE(full->truncated);
   EXPECT_FALSE(full->scores.empty());
-}
-
-TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
-  Rng rng(609);
-  auto graph = BarabasiAlbert(120, 2, &rng);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 2});
-  RankRequest request;
-  request.seeds = {5};
-  request.top_k = 10;
-  auto result = router.Rank(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("partitioned-subgraph"),
-            std::string::npos);
 }
 
 TEST(TopKTruncateTest, ExactTruncationHelperSelectsCertifiedTopK) {

@@ -56,6 +56,55 @@ void ExpectSameResponse(const RankResponse& got, const RankResponse& want) {
   EXPECT_EQ(got.served_partitioned, want.served_partitioned);
 }
 
+TEST(WireGoldenTest, RankRequestIsByteIdentical) {
+  EXPECT_EQ(EncodeRankRequest(GoldenRankRequest()), kRankRequestGolden);
+  auto decoded = DecodeRankRequest(kRankRequestGolden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const WireRankRequest want = GoldenRankRequest();
+  const RankRequest& got = decoded->request;
+  EXPECT_EQ(decoded->deadline_ms, want.deadline_ms);
+  EXPECT_TRUE(SameBits(got.p, want.request.p));
+  EXPECT_TRUE(SameBits(got.beta, want.request.beta));
+  EXPECT_EQ(got.metric, want.request.metric);
+  EXPECT_TRUE(SameBits(got.alpha, want.request.alpha));
+  EXPECT_TRUE(SameBits(got.tolerance, want.request.tolerance));
+  EXPECT_EQ(got.max_iterations, want.request.max_iterations);
+  EXPECT_EQ(got.dangling, want.request.dangling);
+  EXPECT_EQ(got.method, want.request.method);
+  EXPECT_TRUE(SameBits(got.push_epsilon, want.request.push_epsilon));
+  EXPECT_EQ(got.seeds, want.request.seeds);
+  EXPECT_EQ(got.warm_start_tag, want.request.warm_start_tag);
+  EXPECT_EQ(got.top_k, want.request.top_k);
+  EXPECT_EQ(EncodeRankRequest(*decoded), kRankRequestGolden);
+}
+
+TEST(WireGoldenTest, ServerInfoIsByteIdentical) {
+  EXPECT_EQ(EncodeServerInfo(GoldenServerInfo()), kServerInfoGolden);
+  auto decoded = DecodeServerInfo(kServerInfoGolden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const ServerInfo want = GoldenServerInfo();
+  EXPECT_EQ(decoded->num_nodes, want.num_nodes);
+  EXPECT_EQ(decoded->num_arcs, want.num_arcs);
+  EXPECT_EQ(decoded->num_shards, want.num_shards);
+  EXPECT_EQ(decoded->num_threads, want.num_threads);
+  EXPECT_EQ(EncodeServerInfo(*decoded), kServerInfoGolden);
+}
+
+TEST(WireGoldenTest, ShardHandshakeIsByteIdentical) {
+  EXPECT_EQ(EncodeShardHandshake(GoldenHandshake()), kHandshakeGolden);
+  auto decoded = DecodeShardHandshake(kHandshakeGolden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const ShardHandshake want = GoldenHandshake();
+  EXPECT_EQ(decoded->shard_id, want.shard_id);
+  EXPECT_EQ(decoded->num_shards, want.num_shards);
+  EXPECT_EQ(decoded->scheme, want.scheme);
+  EXPECT_EQ(decoded->graph_fingerprint, want.graph_fingerprint);
+  EXPECT_TRUE(SameBits(decoded->p, want.p));
+  EXPECT_TRUE(SameBits(decoded->beta, want.beta));
+  EXPECT_EQ(decoded->metric, want.metric);
+  EXPECT_EQ(EncodeShardHandshake(*decoded), kHandshakeGolden);
+}
+
 TEST(WireGoldenTest, FullScoreResponseIsByteIdentical) {
   EXPECT_EQ(EncodeRankResponse(GoldenFullResponse()), kFullResponseGolden);
   auto decoded = DecodeRankResponse(kFullResponseGolden);

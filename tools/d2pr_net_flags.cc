@@ -112,7 +112,7 @@ Status CheckScheme(const Flags& flags) {
 
 Status ValidateServerFlags(const Flags& flags) {
   static const std::set<std::string> kKnown = {
-      "port",    "threads",        "shards",   "max-queue",
+      "port",    "threads",        "max-queue",
       "coalesce", "graph",         "directed", "weighted",
       "nodes",   "edges-per-node", "gen-seed",
       "shard-role", "shard-id",    "shard-count", "scheme", "p", "beta",
@@ -126,8 +126,7 @@ Status ValidateServerFlags(const Flags& flags) {
   if (*shard_role) {
     // Shard role: one partition shard behind the v2 wire. The serving
     // policy flags belong to the front-door role only.
-    for (const char* excluded :
-         {"shards", "max-queue", "coalesce", "threads"}) {
+    for (const char* excluded : {"max-queue", "coalesce", "threads"}) {
       if (flags.Has(excluded)) {
         return Status::InvalidArgument(
             StrCat("--", excluded, " does not apply to --shard-role"));
@@ -179,15 +178,13 @@ Status ValidateServerFlags(const Flags& flags) {
   }
 
   const auto threads = flags.GetInt("threads", 4);
-  const auto shards = flags.GetInt("shards", 1);
   const auto max_queue = flags.GetInt("max-queue", 256);
   const auto coalesce = flags.GetBool("coalesce", true);
-  if (!threads.ok() || !shards.ok() || !max_queue.ok()) {
+  if (!threads.ok() || !max_queue.ok()) {
     return Status::InvalidArgument("bad numeric flag");
   }
   if (!coalesce.ok()) return Status::InvalidArgument("bad boolean flag");
   if (*threads < 1) return Status::InvalidArgument("--threads must be >= 1");
-  if (*shards < 1) return Status::InvalidArgument("--shards must be >= 1");
   if (*max_queue < 1) {
     return Status::InvalidArgument(
         "--max-queue must be >= 1 (a zero bound would shed every request)");

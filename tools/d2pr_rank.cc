@@ -12,10 +12,6 @@
 // Exercise the serving runtime (repeat the query on a worker pool):
 //   d2pr_rank --graph=edges.txt --threads=4 --repeat=64
 //
-// Edge-partitioned serving: shard the graph itself into per-shard
-// subgraphs and solve by block iteration with cross-shard mass exchange:
-//   d2pr_rank --graph=edges.txt --partition=range --shards=4
-//
 // Print structural statistics:
 //   d2pr_rank --graph=edges.txt --stats
 
@@ -33,8 +29,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_metrics.h"
 #include "graph/graph_stats.h"
-#include "graph/partition.h"
-#include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
 #include "stats/ranking.h"
 
@@ -53,8 +47,7 @@ constexpr char kUsage[] =
     "                       --method=forward-push, a degree-pruned\n"
     "                       bounded push with certified set membership;\n"
     "                       exact solvers solve fully and truncate.\n"
-    "                       Excludes --tune, --partition, --scores-out,\n"
-    "                       and --top\n"
+    "                       Excludes --tune, --scores-out, and --top\n"
     "  --method=NAME        solver: power (default), gauss-seidel,\n"
     "                       or forward-push\n"
     "  --seeds=a,b,...      personalized teleportation on these nodes\n"
@@ -64,15 +57,7 @@ constexpr char kUsage[] =
     "  --significance=FILE  per-node values, required by --tune\n"
     "  --threads=N          serve the query on an N-worker runtime\n"
     "  --repeat=K           execute the final query K times (with\n"
-    "                       --threads/--partition: as one batch)\n"
-    "  --partition=SCHEME   edge-partitioned serving: split the graph\n"
-    "                       into per-shard subgraphs (range or hash)\n"
-    "                       and solve by block iteration with\n"
-    "                       cross-shard mass exchange; requires\n"
-    "                       --shards, excludes --tune, --top-k and\n"
-    "                       --method=forward-push\n"
-    "  --shards=N           shard count of --partition (required by\n"
-    "                       and only valid with it)\n"
+    "                       --threads: as one batch)\n"
     "  --cache-dir=DIR      persistent transition store: built matrices\n"
     "                       spill to DIR and later runs map them back\n"
     "                       instead of rebuilding\n"
@@ -133,12 +118,6 @@ int RunOrDie(const Flags& flags) {
   auto top_k = flags.GetInt("top-k", 0);
   auto threads = flags.GetInt("threads", 1);
   auto repeat = flags.GetInt("repeat", 1);
-  auto shards = flags.GetInt("shards", 1);
-  const bool partitioned = flags.Has("partition");
-  PartitionScheme partition_scheme = PartitionScheme::kRange;
-  if (partitioned) {
-    partition_scheme = *ParsePartitionScheme(flags.GetString("partition"));
-  }
   auto cache_mode = ParseCacheMode(flags.GetString("cache-mode"));
   auto method = ParseRankMethod(flags.GetString("method"));
   std::vector<NodeId> seeds;
@@ -222,50 +201,8 @@ int RunOrDie(const Flags& flags) {
 
   request.seeds = std::move(seeds);
 
-  // Transition accounting printed for every path — single engine, pooled
-  // runtime, and partitioned router alike — so runs are comparable no
-  // matter how they were served. The router path fills this from its
-  // shared resolver; every other path reads the one engine after the
-  // solve.
-  struct TransitionReport {
-    int64_t builds = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_lookups = 0;
-    int64_t store_loads = 0;
-    int64_t store_saves = 0;
-
-    void Accumulate(const D2prEngine& from) {
-      const EngineStats snapshot = from.stats();
-      builds += snapshot.transition_builds;
-      const TransitionResolver& resolver = from.transition_resolver();
-      cache_hits += resolver.cache_lookup_hits();
-      cache_lookups +=
-          resolver.cache_lookup_hits() + resolver.cache_lookup_misses();
-      store_loads += snapshot.transition_store_loads;
-      store_saves += snapshot.transition_store_saves;
-    }
-  };
-  TransitionReport transition_report;
-
-  // One throughput report for every serving configuration; the runtime
-  // path reports as one shard.
-  auto report_throughput = [](size_t served, size_t num_shards,
-                              size_t num_threads, double elapsed_ms,
-                              const ScoreCacheStats& cache) {
-    std::fprintf(
-        stderr,
-        "served %zu request(s) on %zu shard(s) x %zu thread(s) in "
-        "%.1f ms (%.0f req/s, score-cache hits %lld/%lld lookups)\n",
-        served, num_shards, num_threads, elapsed_ms,
-        elapsed_ms > 0.0 ? served / (elapsed_ms / 1e3) : 0.0,
-        static_cast<long long>(cache.hits),
-        static_cast<long long>(cache.hits + cache.misses));
-  };
-
   Result<RankResponse> ranked = [&]() -> Result<RankResponse> {
-    if (*threads == 1 && *repeat == 1 && !partitioned) {
-      return engine.Rank(request);
-    }
+    if (*threads == 1 && *repeat == 1) return engine.Rank(request);
     // Serving path: K identical queries as one batch. The warm-start tag
     // is dropped — repeats are independent queries, not one trajectory —
     // so the batch exercises the pool and the score cache the way
@@ -273,71 +210,42 @@ int RunOrDie(const Flags& flags) {
     RankRequest query = request;
     query.warm_start_tag.clear();
     std::vector<RankRequest> batch(static_cast<size_t>(*repeat), query);
-
-    if (partitioned) {
-      RouterOptions router_options;
-      router_options.num_shards = static_cast<size_t>(*shards);
-      router_options.partition_scheme = partition_scheme;
-      router_options.score_cache_capacity = 256;
-      // The router resolves matrices through the same persistent store;
-      // the outer engine already fingerprinted the graph, so reuse it.
-      router_options.engine_options = engine_options;
-      if (engine.persistent_store_enabled()) {
-        router_options.engine_options.precomputed_graph_fingerprint =
-            engine.graph_fingerprint();
-      }
-      // An explicit --threads (even 1: a single-threaded baseline) sizes
-      // the pool; unset defaults to one worker per shard.
-      if (flags.Has("threads")) {
-        router_options.worker_threads = static_cast<size_t>(*threads);
-      }
-      // The router shares the engine's already-loaded graph handle.
-      EngineRouter router(engine.graph_ptr(), router_options);
-      std::fprintf(stderr, "%s\n", router.partition().ToString().c_str());
-      Timer timer;
-      auto responses = router.RankBatch(batch);
-      if (!responses.ok()) return responses.status();
-      report_throughput(batch.size(), router.num_shards(),
-                        router.num_worker_threads(), timer.ElapsedMillis(),
-                        router.score_cache().stats());
-      // The router's shared transition cache and store counters are the
-      // whole accounting of this path.
-      const TransitionResolver& resolver = router.transition_resolver();
-      transition_report.builds += resolver.builds();
-      transition_report.cache_hits += resolver.cache_lookup_hits();
-      transition_report.cache_lookups +=
-          resolver.cache_lookup_hits() + resolver.cache_lookup_misses();
-      transition_report.store_loads += resolver.store_loads();
-      transition_report.store_saves += resolver.store_saves();
-      return std::move(responses->front());
-    }
-
     ServingOptions serve_options;
     serve_options.num_threads = static_cast<size_t>(*threads);
     ServingRuntime runtime = ServingRuntime::Borrowing(engine, serve_options);
     Timer timer;
     auto responses = runtime.RankBatch(batch);
     if (!responses.ok()) return responses.status();
-    report_throughput(batch.size(), 1, runtime.num_threads(),
-                      timer.ElapsedMillis(), runtime.score_cache().stats());
+    const double elapsed_ms = timer.ElapsedMillis();
+    const ScoreCacheStats cache = runtime.score_cache().stats();
+    std::fprintf(
+        stderr,
+        "served %zu request(s) on %zu thread(s) in %.1f ms (%.0f req/s, "
+        "score-cache hits %lld/%lld lookups)\n",
+        batch.size(), runtime.num_threads(), elapsed_ms,
+        elapsed_ms > 0.0 ? batch.size() / (elapsed_ms / 1e3) : 0.0,
+        static_cast<long long>(cache.hits),
+        static_cast<long long>(cache.hits + cache.misses));
     return std::move(responses->front());
   }();
   if (!ranked.ok()) {
     std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
     return 1;
   }
-  // Every other path (single query, repeated queries, pooled runtime)
-  // served through this one engine.
-  if (!partitioned) transition_report.Accumulate(engine);
+  // Every path (single query, repeated queries, pooled runtime) served
+  // through this one engine.
+  const EngineStats engine_stats = engine.stats();
+  const TransitionResolver& resolver = engine.transition_resolver();
   std::fprintf(
       stderr,
       "transition stats: %lld build(s), cache hits %lld/%lld lookups, "
       "store loads %lld, store saves %lld\n",
-      static_cast<long long>(transition_report.builds),
-      static_cast<long long>(transition_report.cache_hits),
-      static_cast<long long>(transition_report.cache_lookups),
-      static_cast<long long>(transition_report.store_loads),
-      static_cast<long long>(transition_report.store_saves));
+      static_cast<long long>(engine_stats.transition_builds),
+      static_cast<long long>(resolver.cache_lookup_hits()),
+      static_cast<long long>(resolver.cache_lookup_hits() +
+                             resolver.cache_lookup_misses()),
+      static_cast<long long>(engine_stats.transition_store_loads),
+      static_cast<long long>(engine_stats.transition_store_saves));
   if (ranked->method == SolverMethod::kForwardPush) {
     std::fprintf(stderr,
                  "solved with %s in %lld pushes (completed: %s)\n",

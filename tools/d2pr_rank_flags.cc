@@ -6,13 +6,6 @@
 
 namespace d2pr {
 
-Result<PartitionScheme> ParsePartitionScheme(const std::string& name) {
-  if (name == "range") return PartitionScheme::kRange;
-  if (name == "hash") return PartitionScheme::kHash;
-  return Status::InvalidArgument(
-      StrCat("unknown --partition '", name, "' (expected range or hash)"));
-}
-
 Result<SolverMethod> ParseRankMethod(const std::string& name) {
   if (name.empty() || name == "power") return SolverMethod::kPower;
   if (name == "gauss-seidel") return SolverMethod::kGaussSeidel;
@@ -36,8 +29,7 @@ Status ValidateRankFlags(const Flags& flags) {
       "alpha",  "beta",       "top",        "top-k",
       "method", "seeds",      "scores-out", "tune",
       "significance",         "stats",      "threads",
-      "repeat", "shards",     "cache-dir",  "cache-mode",
-      "partition",
+      "repeat", "cache-dir",  "cache-mode",
   };
   for (const std::string& name : flags.FlagNames()) {
     if (!kKnown.contains(name)) {
@@ -76,14 +68,12 @@ Status ValidateRankFlags(const Flags& flags) {
   const auto top_k = flags.GetInt("top-k", 0);
   const auto threads = flags.GetInt("threads", 1);
   const auto repeat = flags.GetInt("repeat", 1);
-  const auto shards = flags.GetInt("shards", 1);
   if (!p.ok() || !alpha.ok() || !beta.ok() || !top.ok() || !top_k.ok() ||
-      !threads.ok() || !repeat.ok() || !shards.ok()) {
+      !threads.ok() || !repeat.ok()) {
     return Status::InvalidArgument("bad numeric flag");
   }
   if (*threads < 1) return Status::InvalidArgument("--threads must be >= 1");
   if (*repeat < 1) return Status::InvalidArgument("--repeat must be >= 1");
-  if (*shards < 1) return Status::InvalidArgument("--shards must be >= 1");
 
   // --- truncated serving (--top-k) ---
   if (flags.Has("top-k")) {
@@ -94,12 +84,6 @@ Status ValidateRankFlags(const Flags& flags) {
       return Status::InvalidArgument(
           "--top-k cannot be combined with --tune (tuning correlates the "
           "FULL ranking against significance; tune first, truncate after)");
-    }
-    if (flags.Has("partition")) {
-      return Status::InvalidArgument(
-          "--top-k is not supported with --partition (the block solve "
-          "produces one distributed full vector); serve top-k from the "
-          "whole-graph engine");
     }
     if (flags.Has("scores-out")) {
       return Status::InvalidArgument(
@@ -113,39 +97,12 @@ Status ValidateRankFlags(const Flags& flags) {
     }
   }
 
-  if (flags.Has("shards") && flags.Has("tune")) {
-    return Status::InvalidArgument(
-        "--shards cannot be combined with --tune (tuning is one warm "
-        "trajectory on one engine; shard after tuning)");
-  }
-  if (flags.Has("shards") && !flags.Has("partition")) {
-    return Status::InvalidArgument(
-        "--shards requires --partition (whole-graph queries run on one "
-        "engine; --threads sizes its worker pool)");
-  }
-
   // Value vocabularies: every named option must parse, so a typo'd value
   // is exit 2 here rather than surprise behavior later.
   const auto method = ParseRankMethod(flags.GetString("method"));
   if (!method.ok()) return method.status();
   const auto cache_mode = ParseCacheMode(flags.GetString("cache-mode"));
   if (!cache_mode.ok()) return cache_mode.status();
-
-  // --- edge-partitioned serving (--partition) ---
-  if (flags.Has("partition")) {
-    if (!flags.Has("shards")) {
-      return Status::InvalidArgument(
-          "--partition requires --shards (the partition's shard count)");
-    }
-    auto scheme = ParsePartitionScheme(flags.GetString("partition"));
-    if (!scheme.ok()) return scheme.status();
-    if (flags.GetString("method") == "forward-push") {
-      return Status::InvalidArgument(
-          "--method=forward-push is not supported with --partition "
-          "(forward push has no block formulation); use power or "
-          "gauss-seidel");
-    }
-  }
 
   if (flags.Has("cache-mode") && !flags.Has("cache-dir")) {
     return Status::InvalidArgument("--cache-mode requires --cache-dir");

@@ -1,10 +1,9 @@
 // d2pr_server: the network front door as a process.
 //
 // Stands up a graph (loaded from an edge list, or a seeded synthetic
-// Barabási–Albert graph for benches and smoke tests), a serving backend
-// (a single-engine ServingRuntime, or under --shards an edge-partitioned
-// EngineRouter), and an RpcServer speaking the net/wire.h protocol on
-// 127.0.0.1. Runs until SIGINT/SIGTERM, then drains and exits 0.
+// Barabási–Albert graph for benches and smoke tests), one D2prEngine
+// behind a ServingRuntime, and an RpcServer speaking the net/wire.h
+// protocol on 127.0.0.1. Runs until SIGINT/SIGTERM, then drains and exits 0.
 //
 // The bound port is printed as "listening on 127.0.0.1:<port>" so
 // scripts driving an ephemeral port (--port=0, the default) can scrape
@@ -27,7 +26,6 @@
 #include "graph/partition.h"
 #include "graph/shard_cut.h"
 #include "net/server.h"
-#include "serve/engine_router.h"
 #include "serve/serving_runtime.h"
 
 namespace d2pr {
@@ -37,10 +35,6 @@ constexpr char kUsage[] =
     "usage: d2pr_server [flags]\n"
     "  --port=N             TCP port on 127.0.0.1 (default 0 = ephemeral)\n"
     "  --threads=N          solver worker threads (default 4)\n"
-    "  --shards=N           N >= 2: edge-partition the graph into N\n"
-    "                       shards and serve power / gauss-seidel by\n"
-    "                       block solves (push and top-k requests are\n"
-    "                       rejected); 1 (default): one engine\n"
     "  --max-queue=N        admission bound: shed with Unavailable once\n"
     "                       this many solves are queued (default 256)\n"
     "  --coalesce=BOOL      join identical in-flight requests\n"
@@ -80,7 +74,6 @@ int Run(const Flags& flags) {
   // Re-extractions succeed: ValidateServerFlags range-checked everything.
   const uint16_t port = static_cast<uint16_t>(*flags.GetInt("port", 0));
   const size_t threads = static_cast<size_t>(*flags.GetInt("threads", 4));
-  const size_t shards = static_cast<size_t>(*flags.GetInt("shards", 1));
   const int64_t max_queue = *flags.GetInt("max-queue", 256);
   const bool coalesce = *flags.GetBool("coalesce", true);
   const bool shard_role = *flags.GetBool("shard-role", false);
@@ -180,28 +173,13 @@ int Run(const Flags& flags) {
     return 0;
   }
 
-  // Either backend shape works behind the same RankBackend seam; the
-  // locals live to the end of main, outliving the server.
-  std::unique_ptr<D2prEngine> engine;
-  std::unique_ptr<ServingRuntime> runtime;
-  std::unique_ptr<EngineRouter> router;
-  std::unique_ptr<RankBackend> backend;
-  if (shards <= 1) {
-    engine = std::make_unique<D2prEngine>(std::move(graph).value());
-    ServingOptions serving_options;
-    serving_options.num_threads = threads;
-    runtime = std::make_unique<ServingRuntime>(
-        std::shared_ptr<D2prEngine>(engine.get(), [](D2prEngine*) {}),
-        serving_options);
-    backend = MakeBackend(*runtime);
-  } else {
-    RouterOptions router_options;
-    router_options.num_shards = shards;
-    router_options.worker_threads = threads;
-    router = std::make_unique<EngineRouter>(std::move(graph).value(),
-                                            router_options);
-    backend = MakeBackend(*router);
-  }
+  // The runtime and backend outlive the server (declared before it).
+  ServingOptions serving_options;
+  serving_options.num_threads = threads;
+  ServingRuntime runtime(
+      std::make_shared<D2prEngine>(std::move(graph).value()),
+      serving_options);
+  std::unique_ptr<RankBackend> backend = MakeBackend(runtime);
 
   ServerOptions server_options;
   server_options.port = port;
