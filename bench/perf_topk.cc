@@ -9,6 +9,7 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "datagen/classic_generators.h"
+#include "graph/graph_builder.h"
 
 namespace d2pr {
 namespace {
@@ -169,6 +170,43 @@ void BM_TopKGlobalBoundedPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKGlobalBoundedPush)->Arg(10)->Arg(100);
+
+/// Forward push on a directed graph with dangling nodes: the out-arcs of
+/// BA(100k, 4), each node keeping all of them or (28%) none. Every
+/// dangling push re-injects its mass through the seed (kTeleport) or
+/// drops it (kRenormalize); re-injection walks the seed's support, one
+/// node here. No end-to-end workload has dangling nodes. Arg(0) = 1
+/// re-injects, 0 drops.
+void BM_DanglingPush(benchmark::State& state) {
+  const CsrGraph undirected = MakeGraph(100000);
+  Rng rng(7);
+  GraphBuilder builder(undirected.num_nodes(), GraphKind::kDirected);
+  for (NodeId u = 0; u < undirected.num_nodes(); ++u) {
+    if (rng.Uniform() < 0.28) continue;
+    for (NodeId v : undirected.OutNeighbors(u)) {
+      D2PR_CHECK(builder.AddEdge(u, v).ok());
+    }
+  }
+  auto graph = builder.Build();
+  D2PR_CHECK(graph.ok());
+  D2prEngine engine = D2prEngine::Borrowing(*graph);
+  NodeId seed = 50000;
+  while (graph->OutDegree(seed) == 0) ++seed;
+  RankRequest request = PersonalizedPush(seed);
+  request.push_epsilon = 1e-6;
+  request.dangling = state.range(0) != 0 ? DanglingPolicy::kTeleport
+                                         : DanglingPolicy::kRenormalize;
+  D2PR_CHECK(engine.Rank(request).ok());
+  int64_t pushes = 0;
+  for (auto _ : state) {
+    auto response = engine.Rank(request);
+    pushes += response->pushes;
+    benchmark::DoNotOptimize(response->scores.data());
+  }
+  state.counters["pushes"] = static_cast<double>(
+      pushes / std::max<int64_t>(state.iterations(), 1));
+}
+BENCHMARK(BM_DanglingPush)->Arg(1)->Arg(0);
 
 }  // namespace
 }  // namespace d2pr

@@ -1,7 +1,5 @@
 #include "graph/partition.h"
 
-#include "common/string_util.h"
-
 namespace d2pr {
 
 const char* PartitionSchemeName(PartitionScheme scheme) {
@@ -170,12 +168,6 @@ double GraphPartition::BoundaryFraction() const {
   for (const PartitionShard& shard : shards_) total += shard.num_in_arcs();
   if (total == 0) return 0.0;
   return static_cast<double>(boundary_arcs_) / static_cast<double>(total);
-}
-
-std::string GraphPartition::ToString() const {
-  return StrCat(PartitionSchemeName(scheme_), " partition: ", num_shards(),
-                " shard(s), ", num_nodes_, " node(s), ", boundary_arcs_,
-                " boundary arc(s)");
 }
 
 }  // namespace d2pr

@@ -44,7 +44,6 @@
 #define D2PR_GRAPH_PARTITION_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -174,9 +173,6 @@ class GraphPartition {
   EdgeIndex boundary_arcs() const { return boundary_arcs_; }
   /// Fraction of all arcs that cross shards; 0 for arc-free graphs.
   double BoundaryFraction() const;
-
-  /// One-line summary for logs and the CLI.
-  std::string ToString() const;
 
  private:
   GraphPartition() = default;

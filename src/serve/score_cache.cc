@@ -45,16 +45,18 @@ std::optional<RankResponse> ScoreCache::Lookup(const std::string& key) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
+    if (it == entries_.end()) return std::nullopt;
     ++it->second.uses;
     ++stats_.hits;
     found = it->second.response;
   }
   // The O(num_nodes) score copy happens outside the mutex.
   return *found;
+}
+
+void ScoreCache::CountMiss() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.misses;
 }
 
 void ScoreCache::Insert(const std::string& key, RankResponse response) {

@@ -53,8 +53,12 @@ class ScoreCache {
   static std::string KeyFor(const RankRequest& request);
 
   /// Returns a copy of the stored response, bumping the entry's use
-  /// count; nullopt on miss.
+  /// count and counting a hit; nullopt on miss, which is not counted: a
+  /// caller may look up more than once for one request (a single-flight
+  /// waiter does), so it counts its one miss with CountMiss when it goes
+  /// on to solve.
   std::optional<RankResponse> Lookup(const std::string& key);
+  void CountMiss();
 
   /// Stores (or refreshes) `response` under `key`, LFU-evicting first
   /// when a new key would exceed the capacity. A refresh keeps the

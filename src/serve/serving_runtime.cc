@@ -44,9 +44,11 @@ Result<RankResponse> ServingRuntime::Execute(
     };
     // Single-flight: if an identical query is already solving, wait for
     // it and take the memo hit instead of duplicating the full solve.
-    // The in-flight check comes BEFORE the memo probe so a waiter logs
-    // one stats event (its post-wake hit), and the O(num_nodes) memo
-    // copy always happens with inflight_mu_ released.
+    // A call may look up the memo more than once (it can lose the race
+    // to register), so lookups count only hits, and the call that goes on
+    // to solve counts its one miss: hits + misses = cacheable calls, and
+    // misses = solves. The O(num_nodes) memo copy always happens with
+    // inflight_mu_ released.
     std::unique_lock<std::mutex> lock(inflight_mu_);
     for (;;) {
       if (std::find(inflight_keys_.begin(), inflight_keys_.end(), key) !=
@@ -56,7 +58,7 @@ Result<RankResponse> ServingRuntime::Execute(
       }
       lock.unlock();
       // The solver inserts before deregistering, so waiters hit here; a
-      // miss means no solver, a failed solve, or TTL expiry — solve.
+      // miss means no solver, a failed solve, or an eviction — solve.
       if (std::optional<RankResponse> memo = score_cache_.Lookup(key)) {
         return from_memo(std::move(*memo));
       }
@@ -64,6 +66,7 @@ Result<RankResponse> ServingRuntime::Execute(
       if (std::find(inflight_keys_.begin(), inflight_keys_.end(), key) ==
           inflight_keys_.end()) {
         inflight_keys_.push_back(key);
+        score_cache_.CountMiss();
         break;
       }
       // Raced with a thread that registered during our probe: wait.

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <functional>
+#include <limits>
+#include <ranges>
+#include <type_traits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,6 +20,76 @@ namespace {
 // 1e-9 near-tie tolerance the parity suites grant, so float noise cannot
 // flip a verdict the tests would reject.
 constexpr double kTieTolerance = 1e-12;
+
+// The touched set once the push sweeps: every node.
+using AllNodes = std::ranges::iota_view<NodeId, NodeId>;
+
+// Folds value(t) over `nodes` with `op` in four interleaved lanes. Once
+// the push sweeps, a certification round folds all |V| nodes twice, and a
+// single chain of dependent adds (or maxes) is latency-bound at about
+// four cycles a node.
+template <typename Nodes, typename Value, typename Op>
+double FoldLanes(const Nodes& nodes, Value value, Op op) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= nodes.size(); i += 4) {
+    for (size_t j = 0; j < 4; ++j) lane[j] = op(lane[j], value(nodes[i + j]));
+  }
+  for (; i < nodes.size(); ++i) lane[0] = op(lane[0], value(nodes[i]));
+  return op(op(lane[0], lane[1]), op(lane[2], lane[3]));
+}
+
+// The `count` nodes of `nodes` with the highest scores (ties to the lower
+// id), best first, in one pass over a heap whose top is the worst kept
+// node: a node scoring below it costs one load and one comparison. Nodes
+// scoring below `floor` are skipped from the start; the caller vouches
+// that `count` nodes reach it.
+template <typename Nodes>
+void SelectBest(const Nodes& nodes, std::span<const double> scores,
+                size_t count, double floor, std::vector<NodeId>* best) {
+  best->clear();
+  const auto before = [&](NodeId a, NodeId b) {
+    const double sa = scores[static_cast<size_t>(a)];
+    const double sb = scores[static_cast<size_t>(b)];
+    if (sa != sb) return sa > sb;
+    return a < b;
+  };
+  double cut = floor;  // the worst kept score once `count` are kept
+  NodeId cut_node = std::numeric_limits<NodeId>::max();
+  auto consider = [&](NodeId t) {
+    const double score = scores[static_cast<size_t>(t)];
+    if (score < cut || (score == cut && t > cut_node)) return;
+    if (best->size() == count) {
+      std::pop_heap(best->begin(), best->end(), before);
+      best->back() = t;
+    } else {
+      best->push_back(t);
+    }
+    std::push_heap(best->begin(), best->end(), before);
+    if (best->size() == count) {
+      cut_node = best->front();
+      cut = scores[static_cast<size_t>(cut_node)];
+    }
+  };
+  if constexpr (std::is_same_v<Nodes, AllNodes>) {
+    // Every node, in order: test eight contiguous scores against the cut
+    // at once, branch-free, and visit them only when one reaches it.
+    const NodeId n = static_cast<NodeId>(nodes.size());
+    NodeId t = 0;
+    for (; t + 8 <= n; t += 8) {
+      bool any = false;
+      for (NodeId j = 0; j < 8; ++j) {
+        any |= scores[static_cast<size_t>(t + j)] >= cut;
+      }
+      if (!any) continue;
+      for (NodeId j = 0; j < 8; ++j) consider(t + j);
+    }
+    for (; t < n; ++t) consider(t);
+  } else {
+    for (NodeId t : nodes) consider(t);
+  }
+  std::sort_heap(best->begin(), best->end(), before);
+}
 
 }  // namespace
 
@@ -35,26 +108,10 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
         StrCat("DegreeBoundIndex built for ", bounds.num_nodes(),
                " nodes, graph has ", n));
   }
-  if (seed.size() != static_cast<size_t>(n)) {
-    return Status::InvalidArgument(
-        StrCat("seed size ", seed.size(), " != num nodes ", n));
-  }
-  if (!(options.alpha >= 0.0) || options.alpha >= 1.0) {
-    return Status::InvalidArgument(
-        StrCat("alpha must lie in [0, 1), got ", options.alpha));
-  }
-  if (!(options.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  double seed_sum = 0.0;
-  for (double s : seed) {
-    if (s < 0.0) return Status::InvalidArgument("seed entries must be >= 0");
-    seed_sum += s;
-  }
-  if (n > 0 && std::abs(seed_sum - 1.0) > 1e-9) {
-    return Status::InvalidArgument(
-        StrCat("seed must sum to 1, got ", seed_sum));
-  }
+  const double alpha = options.alpha;
+  D2PR_ASSIGN_OR_RETURN(
+      PushRun run, PushRun::Start(graph, transition, seed, alpha,
+                                  options.epsilon, options.reinject_dangling));
 
   TopKResult result;
   if (n == 0) {
@@ -63,74 +120,34 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
     return result;
   }
 
-  const double alpha = options.alpha;
-  const double floor = options.epsilon;
   const int64_t cap =
       options.max_pushes > 0 ? options.max_pushes : DefaultPushCap(n);
-  // Certification schedule. A round costs O(touched), and a fixed
-  // interval tuned for the drain regime starves loose-epsilon queries
-  // (the whole solve can finish between two checks), so the interval
-  // doubles: O(log pushes) rounds, with an early-exit opportunity at
-  // every scale.
-  int64_t interval = 256;
   const size_t want =
       std::min(static_cast<size_t>(options.k), static_cast<size_t>(n));
   // Seed re-injection only matters when the graph can route mass through
   // a dangling node at all.
   const bool reinject = options.reinject_dangling && bounds.has_dangling();
-
-  std::vector<double> scores(static_cast<size_t>(n), 0.0);
-  std::vector<double> residual(seed.begin(), seed.end());
-
-  // Touched set: nodes that ever held score or residual mass. Bounds for
-  // everything else reduce to alpha * R * ub_in and are read through the
-  // index's sorted order, so certification never scans cold nodes.
-  std::vector<uint8_t> touched_bit(static_cast<size_t>(n), 0);
-  std::vector<NodeId> touched;
-  auto touch = [&](NodeId v) {
-    if (!touched_bit[static_cast<size_t>(v)]) {
-      touched_bit[static_cast<size_t>(v)] = 1;
-      touched.push_back(v);
-    }
-  };
-
-  // FIFO frontier with floor-gated admission — the same generation
-  // discipline as core/push_ppr.cc. A node re-entering the frontier goes
-  // to the BACK, so by the time it is processed again an entire
-  // generation of neighbors has paid into its residual and one push moves
-  // all of it. (A max-heap "largest residual first" frontier was measured
-  // at ~12x the pushes on hub-heavy graphs: the hub re-crosses the floor
-  // after a handful of spoke payments and is immediately re-pushed with a
-  // sliver of the mass a batched push would have moved.)
-  std::deque<NodeId> frontier;
-  std::vector<uint8_t> in_frontier(static_cast<size_t>(n), 0);
-  auto enqueue = [&](NodeId v) {
-    if (!in_frontier[static_cast<size_t>(v)]) {
-      in_frontier[static_cast<size_t>(v)] = 1;
-      frontier.push_back(v);
-    }
-  };
-  std::vector<NodeId> seed_support;
-  for (NodeId v = 0; v < n; ++v) {
-    const double s = seed[static_cast<size_t>(v)];
-    if (s > 0.0) {
-      seed_support.push_back(v);
-      touch(v);
-      if (s > floor) enqueue(v);
-    }
-  }
+  const std::span<const double> scores = run.scores();
+  const std::span<const double> residual = run.residual();
 
   // --- certification ---
   // Bounds from the push invariant, with R recomputed exactly from the
   // live residuals each round so incremental float drift never loosens a
-  // certificate.
+  // certificate. A round reads the touched nodes, those that ever held
+  // score or residual mass, which the push run lists while its frontier
+  // is local. Bounds for everything else reduce to alpha * R * ub_in and
+  // are read through the index's sorted order, so certification never
+  // scans cold nodes. Once the run sweeps, every node counts as touched,
+  // and a round reads the score and residual arrays straight through.
   std::vector<uint8_t> in_candidate(static_cast<size_t>(n), 0);
+  std::vector<NodeId> selected;  // the best want + 1 touched nodes
   std::vector<NodeId> candidates;
-  std::vector<NodeId> scratch;
-  auto certify = [&]() -> bool {
-    ++result.certification_rounds;
-    double mass = 0.0;
-    for (NodeId t : touched) mass += residual[static_cast<size_t>(t)];
+  // A round that is not the last may stop at the first proof that the set
+  // does not certify yet; the last round fills in every entry.
+  auto certify_over = [&](const auto& touched, bool last) -> bool {
+    const double mass = FoldLanes(
+        touched, [&](NodeId t) { return residual[static_cast<size_t>(t)]; },
+        std::plus<double>());
     result.residual_mass = mass;
 
     auto eff_bound = [&](NodeId t) {
@@ -147,47 +164,65 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
              alpha * mass * eff_bound(t);
     };
 
+    // The cheapest proof that the set does not certify yet: one of the
+    // want + 1 nodes of largest ub_in is a non-candidate, whose upper
+    // bound is at least alpha * R * ub_in, and no candidate's lower bound
+    // exceeds the top score. While R is large this skips the selection.
+    if (!last && want < static_cast<size_t>(n)) {
+      const double top_score = FoldLanes(
+          touched, [&](NodeId t) { return scores[static_cast<size_t>(t)]; },
+          [](double a, double b) { return std::max(a, b); });
+      if (top_score + kTieTolerance <
+          alpha * mass * bounds.MaxInProb(bounds.ByBoundDescending()[want])) {
+        return false;
+      }
+    }
+
     // Candidates: the `want` best lower bounds among touched nodes,
     // padded (deterministically, by descending bound) from untouched
-    // nodes when fewer than `want` were ever reached.
-    scratch = touched;
-    const auto by_score = [&](NodeId a, NodeId b) {
-      const double sa = scores[static_cast<size_t>(a)];
-      const double sb = scores[static_cast<size_t>(b)];
-      if (sa != sb) return sa > sb;
-      return a < b;
-    };
-    if (scratch.size() > want) {
-      std::partial_sort(scratch.begin(),
-                        scratch.begin() + static_cast<ptrdiff_t>(want),
-                        scratch.end(), by_score);
-      scratch.resize(want);
-    } else {
-      std::sort(scratch.begin(), scratch.end(), by_score);
+    // nodes when fewer than `want` were ever reached. Selecting one more
+    // yields the runner-up, a non-candidate whose upper bound alone can
+    // show the set does not certify yet. Scores only grow and touched
+    // nodes stay touched, so every node of last round's selection still
+    // scores at least `floor`, and nothing below it can place now.
+    double floor = -1.0;
+    if (selected.size() == want + 1) {
+      floor = scores[static_cast<size_t>(selected.front())];
+      for (NodeId t : selected) {
+        floor = std::min(floor, scores[static_cast<size_t>(t)]);
+      }
     }
-    candidates = scratch;
+    SelectBest(touched, scores, want + 1, floor, &selected);
+    candidates.assign(selected.begin(),
+                      selected.begin() + static_cast<ptrdiff_t>(
+                                             std::min(want, selected.size())));
+    if (!last && selected.size() > want &&
+        scores[static_cast<size_t>(candidates.back())] + kTieTolerance <
+            upper(selected.back())) {
+      return false;
+    }
     if (candidates.size() < want) {
       for (NodeId t : bounds.ByBoundDescending()) {
-        if (touched_bit[static_cast<size_t>(t)]) continue;
+        if (run.touched(t)) continue;
         candidates.push_back(t);
         if (candidates.size() == want) break;
       }
     }
     for (NodeId c : candidates) in_candidate[static_cast<size_t>(c)] = 1;
 
-    double excluded_ub = 0.0;
-    for (NodeId t : touched) {
-      if (in_candidate[static_cast<size_t>(t)]) continue;
-      excluded_ub = std::max(excluded_ub, upper(t));
-    }
+    // Every upper bound is >= 0, so a candidate folds in as 0.
+    double excluded_ub = FoldLanes(
+        touched,
+        [&](NodeId t) {
+          return in_candidate[static_cast<size_t>(t)] ? 0.0 : upper(t);
+        },
+        [](double a, double b) { return std::max(a, b); });
+    // Sorted descending by ub_in, so the first untouched non-candidate
+    // dominates every other never-touched node (all have zero score, zero
+    // residual, and zero seed mass).
     for (NodeId t : bounds.ByBoundDescending()) {
-      if (in_candidate[static_cast<size_t>(t)] ||
-          touched_bit[static_cast<size_t>(t)]) {
-        continue;
-      }
-      // Sorted descending by ub_in, so the first untouched non-candidate
-      // dominates every other never-touched node (all have zero score,
-      // zero residual, and zero seed mass).
+      if (run.sweeping()) break;  // no node is untouched
+      if (in_candidate[static_cast<size_t>(t)] || run.touched(t)) continue;
       excluded_ub = std::max(excluded_ub, alpha * mass * bounds.MaxInProb(t));
       break;
     }
@@ -218,74 +253,48 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
     for (NodeId c : candidates) in_candidate[static_cast<size_t>(c)] = 0;
     return result.certified;
   };
-
-  // --- bounded push ---
-  const auto targets = graph.targets();
-  auto spread = [&](NodeId v, double amount) {
-    double& rv = residual[static_cast<size_t>(v)];
-    rv += amount;
-    touch(v);
-    if (rv > floor) enqueue(v);
+  auto certify = [&](bool last) {
+    ++result.certification_rounds;
+    return run.sweeping()
+               ? certify_over(AllNodes(0, n), last)
+               : certify_over(run.touched_nodes(), last);
   };
 
-  int64_t since_certify = 0;
+  // --- bounded push ---
+  // The push is the plain one (PushRun): a FIFO frontier while the query
+  // is local — a node re-entering goes to the back, so one push moves a
+  // whole generation of payments, where a max-heap "largest residual
+  // first" order costs ~12x the pushes on hub-heavy graphs — and passes
+  // in node order once the frontier holds |V|/64 nodes.
+  // Certification runs between pushes on a doubling schedule: after 256,
+  // then 512, 1024, ... more pushes. A round costs O(touched), and a
+  // fixed interval tuned for the drain regime starves loose-epsilon
+  // queries (the whole solve can finish between two checks), so the
+  // interval doubles: O(log pushes) rounds, with an early-exit
+  // opportunity at every scale.
+  int64_t interval = 256;
   for (;;) {
-    NodeId u = -1;
-    while (!frontier.empty()) {
-      const NodeId candidate = frontier.front();
-      frontier.pop_front();
-      in_frontier[static_cast<size_t>(candidate)] = 0;
-      if (residual[static_cast<size_t>(candidate)] > floor) {
-        u = candidate;
-        break;
-      }
-    }
-    if (u < 0) {
-      // Frontier drained: every residual is at the floor. Certification
-      // may still fail (the caller's epsilon was too loose for this
-      // query); the verdict and gap report exactly that.
+    if (run.Advance(std::min(cap, run.pushes() + interval))) {
+      // Every residual is at the floor. Certification may still fail
+      // (the caller's epsilon was too loose for this query); the verdict
+      // and gap report exactly that.
       result.completed = true;
-      certify();
+      certify(/*last=*/true);
       break;
     }
-    if (result.pushes >= cap) {
+    if (run.pushes() >= cap) {
       result.completed = false;
-      certify();
+      certify(/*last=*/true);
       break;
     }
-
-    double& ru = residual[static_cast<size_t>(u)];
-    const double push_mass = ru;
-    ru = 0.0;
-    ++result.pushes;
-    scores[static_cast<size_t>(u)] += (1.0 - alpha) * push_mass;
-
-    if (transition.IsDangling(u)) {
-      if (options.reinject_dangling) {
-        for (NodeId v : seed_support) {
-          spread(v, alpha * push_mass * seed[static_cast<size_t>(v)]);
-        }
-      }
-    } else {
-      // Each out-neighbour j receives α·push_mass·c_u·u_j.
-      const TransitionMatrix::OutRow row =
-          transition.Row(graph, u, alpha * push_mass);
-      const EdgeIndex begin = graph.ArcBegin(u);
-      const EdgeIndex end = begin + graph.OutDegree(u);
-      for (EdgeIndex e = begin; e < end; ++e) {
-        spread(targets[static_cast<size_t>(e)], row.Prob(e));
-      }
-    }
-
-    if (++since_certify >= interval) {
-      since_certify = 0;
-      interval *= 2;
-      if (certify()) {
-        result.completed = true;
-        break;
-      }
+    interval *= 2;
+    if (certify(/*last=*/false)) {
+      result.completed = true;
+      break;
     }
   }
+  result.pushes = run.pushes();
+  result.passes = run.passes();
   return result;
 }
 

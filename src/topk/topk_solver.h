@@ -2,11 +2,15 @@
 //
 // Generalizes the forward local-push scheme of core/push_ppr.cc to answer
 // the query products actually ask — "which k nodes rank highest?" —
-// without finishing the full approximation. Three changes over plain push:
+// without finishing the full approximation. Three pieces:
 //
-//   1. A generation-batched FIFO frontier (the push_ppr discipline): a
-//      node re-enters at the back, so each push moves the accumulated
-//      mass of a whole neighbor generation instead of slivers.
+//   1. The plain push itself (PushRun, core/push_ppr.h): a FIFO frontier
+//      while the query is local — a node re-enters at the back, so each
+//      push moves the accumulated mass of a whole neighbor generation
+//      instead of slivers, where a max-heap "largest residual first"
+//      order costs ~12x the pushes — and passes in node order once the
+//      frontier holds |V|/64 nodes. The solver adds nothing to the
+//      spread loop; it certifies between pushes.
 //   2. Degree-derived score bounds (topk/degree_bound.h). The push
 //      invariant  ppr(t) = scores(t) + sum_u r(u) * ppr_u(t), combined
 //      with ppr_u(t) <= (1-alpha)*[t == u] + alpha * ub_in(t), certifies
@@ -82,6 +86,9 @@ struct TopKResult {
   /// the whole set is certified.
   double uncertainty_gap = 0.0;
   int64_t pushes = 0;
+  /// Node-order passes made after the frontier went global; 0 when it
+  /// stayed local.
+  int64_t passes = 0;
   int64_t certification_rounds = 0;
   /// Residual mass left unpushed at termination (exactly the R of the
   /// final bound computation).

@@ -80,6 +80,7 @@ TEST(ScoreCacheTest, KeySeparatesTopK) {
 TEST(ScoreCacheTest, LookupReturnsInsertedResponse) {
   ScoreCache cache(8);
   EXPECT_FALSE(cache.Lookup("k").has_value());
+  cache.CountMiss();  // the caller counts the miss it goes on to solve
   cache.Insert("k", MakeResponse(4.0));
   auto hit = cache.Lookup("k");
   ASSERT_TRUE(hit.has_value());
