@@ -94,7 +94,6 @@ PagerankResult RunReference(const CsrGraph& graph, size_t shards,
   PartitionOptions popts;
   popts.scheme = scheme;
   popts.num_shards = shards;
-  popts.build_out_csr = false;
   Result<GraphPartition> partition = GraphPartition::Build(graph, popts);
   D2PR_CHECK(partition.ok()) << partition.status().ToString();
   auto slices = BuildTransitionSlicesLocal(graph, *partition, {});
@@ -204,7 +203,6 @@ CutMemoryRow RunCutFleet(const CsrGraph& graph, size_t shards,
   PartitionOptions popts;
   popts.scheme = kScheme;
   popts.num_shards = shards;
-  popts.build_out_csr = true;
   auto partition = GraphPartition::Build(graph, popts);
   D2PR_CHECK(partition.ok()) << partition.status().ToString();
 

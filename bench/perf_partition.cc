@@ -8,10 +8,9 @@
 //     shard count grows; scores are bit-identical by contract, so this
 //     is a pure mechanics comparison. Each sweep gathers y = c∘x along
 //     the shards' in-CSRs (core/transition_kernel.h).
-//   * BM_SliceBuild / BM_SliceBuildLocal — the per-p slice cost: sharing
-//     a prebuilt matrix's factors (O(1)), and building them shard by
-//     shard (each shard folds its owned and boundary rows against u from
-//     the metric vector).
+//   * BM_SliceBuildLocal — the per-p slice cost: building the factors
+//     shard by shard (each shard folds its owned and boundary rows
+//     against u from the metric vector).
 //   * BM_PartitionBuild — the one-time partitioning cost a deployment
 //     amortizes over its whole serving lifetime.
 //
@@ -94,7 +93,7 @@ void BM_PartitionedPowerSliced(benchmark::State& state) {
       graph, {.scheme = scheme,
               .num_shards = static_cast<size_t>(state.range(1))});
   D2PR_CHECK(partition.ok());
-  auto slices = BuildTransitionSlices(graph, *partition, TransitionOf(graph));
+  auto slices = BuildTransitionSlicesLocal(graph, *partition, {.p = 0.5});
   D2PR_CHECK(slices.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
   for (auto _ : state) {
@@ -110,22 +109,6 @@ BENCHMARK(BM_PartitionedPowerSliced)
                    {1, 2, 4, 8},
                    {static_cast<int>(PartitionScheme::kRange),
                     static_cast<int>(PartitionScheme::kHash)}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SliceBuild(benchmark::State& state) {
-  const CsrGraph& graph = GraphOf(state.range(0));
-  auto partition = GraphPartition::Build(
-      graph, {.scheme = PartitionScheme::kRange,
-              .num_shards = static_cast<size_t>(state.range(1))});
-  D2PR_CHECK(partition.ok());
-  for (auto _ : state) {
-    auto slices = BuildTransitionSlices(graph, *partition, TransitionOf(graph));
-    D2PR_CHECK(slices.ok());
-    benchmark::DoNotOptimize(slices->transition.get());
-  }
-}
-BENCHMARK(BM_SliceBuild)
-    ->ArgsProduct({{10000, 100000}, {2, 8}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SliceBuildLocal(benchmark::State& state) {

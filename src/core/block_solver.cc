@@ -1,6 +1,5 @@
 #include "core/block_solver.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/string_util.h"
@@ -57,68 +56,7 @@ struct GlobalIndex {
   bool dangling(size_t k) const {
     return transition.IsDangling(shard.owned[k]);
   }
-  // Interior sources read the live (in-sweep updated) iterate, boundary
-  // sources the frozen exchange copy; the precomputed flag keeps
-  // ownership resolution out of the inner loop.
-  double live(size_t idx, std::span<const double> next,
-              std::span<const double> x) const {
-    return shard.in_interior[idx] ? next[source(idx)] : x[source(idx)];
-  }
 };
-
-/// Both in-process block solves: RunBlockIteration with a round that
-/// sweeps every shard of `partition` through `parallel_for`.
-Result<PagerankResult> SolveBlockInProcess(
-    bool gauss_seidel, const TransitionSlices& slices,
-    const GraphPartition& partition, std::span<const double> teleport,
-    const PagerankOptions& options, const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockSliceInputs(slices, partition, teleport, options));
-  if (gauss_seidel) {
-    D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  }
-  const TransitionMatrix& transition = *slices.transition;
-  const TransitionFactors& factors = transition.factors();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  SourceProducts products;
-  BlockSweepParams params;
-  params.gauss_seidel = gauss_seidel;
-  params.dangling = options.dangling;
-  params.alpha = options.alpha;
-  params.teleport = teleport;
-
-  const auto round = [&](const BlockRound& r,
-                         std::span<const double> current,
-                         std::span<double> next) {
-    params.dangling_mass = r.dangling_mass;
-    if (gauss_seidel) {
-      // Exchange step: `current` is the frozen copy every shard reads
-      // remote values from (block Jacobi across shards), while each
-      // shard sweeps its own slice of `next` in place (Gauss-Seidel
-      // within a shard).
-      std::copy(current.begin(), current.end(), next.begin());
-    } else {
-      // y = c∘x of the previous iterate, once for every shard's reads.
-      products.Compute(factors, current);
-    }
-    // One block sweep. Shards write disjoint owned slices of `next` and
-    // read nothing another shard writes, so the sweeps compose in any
-    // order (or concurrently) without changing a bit.
-    const auto sweep = [&](size_t s) {
-      const GlobalIndex index{partition.shard(s), transition,
-                              slices.arc_weights};
-      BlockSweep(factors, index.shard, index, params, products, current,
-                 next, /*partials=*/nullptr);
-    };
-    if (parallel_for) {
-      parallel_for(partition.num_shards(), sweep);
-    } else {
-      for (size_t s = 0; s < partition.num_shards(); ++s) sweep(s);
-    }
-    return Status::OK();
-  };
-  return RunBlockIteration(gauss_seidel, dangling, teleport, options, round);
-}
 
 }  // namespace
 
@@ -126,8 +64,8 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling) {
   if (dangling == DanglingPolicy::kRenormalize) {
     // The renormalized Gauss-Seidel fixed point is sweep-order dependent
     // whenever dangling mass is dropped (see the header); a block sweep
-    // cannot reproduce the single-graph order, so fail loudly instead of
-    // serving a silently different solution.
+    // over several shards cannot reproduce the single-graph order, so
+    // fail loudly instead of serving a silently different solution.
     return Status::InvalidArgument(
         "block Gauss-Seidel does not support DanglingPolicy::kRenormalize "
         "(its fixed point depends on the sweep order); use kTeleport or "
@@ -146,8 +84,8 @@ Result<PagerankResult> RunBlockIteration(bool gauss_seidel,
     result.converged = true;
     return result;
   }
-  // The single-graph solvers' initial iterates: power normalizes its
-  // teleport copy defensively, Gauss-Seidel starts from the raw one.
+  // The initial iterates: power normalizes its teleport copy defensively
+  // (as SolvePagerank does), Gauss-Seidel starts from the raw one.
   std::vector<double> current(teleport.begin(), teleport.end());
   if (!gauss_seidel) NormalizeL1(current);
   std::vector<double> next(current.size(), 0.0);
@@ -157,7 +95,7 @@ Result<PagerankResult> RunBlockIteration(bool gauss_seidel,
   BlockRound r;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     // Dangling mass of the previous iterate, folded over the ascending
-    // dangling list exactly as the reference solvers do (lagged, for
+    // dangling list exactly as SolvePagerank does (lagged, for
     // Gauss-Seidel). Known before the sweeps start, so each shard can
     // finish its owned slice end-to-end.
     r.iteration = iter;
@@ -184,16 +122,41 @@ Result<PagerankResult> SolvePagerankPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
-  return SolveBlockInProcess(/*gauss_seidel=*/false, slices, partition,
-                             teleport, options, parallel_for);
-}
+  D2PR_RETURN_NOT_OK(
+      ValidateBlockSliceInputs(slices, partition, teleport, options));
+  const TransitionMatrix& transition = *slices.transition;
+  const TransitionFactors& factors = transition.factors();
+  const std::vector<NodeId> dangling = transition.DanglingNodes();
+  SourceProducts products;
+  BlockSweepParams params;
+  params.dangling = options.dangling;
+  params.alpha = options.alpha;
+  params.teleport = teleport;
 
-Result<PagerankResult> SolveGaussSeidelPartitioned(
-    const TransitionSlices& slices, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  return SolveBlockInProcess(/*gauss_seidel=*/true, slices, partition,
-                             teleport, options, parallel_for);
+  const auto round = [&](const BlockRound& r,
+                         std::span<const double> current,
+                         std::span<double> next) {
+    params.dangling_mass = r.dangling_mass;
+    // y = c∘x of the previous iterate, once for every shard's reads.
+    products.Compute(factors, current);
+    // One block sweep. Shards write disjoint owned slices of `next` and
+    // read nothing another shard writes, so the sweeps compose in any
+    // order (or concurrently) without changing a bit.
+    const auto sweep = [&](size_t s) {
+      const GlobalIndex index{partition.shard(s), transition,
+                              slices.arc_weights};
+      BlockSweep(factors, index.shard.in_offsets, index, params, products,
+                 current, next, /*partials=*/nullptr);
+    };
+    if (parallel_for) {
+      parallel_for(partition.num_shards(), sweep);
+    } else {
+      for (size_t s = 0; s < partition.num_shards(); ++s) sweep(s);
+    }
+    return Status::OK();
+  };
+  return RunBlockIteration(/*gauss_seidel=*/false, dangling, teleport,
+                           options, round);
 }
 
 }  // namespace d2pr

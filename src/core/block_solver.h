@@ -1,25 +1,27 @@
-// Block-iterative PageRank solvers over a vertex-partitioned graph.
+// Block-iterative PageRank solvers: the one loop and the one sweep every
+// Gauss-Seidel solve and every block power solve runs.
 //
-// Both solvers iterate each shard's owned slice against the factored
-// transition (core/transition_slices.h) and exchange boundary mass
-// between sweeps; dangling mass and teleportation are handled
-// *globally*, exactly matching the
-// single-graph solvers in core/pagerank.h and core/gauss_seidel.h (which
-// themselves match core/teleport.h semantics). In-process, the "exchange"
-// is each shard publishing its owned slice of the iterate and pulling
-// remote values through the partition's boundary in-arc index — the data
-// flow a multi-machine deployment would put on the wire.
+// RunBlockIteration owns the initial iterate, the global folds (dangling
+// mass, normalization, residual) and the convergence check; only its
+// sweep round differs between callers. Every round sweeps its rows with
+// one BlockSweep:
 //
-// Every block solve — the two in-process solvers and the shard fleet's
-// DistributedCoordinator (dist/coordinator.h) — runs one loop,
-// RunBlockIteration, which owns the initial iterate, the global folds
-// and the convergence check; only its sweep round differs. Every round
-// sweeps a shard's rows with one BlockSweep: in-process over global node
-// ids, on a shard worker (dist/shard_worker.h) over its
-// [owned | boundary] slots.
+//   * SolvePagerankPartitioned — block power over a partition's shards,
+//     in process, over global node ids;
+//   * SolvePagerankGaussSeidel (core/gauss_seidel.h) — the whole graph
+//     as one block, along the graph's in-rows;
+//   * the shard fleet's DistributedCoordinator (dist/coordinator.h),
+//     whose rounds run on shard workers (dist/shard_worker.h), each
+//     sweeping its [owned | boundary] slots: block power, or block
+//     Gauss-Seidel — Gauss-Seidel within a shard, Jacobi across shards
+//     (remote values frozen at sweep start).
+//
+// Dangling mass and teleportation are handled *globally*, exactly
+// matching the single-graph solvers (core/pagerank.h, core/teleport.h).
 //
 // Parity contracts (enforced by tests/partition_parity_test.cc,
-// tests/partition_fuzz_test.cc and tests/dist_parity_test.cc):
+// tests/partition_fuzz_test.cc, tests/dist_parity_test.cc and
+// tests/dist_server_test.cc):
 //
 //   * SolvePagerankPartitioned is BIT-IDENTICAL to SolvePagerank for any
 //     partition (any scheme, any shard count), including iteration counts
@@ -34,30 +36,28 @@
 //     ascending dangling list, the teleport blend is element-wise, and
 //     the residual is the same full-vector DiffL1 — so every float the
 //     reference computes, the block solve recomputes. The factors are
-//     literally the TransitionMatrix's (a share of it, or the
-//     shard-local builder's bitwise-equal recomputation).
-//   * SolveGaussSeidelPartitioned is a genuine *block* method — classic
-//     Gauss-Seidel within a shard, Jacobi across shards (remote values
-//     frozen at sweep start) — so its iterate path differs from the
-//     single-graph Gauss-Seidel sweep, but both contract to the same
-//     fixed point: with tolerance <= 1e-11 the solutions agree within
-//     1e-9 (the bound the partition suites assert).
-//   * The distributed solve is BIT-IDENTICAL to its in-process form, for
-//     power and block Gauss-Seidel alike (scores, iteration count,
-//     residual): same loop, same sweep, same folds.
+//     the shard-local builder's bitwise-equal recomputation of the
+//     TransitionMatrix's (core/transition_slices.h).
+//   * Block Gauss-Seidel over ONE shard is BIT-IDENTICAL to
+//     SolvePagerankGaussSeidel: the same loop sweeping the same rows in
+//     the same order. Over several shards its iterate path differs, but
+//     both contract to the same fixed point: with tolerance <= 1e-11 the
+//     solutions agree within 1e-9.
+//   * The distributed power solve is BIT-IDENTICAL to
+//     SolvePagerankPartitioned (scores, iteration count, residual): same
+//     loop, same sweep, same folds. Either method over sockets is
+//     bitwise the same fleet over in-process channels.
 //
-// Shard sweeps write disjoint owned slices and read the frozen previous
-// iterate, so they are data-race free and order-independent; pass a
-// `parallel_for` to run them concurrently or to time each sweep
-// (bench/e2e/cluster_workload.cc passes a timing one). The global folds
-// (dangling mass, normalization, residual) stay sequential on the
-// calling thread — they are O(n) and their summation order is part of
-// the bit-parity contract.
+// In-process shard sweeps write disjoint owned slices and read the
+// frozen previous iterate, so they are data-race free and
+// order-independent; pass a `parallel_for` to run them concurrently or
+// to time each sweep (bench/e2e/cluster_workload.cc passes a timing
+// one). The global folds stay sequential on the calling thread — they
+// are O(n) and their summation order is part of the bit-parity contract.
 //
 // Each power sweep computes y = c∘x once (O(|V|), on the calling thread)
 // and every shard gathers it along its in-CSR: no per-arc probability
-// exists. A caller holding a whole-graph TransitionMatrix shares it
-// (BuildTransitionSlices); the shard fleet builds its factors from cuts.
+// exists.
 
 #ifndef D2PR_CORE_BLOCK_SOLVER_H_
 #define D2PR_CORE_BLOCK_SOLVER_H_
@@ -98,36 +98,40 @@ struct BlockSweepPartials {
   double residual = 0.0;  ///< |new - old| over every row.
 };
 
-/// \brief One power or Gauss-Seidel sweep over `shard`'s owned rows,
-/// writing row k's new value to next[index.dst(k)].
+/// \brief One power or Gauss-Seidel sweep over the rows whose in-arcs
+/// `in_offsets` bounds (size rows + 1), writing row k's new value to
+/// next[index.dst(k)].
 ///
 /// `index` maps rows into the caller's index space: dst(k) indexes the
 /// destination factors, the teleport and both iterates; source(idx)
 /// indexes the source factors, the products and both iterates;
 /// weight(idx) is in-arc idx's weight; dangling(k) flags a row without
-/// out-arcs; live(idx, next, x) is the value a Gauss-Seidel row reads
-/// for in-arc idx. Power reads `products` (y = c∘x) and `x`; Gauss-Seidel
-/// updates `next` in place, so `next` must enter holding x's values at
-/// this shard's rows (it may be `x` itself). `partials`, unless null,
-/// receives the sweep's sums.
+/// out-arcs. Power reads `products` (y = c∘x) and `x`. Gauss-Seidel
+/// updates `next` in place and reads every source from it, so `next`
+/// must enter holding the values each source should read — x's values,
+/// and on a shard worker the frozen exchange copy at its boundary slots
+/// (`next` may be `x` itself). `partials`, unless null, receives the
+/// sweep's sums.
 template <typename Index>
-void BlockSweep(const TransitionFactors& f, const PartitionShard& shard,
-                const Index& index, const BlockSweepParams& params,
+void BlockSweep(const TransitionFactors& f,
+                std::span<const EdgeIndex> in_offsets, const Index& index,
+                const BlockSweepParams& params,
                 const SourceProducts& products, std::span<const double> x,
                 std::span<double> next, BlockSweepPartials* partials) {
   const double alpha = params.alpha;
   const double dangling_mass = params.dangling_mass;
+  const size_t rows = in_offsets.size() - 1;
   const auto source = [&](size_t idx) { return index.source(idx); };
   const auto weight = [&](size_t idx) { return index.weight(idx); };
   // The row loop, instantiated once per method's update rule.
   const auto sweep = [&](auto update) {
     double dangling_sum = 0.0;
     double residual_sum = 0.0;
-    for (size_t k = 0; k < shard.owned.size(); ++k) {
+    for (size_t k = 0; k < rows; ++k) {
       const size_t dst = index.dst(k);
       const double value =
-          update(k, dst, static_cast<size_t>(shard.in_offsets[k]),
-                 static_cast<size_t>(shard.in_offsets[k + 1]));
+          update(k, dst, static_cast<size_t>(in_offsets[k]),
+                 static_cast<size_t>(in_offsets[k + 1]));
       if (partials != nullptr) {
         if (index.dangling(k)) dangling_sum += value;
         residual_sum += std::abs(value - x[dst]);
@@ -155,7 +159,7 @@ void BlockSweep(const TransitionFactors& f, const PartitionShard& shard,
       return alpha * value + (1.0 - alpha) * params.teleport[dst];
     });
   } else {
-    const auto live = [&](size_t idx) { return index.live(idx, next, x); };
+    const auto live = [&](size_t idx) { return next[source(idx)]; };
     sweep([&](size_t k, size_t dst, size_t begin, size_t end) {
       const double teleport = params.teleport[dst];
       double value =
@@ -193,23 +197,34 @@ using BlockRoundFn =
                          std::span<const double> current,
                          std::span<double> next)>;
 
-/// \brief The loop every block solve runs. Starts from the teleport
-/// (L1-normalized for power, raw for Gauss-Seidel); each iteration folds
-/// the iterate's dangling mass over `dangling` (ascending ids), runs one
-/// `round`, L1-normalizes the new iterate (every iteration for
-/// Gauss-Seidel, for power only under kRenormalize), and stops once the
-/// DiffL1 residual is below the tolerance. A failed round ends the solve
-/// with its Status. The caller validates `teleport` and `options`.
+/// \brief The loop every Gauss-Seidel and block power solve runs.
+/// Starts from the teleport (L1-normalized for power, raw for
+/// Gauss-Seidel); each iteration folds the iterate's dangling mass over
+/// `dangling` (ascending ids), runs one `round`, L1-normalizes the new
+/// iterate (every iteration for Gauss-Seidel, for power only under
+/// kRenormalize), and stops once the DiffL1 residual is below the
+/// tolerance. A failed round ends the solve with its Status. The caller
+/// validates `teleport` and `options`.
 Result<PagerankResult> RunBlockIteration(bool gauss_seidel,
                                          std::span<const NodeId> dangling,
                                          std::span<const double> teleport,
                                          const PagerankOptions& options,
                                          const BlockRoundFn& round);
 
-/// \brief OK iff block Gauss-Seidel supports `dangling`; the
-/// kRenormalize rejection (with its explanation) otherwise. Exposed so
-/// serving layers can refuse the combination before paying a transition
-/// build — there is exactly one copy of this contract.
+/// \brief OK iff block Gauss-Seidel over several shards supports
+/// `dangling`; the kRenormalize rejection (with its explanation)
+/// otherwise. Exposed so serving layers can refuse the combination
+/// before paying a transition build — there is exactly one copy of this
+/// contract.
+///
+/// When the renormalization constant c differs from 1 (i.e. dangling
+/// mass is being dropped), the Gauss-Seidel fixed point satisfies
+/// c·x_v = α·Σ_{u sweeps before v} p·c·x_u + α·Σ_{u after v} p·x_u +
+/// (1-α)t_v — it depends on the sweep order, which a block sweep cannot
+/// reproduce. Solutions would silently drift O(α·dropped-mass) from the
+/// single-graph reference (observed ~1e-3), so the combination fails
+/// loudly instead. Use kTeleport (identical when no node dangles) or
+/// block power iteration, whose kRenormalize parity is bitwise.
 Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling);
 
 /// \brief Block power iteration: bit-identical to
@@ -220,27 +235,8 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling);
 /// max_iterations >= 1, teleport a distribution over the nodes), plus
 /// `slices` shaped for `partition`: a transition over its nodes, and the
 /// weights of every arc under the beta blend (InvalidArgument otherwise;
-/// both builders in core/transition_slices.h guarantee this).
+/// BuildTransitionSlicesLocal guarantees this).
 Result<PagerankResult> SolvePagerankPartitioned(
-    const TransitionSlices& slices, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for = {});
-
-/// \brief Block Gauss-Seidel: per-shard Gauss-Seidel sweeps with remote
-/// values frozen at sweep start (block Jacobi across shards). Converges
-/// to the same fixed point as SolvePagerankGaussSeidel; agreement is
-/// within solver tolerance, not bitwise.
-///
-/// DanglingPolicy::kRenormalize is rejected (InvalidArgument): when the
-/// renormalization constant c differs from 1 (i.e. dangling mass is
-/// being dropped), the Gauss-Seidel fixed point satisfies
-/// c·x_v = α·Σ_{u sweeps before v} p·c·x_u + α·Σ_{u after v} p·x_u +
-/// (1-α)t_v — it depends on the sweep order, which a block sweep cannot
-/// reproduce. Solutions would silently drift O(α·dropped-mass) from the
-/// single-graph reference (observed ~1e-3), so the combination fails
-/// loudly instead. Use kTeleport (identical when no node dangles) or
-/// block power iteration, whose kRenormalize parity is bitwise.
-Result<PagerankResult> SolveGaussSeidelPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for = {});

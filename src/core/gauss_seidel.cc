@@ -1,13 +1,35 @@
 #include "core/gauss_seidel.h"
 
-#include <cmath>
+#include <algorithm>
+#include <vector>
 
 #include "common/string_util.h"
+#include "core/block_solver.h"
 #include "core/teleport.h"
 #include "core/transition_kernel.h"
-#include "linalg/vec_ops.h"
 
 namespace d2pr {
+
+namespace {
+
+/// The whole graph as one block: row k is node k, and its in-arcs are
+/// the graph's in-row of k.
+struct WholeGraphIndex {
+  std::span<const NodeId> sources;
+  std::span<const double> weights;
+  const TransitionMatrix& transition;
+
+  size_t dst(size_t k) const { return k; }
+  size_t source(size_t idx) const {
+    return static_cast<size_t>(sources[idx]);
+  }
+  double weight(size_t idx) const { return weights[idx]; }
+  bool dangling(size_t k) const {
+    return transition.IsDangling(static_cast<NodeId>(k));
+  }
+};
+
+}  // namespace
 
 Result<PagerankResult> SolvePagerankGaussSeidel(
     const CsrGraph& graph, const TransitionMatrix& transition,
@@ -21,69 +43,30 @@ Result<PagerankResult> SolvePagerankGaussSeidel(
   }
   D2PR_RETURN_NOT_OK(ValidateTeleportVector(teleport, n));
 
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  // Gauss-Seidel needs incoming arcs per node: the transpose lists each
-  // node's sources ascending, with their arc weights for the β blend.
-  const CsrGraph reverse = graph.Transpose();
-  const auto sources = reverse.targets();
-  const auto reverse_weights = reverse.weights();
+  const WholeGraphInRows in_rows(graph);
+  const CsrGraph& rows = in_rows.rows();
+  const WholeGraphIndex index{rows.targets(), rows.weights(), transition};
   const TransitionFactors& factors = transition.factors();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
+  const SourceProducts no_products;  // Gauss-Seidel reads the live iterate
+  BlockSweepParams params;
+  params.gauss_seidel = true;
+  params.dangling = options.dangling;
+  params.alpha = options.alpha;
+  params.teleport = teleport;
 
-  std::vector<double> x(teleport.begin(), teleport.end());
-  std::vector<double> previous(x);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Dangling mass from the current iterate (lagged within the sweep).
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) dangling_mass += x[static_cast<size_t>(v)];
-
-    for (NodeId v = 0; v < n; ++v) {
-      const size_t begin = static_cast<size_t>(reverse.ArcBegin(v));
-      const size_t end = begin + static_cast<size_t>(reverse.OutDegree(v));
-      const auto source = [&](size_t e) {
-        return static_cast<size_t>(sources[e]);
-      };
-      const double incoming = PullLive(
-          factors, static_cast<size_t>(v), begin, end, source,
-          [&](size_t e) { return x[source(e)]; },
-          [&](size_t e) { return reverse_weights[e]; });
-      double value = options.alpha * incoming +
-                     (1.0 - options.alpha) * teleport[static_cast<size_t>(v)];
-      switch (options.dangling) {
-        case DanglingPolicy::kTeleport:
-          value += options.alpha * dangling_mass *
-                   teleport[static_cast<size_t>(v)];
-          break;
-        case DanglingPolicy::kSelfLoop:
-          if (transition.IsDangling(v)) {
-            // x_v = alpha*x_v + rest  =>  x_v = rest / (1 - alpha).
-            value /= (1.0 - options.alpha);
-          }
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
-      }
-      x[static_cast<size_t>(v)] = value;
-    }
-    NormalizeL1(x);
-
-    result.iterations = iter;
-    result.residual = DiffL1(x, previous);
-    previous = x;
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(x);
-  return result;
+  const auto round = [&](const BlockRound& r,
+                         std::span<const double> current,
+                         std::span<double> next) {
+    // One block holds every source, so every in-arc reads the live
+    // iterate: the sweep updates `next` in place from a copy of `current`.
+    std::copy(current.begin(), current.end(), next.begin());
+    params.dangling_mass = r.dangling_mass;
+    BlockSweep(factors, rows.offsets(), index, params, no_products, current,
+               next, /*partials=*/nullptr);
+    return Status::OK();
+  };
+  return RunBlockIteration(/*gauss_seidel=*/true, transition.DanglingNodes(),
+                           teleport, options, round);
 }
 
 Result<PagerankResult> SolvePagerankGaussSeidel(

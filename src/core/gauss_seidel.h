@@ -7,6 +7,12 @@
 // as the default because its iterates remain exact probability
 // distributions mid-solve. The bench perf_solver_ablation quantifies the
 // trade-off.
+//
+// The solve is the one-block case of the block iteration
+// (core/block_solver.h): RunBlockIteration with a round that runs one
+// BlockSweep over the whole graph's in-rows. An undirected graph's
+// out-rows are its in-rows, so only a directed graph is transposed. A
+// one-shard fleet (dist/coordinator.h) runs bitwise this solve.
 
 #ifndef D2PR_CORE_GAUSS_SEIDEL_H_
 #define D2PR_CORE_GAUSS_SEIDEL_H_
@@ -24,7 +30,8 @@ namespace d2pr {
 /// iterates drops below options.tolerance.
 ///
 /// Requirements mirror SolvePagerank. Dangling handling follows
-/// options.dangling, evaluated against the previous iterate's dangling
+/// options.dangling (kRenormalize included: one block sweeps in the
+/// reference order), evaluated against the previous iterate's dangling
 /// mass (a half-lagged approximation that preserves the fixed point).
 /// The returned scores are L1-normalized.
 Result<PagerankResult> SolvePagerankGaussSeidel(

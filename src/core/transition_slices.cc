@@ -28,24 +28,6 @@ void StoreSource(const SourceFactors& source, size_t slot,
 
 }  // namespace
 
-Result<TransitionSlices> BuildTransitionSlices(
-    const CsrGraph& graph, const GraphPartition& partition,
-    std::shared_ptr<const TransitionMatrix> transition) {
-  if (partition.num_nodes() != transition->num_nodes() ||
-      graph.num_nodes() != transition->num_nodes()) {
-    return Status::InvalidArgument(
-        StrCat("partition covers ", partition.num_nodes(), " nodes, graph ",
-               graph.num_nodes(), ", but transition matrix has ",
-               transition->num_nodes()));
-  }
-  TransitionSlices slices;
-  slices.arc_weights = transition->factors().has_blend()
-                           ? graph.weights()
-                           : std::span<const double>{};
-  slices.transition = std::move(transition);
-  return slices;
-}
-
 Result<TransitionSlices> BuildTransitionSlicesLocal(
     const CsrGraph& graph, const GraphPartition& partition,
     const TransitionConfig& config) {

@@ -6,13 +6,12 @@
 // owned destinations and c over its in-arc sources, plus the arc weights
 // when the β blend is on. Nothing here is a per-arc copy.
 //
-//   * TransitionSlices — the in-process block solvers' input
-//     (core/block_solver.h): the whole-graph factors, shared, plus the
-//     graph's arc weights for the blend. BuildTransitionSlices shares a
-//     resolved TransitionMatrix (O(1)); BuildTransitionSlicesLocal
-//     computes u from the O(|V|) metric vector and c over each shard's
-//     sources (its owned rows and its boundary sources' rows), without
-//     calling TransitionMatrix::Build (a test pins this via
+//   * TransitionSlices — the in-process block power solver's input
+//     (core/block_solver.h): whole-graph factors plus the graph's arc
+//     weights for the blend. BuildTransitionSlicesLocal computes u from
+//     the O(|V|) metric vector and c over each shard's sources (its
+//     owned rows and its boundary sources' rows), without calling
+//     TransitionMatrix::Build (a test pins this via
 //     TransitionMatrix::BuildCount()).
 //   * BuildShardSliceFromCut — one shard's factors from a loaded cut and
 //     the broadcast metric vector, indexed the way a shard worker
@@ -39,8 +38,8 @@
 
 namespace d2pr {
 
-/// \brief The factored transition as the in-process block solvers read
-/// it through a partition's in-CSR.
+/// \brief The factored transition as the in-process block power solver
+/// reads it through a partition's in-CSR.
 struct TransitionSlices {
   /// The whole-graph factors and dangling bitmap, indexed by node id.
   std::shared_ptr<const TransitionMatrix> transition;
@@ -54,18 +53,11 @@ struct TransitionSlices {
   }
 };
 
-/// \brief Shares `transition` (built from `graph`) as slices for
-/// `partition`. InvalidArgument when the node counts disagree.
-Result<TransitionSlices> BuildTransitionSlices(
-    const CsrGraph& graph, const GraphPartition& partition,
-    std::shared_ptr<const TransitionMatrix> transition);
-
 /// \brief Builds the slices shard by shard under `config`, without
 /// calling TransitionMatrix::Build. Rejects exactly the configs
 /// TransitionMatrix::Build rejects (shared validation and range check),
 /// plus a partition/graph node-count mismatch. The factors are bitwise
-/// those of TransitionMatrix::Build(graph, config). The partition's
-/// out-CSR is not needed.
+/// those of TransitionMatrix::Build(graph, config).
 Result<TransitionSlices> BuildTransitionSlicesLocal(
     const CsrGraph& graph, const GraphPartition& partition,
     const TransitionConfig& config);

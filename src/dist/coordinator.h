@@ -7,11 +7,11 @@
 // ascending dangling list, the L1 normalization and the DiffL1 residual
 // run over the assembled full vector. Only the sweep round is the
 // coordinator's own: it ships each shard its boundary values and
-// scatters the owned values it gets back. Shards run the in-process
-// solvers' BlockSweep over their owned slices — so the distributed
-// solve is BITWISE identical to SolvePagerankPartitioned for power and
-// to SolveGaussSeidelPartitioned for block Gauss-Seidel (scores,
-// iteration count, final residual; tests/dist_parity_test.cc). The one
+// scatters the owned values it gets back. Shards run the one BlockSweep
+// over their owned slices — so the distributed power solve is BITWISE
+// identical to SolvePagerankPartitioned, and a one-shard Gauss-Seidel
+// solve to SolvePagerankGaussSeidel (scores, iteration count, final
+// residual; tests/dist_parity_test.cc). The one
 // subtlety is global renormalization: NormalizeL1 multiplies by 1/norm,
 // so the coordinator broadcasts that exact scalar and each shard replays
 // the multiply on its retained slice — bitwise the slice of the
@@ -124,8 +124,8 @@ class DistributedCoordinator {
   Status Handshake();
 
   /// Runs one distributed block solve. `method` must be kPower or
-  /// kGaussSeidel (kGaussSeidel rejects DanglingPolicy::kRenormalize,
-  /// exactly as ValidateBlockGaussSeidelPolicy does in-process);
+  /// kGaussSeidel (kGaussSeidel rejects DanglingPolicy::kRenormalize
+  /// with ValidateBlockGaussSeidelPolicy's status);
   /// `teleport` is a distribution over num_nodes. Returns the complete
   /// PagerankResult or a clean error — never a partial vector.
   Result<PagerankResult> Solve(SolverMethod method,

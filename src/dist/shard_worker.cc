@@ -59,10 +59,6 @@ struct SlotIndex {
   size_t source(size_t idx) const { return src_slot[idx]; }
   double weight(size_t idx) const { return in_weights[idx]; }
   bool dangling(size_t k) const { return owned_dangling[k] != 0; }
-  double live(size_t idx, std::span<const double> next,
-              std::span<const double>) const {
-    return next[src_slot[idx]];
-  }
 };
 
 }  // namespace
@@ -364,7 +360,7 @@ void ShardWorker::HandleSweep(const ShardFrame& request,
     // retains it once every row has read the old slice.
     const bool gauss_seidel = params_.gauss_seidel;
     if (!gauss_seidel) products_.Compute(factors_, vals_);
-    BlockSweep(factors_, cut_.shard,
+    BlockSweep(factors_, cut_.shard.in_offsets,
                SlotIndex{src_slot_, cut_.in_weights, owned_dangling_},
                params_, products_, vals_, gauss_seidel ? vals_ : next_,
                &partials_);

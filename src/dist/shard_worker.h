@@ -21,13 +21,13 @@
 // request carries only the O(boundary) remote values, the globally
 // folded dangling mass, and — after iterations the coordinator
 // L1-normalized globally — the exact 1/norm scalar to replay on the
-// retained slice. The sweep is the in-process solvers' own BlockSweep
-// (core/block_solver.h), run over the worker's [owned | boundary] slots:
-// same fold order (ascending global source within each owned row, owned
-// rows in ascending order), same policy terms, same teleport blend —
-// which is what makes the distributed solve, power and block
-// Gauss-Seidel alike, bitwise identical to its in-process form
-// (tests/dist_parity_test.cc).
+// retained slice. The sweep is the one BlockSweep every solve runs
+// (core/block_solver.h), here over the worker's [owned | boundary]
+// slots: same fold order (ascending global source within each owned
+// row, owned rows in ascending order), same policy terms, same teleport
+// blend — which is what makes distributed power bitwise
+// SolvePagerankPartitioned, and one-shard Gauss-Seidel bitwise
+// SolvePagerankGaussSeidel (tests/dist_parity_test.cc).
 //
 // Handshake rejections are deliberately distinct so a mis-wired cluster
 // diagnoses itself from status codes alone:

@@ -73,20 +73,15 @@ Result<GraphPartition> GraphPartition::Build(const CsrGraph& graph,
     shard.owned.push_back(v);
   }
 
-  // --- out-CSR of owned rows + push-side boundary counts. The counters
-  // (boundary_out_arcs, dangling_owned) are filled either way; the
-  // arrays only when requested — pull-only consumers skip the O(|E|)
-  // copy. ---
+  // --- out-CSR of owned rows + push-side boundary counts. ---
   const auto targets = graph.targets();
   for (PartitionShard& shard : partition.shards_) {
-    if (options.build_out_csr) {
-      EdgeIndex out_arcs = 0;
-      for (NodeId v : shard.owned) out_arcs += graph.OutDegree(v);
-      shard.out_offsets.reserve(shard.owned.size() + 1);
-      shard.out_targets.reserve(static_cast<size_t>(out_arcs));
-      shard.out_arc_begin.reserve(shard.owned.size());
-      shard.out_offsets.push_back(0);
-    }
+    EdgeIndex out_arcs = 0;
+    for (NodeId v : shard.owned) out_arcs += graph.OutDegree(v);
+    shard.out_offsets.reserve(shard.owned.size() + 1);
+    shard.out_targets.reserve(static_cast<size_t>(out_arcs));
+    shard.out_arc_begin.reserve(shard.owned.size());
+    shard.out_offsets.push_back(0);
     for (NodeId v : shard.owned) {
       if (graph.OutDegree(v) == 0) shard.dangling_owned.push_back(v);
       for (NodeId target : graph.OutNeighbors(v)) {
@@ -95,14 +90,12 @@ Result<GraphPartition> GraphPartition::Build(const CsrGraph& graph,
           ++shard.boundary_out_arcs;
         }
       }
-      if (options.build_out_csr) {
-        shard.out_arc_begin.push_back(graph.ArcBegin(v));
-        const auto row = graph.OutNeighbors(v);
-        shard.out_targets.insert(shard.out_targets.end(), row.begin(),
-                                 row.end());
-        shard.out_offsets.push_back(
-            static_cast<EdgeIndex>(shard.out_targets.size()));
-      }
+      shard.out_arc_begin.push_back(graph.ArcBegin(v));
+      const auto row = graph.OutNeighbors(v);
+      shard.out_targets.insert(shard.out_targets.end(), row.begin(),
+                               row.end());
+      shard.out_offsets.push_back(
+          static_cast<EdgeIndex>(shard.out_targets.size()));
     }
   }
 
@@ -162,8 +155,7 @@ size_t GraphPartition::OwnerOf(NodeId node) const {
 }
 
 double GraphPartition::BoundaryFraction() const {
-  // Totaled over the in-CSR, which exists in every build mode (the
-  // out-CSR is optional); both sides sum to the graph's arc count.
+  // Totaled over the in-CSR; both sides sum to the graph's arc count.
   EdgeIndex total = 0;
   for (const PartitionShard& shard : shards_) total += shard.num_in_arcs();
   if (total == 0) return 0.0;

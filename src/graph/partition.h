@@ -79,12 +79,6 @@ struct PartitionOptions {
   /// Number of shards; must be >= 1 (0 is InvalidArgument, not clamped —
   /// callers who want clamping decide that policy themselves).
   size_t num_shards = 2;
-  /// Materialize each shard's out-CSR (the forward adjacency slice).
-  /// The pull-style block solvers consume only the in-CSR, so consumers
-  /// that only solve (d2pr_cluster's in-process reference) pass false and
-  /// save an O(|E|) copy of the arc arrays; the boundary/dangling
-  /// accounting is computed either way. Push-style consumers keep the default.
-  bool build_out_csr = true;
 };
 
 /// \brief One shard's materialized subgraph: local CSR of owned rows plus
@@ -99,8 +93,6 @@ struct PartitionShard {
   std::vector<NodeId> owned;
 
   // --- out-CSR of owned rows (forward slice) ---
-  // Empty (all three vectors) when built with build_out_csr = false;
-  // the counters below are filled regardless.
   /// Row boundaries into out_targets; size owned.size() + 1.
   std::vector<EdgeIndex> out_offsets;
   /// Global target ids, ascending within each row (CSR order preserved).
@@ -119,9 +111,8 @@ struct PartitionShard {
   /// forward arc source -> owned destination.
   std::vector<EdgeIndex> in_arc_index;
   /// 1 when the arc's source is owned by this shard, 0 when it crosses
-  /// the boundary. Precomputed so per-sweep consumers (block
-  /// Gauss-Seidel chooses live vs frozen values by this bit) never pay
-  /// an ownership lookup in their inner loop.
+  /// the boundary. Precomputed so consumers (a shard worker lays out its
+  /// owned and boundary slots by this bit) never pay an ownership lookup.
   std::vector<uint8_t> in_interior;
 
   // --- exchange accounting ---

@@ -264,11 +264,6 @@ Result<ShardCut> CutShard(const CsrGraph& graph,
                " nodes but the graph has ", graph.num_nodes()));
   }
   const PartitionShard& shard = partition.shard(shard_id);
-  if (shard.out_offsets.size() != shard.owned.size() + 1) {
-    return Status::InvalidArgument(
-        "partition was built without its out-CSR (build_out_csr = false); "
-        "a shard cut needs the forward slice");
-  }
   const bool weighted = graph.weighted();
 
   ShardCut cut;

@@ -77,8 +77,7 @@ struct ShardCutMetadata {
 struct ShardCut {
   ShardCutMetadata meta;
 
-  /// Bit-for-bit the PartitionShard GraphPartition::Build(out_csr=true)
-  /// produces for this shard (tests/shard_cut_test.cc cross-checks every
+  /// Bit-for-bit the PartitionShard GraphPartition::Build produces for this shard (tests/shard_cut_test.cc cross-checks every
   /// field), including the derived owned list, in_interior bits, and
   /// boundary counters the loader reconstructs from the ownership rule.
   PartitionShard shard;
@@ -116,10 +115,9 @@ std::string ShardCutFileName(uint64_t graph_fingerprint,
                              size_t shard_id);
 
 /// \brief Cuts shard `shard_id` of `partition` (which must have been
-/// built from `graph` with build_out_csr = true) in memory: the ShardCut
-/// LoadShardCut would return for the file SaveShardCut writes, field for
-/// field. InvalidArgument for a bad shard id, a partition of another
-/// graph, or a partition built without the out-CSR.
+/// built from `graph`) in memory: the ShardCut LoadShardCut would return
+/// for the file SaveShardCut writes, field for field. InvalidArgument for
+/// a bad shard id or a partition of another graph.
 Result<ShardCut> CutShard(const CsrGraph& graph,
                           const GraphPartition& partition, size_t shard_id);
 

@@ -1,7 +1,9 @@
 // The pre-cut fleet end to end, in process: workers loaded from cut
 // files (ShardWorker::CreateFromCutFile) driven by a
 // DistributedCoordinator must solve bitwise identically to the
-// whole-graph reference — while NEVER building a whole CsrGraph or a
+// in-process references (block power over the same partition; for
+// Gauss-Seidel, the fleet of in-memory cuts the files must load back
+// to) — while NEVER building a whole CsrGraph or a
 // TransitionMatrix (pinned by build counters), holding ~1/N of the
 // graph bytes per worker, and getting the O(|V|) metric vector from the
 // coordinator's solve-begin broadcast exactly once.
@@ -41,8 +43,7 @@ DistFleet MakeCutFleet(const CsrGraph& graph, const std::string& dir,
                        size_t num_shards, PartitionScheme scheme,
                        const TransitionConfig& config = {}) {
   auto partition = GraphPartition::Build(
-      graph,
-      {.scheme = scheme, .num_shards = num_shards, .build_out_csr = true});
+      graph, {.scheme = scheme, .num_shards = num_shards});
   D2PR_CHECK(partition.ok()) << partition.status().ToString();
   DistFleet fleet;
   for (size_t s = 0; s < num_shards; ++s) {
@@ -56,23 +57,25 @@ DistFleet MakeCutFleet(const CsrGraph& graph, const std::string& dir,
   return fleet;
 }
 
+/// The in-process reference: block power over the same partition, and
+/// for block Gauss-Seidel the fleet of in-memory cuts (CutShard) that
+/// the cut files must load back to.
 Result<PagerankResult> ReferenceSolve(const CsrGraph& graph,
                                       PartitionScheme scheme,
                                       size_t num_shards, SolverMethod method,
                                       const TransitionConfig& config,
                                       const std::vector<double>& teleport,
                                       const PagerankOptions& options) {
+  if (method == SolverMethod::kGaussSeidel) {
+    return SolveOnFleet(graph, num_shards, scheme, config, method, teleport,
+                        options);
+  }
   auto partition = GraphPartition::Build(
-      graph, {.scheme = scheme, .num_shards = num_shards,
-              .build_out_csr = false});
+      graph, {.scheme = scheme, .num_shards = num_shards});
   if (!partition.ok()) return partition.status();
   auto slices = BuildTransitionSlicesLocal(graph, *partition, config);
   if (!slices.ok()) return slices.status();
-  return method == SolverMethod::kPower
-             ? SolvePagerankPartitioned(*slices, *partition, teleport,
-                                        options)
-             : SolveGaussSeidelPartitioned(*slices, *partition, teleport,
-                                           options);
+  return SolvePagerankPartitioned(*slices, *partition, teleport, options);
 }
 
 TEST(DistCutTest, PowerBitwiseFromCutFilesAcrossSchemesAndShardCounts) {
@@ -191,8 +194,7 @@ TEST(DistCutTest, CutWorkersNeverBuildAWholeGraphOrTransitionMatrix) {
   // Cuts are written (and the reference partition built) BEFORE the
   // counters are sampled: only the workers' own behavior is measured.
   auto partition = GraphPartition::Build(
-      *graph, {.scheme = PartitionScheme::kRange, .num_shards = 4,
-               .build_out_csr = true});
+      *graph, {.scheme = PartitionScheme::kRange, .num_shards = 4});
   ASSERT_TRUE(partition.ok());
   std::vector<std::string> paths;
   for (size_t s = 0; s < 4; ++s) {

@@ -41,8 +41,7 @@ struct FaultFixture {
     options.tolerance = 1e-11;
     options.max_iterations = 2000;
 
-    auto partition = GraphPartition::Build(
-        *graph, {.num_shards = 2, .build_out_csr = false});
+    auto partition = GraphPartition::Build(*graph, {.num_shards = 2});
     D2PR_CHECK(partition.ok());
     auto slices = BuildTransitionSlicesLocal(*graph, *partition, {});
     D2PR_CHECK(slices.ok());

@@ -1,11 +1,14 @@
 // Distributed-vs-in-process parity: the DistributedCoordinator driving
-// an in-process shard fleet must reproduce the reference block solvers
-// bitwise (scores, iteration count, final residual) — power against
-// SolvePagerankPartitioned, block Gauss-Seidel against
-// SolveGaussSeidelPartitioned — across both partition schemes, shard
-// counts {1, 2, 4, 8}, every dangling policy, and a 25-graph seeded fuzz
-// over the same graph family partition_fuzz_test.cc proves the
-// in-process solvers on.
+// an in-process shard fleet must reproduce the reference solvers bitwise
+// (scores, iteration count, final residual) — power against
+// SolvePagerankPartitioned across both partition schemes, shard counts
+// {1, 2, 4, 8} and every dangling policy; one-shard block Gauss-Seidel
+// against the whole-graph SolvePagerankGaussSeidel, of which it is the
+// one-block case — plus a 25-graph seeded fuzz over the same graph
+// family partition_fuzz_test.cc proves the in-process solvers on, where
+// multi-shard Gauss-Seidel keeps the block method's 1e-9 contract.
+// tests/dist_server_test.cc pins multi-shard Gauss-Seidel over sockets
+// bitwise to the in-process fleet.
 
 #include <gtest/gtest.h>
 
@@ -17,34 +20,41 @@
 #include <vector>
 
 #include "core/block_solver.h"
+#include "core/gauss_seidel.h"
 #include "core/teleport.h"
 #include "core/transition_slices.h"
 #include "dist/coordinator.h"
 #include "dist_test_util.h"
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
+#include "linalg/vec_ops.h"
 #include "net/shard_wire.h"
 
 namespace d2pr {
 namespace {
 
-Result<PagerankResult> ReferenceSolve(const CsrGraph& graph,
+/// The in-process block power solve over the same partition.
+Result<PagerankResult> ReferencePower(const CsrGraph& graph,
                                       PartitionScheme scheme,
-                                      size_t num_shards, SolverMethod method,
+                                      size_t num_shards,
                                       const TransitionConfig& config,
                                       const std::vector<double>& teleport,
                                       const PagerankOptions& options) {
   auto partition = GraphPartition::Build(
-      graph, {.scheme = scheme, .num_shards = num_shards,
-              .build_out_csr = false});
+      graph, {.scheme = scheme, .num_shards = num_shards});
   if (!partition.ok()) return partition.status();
   auto slices = BuildTransitionSlicesLocal(graph, *partition, config);
   if (!slices.ok()) return slices.status();
-  return method == SolverMethod::kPower
-             ? SolvePagerankPartitioned(*slices, *partition, teleport,
-                                        options)
-             : SolveGaussSeidelPartitioned(*slices, *partition, teleport,
-                                           options);
+  return SolvePagerankPartitioned(*slices, *partition, teleport, options);
+}
+
+/// The whole-graph Gauss-Seidel solve.
+Result<PagerankResult> WholeGraphGaussSeidel(
+    const CsrGraph& graph, const TransitionConfig& config,
+    const std::vector<double>& teleport, const PagerankOptions& options) {
+  auto transition = TransitionMatrix::Build(graph, config);
+  if (!transition.ok()) return transition.status();
+  return SolvePagerankGaussSeidel(graph, *transition, teleport, options);
 }
 
 void ExpectBitwiseEqual(const PagerankResult& got,
@@ -86,47 +96,7 @@ TEST(DistParityTest, PowerBitwiseAcrossSchemesShardsAndPolicies) {
         ASSERT_TRUE(distributed->converged);
 
         auto reference =
-            ReferenceSolve(*graph, scheme, shards, SolverMethod::kPower, {},
-                           teleport, options);
-        ASSERT_TRUE(reference.ok());
-        ExpectBitwiseEqual(*distributed, *reference);
-      }
-    }
-  }
-}
-
-TEST(DistParityTest, GaussSeidelBitwiseAcrossSchemesAndShards) {
-  Rng rng(43);
-  auto graph = BarabasiAlbert(250, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
-
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    for (size_t shards : {1, 2, 4, 8}) {
-      for (DanglingPolicy dangling :
-           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
-        SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
-                     std::to_string(shards) + " shards, dangling " +
-                     std::to_string(static_cast<int>(dangling)));
-        PagerankOptions options;
-        options.alpha = 0.85;
-        options.tolerance = 1e-11;
-        options.max_iterations = 2000;
-        options.dangling = dangling;
-
-        DistFleet fleet = MakeFleet(*graph, shards, scheme);
-        DistributedCoordinator coordinator(
-            fleet.raw, MakeCoordinatorOptions(*graph, scheme));
-        ASSERT_TRUE(coordinator.Handshake().ok());
-        auto distributed =
-            coordinator.Solve(SolverMethod::kGaussSeidel, teleport, options);
-        ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-        ASSERT_TRUE(distributed->converged);
-
-        auto reference = ReferenceSolve(*graph, scheme, shards,
-                                        SolverMethod::kGaussSeidel, {},
-                                        teleport, options);
+            ReferencePower(*graph, scheme, shards, {}, teleport, options);
         ASSERT_TRUE(reference.ok());
         ExpectBitwiseEqual(*distributed, *reference);
       }
@@ -176,6 +146,7 @@ TEST(DistParityTest, SeededFuzzMatchesBlockSolversOnRandomGraphs) {
   // and non-uniform teleports.
   int power_cases = 0;
   int gs_cases = 0;
+  int gs_one_shard_cases = 0;
   for (int case_id = 0; case_id < 25; ++case_id) {
     SCOPED_TRACE("case " + std::to_string(case_id));
     auto graph = DistFuzzGraph(case_id);
@@ -226,19 +197,30 @@ TEST(DistParityTest, SeededFuzzMatchesBlockSolversOnRandomGraphs) {
     ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
     ASSERT_TRUE(distributed->converged);
 
-    auto reference = ReferenceSolve(*graph, scheme, shards, method, config,
-                                    teleport, options);
-    ASSERT_TRUE(reference.ok());
-    ExpectBitwiseEqual(*distributed, *reference);
     if (method == SolverMethod::kPower) {
+      auto reference =
+          ReferencePower(*graph, scheme, shards, config, teleport, options);
+      ASSERT_TRUE(reference.ok());
+      ExpectBitwiseEqual(*distributed, *reference);
       ++power_cases;
-    } else {
-      ++gs_cases;
+      continue;
     }
+    // Block Gauss-Seidel: bitwise the whole-graph solve over one shard,
+    // within the block method's 1e-9 over several.
+    auto reference = WholeGraphGaussSeidel(*graph, config, teleport, options);
+    ASSERT_TRUE(reference.ok());
+    if (shards == 1) {
+      ExpectBitwiseEqual(*distributed, *reference);
+      ++gs_one_shard_cases;
+    } else {
+      EXPECT_LE(DiffLInf(distributed->scores, reference->scores), 1e-9);
+    }
+    ++gs_cases;
   }
   // The sweep is only meaningful if both solvers recur.
   EXPECT_GE(power_cases, 5);
   EXPECT_GE(gs_cases, 5);
+  EXPECT_GE(gs_one_shard_cases, 1);
 }
 
 TEST(DistParityTest, BackToBackSolvesOverOneFleetStayBitwise) {
@@ -263,9 +245,8 @@ TEST(DistParityTest, BackToBackSolvesOverOneFleetStayBitwise) {
     auto distributed =
         coordinator.Solve(SolverMethod::kPower, teleport, options);
     ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-    auto reference = ReferenceSolve(*graph, PartitionScheme::kRange, 4,
-                                    SolverMethod::kPower, {}, teleport,
-                                    options);
+    auto reference = ReferencePower(*graph, PartitionScheme::kRange, 4, {},
+                                    teleport, options);
     ASSERT_TRUE(reference.ok());
     ExpectBitwiseEqual(*distributed, *reference);
   }
@@ -351,9 +332,11 @@ class PartialsCheckingChannel : public ShardChannel {
 
 /// A directed graph in which every seventh node has no out-arcs, so each
 /// shard owns dangling nodes and the dangling partials are not all zero.
-CsrGraph DirectedGraphWithDanglingNodes(NodeId num_nodes, uint64_t seed) {
+/// With `weighted`, every arc carries a random weight in [0.5, 3.5).
+CsrGraph DirectedGraphWithDanglingNodes(NodeId num_nodes, uint64_t seed,
+                                        bool weighted = false) {
   Rng rng(seed);
-  GraphBuilder builder(num_nodes, GraphKind::kDirected);
+  GraphBuilder builder(num_nodes, GraphKind::kDirected, weighted);
   for (NodeId v = 0; v < num_nodes; ++v) {
     if (v % 7 == 0) continue;
     const int degree = 1 + static_cast<int>(rng.UniformInt(0, 3));
@@ -361,7 +344,8 @@ CsrGraph DirectedGraphWithDanglingNodes(NodeId num_nodes, uint64_t seed) {
       const auto target =
           static_cast<NodeId>(rng.UniformInt(0, num_nodes - 1));
       if (target == v) continue;
-      EXPECT_TRUE(builder.AddEdge(v, target).ok());
+      const double weight = weighted ? 0.5 + 3.0 * rng.Uniform() : 1.0;
+      EXPECT_TRUE(builder.AddEdge(v, target, weight).ok());
     }
   }
   auto graph = builder.Build();
@@ -469,9 +453,8 @@ TEST(DistParityTest, ReusedSweepBuffersRepeatSolvesBitwiseEvenAfterAFailure) {
     options.tolerance = 1e-11;
     options.max_iterations = 2000;
     options.dangling = dangling;
-    auto reference = ReferenceSolve(*graph, PartitionScheme::kHash, kShards,
-                                    SolverMethod::kPower, {}, teleport,
-                                    options);
+    auto reference = ReferencePower(*graph, PartitionScheme::kHash, kShards,
+                                    {}, teleport, options);
     ASSERT_TRUE(reference.ok());
 
     auto first = coordinator.Solve(SolverMethod::kPower, teleport, options);
@@ -493,10 +476,58 @@ TEST(DistParityTest, ReusedSweepBuffersRepeatSolvesBitwiseEvenAfterAFailure) {
   EXPECT_EQ(before.status().code(), StatusCode::kUnavailable);
   auto after = coordinator.Solve(SolverMethod::kPower, teleport, options);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  auto reference = ReferenceSolve(*graph, PartitionScheme::kHash, kShards,
-                                  SolverMethod::kPower, {}, teleport, options);
+  auto reference = ReferencePower(*graph, PartitionScheme::kHash, kShards,
+                                  {}, teleport, options);
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(SameBits(*after, *reference));
+}
+
+TEST(DistParityTest, OneShardGaussSeidelIsTheWholeGraphSolveBitwise) {
+  // One shard is one block: the worker sweeps its owned slots in node
+  // order, exactly the rows and order of SolvePagerankGaussSeidel. Any
+  // drift in the worker's slot indexing breaks the bits.
+  Rng rng(48);
+  auto undirected = BarabasiAlbert(230, 3, &rng);
+  ASSERT_TRUE(undirected.ok());
+  const CsrGraph weighted =
+      DirectedGraphWithDanglingNodes(210, 49, /*weighted=*/true);
+  struct Case {
+    const CsrGraph* graph;
+    TransitionConfig config;
+  };
+  const Case cases[] = {{&*undirected, {.p = -0.5}},
+                        {&weighted, {.p = 0.7, .beta = 0.4}}};
+  for (const Case& c : cases) {
+    const CsrGraph& graph = *c.graph;
+    const std::vector<double> uniform = UniformTeleport(graph.num_nodes());
+    auto seeded =
+        SeededTeleport(graph.num_nodes(), std::vector<NodeId>{3, 50, 101});
+    ASSERT_TRUE(seeded.ok());
+    const std::vector<double>& personalized = *seeded;
+    for (DanglingPolicy dangling :
+         {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
+      for (const std::vector<double>* teleport : {&uniform, &personalized}) {
+        SCOPED_TRACE(std::string(graph.directed() ? "directed weighted"
+                                                  : "undirected") +
+                     ", dangling " +
+                     std::to_string(static_cast<int>(dangling)) +
+                     (teleport == &uniform ? ", uniform" : ", seeded"));
+        PagerankOptions options;
+        options.tolerance = 1e-11;
+        options.max_iterations = 2000;
+        options.dangling = dangling;
+        auto distributed =
+            SolveOnFleet(graph, 1, PartitionScheme::kRange, c.config,
+                         SolverMethod::kGaussSeidel, *teleport, options);
+        ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+        ASSERT_TRUE(distributed->converged);
+        auto reference =
+            WholeGraphGaussSeidel(graph, c.config, *teleport, options);
+        ASSERT_TRUE(reference.ok());
+        EXPECT_TRUE(SameBits(*distributed, *reference));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // ShardServer over real loopback sockets: the same coordinator fleet the
 // in-process suites drive, but through SocketShardChannel -> TCP ->
 // ShardServer -> ShardWorker — proving the socket hosting layer preserves
-// the bit-parity and rejection contracts, that a rejected handshake
-// closes ONLY its own connection, and that framing garbage is counted
-// and contained.
+// the bit-parity contracts (power against the in-process block solve,
+// block Gauss-Seidel against the in-process fleet) and the rejection
+// contracts, that a rejected handshake closes ONLY its own connection,
+// and that framing garbage is counted and contained.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -93,8 +95,7 @@ TEST(DistServerTest, LoopbackFleetSolvesBitwiseIdentical) {
                                        options);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
 
-  auto partition = GraphPartition::Build(
-      *graph, {.num_shards = 2, .build_out_csr = false});
+  auto partition = GraphPartition::Build(*graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
   auto slices = BuildTransitionSlicesLocal(*graph, *partition, {});
   ASSERT_TRUE(slices.ok());
@@ -109,6 +110,50 @@ TEST(DistServerTest, LoopbackFleetSolvesBitwiseIdentical) {
     EXPECT_GT(server->stats().frames_handled.load(), 0);
     EXPECT_EQ(server->stats().protocol_errors.load(), 0);
     EXPECT_EQ(server->stats().handshake_rejects.load(), 0);
+  }
+}
+
+TEST(DistServerTest, LoopbackGaussSeidelMatchesTheInProcessFleetBitwise) {
+  // Multi-shard block Gauss-Seidel has no whole-graph equal; the socket
+  // fleet must reproduce the in-process fleet over the same partition
+  // bit for bit.
+  Rng rng(51);
+  auto graph = BarabasiAlbert(220, 3, &rng);
+  ASSERT_TRUE(graph.ok());
+  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  constexpr size_t kShards = 3;
+
+  SocketFleet fleet = MakeSocketFleet(*graph, kShards);
+  CoordinatorOptions coordinator_options = MakeCoordinatorOptions(*graph);
+  coordinator_options.sweep_deadline_ms = 10000;  // bounded, not hit
+  DistributedCoordinator coordinator(fleet.raw, coordinator_options);
+  ASSERT_TRUE(coordinator.Handshake().ok());
+  for (DanglingPolicy dangling :
+       {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
+    SCOPED_TRACE("dangling " + std::to_string(static_cast<int>(dangling)));
+    PagerankOptions options;
+    options.tolerance = 1e-11;
+    options.max_iterations = 2000;
+    options.dangling = dangling;
+    auto sockets =
+        coordinator.Solve(SolverMethod::kGaussSeidel, teleport, options);
+    ASSERT_TRUE(sockets.ok()) << sockets.status().ToString();
+    ASSERT_TRUE(sockets->converged);
+    auto in_process =
+        SolveOnFleet(*graph, kShards, PartitionScheme::kRange, {},
+                     SolverMethod::kGaussSeidel, teleport, options);
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    EXPECT_EQ(sockets->iterations, in_process->iterations);
+    EXPECT_EQ(std::memcmp(&sockets->residual, &in_process->residual,
+                          sizeof(double)),
+              0);
+    ASSERT_EQ(sockets->scores.size(), in_process->scores.size());
+    EXPECT_EQ(std::memcmp(sockets->scores.data(), in_process->scores.data(),
+                          sockets->scores.size() * sizeof(double)),
+              0);
+  }
+  for (auto& server : fleet.servers) {
+    EXPECT_EQ(server->stats().protocol_errors.load(), 0);
   }
 }
 

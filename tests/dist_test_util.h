@@ -1,6 +1,7 @@
 // Shared fixtures of the distributed-block-solve suites
 // (dist_parity_test.cc, dist_fault_test.cc, dist_handshake_test.cc,
-// dist_server_test.cc, dist_cut_test.cc): an in-process shard fleet — N
+// dist_server_test.cc, dist_cut_test.cc) and of the partition suites'
+// block Gauss-Seidel checks: an in-process shard fleet — N
 // ShardWorkers over in-memory cuts of one graph, one
 // InProcessShardChannel each, and the CoordinatorOptions that handshake
 // with them — plus the FaultyChannel decorator the chaos suite wraps
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -163,10 +165,23 @@ inline CoordinatorOptions MakeCoordinatorOptions(
   return options;
 }
 
-/// \brief The seeded graph family of partition_fuzz_test.cc, shared so
-/// the distributed parity fuzz sweeps the same power-law and
-/// bipartite-projection graphs (weighted every fourth case) the
-/// in-process parity fuzz proved the block solvers on.
+/// One `method` solve over a fresh in-process fleet of `graph`
+/// (MakeFleet) driven by a coordinator handshaken with it.
+inline Result<PagerankResult> SolveOnFleet(
+    const CsrGraph& graph, size_t num_shards, PartitionScheme scheme,
+    const TransitionConfig& config, SolverMethod method,
+    std::span<const double> teleport, const PagerankOptions& options) {
+  DistFleet fleet = MakeFleet(graph, num_shards, scheme, config);
+  DistributedCoordinator coordinator(
+      fleet.raw, MakeCoordinatorOptions(graph, scheme, config));
+  D2PR_RETURN_NOT_OK(coordinator.Handshake());
+  return coordinator.Solve(method, teleport, options);
+}
+
+/// \brief The seeded graph family of the parity fuzzes
+/// (partition_fuzz_test.cc, dist_parity_test.cc): power-law
+/// (preferential attachment) graphs on even cases, bipartite member
+/// projections on odd ones, weighted every fourth case.
 inline Result<CsrGraph> DistFuzzGraph(int case_id) {
   const auto seed = static_cast<uint64_t>(case_id);
   if (case_id % 2 == 0) {

@@ -2,10 +2,11 @@
 // random graphs (power-law preferential attachment and bipartite member
 // projections, weighted and unweighted), random p/alpha/beta, every
 // dangling policy and uniform and seeded teleports, the block solvers
-// must reproduce the whole-graph reference solvers: power bit-identically
-// (fed from both slice builders, the matrix share and the matrix-free
-// kernel), Gauss-Seidel within 1e-9 with total probability mass 1 and
-// top-k ranking agreement on every solve.
+// must reproduce the whole-graph reference solvers: in-process block
+// power bit-identically (its matrix-free slices bitwise the matrix's
+// factors), block Gauss-Seidel on an in-process shard fleet within 1e-9
+// with total probability mass 1 and top-k ranking agreement on every
+// solve.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,9 +24,7 @@
 #include "core/pagerank.h"
 #include "core/teleport.h"
 #include "core/transition_slices.h"
-#include "datagen/bipartite_world.h"
-#include "datagen/classic_generators.h"
-#include "datagen/projection.h"
+#include "dist_test_util.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
 #include "stats/ranking.h"
@@ -39,28 +37,6 @@ constexpr int kNumCases = 50;
 constexpr size_t kTopK = 10;
 constexpr double kGsTolerance = 1e-9;
 constexpr double kMassTolerance = 1e-9;
-
-/// Alternates between a power-law (preferential attachment) graph and a
-/// bipartite member-member projection; every fourth case is weighted.
-Result<CsrGraph> FuzzGraph(int case_id) {
-  const auto seed = static_cast<uint64_t>(case_id);
-  if (case_id % 2 == 0) {
-    Rng rng(4000 + seed);
-    return BarabasiAlbert(
-        static_cast<NodeId>(100 + (case_id * 17) % 140),
-        2 + case_id % 3, &rng);
-  }
-  BipartiteWorldConfig config;
-  config.num_members = static_cast<NodeId>(80 + (case_id * 11) % 70);
-  config.num_venues = static_cast<NodeId>(25 + case_id % 25);
-  config.venue_size_max = 12;
-  config.seed = 5000 + seed;
-  auto world = GenerateBipartiteWorld(config);
-  if (!world.ok()) return world.status();
-  ProjectionConfig projection;
-  projection.weighted = case_id % 4 == 1;
-  return ProjectMembers(*world, projection);
-}
 
 /// 1-5 distinct random nodes, the seeds of a personalized teleport.
 std::vector<NodeId> RandomSeeds(Rng& rng, const CsrGraph& graph) {
@@ -129,7 +105,7 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
   int boundary_heavy_cases = 0;
   for (int case_id = 0; case_id < kNumCases; ++case_id) {
     SCOPED_TRACE("case " + std::to_string(case_id));
-    auto graph = FuzzGraph(case_id);
+    auto graph = DistFuzzGraph(case_id);
     ASSERT_TRUE(graph.ok());
 
     Rng rng(17000 + static_cast<uint64_t>(case_id));
@@ -147,16 +123,11 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
     ASSERT_TRUE(partition.ok());
     if (partition->BoundaryFraction() > 0.25) ++boundary_heavy_cases;
 
-    // Both slice builders (sharing the matrix and the shard-by-shard
-    // build) are bit-identical, so one solve per builder proves the
-    // whole chain.
-    auto from_matrix = BuildTransitionSlices(
-        *graph, *partition,
-        std::make_shared<const TransitionMatrix>(*transition));
-    ASSERT_TRUE(from_matrix.ok());
+    // The shard-by-shard build recomputes the matrix's factors bit for
+    // bit.
     auto local = BuildTransitionSlicesLocal(*graph, *partition, random.config);
     ASSERT_TRUE(local.ok());
-    ExpectSameMatrix(*local->transition, *from_matrix->transition);
+    ExpectSameMatrix(*local->transition, *transition);
 
     for (const DanglingPolicy policy : kPolicies) {
       for (const std::vector<double>* teleport :
@@ -170,16 +141,14 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
             SolvePagerank(*graph, *transition, *teleport, options);
         ASSERT_TRUE(reference.ok()) << reference.status().ToString();
         ASSERT_TRUE(reference->converged);
-        for (const TransitionSlices* slices : {&*from_matrix, &*local}) {
-          auto sliced =
-              SolvePagerankPartitioned(*slices, *partition, *teleport, options);
-          ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
-          ExpectSameBits(sliced->scores, reference->scores, "scores");
-          EXPECT_EQ(sliced->iterations, reference->iterations);
-          EXPECT_EQ(std::memcmp(&sliced->residual, &reference->residual,
-                                sizeof(double)),
-                    0);
-        }
+        auto sliced =
+            SolvePagerankPartitioned(*local, *partition, *teleport, options);
+        ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+        ExpectSameBits(sliced->scores, reference->scores, "scores");
+        EXPECT_EQ(sliced->iterations, reference->iterations);
+        EXPECT_EQ(std::memcmp(&sliced->residual, &reference->residual,
+                              sizeof(double)),
+                  0);
         ++power_responses;
       }
     }
@@ -191,16 +160,17 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
 }
 
 TEST(PartitionFuzzTest, SolverLevelGaussSeidelOnRandomGraphs) {
-  // Block Gauss-Seidel against SolvePagerankGaussSeidel over the same
-  // graph family: within 1e-9 at tolerance 1e-11, total mass 1 and top-k
-  // agreement on every solve, kRenormalize rejected (its fixed point
-  // depends on the sweep order; see core/block_solver.h).
+  // Block Gauss-Seidel on an in-process shard fleet against
+  // SolvePagerankGaussSeidel over the same graph family: within 1e-9 at
+  // tolerance 1e-11, total mass 1 and top-k agreement on every solve,
+  // kRenormalize rejected by the coordinator (its fixed point depends on
+  // the sweep order; see core/block_solver.h).
   int gs_responses = 0;
   int renormalize_rejections = 0;
   int boundary_heavy_cases = 0;
   for (int case_id = 0; case_id < kNumCases; ++case_id) {
     SCOPED_TRACE("case " + std::to_string(case_id));
-    auto graph = FuzzGraph(case_id);
+    auto graph = DistFuzzGraph(case_id);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     ASSERT_GT(graph->num_nodes(), 0);
 
@@ -217,10 +187,11 @@ TEST(PartitionFuzzTest, SolverLevelGaussSeidelOnRandomGraphs) {
         *graph, {.scheme = scheme, .num_shards = num_shards});
     ASSERT_TRUE(partition.ok());
     if (partition->BoundaryFraction() > 0.25) ++boundary_heavy_cases;
-    auto slices = BuildTransitionSlices(
-        *graph, *partition,
-        std::make_shared<const TransitionMatrix>(*transition));
-    ASSERT_TRUE(slices.ok());
+    // The fleet cuts the same partition: same scheme, same shard count.
+    DistFleet fleet = MakeFleet(*graph, num_shards, scheme, random.config);
+    DistributedCoordinator coordinator(
+        fleet.raw, MakeCoordinatorOptions(*graph, scheme, random.config));
+    ASSERT_TRUE(coordinator.Handshake().ok());
 
     for (const DanglingPolicy policy : kPolicies) {
       for (const std::vector<double>* teleport :
@@ -231,8 +202,7 @@ TEST(PartitionFuzzTest, SolverLevelGaussSeidelOnRandomGraphs) {
         PagerankOptions options = random.options;
         options.dangling = policy;
         auto block =
-            SolveGaussSeidelPartitioned(*slices, *partition, *teleport,
-                                        options);
+            coordinator.Solve(SolverMethod::kGaussSeidel, *teleport, options);
         if (policy == DanglingPolicy::kRenormalize) {
           EXPECT_EQ(block.status().code(), StatusCode::kInvalidArgument);
           ++renormalize_rejections;

@@ -7,8 +7,9 @@
 //     shard count, every dangling policy, uniform and personalized
 //     teleports, weighted and unweighted graphs;
 //   * block Gauss-Seidel (Gauss-Seidel within a shard, Jacobi across
-//     shards) agrees with SolvePagerankGaussSeidel within 1e-9 at
-//     tolerance 1e-11.
+//     shards), run by an in-process shard fleet, agrees with
+//     SolvePagerankGaussSeidel within 1e-9 at tolerance 1e-11, and over
+//     one shard bit for bit.
 // tests/partition_fuzz_test.cc asserts the same contract on random
 // graphs, and tests/dist_parity_test.cc carries it to the shard fleet.
 
@@ -16,7 +17,6 @@
 
 #include <cmath>
 #include <string>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +27,7 @@
 #include "core/transition.h"
 #include "core/transition_slices.h"
 #include "datagen/classic_generators.h"
+#include "dist_test_util.h"
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
@@ -68,11 +69,11 @@ CsrGraph WeightedDirectedGraph() {
   return std::move(graph).value();
 }
 
-/// `transition` sliced through `partition` — the block solvers' input.
+/// The transition under `config` sliced through `partition` — the block
+/// power solver's input.
 TransitionSlices Sliced(const CsrGraph& graph, const GraphPartition& partition,
-                        const TransitionMatrix& transition) {
-  auto slices = BuildTransitionSlices(
-      graph, partition, std::make_shared<const TransitionMatrix>(transition));
+                        const TransitionConfig& config) {
+  auto slices = BuildTransitionSlicesLocal(graph, partition, config);
   EXPECT_TRUE(slices.ok()) << slices.status().ToString();
   return std::move(slices).value();
 }
@@ -137,8 +138,8 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
                   *graph, {.scheme = scheme, .num_shards = shards});
               ASSERT_TRUE(partition.ok());
               auto block = SolvePagerankPartitioned(
-                  Sliced(*graph, *partition, *transition), *partition,
-                  *teleport, options);
+                  Sliced(*graph, *partition, config), *partition, *teleport,
+                  options);
               ASSERT_TRUE(block.ok()) << block.status().ToString();
               // Bitwise: vector operator== compares every double exactly.
               EXPECT_EQ(block->scores, reference->scores);
@@ -183,13 +184,10 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
         for (size_t shards : kShardCounts) {
           SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x" +
                        std::to_string(shards));
-          auto partition = GraphPartition::Build(
-              *graph, {.scheme = scheme, .num_shards = shards});
-          ASSERT_TRUE(partition.ok());
-          auto block = SolveGaussSeidelPartitioned(
-              Sliced(*graph, *partition, *transition), *partition, *teleport,
-              options);
-          ASSERT_TRUE(block.ok());
+          auto block = SolveOnFleet(*graph, shards, scheme, config,
+                                    SolverMethod::kGaussSeidel, *teleport,
+                                    options);
+          ASSERT_TRUE(block.ok()) << block.status().ToString();
           EXPECT_TRUE(block->converged);
           EXPECT_LE(MaxAbsDiff(block->scores, reference->scores),
                     kGsTolerance);
@@ -201,10 +199,9 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
 }
 
 TEST(PartitionParityTest, SingleShardGaussSeidelEqualsBlockFixedPoint) {
-  // With one shard there is no frozen remote data, yet the block sweep is
-  // still not the reference sweep order's equal only for multi-shard
-  // runs; for one shard the in-shard Gauss-Seidel order IS the global
-  // order, so the paths coincide exactly.
+  // With one shard there is no frozen remote data: the in-shard
+  // Gauss-Seidel order IS the global order, so the paths coincide
+  // exactly.
   const CsrGraph graph = UnweightedGraph();
   auto transition = TransitionMatrix::Build(graph, {});
   ASSERT_TRUE(transition.ok());
@@ -215,23 +212,20 @@ TEST(PartitionParityTest, SingleShardGaussSeidelEqualsBlockFixedPoint) {
   auto reference =
       SolvePagerankGaussSeidel(graph, *transition, teleport, options);
   ASSERT_TRUE(reference.ok());
-  auto partition = GraphPartition::Build(graph, {.num_shards = 1});
-  ASSERT_TRUE(partition.ok());
-  auto block = SolveGaussSeidelPartitioned(
-      Sliced(graph, *partition, *transition), *partition, teleport, options);
-  ASSERT_TRUE(block.ok());
+  auto block = SolveOnFleet(graph, 1, PartitionScheme::kRange, {},
+                            SolverMethod::kGaussSeidel, teleport, options);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
   EXPECT_EQ(block->scores, reference->scores);
   EXPECT_EQ(block->iterations, reference->iterations);
+  EXPECT_EQ(block->residual, reference->residual);
 }
 
 TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   const CsrGraph graph = UnweightedGraph();
-  auto transition = TransitionMatrix::Build(graph, {});
-  ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
-  const TransitionSlices slices = Sliced(graph, *partition, *transition);
+  const TransitionSlices slices = Sliced(graph, *partition, {});
 
   PagerankOptions bad_alpha;
   bad_alpha.alpha = 1.0;
@@ -242,8 +236,13 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
 
   PagerankOptions bad_tolerance;
   bad_tolerance.tolerance = 0.0;
-  EXPECT_EQ(SolveGaussSeidelPartitioned(slices, *partition, teleport,
-                                        bad_tolerance)
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *partition, teleport,
+                                     bad_tolerance)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SolveOnFleet(graph, 2, PartitionScheme::kRange, {},
+                         SolverMethod::kGaussSeidel, teleport, bad_tolerance)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -267,26 +266,22 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
 
 TEST(PartitionParityTest, BlockPowerRejectsNonFiniteTeleport) {
   const CsrGraph graph = UnweightedGraph();
-  auto transition = TransitionMatrix::Build(graph, {});
-  ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
   std::vector<double> teleport = UniformTeleport(graph.num_nodes());
   teleport[1] = std::nan("");
-  auto solved = SolvePagerankPartitioned(
-      Sliced(graph, *partition, *transition), *partition, teleport, {});
+  auto solved = SolvePagerankPartitioned(Sliced(graph, *partition, {}),
+                                         *partition, teleport, {});
   ASSERT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(solved.status().message().find("finite"), std::string::npos);
 }
 
 TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
-  auto transition = TransitionMatrix::Build(CsrGraph(), {});
-  ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(CsrGraph(), {.num_shards = 4});
   ASSERT_TRUE(partition.ok());
   auto solved =
-      SolvePagerankPartitioned(Sliced(CsrGraph(), *partition, *transition),
+      SolvePagerankPartitioned(Sliced(CsrGraph(), *partition, {}),
                                *partition, {}, PagerankOptions{});
   ASSERT_TRUE(solved.ok());
   EXPECT_TRUE(solved->converged);
@@ -296,24 +291,24 @@ TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
 TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   // The renormalized Gauss-Seidel fixed point depends on the sweep order
   // once dangling mass is dropped, so a block sweep cannot reproduce the
-  // single-graph reference; the solver must fail loudly rather than
-  // serve an O(1e-3)-off solution.
+  // single-graph reference; the fleet's coordinator must fail loudly
+  // rather than serve an O(1e-3)-off solution.
   const CsrGraph graph = WeightedDirectedGraph();  // has dangling nodes
   auto transition = TransitionMatrix::Build(graph, {});
   ASSERT_TRUE(transition.ok());
-  auto partition = GraphPartition::Build(graph, {.num_shards = 2});
-  ASSERT_TRUE(partition.ok());
   PagerankOptions options;
   options.dangling = DanglingPolicy::kRenormalize;
-  auto solved = SolveGaussSeidelPartitioned(
-      Sliced(graph, *partition, *transition), *partition,
-      UniformTeleport(graph.num_nodes()), options);
+  auto solved = SolveOnFleet(graph, 2, PartitionScheme::kRange, {},
+                             SolverMethod::kGaussSeidel,
+                             UniformTeleport(graph.num_nodes()), options);
   EXPECT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 
   // Power iteration under kRenormalize stays fully (bitwise) supported.
+  auto partition = GraphPartition::Build(graph, {.num_shards = 2});
+  ASSERT_TRUE(partition.ok());
   auto power = SolvePagerankPartitioned(
-      Sliced(graph, *partition, *transition), *partition,
+      Sliced(graph, *partition, {}), *partition,
       UniformTeleport(graph.num_nodes()), options);
   ASSERT_TRUE(power.ok()) << power.status().ToString();
   auto reference = SolvePagerank(graph, *transition,

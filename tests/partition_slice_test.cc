@@ -3,14 +3,14 @@
 // solver parity, edge-case shapes, and the hash ownership pin.
 //
 // The load-bearing claims proven here (see core/transition_slices.h):
-//   * BuildTransitionSlices shares the matrix's factors, no copy;
 //   * BuildTransitionSlicesLocal — which never calls
 //     TransitionMatrix::Build (asserted via TransitionMatrix::BuildCount)
 //     — produces bitwise the SAME factors from the shard rows plus the
 //     O(|V|) metric vector, for every metric, p sign, and the weighted
 //     beta blend;
-//   * the sliced block solvers inherit the parity contracts verbatim:
-//     power bit-identical to SolvePagerank, Gauss-Seidel within 1e-9;
+//   * the sliced block solves inherit the parity contracts verbatim:
+//     power bit-identical to SolvePagerank, and Gauss-Seidel on a shard
+//     fleet (whose workers build their slices from cuts) within 1e-9;
 //   * GraphPartitioner's kHash owner is node id modulo shard count, the
 //     rule pre-cut shard files and the fleet's workers are cut by.
 
@@ -29,6 +29,7 @@
 #include "core/transition.h"
 #include "core/transition_slices.h"
 #include "datagen/classic_generators.h"
+#include "dist_test_util.h"
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
 #include "linalg/vec_ops.h"
@@ -68,18 +69,8 @@ CsrGraph WeightedDirectedGraph() {
   return std::move(graph).value();
 }
 
-/// Shares a copy of `transition` as slices for `partition`, the
-/// serving path.
-Result<TransitionSlices> SliceMatrix(const CsrGraph& graph,
-                                     const GraphPartition& partition,
-                                     const TransitionMatrix& transition) {
-  return BuildTransitionSlices(
-      graph, partition, std::make_shared<const TransitionMatrix>(transition));
-}
-
 /// Asserts `slices` carry bitwise `transition`'s factors and dangling
-/// view, and the graph's weights exactly when the blend is on — the
-/// structural cross-check both construction paths must satisfy.
+/// view, and the graph's weights exactly when the blend is on.
 void ExpectSlicesMatchMatrix(const TransitionSlices& slices,
                              const CsrGraph& graph,
                              const TransitionMatrix& transition) {
@@ -103,10 +94,10 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // ---------------------------------------------------------------------
-// Construction parity: matrix path == local path, bit for bit.
+// Construction parity: local path == matrix, bit for bit.
 // ---------------------------------------------------------------------
 
-TEST(PartitionSliceTest, BothBuildPathsAreBitwiseIdenticalToTheMatrix) {
+TEST(PartitionSliceTest, LocalBuildIsBitwiseIdenticalToTheMatrix) {
   const CsrGraph unweighted = UnweightedGraph();
   const CsrGraph weighted = WeightedDirectedGraph();
   for (const CsrGraph* graph : {&unweighted, &weighted}) {
@@ -133,14 +124,10 @@ TEST(PartitionSliceTest, BothBuildPathsAreBitwiseIdenticalToTheMatrix) {
                 *graph, {.scheme = scheme, .num_shards = shards});
             ASSERT_TRUE(partition.ok());
 
-            auto from_matrix = SliceMatrix(*graph, *partition, *transition);
-            ASSERT_TRUE(from_matrix.ok());
-            ExpectSlicesMatchMatrix(*from_matrix, *graph, *transition);
-
             auto local =
                 BuildTransitionSlicesLocal(*graph, *partition, config);
             ASSERT_TRUE(local.ok()) << local.status().ToString();
-            // The local path must match the matrix path bit for bit —
+            // The local path must match the matrix bit for bit —
             // including the sink rows and uniform fallbacks.
             ExpectSlicesMatchMatrix(*local, *graph, *transition);
           }
@@ -220,10 +207,6 @@ TEST(PartitionSliceTest, LocalBuildRejectsExactlyWhatBuildRejects) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  auto transition = TransitionMatrix::Build(other, {});
-  ASSERT_TRUE(transition.ok());
-  EXPECT_EQ(SliceMatrix(graph, *partition, *transition).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------
@@ -297,9 +280,8 @@ TEST(PartitionSliceTest, ValidateSlicesCatchesEveryShapeMismatch) {
   const CsrGraph graph = WeightedDirectedGraph();
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
-  auto transition = TransitionMatrix::Build(graph, {.p = 0.5, .beta = 0.5});
-  ASSERT_TRUE(transition.ok());
-  auto good = SliceMatrix(graph, *partition, *transition);
+  auto good =
+      BuildTransitionSlicesLocal(graph, *partition, {.p = 0.5, .beta = 0.5});
   ASSERT_TRUE(good.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
   const auto code = [&](const TransitionSlices& slices) {
@@ -360,21 +342,14 @@ TEST(PartitionSliceTest, SlicedPowerIsBitIdenticalToTheReference) {
           auto partition = GraphPartition::Build(
               *graph, {.scheme = scheme, .num_shards = shards});
           ASSERT_TRUE(partition.ok());
-          // Both builders, both solved; each result must carry the
-          // reference's bits.
-          auto from_matrix = SliceMatrix(*graph, *partition, *transition);
-          ASSERT_TRUE(from_matrix.ok());
           auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
           ASSERT_TRUE(local.ok());
-          for (const TransitionSlices* slices :
-               {&*from_matrix, &*local}) {
-            auto block = SolvePagerankPartitioned(*slices, *partition,
-                                                  teleport, options);
-            ASSERT_TRUE(block.ok()) << block.status().ToString();
-            EXPECT_EQ(block->scores, reference->scores);
-            EXPECT_EQ(block->iterations, reference->iterations);
-            EXPECT_EQ(block->residual, reference->residual);
-          }
+          auto block =
+              SolvePagerankPartitioned(*local, *partition, teleport, options);
+          ASSERT_TRUE(block.ok()) << block.status().ToString();
+          EXPECT_EQ(block->scores, reference->scores);
+          EXPECT_EQ(block->iterations, reference->iterations);
+          EXPECT_EQ(block->residual, reference->residual);
         }
       }
     }
@@ -400,27 +375,12 @@ TEST(PartitionSliceTest, SlicedGaussSeidelAgreesWithinTolerance) {
 
   for (size_t shards : kShardCounts) {
     SCOPED_TRACE("x" + std::to_string(shards));
-    auto partition = GraphPartition::Build(graph, {.num_shards = shards});
-    ASSERT_TRUE(partition.ok());
-    auto local = BuildTransitionSlicesLocal(graph, *partition, config);
-    ASSERT_TRUE(local.ok());
-    auto block =
-        SolveGaussSeidelPartitioned(*local, *partition, teleport, options);
-    ASSERT_TRUE(block.ok());
+    auto block = SolveOnFleet(graph, shards, PartitionScheme::kRange, config,
+                              SolverMethod::kGaussSeidel, teleport, options);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
     EXPECT_TRUE(block->converged);
     EXPECT_LE(MaxAbsDiff(block->scores, reference->scores), 1e-9);
     EXPECT_NEAR(Sum(block->scores), 1.0, 1e-12);
-
-    // And bit-identical to the block solve over the matrix's slices,
-    // which runs the same frozen-exchange sweep over the same factors.
-    auto from_matrix = SliceMatrix(graph, *partition, *transition);
-    ASSERT_TRUE(from_matrix.ok());
-    auto matrix_block =
-        SolveGaussSeidelPartitioned(*from_matrix, *partition, teleport,
-                                    options);
-    ASSERT_TRUE(matrix_block.ok());
-    EXPECT_EQ(block->scores, matrix_block->scores);
-    EXPECT_EQ(block->iterations, matrix_block->iterations);
   }
 }
 
@@ -428,9 +388,7 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
   const CsrGraph graph = UnweightedGraph();
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
-  auto transition = TransitionMatrix::Build(graph, {});
-  ASSERT_TRUE(transition.ok());
-  auto slices = SliceMatrix(graph, *partition, *transition);
+  auto slices = BuildTransitionSlicesLocal(graph, *partition, {});
   ASSERT_TRUE(slices.ok());
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
 
@@ -438,14 +396,6 @@ TEST(PartitionSliceTest, SlicedSolversValidateShapes) {
   misshapen.transition = nullptr;
   EXPECT_EQ(SolvePagerankPartitioned(misshapen, *partition, teleport,
                                      PagerankOptions{})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-
-  PagerankOptions renormalize;
-  renormalize.dangling = DanglingPolicy::kRenormalize;
-  EXPECT_EQ(SolveGaussSeidelPartitioned(*slices, *partition, teleport,
-                                        renormalize)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

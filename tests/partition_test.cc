@@ -287,42 +287,6 @@ TEST(GraphPartitionTest, AllDanglingShardIsWellFormed) {
   ExpectWellFormed(*graph, *partition);
 }
 
-TEST(GraphPartitionTest, PullOnlyBuildSkipsOutCsrButKeepsAccounting) {
-  // build_out_csr = false (what the serving router uses) must skip only
-  // the forward arrays: the in-CSR, interior flags, dangling lists, and
-  // every boundary counter stay identical to a full build.
-  Rng rng(31);
-  auto graph = BarabasiAlbert(50, 2, &rng);
-  ASSERT_TRUE(graph.ok());
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    auto full = GraphPartition::Build(
-        *graph, {.scheme = scheme, .num_shards = 3});
-    auto pull_only = GraphPartition::Build(
-        *graph, {.scheme = scheme, .num_shards = 3, .build_out_csr = false});
-    ASSERT_TRUE(full.ok());
-    ASSERT_TRUE(pull_only.ok());
-    EXPECT_EQ(pull_only->boundary_arcs(), full->boundary_arcs());
-    EXPECT_DOUBLE_EQ(pull_only->BoundaryFraction(),
-                     full->BoundaryFraction());
-    for (size_t s = 0; s < 3; ++s) {
-      const PartitionShard& a = pull_only->shard(s);
-      const PartitionShard& b = full->shard(s);
-      EXPECT_TRUE(a.out_offsets.empty());
-      EXPECT_TRUE(a.out_targets.empty());
-      EXPECT_TRUE(a.out_arc_begin.empty());
-      EXPECT_EQ(a.owned, b.owned);
-      EXPECT_EQ(a.in_offsets, b.in_offsets);
-      EXPECT_EQ(a.in_sources, b.in_sources);
-      EXPECT_EQ(a.in_arc_index, b.in_arc_index);
-      EXPECT_EQ(a.in_interior, b.in_interior);
-      EXPECT_EQ(a.dangling_owned, b.dangling_owned);
-      EXPECT_EQ(a.boundary_in_arcs, b.boundary_in_arcs);
-      EXPECT_EQ(a.boundary_out_arcs, b.boundary_out_arcs);
-    }
-  }
-}
-
 TEST(GraphPartitionTest, WeightedGraphKeepsArcAlignment) {
   GraphBuilder builder(4, GraphKind::kDirected, /*weighted=*/true);
   ASSERT_TRUE(builder.AddEdge(0, 1, 2.0).ok());

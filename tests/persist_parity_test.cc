@@ -228,10 +228,12 @@ TEST(PersistParityTest, BlockSolveOverStoreMappedTransitionIsBitIdentical) {
       auto partition =
           GraphPartition::Build(*graph, {.num_shards = num_shards});
       ASSERT_TRUE(partition.ok());
-      auto slices = BuildTransitionSlices(*graph, *partition, *mapped);
-      ASSERT_TRUE(slices.ok());
+      // The mapped matrix itself, shared as the block solve's slices
+      // (no β blend, so no arc weights).
+      const TransitionSlices slices{.transition = *mapped,
+                                    .arc_weights = {}};
       auto block =
-          SolvePagerankPartitioned(*slices, *partition, teleport, options);
+          SolvePagerankPartitioned(slices, *partition, teleport, options);
       ASSERT_TRUE(block.ok()) << block.status().ToString();
       ASSERT_EQ(block->scores.size(), reference->scores.size());
       EXPECT_EQ(std::memcmp(block->scores.data(), reference->scores.data(),

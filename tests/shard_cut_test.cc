@@ -78,7 +78,7 @@ CsrGraph WeightedDirectedGraph(NodeId nodes, uint64_t seed) {
 GraphPartition BuildPartition(const CsrGraph& graph, PartitionScheme scheme,
                               size_t shards) {
   auto partition = GraphPartition::Build(
-      graph, {.scheme = scheme, .num_shards = shards, .build_out_csr = true});
+      graph, {.scheme = scheme, .num_shards = shards});
   EXPECT_TRUE(partition.ok()) << partition.status().ToString();
   return std::move(partition).value();
 }
@@ -395,21 +395,6 @@ TEST(ShardCutTest, SliceFromCutRejectsWrongSizedMetricVector) {
       EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
     }
   }
-}
-
-TEST(ShardCutTest, SaveRejectsPartitionWithoutOutCsr)
-{
-  const CsrGraph graph = DirectedGraphWithDangling(60, 78);
-  auto partition = GraphPartition::Build(
-      graph,
-      {.scheme = PartitionScheme::kRange, .num_shards = 2,
-       .build_out_csr = false});
-  ASSERT_TRUE(partition.ok());
-  const std::string dir = FreshDir("nooutcsr");
-  const Status saved = SaveShardCut(graph, *partition, 0, dir + "/x.d2psc");
-  ASSERT_FALSE(saved.ok());
-  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(saved.message().find("out-CSR"), std::string::npos);
 }
 
 TEST(ShardCutTest, BadMagicIsRejected) {

@@ -4,9 +4,12 @@
 // list position; every port a `d2pr_server --shard-role` process on
 // loopback), handshakes the fleet, runs the solve through
 // DistributedCoordinator, and — unless --compare=false — re-runs the
-// same solve in-process (SolvePagerankPartitioned /
-// SolveGaussSeidelPartitioned over the same partition) and checks
-// bitwise parity, for either method (scores, iterations, residual).
+// same solve in-process and checks bitwise parity (scores, iterations,
+// residual). Power compares against the whole-graph SolvePagerank,
+// which block power matches bit for bit. Gauss-Seidel compares against
+// an in-process fleet over the same partition: one ShardWorker per
+// in-memory cut (CutShard), each behind an InProcessShardChannel,
+// driven by a second DistributedCoordinator with the same options.
 // Exits 0 only when the solve converged-or-capped cleanly AND parity
 // held; the final line reports "0 protocol errors" for smoke scripts to
 // grep.
@@ -20,17 +23,20 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "core/block_solver.h"
-#include "core/transition_slices.h"
+#include "core/pagerank.h"
+#include "core/transition.h"
 #include "d2pr_net_flags.h"
 #include "datagen/classic_generators.h"
 #include "dist/channel.h"
 #include "dist/coordinator.h"
+#include "dist/shard_worker.h"
 #include "graph/graph_fingerprint.h"
 #include "graph/graph_io.h"
 #include "graph/partition.h"
@@ -53,8 +59,10 @@ constexpr char kUsage[] =
     "  --max-iterations=N   iteration cap (default 200)\n"
     "  --deadline-ms=N      per-sweep round-trip deadline (default none)\n"
     "  --retries=N          resends after a timeout (default 2)\n"
-    "  --compare=BOOL       check parity against the in-process block\n"
-    "                       solve (default true)\n"
+    "  --compare=BOOL       check bitwise parity against an in-process\n"
+    "                       solve: SolvePagerank for power, an in-process\n"
+    "                       fleet over the same partition for\n"
+    "                       gauss-seidel (default true)\n"
     "  --cut-dir=DIR        cross-check a directory of pre-cut shard\n"
     "                       files (d2pr_partition_cut output) against\n"
     "                       the graph and fleet shape before contacting\n"
@@ -94,6 +102,46 @@ Result<std::vector<uint16_t>> ParsePorts(const std::string& list) {
     ports.push_back(static_cast<uint16_t>(value));
   }
   return ports;
+}
+
+/// The power reference: the whole-graph gather, which block power
+/// matches bit for bit.
+Result<PagerankResult> WholeGraphPower(const CsrGraph& graph,
+                                       const TransitionConfig& config,
+                                       std::span<const double> teleport,
+                                       const PagerankOptions& options) {
+  Result<TransitionMatrix> transition = TransitionMatrix::Build(graph, config);
+  if (!transition.ok()) return transition.status();
+  return SolvePagerank(graph, *transition, teleport, options);
+}
+
+/// The Gauss-Seidel reference: the same block solve over an in-process
+/// fleet — one worker per in-memory cut of `graph`, each behind an
+/// InProcessShardChannel, driven by a coordinator with `coord_options`.
+Result<PagerankResult> InProcessFleetSolve(
+    const CsrGraph& graph, size_t num_shards, const TransitionConfig& config,
+    const CoordinatorOptions& coord_options,
+    std::span<const double> teleport, const PagerankOptions& options) {
+  Result<GraphPartition> partition = GraphPartition::Build(
+      graph, {.scheme = coord_options.scheme, .num_shards = num_shards});
+  if (!partition.ok()) return partition.status();
+  std::vector<std::unique_ptr<ShardWorker>> workers;
+  std::vector<std::unique_ptr<InProcessShardChannel>> in_process;
+  std::vector<ShardChannel*> channels;
+  for (size_t s = 0; s < num_shards; ++s) {
+    Result<ShardCut> cut = CutShard(graph, *partition, s);
+    if (!cut.ok()) return cut.status();
+    Result<std::unique_ptr<ShardWorker>> worker =
+        ShardWorker::Create(std::move(cut).value(), config);
+    if (!worker.ok()) return worker.status();
+    workers.push_back(std::move(worker).value());
+    in_process.push_back(
+        std::make_unique<InProcessShardChannel>(*workers.back()));
+    channels.push_back(in_process.back().get());
+  }
+  DistributedCoordinator coordinator(channels, coord_options);
+  D2PR_RETURN_NOT_OK(coordinator.Handshake());
+  return coordinator.Solve(SolverMethod::kGaussSeidel, teleport, options);
 }
 
 int Run(const Flags& flags) {
@@ -246,26 +294,11 @@ int Run(const Flags& flags) {
               distributed->residual);
 
   if (*flags.GetBool("compare", true)) {
-    PartitionOptions popts;
-    popts.scheme = scheme;
-    popts.num_shards = channels.size();
-    popts.build_out_csr = false;
-    Result<GraphPartition> partition = GraphPartition::Build(*graph, popts);
-    if (!partition.ok()) {
-      std::fprintf(stderr, "%s\n", partition.status().ToString().c_str());
-      return 1;
-    }
-    Result<TransitionSlices> slices =
-        BuildTransitionSlicesLocal(*graph, *partition, config);
-    if (!slices.ok()) {
-      std::fprintf(stderr, "%s\n", slices.status().ToString().c_str());
-      return 1;
-    }
     Result<PagerankResult> reference =
         method == SolverMethod::kPower
-            ? SolvePagerankPartitioned(*slices, *partition, teleport, options)
-            : SolveGaussSeidelPartitioned(*slices, *partition, teleport,
-                                          options);
+            ? WholeGraphPower(*graph, config, teleport, options)
+            : InProcessFleetSolve(*graph, channels.size(), config,
+                                  coord_options, teleport, options);
     if (!reference.ok()) {
       std::fprintf(stderr, "reference solve failed: %s\n",
                    reference.status().ToString().c_str());
@@ -280,7 +313,7 @@ int Run(const Flags& flags) {
     if (!bitwise) {
       std::fprintf(stderr,
                    "PARITY FAILURE: the distributed solve diverged from the "
-                   "in-process block solve\n");
+                   "in-process reference\n");
       return 1;
     }
     std::printf("parity ok (bitwise, %d iterations)\n",

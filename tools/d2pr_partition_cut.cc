@@ -78,12 +78,9 @@ int Run(const Flags& flags) {
     return 1;
   }
 
-  // The cut needs the forward slices (owned out-rows with global arc
-  // indexes) in addition to the in-CSR the solvers use.
   PartitionOptions popts;
   popts.scheme = scheme;
   popts.num_shards = shards;
-  popts.build_out_csr = true;
   Result<GraphPartition> partition = GraphPartition::Build(*graph, popts);
   if (!partition.ok()) {
     std::fprintf(stderr, "%s\n", partition.status().ToString().c_str());
