@@ -46,9 +46,35 @@ void RpcServer::Connection::EnqueueWrite(std::vector<uint8_t> frame) {
   {
     std::lock_guard<std::mutex> lock(write_mu);
     if (closed) return;  // late completion for a dead connection
-    write_queue.push_back(std::move(frame));
+    if (sending || !write_queue.empty()) {
+      // Behind another frame: the thread sending now, or the writer
+      // already woken for the queue, takes this one in turn.
+      write_queue.push_back(std::move(frame));
+      return;
+    }
+    sending = true;
   }
-  write_cv.notify_one();
+  // Idle connection: send from this thread, as far as the socket takes
+  // the frame without waiting for the peer.
+  Result<size_t> sent = socket.TrySend(frame);
+  bool wake_writer = false;
+  {
+    std::lock_guard<std::mutex> lock(write_mu);
+    sending = false;
+    if (sent.ok() && *sent < frame.size()) {
+      frame.erase(frame.begin(),
+                  frame.begin() + static_cast<ptrdiff_t>(*sent));
+      write_queue.push_front(std::move(frame));
+    }
+    // Whoever leaves frames queued with no send in progress wakes the
+    // writer; so does a seal that arrived mid-send.
+    wake_writer = !write_queue.empty() || closed;
+  }
+  if (!sent.ok()) {
+    Close();
+    return;
+  }
+  if (wake_writer) write_cv.notify_one();
 }
 
 void RpcServer::Connection::SealWrites() {
@@ -199,7 +225,6 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
         connection->EnqueueWrite(EncodeFrame(FrameType::kInfoResponse,
                                              frame.request_id,
                                              EncodeServerInfo(backend_.info())));
-        ++stats_.responses_sent;
         break;
       }
       case FrameType::kRankRequest: {
@@ -208,10 +233,10 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
           // The framing is intact — only this request is bad. Tell the
           // client and keep serving the connection.
           ++stats_.decode_errors;
+          ++stats_.responses_sent;
           connection->EnqueueWrite(
               EncodeFrame(FrameType::kStatus, frame.request_id,
                           EncodeStatusPayload(request.status())));
-          ++stats_.responses_sent;
           break;
         }
         ++stats_.requests_received;
@@ -237,20 +262,25 @@ void RpcServer::ReaderLoop(const std::shared_ptr<Connection>& connection) {
 }
 
 void RpcServer::WriterLoop(const std::shared_ptr<Connection>& connection) {
+  Connection& c = *connection;
+  std::unique_lock<std::mutex> lock(c.write_mu);
   for (;;) {
-    std::vector<uint8_t> frame;
-    {
-      std::unique_lock<std::mutex> lock(connection->write_mu);
-      connection->write_cv.wait(lock, [&] {
-        return connection->closed || !connection->write_queue.empty();
-      });
-      if (connection->write_queue.empty()) return;  // closed and drained
-      frame = std::move(connection->write_queue.front());
-      connection->write_queue.pop_front();
-    }
-    Status sent = connection->socket.SendAll(frame.data(), frame.size());
+    // Never beside another sender: frames must not interleave.
+    c.write_cv.wait(lock, [&] {
+      return !c.sending && (c.closed || !c.write_queue.empty());
+    });
+    if (c.write_queue.empty()) return;  // closed and drained
+    std::vector<uint8_t> frame = std::move(c.write_queue.front());
+    c.write_queue.pop_front();
+    c.sending = true;
+    lock.unlock();
+    // The one send that may wait on the peer: it holds only this thread.
+    const Status sent = c.socket.SendAll(frame.data(), frame.size());
+    lock.lock();
+    c.sending = false;
     if (!sent.ok()) {
-      connection->Close();
+      lock.unlock();
+      c.Close();
       return;
     }
   }
@@ -288,11 +318,11 @@ void RpcServer::HandleRank(const std::shared_ptr<Connection>& connection,
     }
     if (backend_.queue_depth() >= options_.max_queue_depth) {
       ++stats_.shed_unavailable;
+      ++stats_.responses_sent;
       connection->EnqueueWrite(EncodeFrame(
           FrameType::kUnavailable, request_id,
           EncodeStatusPayload(Status::Unavailable(
               "server overloaded (admission queue full); retry later"))));
-      ++stats_.responses_sent;
       return;
     }
     if (coalescable) {
@@ -316,8 +346,9 @@ void RpcServer::HandleRank(const std::shared_ptr<Connection>& connection,
     pending_cv_.notify_all();
   };
 
-  // Clock read 2 of 3 happens inside this gate, on the worker, at the
-  // last moment before the solve would start. A coalesced entry is gated
+  // Clock read 2 of 3 happens inside this gate, at the last moment before
+  // the solve or the memo copy would start: on the worker, or on this
+  // thread for a memo hit. A coalesced entry is gated
   // by its leader's deadline — joiners with longer deadlines accept the
   // leader's expiry (they joined a solve that died; a retry re-solves).
   std::function<Status()> gate;
@@ -332,6 +363,9 @@ void RpcServer::HandleRank(const std::shared_ptr<Connection>& connection,
     };
   }
 
+  // A memo hit runs its callback inside RankAsync, on this thread: the
+  // callbacks take inflight_mu_ and pending_mu_, neither of which is held
+  // here.
   if (coalescable) {
     backend_.RankAsync(
         std::move(wire.request),
@@ -393,8 +427,8 @@ void RpcServer::DeliverTo(const Waiter& waiter,
     frame = EncodeFrame(FrameType::kStatus, waiter.request_id,
                         EncodeStatusPayload(result.status()));
   }
-  waiter.connection->EnqueueWrite(std::move(frame));
   ++stats_.responses_sent;
+  waiter.connection->EnqueueWrite(std::move(frame));
 }
 
 }  // namespace d2pr

@@ -1,13 +1,17 @@
 // RpcServer: the network front door over a ServingRuntime.
 //
 // One accept thread plus one reader/writer thread pair per connection,
-// all speaking the length-prefixed frame protocol of net/wire.h. Solves
-// never run on connection threads: a decoded RankRequest is handed to the
-// backend's completion-queue RankAsync — the callback encodes the
-// response on the worker that solved it and drops the bytes onto the
-// owning connection's write queue. N in-flight requests therefore cost
-// zero parked threads (the old fan-in was one future.get() per request),
-// and responses leave in completion order, matched by request id.
+// all speaking the length-prefixed frame protocol of net/wire.h. A
+// decoded RankRequest is handed to the backend's completion-queue
+// RankAsync. A memo hit completes right there, on the connection's reader
+// thread; anything else is solved on a pool worker (solves never run on
+// connection threads). The callback encodes the reply on the thread that
+// completed it and, when the connection is idle, sends it from that
+// thread too, with a send that never waits on the peer. The writer
+// thread only takes over a backlog, or the rest of a frame the socket
+// would not take at once. So a memo hit never leaves its reader thread,
+// N in-flight requests cost zero parked threads, and responses leave in
+// completion order, matched by request id.
 //
 // Three protections stand between the socket and the solver:
 //
@@ -17,12 +21,13 @@
 //     Shedding at the door keeps queue wait (the dominant latency term
 //     past saturation) bounded for everything already admitted.
 //   * Deadlines — a request carrying deadline_ms > 0 gets an absolute
-//     deadline stamped at admission. It is checked twice more: on the
-//     worker immediately before the solve (an expired request is dropped
-//     without the engine ever seeing it — the gate) and at response
-//     delivery (a response that can no longer arrive in time is replaced
-//     by DeadlineExceeded). Exactly three clock reads per deadlined
-//     request — stamp, gate, delivery — all through the injectable
+//     deadline stamped at admission. It is checked twice more:
+//     immediately before the solve or the memo copy, on the worker or on
+//     the reader for a memo hit (an expired request is dropped without
+//     the engine ever seeing it — the gate), and at response delivery
+//     (a response that can no longer arrive in time is replaced by
+//     DeadlineExceeded). Exactly three clock reads per deadlined request
+//     — stamp, gate, delivery — all through the injectable
 //     ServerOptions::clock_ms, which is what makes deadline behavior
 //     deterministically testable.
 //   * Coalescing — identical cacheable requests (same ScoreCache key, no
@@ -68,10 +73,13 @@ class RankBackend {
  public:
   virtual ~RankBackend() = default;
 
-  /// Completion-queue solve: runs `request` on the backend's pool; `gate`
-  /// (if non-null) runs on the worker immediately before the solve and a
-  /// non-OK return skips the solve; `done` receives the result on the
-  /// worker.
+  /// Completion-queue solve: answers `request` from the backend's memo on
+  /// the calling thread, or runs it on the backend's pool. `gate` (if
+  /// non-null) runs once, immediately before the solve or the memo copy,
+  /// and a non-OK return skips both. `done` receives the result on the
+  /// thread that completed it: for a memo hit that is the caller's,
+  /// before RankAsync returns, so the caller must not hold a lock `done`
+  /// takes.
   virtual void RankAsync(RankRequest request,
                          std::function<void(Result<RankResponse>)> done,
                          std::function<Status()> gate) = 0;
@@ -107,7 +115,9 @@ struct ServerOptions {
 struct ServerStats {
   std::atomic<int64_t> connections_accepted{0};
   std::atomic<int64_t> requests_received{0};  ///< Rank frames decoded OK.
-  std::atomic<int64_t> responses_sent{0};     ///< Any reply frame enqueued.
+  /// Replies to rank frames (response, status or unavailable), counted
+  /// before the send, so a client holding its reply sees the count moved.
+  std::atomic<int64_t> responses_sent{0};
   std::atomic<int64_t> shed_unavailable{0};   ///< Admission rejections.
   /// Deadline expiries caught by the pre-solve gate (the engine never ran)
   /// vs at response delivery (the solve ran but the reply was too late).
@@ -148,7 +158,8 @@ class RpcServer {
  private:
   /// Per-connection state. Reader and writer threads plus a write queue;
   /// completion callbacks touch only EnqueueWrite, so a connection that
-  /// died early just swallows its late responses.
+  /// died early just swallows its late responses. One thread sends at a
+  /// time (`sending`), so frames never interleave on the stream.
   struct Connection {
     Socket socket;
     std::thread reader;
@@ -156,10 +167,17 @@ class RpcServer {
 
     std::mutex write_mu;
     std::condition_variable write_cv;
+    /// Frames waiting for the writer thread; the front one may be the
+    /// unsent rest of a frame an inline send began.
     std::deque<std::vector<uint8_t>> write_queue;
-    bool closed = false;  ///< Guarded by write_mu.
+    bool sending = false;  ///< A thread is inside a send. Guarded by write_mu.
+    bool closed = false;   ///< Guarded by write_mu.
 
-    /// Queues `frame` for the writer thread; dropped when closed.
+    /// Sends `frame` from the calling thread when the connection is idle
+    /// (nothing queued, no send in progress), as far as the socket takes
+    /// it without blocking; the rest, or the whole frame when the
+    /// connection is busy, queues for the writer thread. Never blocks on
+    /// the peer. Dropped when closed.
     void EnqueueWrite(std::vector<uint8_t> frame);
     /// Rejects further enqueues and lets the writer drain what is queued
     /// and exit — the graceful half of Close(), used by Stop() so
@@ -187,7 +205,8 @@ class RpcServer {
   void WriterLoop(const std::shared_ptr<Connection>& connection);
 
   /// Dispatches one decoded rank request: stamp deadline, coalesce-join
-  /// or admit, submit to the backend with the deadline gate.
+  /// or admit, submit to the backend with the deadline gate. A memo hit
+  /// is delivered before this returns.
   void HandleRank(const std::shared_ptr<Connection>& connection,
                   uint64_t request_id, WireRankRequest wire);
 

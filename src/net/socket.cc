@@ -72,6 +72,19 @@ Status Socket::SendAll(const void* data, size_t len) {
 
 Status Socket::SendAll(std::span<const uint8_t> head,
                        std::span<const uint8_t> body) {
+  D2PR_ASSIGN_OR_RETURN(const size_t sent, SendParts(head, body, 0));
+  if (sent < head.size() + body.size()) {
+    return Status::IoError("send: would block");  // only with SO_SNDTIMEO
+  }
+  return Status::OK();
+}
+
+Result<size_t> Socket::TrySend(std::span<const uint8_t> data) {
+  return SendParts(data, {}, MSG_DONTWAIT);
+}
+
+Result<size_t> Socket::SendParts(std::span<const uint8_t> head,
+                                 std::span<const uint8_t> body, int flags) {
   if (fd_ < 0) return Status::FailedPrecondition("send on invalid socket");
   iovec parts[2] = {
       {const_cast<uint8_t*>(head.data()), head.size()},
@@ -79,6 +92,7 @@ Status Socket::SendAll(std::span<const uint8_t> head,
   };
   iovec* next = parts;
   size_t count = 2;
+  size_t total = 0;
   while (count > 0) {
     if (next->iov_len == 0) {
       ++next;
@@ -90,14 +104,16 @@ Status Socket::SendAll(std::span<const uint8_t> head,
     message.msg_iovlen = count;
     // MSG_NOSIGNAL: a dead peer surfaces as EPIPE, not a process-killing
     // SIGPIPE.
-    const ssize_t sent = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
+    const ssize_t sent = ::sendmsg(fd_, &message, flags | MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return total;
       return Errno("send");
     }
     if (sent == 0) return Status::IoError("send: connection closed");
     // Step past what went out: whole parts first, then into a partial one.
     size_t done = static_cast<size_t>(sent);
+    total += done;
     while (count > 0 && done >= next->iov_len) {
       done -= next->iov_len;
       ++next;
@@ -108,7 +124,7 @@ Status Socket::SendAll(std::span<const uint8_t> head,
       next->iov_len -= done;
     }
   }
-  return Status::OK();
+  return total;
 }
 
 Status Socket::RecvExact(void* data, size_t len, bool* clean_eof) {

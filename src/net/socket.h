@@ -2,9 +2,10 @@
 // surface of the network front door, so everything above this file
 // (framing, server, client) is plain byte-vector logic.
 //
-// Scope is deliberately small: IPv4, blocking I/O, loopback-oriented
-// defaults. The server's concurrency comes from one reader/writer thread
-// pair per connection (net/server.h), not from non-blocking multiplexing;
+// Scope is deliberately small: IPv4, blocking I/O (plus one non-blocking
+// send, TrySend), loopback-oriented defaults. The server's concurrency
+// comes from one reader/writer thread pair per connection
+// (net/server.h), not from non-blocking multiplexing;
 // at the fleet sizes the bench drives (dozens of connections, thousands
 // of requests each) thread-per-connection measures within noise of an
 // event loop and keeps every code path synchronous and testable.
@@ -57,6 +58,13 @@ class Socket {
   /// one buffer. Empty parts are skipped. IoError when the peer is gone.
   Status SendAll(std::span<const uint8_t> head, std::span<const uint8_t> body);
 
+  /// Writes as much of `data` as the socket takes without blocking
+  /// (sendmsg with MSG_DONTWAIT; SIGPIPE suppressed) and returns the
+  /// bytes written: all of them, a prefix, or 0 when the send buffer is
+  /// full. IoError when the peer is gone. How the server sends a reply on
+  /// the thread that completes it, which must never wait on a slow peer.
+  Result<size_t> TrySend(std::span<const uint8_t> data);
+
   /// Reads exactly `len` bytes. IoError on failure; when `clean_eof` is
   /// non-null it is set to true iff the peer closed before the FIRST
   /// byte — the one EOF that is a normal end of stream at a frame
@@ -82,6 +90,12 @@ class Socket {
   void ShutdownRead();
 
  private:
+  /// The one send loop: `head` then `body` as gathered sendmsg calls with
+  /// `flags`, over partial sends and EINTR, until everything is written or
+  /// the socket would block. Returns the bytes written.
+  Result<size_t> SendParts(std::span<const uint8_t> head,
+                           std::span<const uint8_t> body, int flags);
+
   int fd_ = -1;
 };
 

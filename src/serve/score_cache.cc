@@ -59,6 +59,11 @@ void ScoreCache::CountMiss() {
   ++stats_.misses;
 }
 
+bool ScoreCache::Contains(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.contains(key);
+}
+
 void ScoreCache::Insert(const std::string& key, RankResponse response) {
   if (!enabled()) return;
   auto shared = std::make_shared<const RankResponse>(std::move(response));

@@ -60,6 +60,10 @@ class ScoreCache {
   std::optional<RankResponse> Lookup(const std::string& key);
   void CountMiss();
 
+  /// True when a response is resident under `key`. Counts nothing and
+  /// leaves the entry's use count alone.
+  bool Contains(const std::string& key) const;
+
   /// Stores (or refreshes) `response` under `key`, LFU-evicting first
   /// when a new key would exceed the capacity. A refresh keeps the
   /// entry's use count and evicts nothing.

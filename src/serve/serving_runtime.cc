@@ -23,18 +23,21 @@ ServingRuntime ServingRuntime::Borrowing(D2prEngine& engine,
 }
 
 Result<RankResponse> ServingRuntime::Rank(const RankRequest& request) {
-  return Execute(request, std::nullopt);
+  return Execute(request, MemoKey(request), std::nullopt);
+}
+
+std::string ServingRuntime::MemoKey(const RankRequest& request) const {
+  // Warm-started requests depend on (and advance) per-tag trajectory
+  // state, so their responses are not memoizable.
+  if (!score_cache_.enabled() || !request.warm_start_tag.empty()) return {};
+  return ScoreCache::KeyFor(request);
 }
 
 Result<RankResponse> ServingRuntime::Execute(
-    const RankRequest& request, std::optional<bool> expected_cache_hit) {
-  // Warm-started requests depend on (and advance) per-tag trajectory
-  // state, so their responses are not memoizable.
-  const bool cacheable =
-      score_cache_.enabled() && request.warm_start_tag.empty();
-  std::string key;
+    const RankRequest& request, const std::string& key,
+    std::optional<bool> expected_cache_hit) {
+  const bool cacheable = !key.empty();
   if (cacheable) {
-    key = ScoreCache::KeyFor(request);
     auto from_memo =
         [&expected_cache_hit](RankResponse memo) -> RankResponse {
       if (expected_cache_hit) {
@@ -160,8 +163,8 @@ Result<std::vector<RankResponse>> ServingRuntime::RankBatch(
         ~Tick() { latch.count_down(); }
       } tick{done};
       for (size_t index : chain) {
-        Result<RankResponse> response =
-            Execute(requests[index], expected_hits[index]);
+        Result<RankResponse> response = Execute(
+            requests[index], MemoKey(requests[index]), expected_hits[index]);
         if (!response.ok()) {
           // Mirror the sequential fail-fast error: of all failing
           // requests, the lowest index wins; the rest of this chain
@@ -187,8 +190,8 @@ std::future<Result<RankResponse>> ServingRuntime::RankAsync(
     RankRequest request) {
   auto promise = std::make_shared<std::promise<Result<RankResponse>>>();
   std::future<Result<RankResponse>> future = promise->get_future();
-  pool_.Submit([this, promise, request = std::move(request)] {
-    promise->set_value(Execute(request, std::nullopt));
+  RankAsync(std::move(request), [promise](Result<RankResponse> result) {
+    promise->set_value(std::move(result));
   });
   return future;
 }
@@ -196,8 +199,27 @@ std::future<Result<RankResponse>> ServingRuntime::RankAsync(
 void ServingRuntime::RankAsync(RankRequest request,
                                std::function<void(Result<RankResponse>)> done,
                                std::function<Status()> gate) {
-  pool_.Submit([this, request = std::move(request), done = std::move(done),
-                gate = std::move(gate)]() mutable {
+  std::string key = MemoKey(request);
+  // Memo first, on the caller's thread: a hit needs no worker. The gate
+  // runs only once the memo is known to hold the key, so a miss is still
+  // gated on the worker right before its solve, and a rejected call
+  // counts no lookup, as on the worker.
+  if (!key.empty() && score_cache_.Contains(key)) {
+    if (gate) {
+      Status admitted = gate();
+      if (!admitted.ok()) {
+        done(std::move(admitted));
+        return;
+      }
+      gate = nullptr;  // admitted: an eviction race below must not re-gate
+    }
+    if (std::optional<RankResponse> memo = score_cache_.Lookup(key)) {
+      done(std::move(*memo));
+      return;
+    }
+  }
+  pool_.Submit([this, request = std::move(request), key = std::move(key),
+                done = std::move(done), gate = std::move(gate)]() mutable {
     if (gate) {
       Status admitted = gate();
       if (!admitted.ok()) {
@@ -205,7 +227,7 @@ void ServingRuntime::RankAsync(RankRequest request,
         return;
       }
     }
-    done(Execute(request, std::nullopt));
+    done(Execute(request, key, std::nullopt));
   });
 }
 

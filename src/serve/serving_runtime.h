@@ -18,11 +18,15 @@
 //     parallel batches did not overflow the engine's transition cache
 //     (more distinct keys per batch than transition_cache_capacity
 //     makes the surviving resident set schedule-dependent).
-//   * RankAsync returns a std::future so a server can overlap solves
-//     with IO and fan-in replies as they complete.
+//   * RankAsync hands back a std::future or calls a completion callback,
+//     so a server can overlap solves with IO and send replies as they
+//     complete.
 //   * A ScoreCache memoizes full responses keyed by the entire request,
 //     so repeated identical queries skip the solve outright. Warm-started
 //     requests bypass it (their responses depend on trajectory state).
+//     Both RankAsync forms probe it on the caller's thread first: a hit
+//     is answered there, before RankAsync returns, and never waits for
+//     or occupies a worker.
 //
 // This is the one in-process serving path: more engines per process
 // would cost one transition build and matrix per engine per key and add
@@ -105,26 +109,31 @@ class ServingRuntime {
 
   /// \brief Enqueues one query and immediately returns its future.
   ///
-  /// Warm-started async requests are legal but their trajectory order is
-  /// whatever the pool happens to run; serialize via RankBatch (or one
-  /// tag per in-flight request) when order matters.
+  /// The future form of the callback RankAsync below: a memo hit's future
+  /// is ready on return. Warm-started async requests are legal but their
+  /// trajectory order is whatever the pool happens to run; serialize via
+  /// RankBatch (or one tag per in-flight request) when order matters.
   std::future<Result<RankResponse>> RankAsync(RankRequest request);
 
-  /// \brief Enqueues one query; `done` runs on the worker that solved it,
-  /// with the result.
+  /// \brief Answers one query from the memo, or enqueues it; `done`
+  /// receives the result.
   ///
   /// The completion-queue form: instead of parking a thread per request
-  /// on future.get(), a server hands in a callback that posts the result
-  /// onto its own response queue — N in-flight requests cost zero waiting
-  /// threads (see net/server.h). `done` must not block for long and must
-  /// not call back into this runtime's batch surface; it runs inline on a
-  /// pool worker.
+  /// on future.get(), a server hands in a callback that sends the result
+  /// itself — N in-flight requests cost zero waiting threads (see
+  /// net/server.h). The memo is probed on the caller's thread first. On
+  /// a hit, `gate` and then `done` run right there, before RankAsync
+  /// returns: no worker is involved. Anything else (a miss, a key another
+  /// call is solving, a warm-started request) goes to the pool, where
+  /// `gate` and `done` run on the worker that takes it. Either way `done`
+  /// must not block for long, must not call back into this runtime's
+  /// batch surface, and must not need a lock its caller holds.
   ///
-  /// A non-null `gate` runs on the worker immediately before the solve;
-  /// returning non-OK skips the solve entirely and delivers that status
-  /// to `done`. This is the deadline hook: a request whose deadline
-  /// expired while queued is rejected at the last responsible moment
-  /// without the engine ever seeing it.
+  /// A non-null `gate` runs once, immediately before the solve or the
+  /// memo copy; returning non-OK skips both and delivers that status to
+  /// `done`. This is the deadline hook: a request whose deadline expired
+  /// while queued is rejected at the last responsible moment without the
+  /// engine ever seeing it. A rejected call counts no memo lookup.
   void RankAsync(RankRequest request,
                  std::function<void(Result<RankResponse>)> done,
                  std::function<Status()> gate = nullptr);
@@ -135,10 +144,16 @@ class ServingRuntime {
   ThreadPool& pool() { return pool_; }
 
  private:
-  /// Score-cache-aware single execution. When `expected_cache_hit` is
-  /// set, the response's transition_cache_hit flag is overwritten with
-  /// the sequential-reference value (batch determinism).
+  /// The memo key of `request`; empty when the request is not memoizable
+  /// (memo disabled or a warm-start tag).
+  std::string MemoKey(const RankRequest& request) const;
+
+  /// Score-cache-aware single execution; `key` is MemoKey(request). When
+  /// `expected_cache_hit` is set, the response's transition_cache_hit
+  /// flag is overwritten with the sequential-reference value (batch
+  /// determinism).
   Result<RankResponse> Execute(const RankRequest& request,
+                               const std::string& key,
                                std::optional<bool> expected_cache_hit);
 
   /// Replays the engine's LRU transition cache over `requests` in

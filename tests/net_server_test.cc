@@ -2,13 +2,15 @@
 // direct ServingRuntime calls, deadlines must be enforced deterministically through the
 // injected clock (an expired request never reaches the engine), admission
 // control must shed with kUnavailable while admitted work completes,
-// identical in-flight requests must coalesce into one solve, and broken
+// identical in-flight requests must coalesce into one solve, broken
 // byte streams must close their connection without taking the server
-// down.
+// down, a memo hit must be answered without a free worker, and a client
+// that stops reading must stall no server thread.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +18,7 @@
 #include <functional>
 #include <latch>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "datagen/classic_generators.h"
 #include "net/client.h"
 #include "net/loadgen.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "serve/serving_runtime.h"
 
@@ -68,8 +72,8 @@ void ExpectResponsesIdentical(const RankResponse& over_wire,
 /// A single-engine server plus everything keeping it alive.
 struct RuntimeServer {
   explicit RuntimeServer(uint64_t graph_seed, ServerOptions options = {},
-                         size_t num_threads = 2) {
-    auto graph = TestGraph(graph_seed);
+                         size_t num_threads = 2, NodeId nodes = 250) {
+    auto graph = TestGraph(graph_seed, nodes, 3 * int64_t{nodes});
     D2PR_CHECK(graph.ok()) << graph.status().ToString();
     engine = std::make_shared<D2prEngine>(std::move(graph).value());
     ServingOptions serving_options;
@@ -87,11 +91,68 @@ struct RuntimeServer {
     return std::move(client).value();
   }
 
+  /// A raw connection whose reads give up after five seconds, so a
+  /// reply the server never sends fails the test instead of hanging it.
+  Socket RawConnection() {
+    auto socket = Socket::Connect("127.0.0.1", server->port());
+    D2PR_CHECK(socket.ok()) << socket.status().ToString();
+    D2PR_CHECK(socket->SetRecvTimeout(5000).ok());
+    return std::move(socket).value();
+  }
+
+  /// Occupies the pool's only worker until `release` counts down.
+  void ParkTheWorker(std::latch& release) {
+    runtime->pool().Submit([&release] { release.wait(); });
+    D2PR_CHECK(WaitFor([&] { return runtime->pool().busy_workers() == 1; }));
+  }
+
   std::shared_ptr<D2prEngine> engine;
   std::unique_ptr<ServingRuntime> runtime;
   std::unique_ptr<RankBackend> backend;
   std::unique_ptr<RpcServer> server;
 };
+
+std::vector<uint8_t> RankFrame(uint64_t request_id,
+                               const RankRequest& request) {
+  WireRankRequest wire;
+  wire.request = request;
+  return EncodeFrame(FrameType::kRankRequest, request_id,
+                     EncodeRankRequest(wire));
+}
+
+void Append(std::vector<uint8_t>& out, const std::vector<uint8_t>& frame) {
+  out.insert(out.end(), frame.begin(), frame.end());
+}
+
+Result<RpcClient::RawFrame> ReadRawFrame(Socket& socket) {
+  std::vector<uint8_t> header(kFrameHeaderBytes);
+  D2PR_RETURN_NOT_OK(socket.RecvExact(header.data(), header.size()));
+  D2PR_ASSIGN_OR_RETURN(const FrameHeader decoded, DecodeFrameHeader(header));
+  RpcClient::RawFrame frame;
+  frame.type = decoded.type;
+  frame.request_id = decoded.request_id;
+  frame.payload.resize(decoded.payload_len);
+  if (!frame.payload.empty()) {
+    D2PR_RETURN_NOT_OK(
+        socket.RecvExact(frame.payload.data(), frame.payload.size()));
+  }
+  return frame;
+}
+
+/// Sends one rank request on `socket` and reads its reply's scores.
+Result<std::vector<double>> RankOver(Socket& socket, uint64_t request_id,
+                                     const RankRequest& request) {
+  const std::vector<uint8_t> frame = RankFrame(request_id, request);
+  D2PR_RETURN_NOT_OK(socket.SendAll(frame.data(), frame.size()));
+  D2PR_ASSIGN_OR_RETURN(RpcClient::RawFrame reply, ReadRawFrame(socket));
+  if (reply.type != FrameType::kRankResponse ||
+      reply.request_id != request_id) {
+    return Status::Internal("not the rank response asked for");
+  }
+  D2PR_ASSIGN_OR_RETURN(RankResponse response,
+                        DecodeRankResponse(reply.payload));
+  return std::move(response.scores);
+}
 
 /// The parity workload: all three solvers, personalization, repeats that
 /// hit the score cache, and a warm-start chain.
@@ -245,7 +306,8 @@ TEST(NetServerTest, UndeadlinedRequestsNeverReadTheClock) {
   EXPECT_EQ(reads->load(), 0);
 
   // And a deadlined request costs exactly the three documented reads:
-  // stamp, pre-solve gate, delivery.
+  // stamp, pre-solve gate, delivery. This one is a memo hit, answered on
+  // the connection's reader thread, where the gate runs too.
   ASSERT_TRUE(client.Rank(request, /*deadline_ms=*/1'000'000).ok());
   EXPECT_EQ(reads->load(), 3);
 }
@@ -502,6 +564,196 @@ TEST(NetServerTest, StopDrainsAdmittedRequestsBeforeExiting) {
   requester.join();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(served.engine->stats().requests.load(), 1);
+}
+
+TEST(NetServerTest, ExpiredDeadlineOnAMemoHitIsRejectedAtTheGate) {
+  // Read i returns i * 60, as in ExpiredDeadlineNeverReachesTheEngine; the
+  // undeadlined first request memoizes the key and reads no clock.
+  auto ticks = std::make_shared<std::atomic<int64_t>>(0);
+  ServerOptions options;
+  options.clock_ms = [ticks] { return ticks->fetch_add(60) + 60; };
+  RuntimeServer served(/*graph_seed=*/5, options);
+  RpcClient client = served.NewClient();
+
+  RankRequest request;
+  request.p = 0.5;
+  ASSERT_TRUE(client.Rank(request).ok());
+  const ScoreCacheStats before = served.runtime->score_cache().stats();
+
+  auto response = client.Rank(request, /*deadline_ms=*/50);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(served.engine->stats().requests.load(), 1);
+  EXPECT_EQ(served.server->stats().deadline_expired_presolve.load(), 1);
+  EXPECT_EQ(served.server->stats().deadline_expired_delivery.load(), 0);
+  EXPECT_EQ(ticks->load(), 3 * 60);  // stamp, gate, delivery
+  // The gate ran before the memo copy: no lookup was counted.
+  EXPECT_EQ(served.runtime->score_cache().stats().hits, before.hits);
+}
+
+TEST(NetServerTest, MemoHitIsAnsweredWhileTheOnlyWorkerIsParked) {
+  RuntimeServer served(/*graph_seed=*/5, ServerOptions{}, /*num_threads=*/1);
+  RankRequest cached;
+  cached.p = 0.5;
+  cached.seeds = {3};
+  auto first = served.NewClient().Rank(cached);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const int64_t solves = served.engine->stats().requests.load();
+  const int64_t hits = served.runtime->score_cache().stats().hits;
+
+  std::latch release(1);
+  served.ParkTheWorker(release);
+  // EXPECT, not ASSERT, until the worker is released: a failed check
+  // must not return with it parked.
+  Socket socket = served.RawConnection();
+  auto hit = RankOver(socket, /*request_id=*/1, cached);
+  EXPECT_TRUE(hit.ok() && *hit == first->scores)
+      << (hit.ok() ? "scores differ" : hit.status().ToString());
+  EXPECT_EQ(served.engine->stats().requests.load(), solves);
+  EXPECT_EQ(served.runtime->score_cache().stats().hits, hits + 1);
+
+  // A key that is not cached waits for the worker.
+  RankRequest cold = cached;
+  cold.seeds = {4};
+  const std::vector<uint8_t> frame = RankFrame(/*request_id=*/2, cold);
+  EXPECT_TRUE(socket.SendAll(frame.data(), frame.size()).ok());
+  EXPECT_TRUE(
+      WaitFor([&] { return served.runtime->pool().queue_depth() == 1; }));
+  release.count_down();
+  auto reply = ReadRawFrame(socket);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, FrameType::kRankResponse);
+  EXPECT_EQ(reply->request_id, 2u);
+  EXPECT_EQ(served.engine->stats().requests.load(), solves + 1);
+}
+
+TEST(NetServerTest, ClientThatStopsReadingStallsNoServerThread) {
+  // 10k nodes: every full-vector reply is ~80 KB. One worker, so a worker
+  // stuck sending would starve every other connection.
+  RuntimeServer served(/*graph_seed=*/5, ServerOptions{}, /*num_threads=*/1,
+                       /*nodes=*/10000);
+  RankRequest hot;
+  hot.p = 0.5;
+  hot.method = SolverMethod::kForwardPush;
+  hot.push_epsilon = 1e-4;
+  hot.seeds = {0};
+  ASSERT_TRUE(served.NewClient().Rank(hot).ok());  // memoize the hot key
+
+  // Pipeline ~20 MB of replies without reading any: more than the two
+  // sockets' buffers hold, so the server's sends would block. Most are
+  // memo hits answered on the reader; every 16th is a cold solve answered
+  // from the worker.
+  constexpr uint64_t kPipelined = 256;
+  std::vector<uint8_t> burst;
+  for (uint64_t id = 1; id <= kPipelined; ++id) {
+    RankRequest request = hot;
+    if (id % 16 == 0) request.seeds = {static_cast<NodeId>(id)};
+    Append(burst, RankFrame(id, request));
+  }
+  Socket stalled = served.RawConnection();
+  ASSERT_TRUE(stalled.SendAll(burst.data(), burst.size()).ok());
+  // The reader took every request in, and the worker finished every cold
+  // solve, although the stalled client has read nothing.
+  EXPECT_TRUE(WaitFor([&] {
+    return served.server->stats().responses_sent.load() == 1 + kPipelined;
+  }));
+  int pending_bytes = 0;
+  ASSERT_EQ(::ioctl(stalled.fd(), FIONREAD, &pending_bytes), 0);
+  EXPECT_LT(static_cast<uint64_t>(pending_bytes), kPipelined * 80'000)
+      << "every reply fit in the buffers; the server's sends never blocked";
+
+  // Another connection still gets a cold solve and a memo hit.
+  Socket other = served.RawConnection();
+  RankRequest cold = hot;
+  cold.seeds = {9999};
+  auto solved = RankOver(other, /*request_id=*/1, cold);
+  EXPECT_TRUE(solved.ok()) << solved.status().ToString();
+  auto hit = RankOver(other, /*request_id=*/2, hot);
+  EXPECT_TRUE(hit.ok()) << hit.status().ToString();
+
+  // The stalled client reads everything: whole frames, each request
+  // answered exactly once.
+  std::set<uint64_t> answered;
+  for (uint64_t i = 0; i < kPipelined; ++i) {
+    auto reply = ReadRawFrame(stalled);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, FrameType::kRankResponse);
+    auto response = DecodeRankResponse(reply->payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->scores.size(), 10000u);
+    EXPECT_TRUE(answered.insert(reply->request_id).second)
+        << "request " << reply->request_id << " answered twice";
+  }
+  EXPECT_EQ(answered.size(), kPipelined);
+  EXPECT_EQ(*answered.begin(), 1u);
+  EXPECT_EQ(*answered.rbegin(), kPipelined);
+  EXPECT_EQ(served.server->stats().protocol_errors.load(), 0);
+}
+
+TEST(NetServerTest, CountersReconcileOverAMixedBurst) {
+  ServerOptions options;
+  options.max_queue_depth = 2;
+  RuntimeServer served(/*graph_seed=*/5, options, /*num_threads=*/1);
+  RankRequest hit;
+  hit.p = 0.5;
+  hit.seeds = {1};
+  ASSERT_TRUE(served.NewClient().Rank(hit).ok());  // a miss and a solve
+
+  std::latch release(1);
+  served.ParkTheWorker(release);
+  // One connection, read in order by one reader thread: two memo hits,
+  // two solves that fill the queue, a join of the first solve, a request
+  // shed at the full queue, an undecodable frame and an info request.
+  RankRequest solve_a = hit;
+  solve_a.seeds = {2};
+  RankRequest solve_b = hit;
+  solve_b.seeds = {3};
+  RankRequest shed = hit;
+  shed.seeds = {4};
+  std::vector<uint8_t> burst;
+  Append(burst, RankFrame(1, hit));
+  Append(burst, RankFrame(2, hit));
+  Append(burst, RankFrame(3, solve_a));
+  Append(burst, RankFrame(4, solve_b));
+  Append(burst, RankFrame(5, solve_a));
+  Append(burst, RankFrame(6, shed));
+  Append(burst, EncodeFrame(FrameType::kRankRequest, 7,
+                            std::vector<uint8_t>{0xde, 0xad}));
+  Append(burst, EncodeFrame(FrameType::kInfoRequest, 8, {}));
+  Socket socket = served.RawConnection();
+  EXPECT_TRUE(socket.SendAll(burst.data(), burst.size()).ok());
+  const ServerStats& stats = served.server->stats();
+  EXPECT_TRUE(WaitFor([&] { return stats.decode_errors.load() == 1; }));
+  EXPECT_EQ(stats.coalesce_joins.load(), 1);
+  EXPECT_EQ(stats.shed_unavailable.load(), 1);
+  release.count_down();
+
+  std::vector<FrameType> types(9, FrameType::kStatus);
+  for (int i = 0; i < 8; ++i) {
+    auto reply = ReadRawFrame(socket);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_GE(reply->request_id, 1u);
+    ASSERT_LE(reply->request_id, 8u);
+    types[reply->request_id] = reply->type;
+  }
+  for (uint64_t id = 1; id <= 5; ++id) {
+    EXPECT_EQ(types[id], FrameType::kRankResponse) << "request " << id;
+  }
+  EXPECT_EQ(types[6], FrameType::kUnavailable);
+  EXPECT_EQ(types[7], FrameType::kStatus);
+  EXPECT_EQ(types[8], FrameType::kInfoResponse);
+
+  // Every decoded rank frame and every undecodable one got one reply (the
+  // info reply is not a rank reply).
+  EXPECT_EQ(stats.requests_received.load(), 7);
+  EXPECT_EQ(stats.requests_received.load() + stats.decode_errors.load(),
+            stats.responses_sent.load());
+  // The runtime saw five cacheable calls (the join and the shed never
+  // reached it): hits + misses = calls, and misses = solves.
+  const ScoreCacheStats memo = served.runtime->score_cache().stats();
+  EXPECT_EQ(memo.hits, 2);
+  EXPECT_EQ(memo.hits + memo.misses, 5);
+  EXPECT_EQ(memo.misses, served.engine->stats().requests.load());
 }
 
 }  // namespace

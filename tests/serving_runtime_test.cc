@@ -2,15 +2,21 @@
 // element identical to the engine's sequential RankBatch (mixed solvers,
 // personalization, warm-start chains, pre-populated caches), RankAsync
 // must agree with Rank, errors must surface as the sequential fail-fast
-// status, and the score cache must short-circuit repeated queries.
+// status, the score cache must short-circuit repeated queries, and a
+// memo hit through RankAsync must complete on the calling thread.
 
 #include "serve/serving_runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <limits>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +29,18 @@ Result<CsrGraph> TestGraph(uint64_t seed, NodeId nodes = 250,
                            int64_t edges = 750) {
   Rng rng(seed);
   return ErdosRenyi(nodes, edges, &rng);
+}
+
+/// Occupies every worker of `runtime` until `release` counts down, and
+/// returns once they all are.
+void ParkEveryWorker(ServingRuntime& runtime, std::latch& release) {
+  for (size_t i = 0; i < runtime.num_threads(); ++i) {
+    runtime.pool().Submit([&release] { release.wait(); });
+  }
+  while (runtime.pool().busy_workers() <
+         static_cast<int64_t>(runtime.num_threads())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 void ExpectResponsesIdentical(const RankResponse& parallel,
@@ -222,6 +240,14 @@ TEST(ServingRuntimeTest, RankAsyncAgreesWithRank) {
   ASSERT_TRUE(sync_response.ok());
   EXPECT_EQ(async_response->scores, sync_response->scores);
 
+  // The request is memoized now: the hit's future is ready on return.
+  auto hit_future = runtime.RankAsync(request);
+  ASSERT_EQ(hit_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto hit_response = hit_future.get();
+  ASSERT_TRUE(hit_response.ok());
+  EXPECT_EQ(hit_response->scores, sync_response->scores);
+
   RankRequest invalid = request;
   invalid.alpha = -0.5;
   auto failed = runtime.RankAsync(invalid).get();
@@ -297,6 +323,91 @@ TEST(ServingRuntimeTest, WarmTaggedRequestsBypassScoreCache) {
   // Both executions reached the engine; nothing was memoized.
   EXPECT_EQ(engine.stats().requests, 2);
   EXPECT_EQ(runtime.score_cache().size(), 0u);
+}
+
+TEST(ServingRuntimeTest, MemoHitCompletesOnTheCallingThread) {
+  auto graph = TestGraph(30);
+  ASSERT_TRUE(graph.ok());
+  D2prEngine engine = D2prEngine::Borrowing(*graph);
+  ServingRuntime runtime = ServingRuntime::Borrowing(
+      engine, {.num_threads = 2, .score_cache_capacity = 16});
+
+  RankRequest cached;
+  cached.p = 0.4;
+  cached.tolerance = 1e-9;
+  auto first = runtime.Rank(cached);
+  ASSERT_TRUE(first.ok());
+  const int64_t solves = engine.stats().requests;
+  const ScoreCacheStats before = runtime.score_cache().stats();
+
+  // With no worker free, only the caller's thread can answer.
+  std::latch release(1);
+  ParkEveryWorker(runtime, release);
+
+  std::optional<Result<RankResponse>> hit;
+  std::thread::id hit_thread;
+  runtime.RankAsync(cached, [&](Result<RankResponse> result) {
+    hit_thread = std::this_thread::get_id();
+    hit = std::move(result);
+  });
+  // EXPECT, not ASSERT, until the workers are released: a failed check
+  // must not return with them parked.
+  EXPECT_TRUE(hit.has_value());
+  EXPECT_EQ(hit_thread, std::this_thread::get_id());
+  EXPECT_TRUE(hit && hit->ok() && (*hit)->scores == first->scores);
+  EXPECT_EQ(engine.stats().requests, solves);
+  EXPECT_EQ(runtime.score_cache().stats().hits, before.hits + 1);
+  EXPECT_EQ(runtime.score_cache().stats().misses, before.misses);
+
+  // A key that is not cached waits for the pool.
+  RankRequest cold = cached;
+  cold.p = 0.9;
+  std::promise<Result<RankResponse>> cold_result;
+  runtime.RankAsync(cold, [&](Result<RankResponse> result) {
+    cold_result.set_value(std::move(result));
+  });
+  std::future<Result<RankResponse>> cold_future = cold_result.get_future();
+  EXPECT_EQ(cold_future.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  EXPECT_EQ(runtime.pool().queue_depth(), 1);
+
+  release.count_down();
+  ASSERT_TRUE(cold_future.get().ok());
+  EXPECT_EQ(engine.stats().requests, solves + 1);
+  const ScoreCacheStats after = runtime.score_cache().stats();
+  // hits + misses = cacheable calls (three), misses = solves (two).
+  EXPECT_EQ(after.hits + after.misses, 3);
+  EXPECT_EQ(after.misses, engine.stats().requests);
+}
+
+TEST(ServingRuntimeTest, GateRejectingAMemoHitCountsNoLookup) {
+  auto graph = TestGraph(31);
+  ASSERT_TRUE(graph.ok());
+  D2prEngine engine = D2prEngine::Borrowing(*graph);
+  ServingRuntime runtime = ServingRuntime::Borrowing(
+      engine, {.num_threads = 1, .score_cache_capacity = 16});
+
+  RankRequest request;
+  request.p = 0.4;
+  request.tolerance = 1e-9;
+  ASSERT_TRUE(runtime.Rank(request).ok());
+  const ScoreCacheStats before = runtime.score_cache().stats();
+
+  int gate_calls = 0;
+  std::optional<Result<RankResponse>> rejected;
+  runtime.RankAsync(
+      request,
+      [&](Result<RankResponse> result) { rejected = std::move(result); },
+      [&]() -> Status {
+        ++gate_calls;
+        return Status::DeadlineExceeded("expired");
+      });
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(gate_calls, 1);
+  EXPECT_EQ(rejected->status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(runtime.score_cache().stats().hits, before.hits);
+  EXPECT_EQ(runtime.score_cache().stats().misses, before.misses);
+  EXPECT_EQ(engine.stats().requests, 1);
 }
 
 }  // namespace
