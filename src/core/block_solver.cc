@@ -42,20 +42,28 @@ Status ValidateBlockSliceInputs(const TransitionSlices& slices,
 /// The in-process index space: a shard's rows and sources are global
 /// node ids, and both iterates are full vectors.
 struct GlobalIndex {
-  const PartitionShard& shard;
-  const TransitionMatrix& transition;
-  std::span<const double> arc_weights;
+  const NodeId* owned;
+  const NodeId* in_sources;
+  const EdgeIndex* in_arc_index;
+  const double* arc_weights;  // every arc's, by global arc index
+  const uint8_t* node_dangling;  // by node id
 
-  size_t dst(size_t k) const { return static_cast<size_t>(shard.owned[k]); }
+  GlobalIndex(const PartitionShard& shard, const TransitionMatrix& transition,
+              std::span<const double> weights)
+      : owned(shard.owned.data()),
+        in_sources(shard.in_sources.data()),
+        in_arc_index(shard.in_arc_index.data()),
+        arc_weights(weights.data()),
+        node_dangling(transition.dangling().data()) {}
+
+  size_t dst(size_t k) const { return static_cast<size_t>(owned[k]); }
   size_t source(size_t idx) const {
-    return static_cast<size_t>(shard.in_sources[idx]);
+    return static_cast<size_t>(in_sources[idx]);
   }
   double weight(size_t idx) const {
-    return arc_weights[static_cast<size_t>(shard.in_arc_index[idx])];
+    return arc_weights[static_cast<size_t>(in_arc_index[idx])];
   }
-  bool dangling(size_t k) const {
-    return transition.IsDangling(shard.owned[k]);
-  }
+  bool dangling(size_t k) const { return node_dangling[owned[k]] != 0; }
 };
 
 }  // namespace
@@ -143,10 +151,10 @@ Result<PagerankResult> SolvePagerankPartitioned(
     // read nothing another shard writes, so the sweeps compose in any
     // order (or concurrently) without changing a bit.
     const auto sweep = [&](size_t s) {
-      const GlobalIndex index{partition.shard(s), transition,
-                              slices.arc_weights};
-      BlockSweep(factors, index.shard.in_offsets, index, params, products,
-                 current, next, /*partials=*/nullptr);
+      const PartitionShard& shard = partition.shard(s);
+      BlockSweep(factors, shard.in_offsets,
+                 GlobalIndex(shard, transition, slices.arc_weights), params,
+                 products, current, next, /*partials=*/nullptr);
     };
     if (parallel_for) {
       parallel_for(partition.num_shards(), sweep);

@@ -32,7 +32,7 @@
 //     graph's in-rows in ascending global source order (left-associated,
 //     from +0.0), and the partition's in-CSR gathers each owned
 //     destination's terms in exactly that order; both end in the same
-//     u∘ pass (FinishDestination). Dangling mass folds over the same
+//     u∘ multiply and blend add. Dangling mass folds over the same
 //     ascending dangling list, the teleport blend is element-wise, and
 //     the residual is the same full-vector DiffL1 — so every float the
 //     reference computes, the block solve recomputes. The factors are
@@ -57,7 +57,13 @@
 //
 // Each power sweep computes y = c∘x once (O(|V|), on the calling thread)
 // and every shard gathers it along its in-CSR: no per-arc probability
-// exists.
+// exists. BlockSweep makes each decision that is fixed for a call once —
+// power or Gauss-Seidel, the sink and blend terms, the dangling policy,
+// whether partials are folded — and runs one row loop compiled for that
+// combination, reading the factor, product and index arrays through
+// pointers taken once per call. Tested per row, those decisions cost
+// 11–18% of a 10k-node block power solve and ~9% of a Gauss-Seidel
+// solve on one pinned core of a 4-vCPU Xeon VM (results/partition_bench.md).
 
 #ifndef D2PR_CORE_BLOCK_SOLVER_H_
 #define D2PR_CORE_BLOCK_SOLVER_H_
@@ -65,7 +71,9 @@
 #include <cmath>
 #include <functional>
 #include <span>
+#include <type_traits>
 
+#include "common/dispatch.h"
 #include "common/result.h"
 #include "core/pagerank.h"
 #include "core/transition_kernel.h"
@@ -98,6 +106,23 @@ struct BlockSweepPartials {
   double residual = 0.0;  ///< |new - old| over every row.
 };
 
+/// \brief Returns fn(std::integral_constant<DanglingPolicy, policy>{}):
+/// the policy as a type, for a loop that tests it at compile time
+/// (common/dispatch.h).
+template <typename Fn>
+decltype(auto) WithPolicy(DanglingPolicy policy, Fn&& fn) {
+  using enum DanglingPolicy;
+  switch (policy) {
+    case kSelfLoop:
+      return fn(std::integral_constant<DanglingPolicy, kSelfLoop>{});
+    case kRenormalize:
+      return fn(std::integral_constant<DanglingPolicy, kRenormalize>{});
+    case kTeleport:
+      break;
+  }
+  return fn(std::integral_constant<DanglingPolicy, kTeleport>{});
+}
+
 /// \brief One power or Gauss-Seidel sweep over the rows whose in-arcs
 /// `in_offsets` bounds (size rows + 1), writing row k's new value to
 /// next[index.dst(k)].
@@ -112,72 +137,76 @@ struct BlockSweepPartials {
 /// and on a shard worker the frozen exchange copy at its boundary slots
 /// (`next` may be `x` itself). `partials`, unless null, receives the
 /// sweep's sums.
+///
+/// Every decision fixed for the call — the method, the sink and blend
+/// terms, the dangling policy, and whether partials are folded — is made
+/// here once; the one row loop below is compiled per combination and
+/// tests none of them per row.
 template <typename Index>
 void BlockSweep(const TransitionFactors& f,
                 std::span<const EdgeIndex> in_offsets, const Index& index,
                 const BlockSweepParams& params,
                 const SourceProducts& products, std::span<const double> x,
                 std::span<double> next, BlockSweepPartials* partials) {
-  const double alpha = params.alpha;
-  const double dangling_mass = params.dangling_mass;
-  const size_t rows = in_offsets.size() - 1;
-  const auto source = [&](size_t idx) { return index.source(idx); };
-  const auto weight = [&](size_t idx) { return index.weight(idx); };
-  // The row loop, instantiated once per method's update rule.
-  const auto sweep = [&](auto update) {
+  const auto rows = [&](auto gauss_seidel, auto sink, auto blend,
+                        auto dangling, auto fold) {
+    constexpr bool kGaussSeidel = decltype(gauss_seidel)::value;
+    constexpr bool kFold = decltype(fold)::value;
+    constexpr DanglingPolicy kDangling = decltype(dangling)::value;
+    const EdgeIndex* offsets = in_offsets.data();
+    const size_t num_rows = in_offsets.size() - 1;
+    const double* old = x.data();
+    double* out = next.data();
+    const double* teleport = params.teleport.data();
+    const double alpha = params.alpha;
+    const double dangling_mass = params.dangling_mass;
+    const PullArrays in = kGaussSeidel ? PullArrays::Live(f, out)
+                                       : PullArrays::Products(f, products);
+    const auto source = [&](size_t idx) { return index.source(idx); };
+    const auto weight = [&](size_t idx) { return index.weight(idx); };
     double dangling_sum = 0.0;
     double residual_sum = 0.0;
-    for (size_t k = 0; k < rows; ++k) {
+    for (size_t k = 0; k < num_rows; ++k) {
       const size_t dst = index.dst(k);
-      const double value =
-          update(k, dst, static_cast<size_t>(in_offsets[k]),
-                 static_cast<size_t>(in_offsets[k + 1]));
-      if (partials != nullptr) {
-        if (index.dangling(k)) dangling_sum += value;
-        residual_sum += std::abs(value - x[dst]);
-      }
-      next[dst] = value;
-    }
-    if (partials != nullptr) *partials = {dangling_sum, residual_sum};
-  };
-  if (!params.gauss_seidel) {
-    sweep([&](size_t k, size_t dst, size_t begin, size_t end) {
-      double value =
-          PullProducts(f, products, dst, begin, end, source, weight);
-      switch (params.dangling) {
-        case DanglingPolicy::kTeleport:
-          if (dangling_mass > 0.0) {
-            value += dangling_mass * params.teleport[dst];
-          }
-          break;
-        case DanglingPolicy::kSelfLoop:
-          if (index.dangling(k)) value += x[dst];
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
-      }
-      return alpha * value + (1.0 - alpha) * params.teleport[dst];
-    });
-  } else {
-    const auto live = [&](size_t idx) { return next[source(idx)]; };
-    sweep([&](size_t k, size_t dst, size_t begin, size_t end) {
-      const double teleport = params.teleport[dst];
-      double value =
-          alpha * PullLive(f, dst, begin, end, source, live, weight) +
-          (1.0 - alpha) * teleport;
-      switch (params.dangling) {
-        case DanglingPolicy::kTeleport:
-          value += alpha * dangling_mass * teleport;
-          break;
-        case DanglingPolicy::kSelfLoop:
+      const double pulled =
+          Pull<decltype(sink)::value, decltype(blend)::value, kGaussSeidel>(
+              in, dst, static_cast<size_t>(offsets[k]),
+              static_cast<size_t>(offsets[k + 1]), source, weight);
+      double value;
+      if constexpr (!kGaussSeidel) {
+        value = pulled;
+        if constexpr (kDangling == DanglingPolicy::kTeleport) {
+          if (dangling_mass > 0.0) value += dangling_mass * teleport[dst];
+        } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
+          if (index.dangling(k)) value += old[dst];
+        }
+        value = alpha * value + (1.0 - alpha) * teleport[dst];
+      } else {
+        const double t = teleport[dst];
+        value = alpha * pulled + (1.0 - alpha) * t;
+        if constexpr (kDangling == DanglingPolicy::kTeleport) {
+          value += alpha * dangling_mass * t;
+        } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
           if (index.dangling(k)) value /= (1.0 - alpha);
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
+        }
       }
-      return value;
+      if constexpr (kFold) {
+        if (index.dangling(k)) dangling_sum += value;
+        residual_sum += std::abs(value - old[dst]);
+      }
+      out[dst] = value;
+    }
+    if constexpr (kFold) *partials = {dangling_sum, residual_sum};
+  };
+  WithFlag(params.gauss_seidel, [&](auto gauss_seidel) {
+    WithTerms(f, [&](auto sink, auto blend) {
+      WithPolicy(params.dangling, [&](auto dangling) {
+        WithFlag(partials != nullptr, [&](auto fold) {
+          rows(gauss_seidel, sink, blend, dangling, fold);
+        });
+      });
     });
-  }
+  });
 }
 
 /// \brief One iteration's inputs to a sweep round.

@@ -15,18 +15,16 @@ namespace {
 /// The whole graph as one block: row k is node k, and its in-arcs are
 /// the graph's in-row of k.
 struct WholeGraphIndex {
-  std::span<const NodeId> sources;
-  std::span<const double> weights;
-  const TransitionMatrix& transition;
+  const NodeId* sources;
+  const double* weights;
+  const uint8_t* node_dangling;
 
   size_t dst(size_t k) const { return k; }
   size_t source(size_t idx) const {
     return static_cast<size_t>(sources[idx]);
   }
   double weight(size_t idx) const { return weights[idx]; }
-  bool dangling(size_t k) const {
-    return transition.IsDangling(static_cast<NodeId>(k));
-  }
+  bool dangling(size_t k) const { return node_dangling[k] != 0; }
 };
 
 }  // namespace
@@ -45,7 +43,8 @@ Result<PagerankResult> SolvePagerankGaussSeidel(
 
   const WholeGraphInRows in_rows(graph);
   const CsrGraph& rows = in_rows.rows();
-  const WholeGraphIndex index{rows.targets(), rows.weights(), transition};
+  const WholeGraphIndex index{rows.targets().data(), rows.weights().data(),
+                              transition.dangling().data()};
   const TransitionFactors& factors = transition.factors();
   const SourceProducts no_products;  // Gauss-Seidel reads the live iterate
   BlockSweepParams params;

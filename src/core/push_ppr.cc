@@ -77,21 +77,25 @@ PushRun::PushRun(const CsrGraph& graph, const TransitionMatrix& transition,
 
 bool PushRun::Advance(int64_t limit) {
   if (drained_) return true;
-  drained_ = sweeping_ ? AdvancePasses(limit) : AdvanceLocal(limit);
+  drained_ = transition_->VisitOutRows(*graph_, [&](const auto& rows) {
+    return sweeping_ ? AdvancePasses(rows, limit) : AdvanceLocal(rows, limit);
+  });
   return drained_;
 }
 
 // The state one push reads, copied out of the run into a local: the
 // state-byte stores of the local phase may alias any member, so a loop
-// reading members would reload them on every arc.
+// reading members would reload them on every arc. `Rows` is the
+// transition's OutRows, whose terms are fixed for the whole call.
+template <typename Rows>
 struct PushRun::Kernel {
-  explicit Kernel(PushRun& run)
+  Kernel(PushRun& run, const Rows& out_rows)
       : scores(run.scores_.data()),
         residual(run.residual_.data()),
         dangling(run.transition_->dangling().data()),
+        offsets(run.graph_->offsets().data()),
         targets(run.graph_->targets().data()),
-        graph(run.graph_),
-        transition(run.transition_),
+        rows(out_rows),
         seed(run.seed_),
         support(run.seed_support_),
         alpha(run.alpha_),
@@ -113,13 +117,11 @@ struct PushRun::Kernel {
       return;
     }
     // Each out-neighbour j receives α·mass·c_u·u_j.
-    const TransitionMatrix::OutRow row =
-        transition->Row(*graph, u, alpha * mass);
-    const EdgeIndex begin = graph->ArcBegin(u);
-    const EdgeIndex end = begin + graph->OutDegree(u);
-    for (EdgeIndex e = begin; e < end; ++e) {
+    const typename Rows::Row row = rows.At(u, alpha * mass);
+    const EdgeIndex end = offsets[u + 1];
+    for (EdgeIndex e = offsets[u]; e < end; ++e) {
       const NodeId v = targets[static_cast<size_t>(e)];
-      residual[v] += row.Prob(e);
+      residual[v] += rows.Prob(row, e, v);
       receive(v);
     }
   }
@@ -127,17 +129,18 @@ struct PushRun::Kernel {
   double* scores;
   double* residual;
   const uint8_t* dangling;
+  const EdgeIndex* offsets;
   const NodeId* targets;
-  const CsrGraph* graph;
-  const TransitionMatrix* transition;
+  Rows rows;
   std::span<const double> seed;
   std::span<const NodeId> support;
   double alpha;
   bool reinject;
 };
 
-bool PushRun::AdvanceLocal(int64_t limit) {
-  const Kernel kernel(*this);
+template <typename Rows>
+bool PushRun::AdvanceLocal(const Rows& rows, int64_t limit) {
+  const Kernel<Rows> kernel(*this, rows);
   double* const residual = kernel.residual;
   uint8_t* const state = state_.data();
   const double epsilon = epsilon_;
@@ -172,7 +175,7 @@ bool PushRun::AdvanceLocal(int64_t limit) {
       state_ = {};
       touched_ = {};
       pushes_ = pushes;
-      return AdvancePasses(limit);
+      return AdvancePasses(rows, limit);
     }
     if (pushes >= limit) break;
     const NodeId u = fifo_[fifo_head_++];
@@ -195,8 +198,9 @@ bool PushRun::AdvanceLocal(int64_t limit) {
   return drained;
 }
 
-bool PushRun::AdvancePasses(int64_t limit) {
-  const Kernel kernel(*this);
+template <typename Rows>
+bool PushRun::AdvancePasses(const Rows& rows, int64_t limit) {
+  const Kernel<Rows> kernel(*this, rows);
   double* const residual = kernel.residual;
   const double epsilon = epsilon_;
   const NodeId n = static_cast<NodeId>(scores_.size());

@@ -27,6 +27,13 @@
 // guarantee is the same; a local query on a large graph never leaves the
 // FIFO. PushRun is that one push step, shared by ForwardPushPpr and the
 // bounded top-k solver (topk/topk_solver.h).
+//
+// The spread loop forms each arc's probability from the factors
+// (TransitionMatrix::OutRows). Each Advance call decides the
+// transition's sink and blend terms once and runs both frontier phases
+// compiled for them, so an arc tests neither; tested per arc they cost
+// 16–19% of a bounded top-k push on one pinned core of a 4-vCPU Xeon VM
+// (results/topk_bench.md).
 
 #ifndef D2PR_CORE_PUSH_PPR_H_
 #define D2PR_CORE_PUSH_PPR_H_
@@ -117,10 +124,15 @@ class PushRun {
           std::span<const double> seed, double alpha, double epsilon,
           bool reinject_dangling);
 
+  template <typename Rows>
   struct Kernel;
 
-  bool AdvanceLocal(int64_t limit);
-  bool AdvancePasses(int64_t limit);
+  // The two frontier phases over the transition's OutRows, whose terms
+  // Advance picks once per call.
+  template <typename Rows>
+  bool AdvanceLocal(const Rows& rows, int64_t limit);
+  template <typename Rows>
+  bool AdvancePasses(const Rows& rows, int64_t limit);
 
   const CsrGraph* graph_;
   const TransitionMatrix* transition_;

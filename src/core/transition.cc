@@ -231,7 +231,10 @@ double TransitionMatrix::Prob(const CsrGraph& graph, NodeId u,
   auto row = graph.OutNeighbors(u);
   auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it == row.end() || *it != v) return 0.0;
-  return Row(graph, u).Prob(graph.ArcBegin(u) + (it - row.begin()));
+  const EdgeIndex arc = graph.ArcBegin(u) + (it - row.begin());
+  return VisitOutRows(graph, [&](const auto& rows) {
+    return rows.Prob(rows.At(u), arc, v);
+  });
 }
 
 }  // namespace d2pr

@@ -17,7 +17,13 @@
 // transition keeps O(|V|) factors (TransitionFactors) and every consumer
 // forms an arc's probability c_i·u_j on the fly. A power sweep becomes
 // y = c∘x, a gather of y along each destination's in-arcs, and one u∘
-// pass (core/transition_kernel.h holds the shared kernel).
+// pass (core/transition_kernel.h holds the shared kernel); a push reads
+// its out-rows through OutRows.
+//
+// The sink and blend terms below are optional: a transition has each or
+// not. A kernel decides that once per call (WithTerms) and runs a loop
+// compiled for the answer, so no row or arc tests for a term; the
+// arithmetic of every variant is the same, term for term.
 //
 // Numerical range: u_j = exp(-p·ln m_j - shift) with one global shift,
 // the largest exponent, so u ∈ (0, 1] and c_i ∈ [1/outdeg(i), 1/min u].
@@ -41,6 +47,7 @@
 #include <span>
 #include <vector>
 
+#include "common/dispatch.h"
 #include "common/result.h"
 #include "graph/csr_graph.h"
 
@@ -112,13 +119,19 @@ struct TransitionFactors {
 
   bool has_sink() const { return !sink.empty(); }
   bool has_blend() const { return !blend_c.empty(); }
-
-  /// The source factor destination `dst` reads: sink_c for a sink
-  /// destination, c otherwise.
-  const double* SourceScale(size_t dst) const {
-    return has_sink() && sink[dst] ? sink_c.data() : c.data();
-  }
 };
+
+/// \brief Returns fn(sink, blend), with sink and blend the
+/// std::bool_constant of f.has_sink() and f.has_blend(): the one test of
+/// a transition's optional terms a kernel call makes, after which its
+/// loop tests them at compile time (common/dispatch.h).
+template <typename Fn>
+decltype(auto) WithTerms(const TransitionFactors& f, Fn&& fn) {
+  return WithFlag(f.has_sink(), [&](auto sink) {
+    return WithFlag(f.has_blend(),
+                    [&](auto blend) { return fn(sink, blend); });
+  });
+}
 
 /// \brief Column-stochastic sparse transition matrix over a graph's
 /// arcs, held as TransitionFactors plus the dangling bitmap.
@@ -164,53 +177,73 @@ class TransitionMatrix {
   /// Indices of dangling nodes.
   std::vector<NodeId> DanglingNodes() const;
 
-  /// \brief The factors one out-row reads, copied into a value so a
-  /// loop over the row keeps them in registers (a loop body that writes
-  /// bytes could alias the matrix's members and force their reload on
-  /// every arc).
-  class OutRow {
+  /// \brief The out-rows' arc probabilities, with the transition's
+  /// optional terms fixed at compile time: kSink == factors().has_sink()
+  /// and kBlend == factors().has_blend() (VisitOutRows picks the pair),
+  /// so an arc tests neither. Every array is read through a pointer taken
+  /// once, at construction; keep the object in a local, since a loop body
+  /// that writes bytes could alias the matrix's members and force their
+  /// reload on every arc.
+  template <bool kSink, bool kBlend>
+  class OutRows {
    public:
-    /// Probability of arc `e` (a CSR arc index of the row's source),
-    /// formed from the factors: what one per-arc table entry used to
-    /// hold.
-    double Prob(EdgeIndex e) const {
-      const size_t arc = static_cast<size_t>(e);
-      const size_t j = static_cast<size_t>(targets_[arc]);
-      double prob = (sink_ != nullptr && sink_[j] ? sink_c_ : c_) * u_[j];
-      if (weights_ != nullptr) prob += weights_[arc] * blend_c_;
+    /// One source's factors, each multiplied by a scale.
+    struct Row {
+      double c = 0.0;
+      double sink_c = 0.0;   // 0 without the sink term
+      double blend_c = 0.0;  // 0 when beta = 0
+    };
+
+    /// `graph` must be the graph the matrix was built from.
+    OutRows(const TransitionFactors& f, const CsrGraph& graph)
+        : u_(f.u.data()),
+          c_(f.c.data()),
+          sink_(f.sink.data()),
+          sink_c_(f.sink_c.data()),
+          blend_c_(f.blend_c.data()),
+          weights_(graph.weights().data()) {}
+
+    /// The out-row of `src`, every probability multiplied by `scale`
+    /// (folded into the source factors, so a push moving α·r_src along
+    /// the row pays one multiply per arc).
+    Row At(NodeId src, double scale = 1.0) const {
+      const size_t i = static_cast<size_t>(src);
+      Row row;
+      row.c = scale * c_[i];
+      if constexpr (kSink) row.sink_c = scale * sink_c_[i];
+      if constexpr (kBlend) row.blend_c = scale * blend_c_[i];
+      return row;
+    }
+
+    /// Probability of arc `arc` (a CSR arc index of the row's source)
+    /// into `target`, formed from the factors: what one per-arc table
+    /// entry used to hold.
+    double Prob(const Row& row, EdgeIndex arc, NodeId target) const {
+      const size_t j = static_cast<size_t>(target);
+      double prob = (kSink && sink_[j] ? row.sink_c : row.c) * u_[j];
+      if constexpr (kBlend) {
+        prob += weights_[static_cast<size_t>(arc)] * row.blend_c;
+      }
       return prob;
     }
 
    private:
-    friend class TransitionMatrix;
-    const NodeId* targets_ = nullptr;
-    const double* u_ = nullptr;
-    const uint8_t* sink_ = nullptr;    // null without a sink term
-    const double* weights_ = nullptr;  // null when beta = 0
-    double c_ = 0.0;
-    double sink_c_ = 0.0;
-    double blend_c_ = 0.0;
+    const double* u_;
+    const double* c_;
+    const uint8_t* sink_;     // read only when kSink
+    const double* sink_c_;    // read only when kSink
+    const double* blend_c_;   // read only when kBlend
+    const double* weights_;   // read only when kBlend
   };
 
-  /// The out-row of `src`, every probability multiplied by `scale`
-  /// (folded into the source factors, so a push moving α·r_src along the
-  /// row pays one multiply per arc). `graph` must be the graph the matrix
-  /// was built from.
-  OutRow Row(const CsrGraph& graph, NodeId src, double scale = 1.0) const {
-    const size_t i = static_cast<size_t>(src);
-    OutRow row;
-    row.targets_ = graph.targets().data();
-    row.u_ = factors_.u.data();
-    row.c_ = scale * factors_.c[i];
-    if (factors_.has_sink()) {
-      row.sink_ = factors_.sink.data();
-      row.sink_c_ = scale * factors_.sink_c[i];
-    }
-    if (factors_.has_blend()) {
-      row.weights_ = graph.weights().data();
-      row.blend_c_ = scale * factors_.blend_c[i];
-    }
-    return row;
+  /// Returns fn(rows) for the OutRows of this transition's terms over
+  /// `graph`, the graph the matrix was built from.
+  template <typename Fn>
+  decltype(auto) VisitOutRows(const CsrGraph& graph, Fn&& fn) const {
+    return WithTerms(factors_, [&](auto sink, auto blend) {
+      return fn(OutRows<decltype(sink)::value, decltype(blend)::value>(
+          factors_, graph));
+    });
   }
 
   /// Sparse matrix-vector product: out[j] = Σ_i T(j, i) · x[i].

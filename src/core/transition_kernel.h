@@ -6,15 +6,19 @@
 // and one u∘ pass. Every path gathers: the whole-graph solves
 // (GatherColumns, under TransitionMatrix::Multiply and the power solvers
 // of core/pagerank.h) along the graph's in-rows (WholeGraphInRows), the
-// block solvers (core/block_solver.h) and the shard workers
-// (dist/shard_worker.h) along a shard's in-CSR. Every path folds a
-// destination's terms in ascending global source order from +0.0, each
-// term is the same single product, and every path ends in
-// FinishDestination, so all of them agree bit for bit by construction.
+// block solvers (Pull, under core/block_solver.h's BlockSweep) and the
+// shard workers (dist/shard_worker.h) along a shard's in-CSR. Every path
+// folds a destination's terms in ascending global source order from
+// +0.0, each term is the same single product, and every path ends in the
+// same u∘ multiply and blend add (FinishDestination, or Pull's own last
+// line), so all of them agree bit for bit by construction.
 //
 // Gauss-Seidel sweeps read a live iterate, so they multiply c by x per
-// arc (PullLive) instead of precomputing y; the product is the same
-// double either way.
+// arc (Pull over PullArrays::Live) instead of precomputing y; the
+// product is the same double either way. Pull takes the transition's
+// terms as template arguments, so a sweep decides them once per call
+// rather than per row; GatherColumns decides its sink term once per
+// call the same way.
 
 #ifndef D2PR_CORE_TRANSITION_KERNEL_H_
 #define D2PR_CORE_TRANSITION_KERNEL_H_
@@ -229,46 +233,70 @@ struct SourceProducts {
   }
 };
 
-/// \brief Gather form over precomputed products: T·x at destination
-/// `dst`, whose in-arcs occupy positions [begin, end). source(idx) maps an
-/// in-arc to its index into the products; weight(idx) is its arc weight,
-/// called only when β > 0.
-template <typename SourceFn, typename WeightFn>
-inline double PullProducts(const TransitionFactors& f,
-                           const SourceProducts& products, size_t dst,
-                           size_t begin, size_t end, SourceFn source,
-                           WeightFn weight) {
-  const double* y = f.has_sink() && f.sink[dst] ? products.y_sink.data()
-                                                : products.y.data();
-  double sum = 0.0;
-  for (size_t idx = begin; idx < end; ++idx) sum += y[source(idx)];
-  double blend_sum = 0.0;
-  if (f.has_blend()) {
-    for (size_t idx = begin; idx < end; ++idx) {
-      blend_sum += weight(idx) * products.y_blend[source(idx)];
-    }
-  }
-  return FinishDestination(f, dst, sum, blend_sum);
-}
+/// \brief The arrays one pull reads, as raw pointers taken once per
+/// sweep call rather than through the factors on every row.
+///
+/// Over products (a power sweep) the source-side arrays hold y = c∘x,
+/// sink_c∘x and blend_c∘x (SourceProducts) and `live` is null; over a
+/// live iterate (Gauss-Seidel) they hold c, sink_c and blend_c, and
+/// `live` is the iterate, which the sweep may write between pulls.
+struct PullArrays {
+  const double* u = nullptr;       ///< by destination
+  const uint8_t* sink = nullptr;   ///< by destination; sink term only
+  const double* scale = nullptr;   ///< c or y, by source
+  const double* sink_scale = nullptr;  ///< sink_c or y_sink; sink term only
+  const double* blend = nullptr;   ///< blend_c or y_blend; β > 0 only
+  const double* live = nullptr;    ///< the live iterate, or null
 
-/// \brief Gather form over live source values: as PullProducts, with
-/// value(idx) the current value of in-arc idx's source.
-template <typename SourceFn, typename ValueFn, typename WeightFn>
-inline double PullLive(const TransitionFactors& f, size_t dst, size_t begin,
-                       size_t end, SourceFn source, ValueFn value,
-                       WeightFn weight) {
-  const double* scale = f.SourceScale(dst);
+  /// Over the products of one power sweep.
+  static PullArrays Products(const TransitionFactors& f,
+                             const SourceProducts& products) {
+    return {f.u.data(),           f.sink.data(),
+            products.y.data(),    products.y_sink.data(),
+            products.y_blend.data(), nullptr};
+  }
+  /// Over the live iterate `live`.
+  static PullArrays Live(const TransitionFactors& f, const double* live) {
+    return {f.u.data(),      f.sink.data(),    f.c.data(),
+            f.sink_c.data(), f.blend_c.data(), live};
+  }
+};
+
+/// \brief Gather form of T·x at destination `dst`, whose in-arcs occupy
+/// positions [begin, end): source(idx) maps an in-arc to its index into
+/// the source-side arrays, weight(idx) is its arc weight. kSink and
+/// kBlend are the factors' has_sink() and has_blend(), and kLive says
+/// whether `in` reads a live iterate (each term is then c·x formed per
+/// arc, the same double a product holds).
+template <bool kSink, bool kBlend, bool kLive, typename SourceFn,
+          typename WeightFn>
+inline double Pull(const PullArrays& in, size_t dst, size_t begin,
+                   size_t end, SourceFn source, WeightFn weight) {
+  const double* scale = kSink && in.sink[dst] ? in.sink_scale : in.scale;
   double sum = 0.0;
   for (size_t idx = begin; idx < end; ++idx) {
-    sum += scale[source(idx)] * value(idx);
-  }
-  double blend_sum = 0.0;
-  if (f.has_blend()) {
-    for (size_t idx = begin; idx < end; ++idx) {
-      blend_sum += weight(idx) * (f.blend_c[source(idx)] * value(idx));
+    const size_t i = source(idx);
+    if constexpr (kLive) {
+      sum += scale[i] * in.live[i];
+    } else {
+      sum += scale[i];
     }
   }
-  return FinishDestination(f, dst, sum, blend_sum);
+  const double value = in.u[dst] * sum;
+  if constexpr (!kBlend) {
+    return value;
+  } else {
+    double blend_sum = 0.0;
+    for (size_t idx = begin; idx < end; ++idx) {
+      const size_t i = source(idx);
+      if constexpr (kLive) {
+        blend_sum += weight(idx) * (in.blend[i] * in.live[i]);
+      } else {
+        blend_sum += weight(idx) * in.blend[i];
+      }
+    }
+    return value + blend_sum;
+  }
 }
 
 }  // namespace d2pr

@@ -51,9 +51,9 @@ void StatusReply(uint64_t request_id, const Status& status,
 /// source is a slot of the [owned | boundary] scratch, so one array holds
 /// the live owned prefix and the frozen boundary tail.
 struct SlotIndex {
-  const std::vector<size_t>& src_slot;
-  const std::vector<double>& in_weights;
-  const std::vector<uint8_t>& owned_dangling;
+  const size_t* src_slot;
+  const double* in_weights;
+  const uint8_t* owned_dangling;
 
   size_t dst(size_t k) const { return k; }
   size_t source(size_t idx) const { return src_slot[idx]; }
@@ -361,7 +361,8 @@ void ShardWorker::HandleSweep(const ShardFrame& request,
     const bool gauss_seidel = params_.gauss_seidel;
     if (!gauss_seidel) products_.Compute(factors_, vals_);
     BlockSweep(factors_, cut_.shard.in_offsets,
-               SlotIndex{src_slot_, cut_.in_weights, owned_dangling_},
+               SlotIndex{src_slot_.data(), cut_.in_weights.data(),
+                         owned_dangling_.data()},
                params_, products_, vals_, gauss_seidel ? vals_ : next_,
                &partials_);
     if (!gauss_seidel) std::copy(next_.begin(), next_.end(), vals_.begin());

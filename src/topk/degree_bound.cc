@@ -14,20 +14,23 @@ DegreeBoundIndex DegreeBoundIndex::Build(const CsrGraph& graph,
   // Without the sink and blend terms an arc's probability is c_u·u_t, so
   // the bound is u_t·max c_u over t's in-arcs: rounding is monotone, so
   // the per-arc maximum below is that same double.
-  for (NodeId u = 0; u < n; ++u) {
-    if (transition.IsDangling(u)) {
-      index.has_dangling_ = true;
-      continue;
+  const EdgeIndex* offsets = graph.offsets().data();
+  const NodeId* targets = graph.targets().data();
+  double* max_in_prob = index.max_in_prob_.data();
+  transition.VisitOutRows(graph, [&](const auto rows) {
+    for (NodeId u = 0; u < n; ++u) {
+      if (transition.IsDangling(u)) {
+        index.has_dangling_ = true;
+        continue;
+      }
+      const auto row = rows.At(u);
+      for (EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const NodeId t = targets[static_cast<size_t>(e)];
+        double& bound = max_in_prob[static_cast<size_t>(t)];
+        bound = std::max(bound, rows.Prob(row, e, t));
+      }
     }
-    const TransitionMatrix::OutRow row = transition.Row(graph, u);
-    const EdgeIndex begin = graph.ArcBegin(u);
-    const EdgeIndex end = begin + graph.OutDegree(u);
-    for (EdgeIndex e = begin; e < end; ++e) {
-      double& bound = index.max_in_prob_[static_cast<size_t>(
-          graph.targets()[static_cast<size_t>(e)])];
-      bound = std::max(bound, row.Prob(e));
-    }
-  }
+  });
 
   index.order_.resize(static_cast<size_t>(n));
   std::iota(index.order_.begin(), index.order_.end(), NodeId{0});

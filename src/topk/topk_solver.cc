@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <ranges>
 #include <type_traits>
@@ -37,6 +36,29 @@ double FoldLanes(const Nodes& nodes, Value value, Op op) {
   }
   for (; i < nodes.size(); ++i) lane[0] = op(lane[0], value(nodes[i]));
   return op(op(lane[0], lane[1]), op(lane[2], lane[3]));
+}
+
+// R, the residual mass over `nodes`, and their top score, in one pass:
+// each is folded in four lanes exactly as FoldLanes folds it alone (the
+// sum with +, the top score with std::max), so the bits are the same as
+// two passes'.
+template <typename Nodes>
+void FoldMassAndTop(const Nodes& nodes, std::span<const double> residual,
+                    std::span<const double> scores, double* mass,
+                    double* top) {
+  double sum[4] = {0.0, 0.0, 0.0, 0.0};
+  double best[4] = {0.0, 0.0, 0.0, 0.0};
+  const auto fold = [&](size_t lane, NodeId t) {
+    sum[lane] = sum[lane] + residual[static_cast<size_t>(t)];
+    best[lane] = std::max(best[lane], scores[static_cast<size_t>(t)]);
+  };
+  size_t i = 0;
+  for (; i + 4 <= nodes.size(); i += 4) {
+    for (size_t j = 0; j < 4; ++j) fold(j, nodes[i + j]);
+  }
+  for (; i < nodes.size(); ++i) fold(0, nodes[i]);
+  *mass = (sum[0] + sum[1]) + (sum[2] + sum[3]);
+  *top = std::max(std::max(best[0], best[1]), std::max(best[2], best[3]));
 }
 
 // The `count` nodes of `nodes` with the highest scores (ties to the lower
@@ -145,9 +167,9 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
   // A round that is not the last may stop at the first proof that the set
   // does not certify yet; the last round fills in every entry.
   auto certify_over = [&](const auto& touched, bool last) -> bool {
-    const double mass = FoldLanes(
-        touched, [&](NodeId t) { return residual[static_cast<size_t>(t)]; },
-        std::plus<double>());
+    double mass = 0.0;
+    double top_score = 0.0;
+    FoldMassAndTop(touched, residual, scores, &mass, &top_score);
     result.residual_mass = mass;
 
     auto eff_bound = [&](NodeId t) {
@@ -168,14 +190,10 @@ Result<TopKResult> SolveTopK(const CsrGraph& graph,
     // want + 1 nodes of largest ub_in is a non-candidate, whose upper
     // bound is at least alpha * R * ub_in, and no candidate's lower bound
     // exceeds the top score. While R is large this skips the selection.
-    if (!last && want < static_cast<size_t>(n)) {
-      const double top_score = FoldLanes(
-          touched, [&](NodeId t) { return scores[static_cast<size_t>(t)]; },
-          [](double a, double b) { return std::max(a, b); });
-      if (top_score + kTieTolerance <
-          alpha * mass * bounds.MaxInProb(bounds.ByBoundDescending()[want])) {
-        return false;
-      }
+    if (!last && want < static_cast<size_t>(n) &&
+        top_score + kTieTolerance <
+            alpha * mass * bounds.MaxInProb(bounds.ByBoundDescending()[want])) {
+      return false;
     }
 
     // Candidates: the `want` best lower bounds among touched nodes,

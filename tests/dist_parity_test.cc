@@ -1,8 +1,9 @@
 // Distributed-vs-in-process parity: the DistributedCoordinator driving
 // an in-process shard fleet must reproduce the reference solvers bitwise
 // (scores, iteration count, final residual) — power against
-// SolvePagerankPartitioned across both partition schemes, shard counts
-// {1, 2, 4, 8} and every dangling policy; one-shard block Gauss-Seidel
+// SolvePagerankPartitioned and the whole-graph SolvePagerank across both
+// partition schemes, shard counts {1, 2, 4, 8}, every dangling policy
+// and every pair of the sink and blend terms; one-shard block Gauss-Seidel
 // against the whole-graph SolvePagerankGaussSeidel, of which it is the
 // one-block case — plus a 25-graph seeded fuzz over the same graph
 // family partition_fuzz_test.cc proves the in-process solvers on, where
@@ -65,41 +66,90 @@ void ExpectBitwiseEqual(const PagerankResult& got,
   EXPECT_EQ(got.converged, want.converged);
 }
 
+/// A directed weighted graph in which about a quarter of the nodes keep
+/// no out-arcs: metric 0 at p != 0, the sink term's destinations.
+CsrGraph DirectedWeightedWithSinks() {
+  Rng rng(43);
+  auto base = BarabasiAlbert(300, 3, &rng);
+  D2PR_CHECK(base.ok());
+  GraphBuilder builder(base->num_nodes(), GraphKind::kDirected,
+                       /*weighted=*/true);
+  for (NodeId u = 0; u < base->num_nodes(); ++u) {
+    if (rng.Uniform() < 0.25) continue;
+    for (NodeId v : base->OutNeighbors(u)) {
+      D2PR_CHECK(builder.AddEdge(u, v, 0.5 + 3.0 * rng.Uniform()).ok());
+    }
+  }
+  auto graph = builder.Build();
+  D2PR_CHECK(graph.ok());
+  return std::move(graph).value();
+}
+
 TEST(DistParityTest, PowerBitwiseAcrossSchemesShardsAndPolicies) {
   Rng rng(42);
   auto graph = BarabasiAlbert(300, 3, &rng);
   ASSERT_TRUE(graph.ok());
-  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  const CsrGraph sinks = DirectedWeightedWithSinks();
+  // Every (sink term, blend) pair of the block sweep, each checked
+  // against the in-process block solve and the whole-graph gather.
+  struct Case {
+    const CsrGraph* graph;
+    TransitionConfig config;
+  };
+  const Case cases[] = {{&*graph, {}},
+                        {&sinks, {.p = 0.7, .beta = 0.0}},
+                        {&sinks, {.p = -0.5, .beta = 0.4}},
+                        {&sinks, {.p = 0.0, .beta = 0.4}}};
+  bool saw_terms[2][2] = {};  // [has_sink][has_blend]
 
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    for (size_t shards : {1, 2, 4, 8}) {
-      for (DanglingPolicy dangling :
-           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
-            DanglingPolicy::kRenormalize}) {
-        SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
-                     std::to_string(shards) + " shards, dangling " +
-                     std::to_string(static_cast<int>(dangling)));
-        PagerankOptions options;
-        options.alpha = 0.85;
-        options.tolerance = 1e-11;
-        options.max_iterations = 2000;
-        options.dangling = dangling;
+  for (const Case& c : cases) {
+    const std::vector<double> teleport =
+        UniformTeleport(c.graph->num_nodes());
+    auto transition = TransitionMatrix::Build(*c.graph, c.config);
+    ASSERT_TRUE(transition.ok()) << transition.status().ToString();
+    saw_terms[transition->factors().has_sink()]
+             [transition->factors().has_blend()] = true;
+    for (PartitionScheme scheme :
+         {PartitionScheme::kRange, PartitionScheme::kHash}) {
+      for (size_t shards : {1, 2, 4, 8}) {
+        for (DanglingPolicy dangling :
+             {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
+              DanglingPolicy::kRenormalize}) {
+          SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
+                       std::to_string(shards) + " shards, dangling " +
+                       std::to_string(static_cast<int>(dangling)) + ", p=" +
+                       std::to_string(c.config.p) + " beta=" +
+                       std::to_string(c.config.beta));
+          PagerankOptions options;
+          options.alpha = 0.85;
+          options.tolerance = 1e-11;
+          options.max_iterations = 2000;
+          options.dangling = dangling;
 
-        DistFleet fleet = MakeFleet(*graph, shards, scheme);
-        DistributedCoordinator coordinator(
-            fleet.raw, MakeCoordinatorOptions(*graph, scheme));
-        ASSERT_TRUE(coordinator.Handshake().ok());
-        auto distributed =
-            coordinator.Solve(SolverMethod::kPower, teleport, options);
-        ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-        ASSERT_TRUE(distributed->converged);
+          DistFleet fleet = MakeFleet(*c.graph, shards, scheme, c.config);
+          DistributedCoordinator coordinator(
+              fleet.raw, MakeCoordinatorOptions(*c.graph, scheme, c.config));
+          ASSERT_TRUE(coordinator.Handshake().ok());
+          auto distributed =
+              coordinator.Solve(SolverMethod::kPower, teleport, options);
+          ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+          ASSERT_TRUE(distributed->converged);
 
-        auto reference =
-            ReferencePower(*graph, scheme, shards, {}, teleport, options);
-        ASSERT_TRUE(reference.ok());
-        ExpectBitwiseEqual(*distributed, *reference);
+          auto reference = ReferencePower(*c.graph, scheme, shards, c.config,
+                                          teleport, options);
+          ASSERT_TRUE(reference.ok());
+          ExpectBitwiseEqual(*distributed, *reference);
+          auto whole = SolvePagerank(*c.graph, *transition, teleport, options);
+          ASSERT_TRUE(whole.ok());
+          ExpectBitwiseEqual(*distributed, *whole);
+        }
       }
+    }
+  }
+  for (int sink : {0, 1}) {
+    for (int blend : {0, 1}) {
+      EXPECT_TRUE(saw_terms[sink][blend]) << "sink " << sink << " blend "
+                                          << blend;
     }
   }
 }

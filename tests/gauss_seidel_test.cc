@@ -10,13 +10,37 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/teleport.h"
-#include "core/transition_kernel.h"
 #include "datagen/classic_generators.h"
 #include "graph/graph_builder.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
 namespace {
+
+/// One destination's pull over live source values, as the block sweep's
+/// kernel once was: kept here, apart from that kernel, so the reference
+/// below does not compare the kernel with itself. `source(idx)` maps an
+/// in-arc to its source, value(idx) is that source's current value and
+/// weight(idx) the arc's weight.
+template <typename SourceFn, typename ValueFn, typename WeightFn>
+double ReferencePullLive(const TransitionFactors& f, size_t dst,
+                         size_t begin, size_t end, SourceFn source,
+                         ValueFn value, WeightFn weight) {
+  const double* scale =
+      f.has_sink() && f.sink[dst] ? f.sink_c.data() : f.c.data();
+  double sum = 0.0;
+  for (size_t idx = begin; idx < end; ++idx) {
+    sum += scale[source(idx)] * value(idx);
+  }
+  double blend_sum = 0.0;
+  if (f.has_blend()) {
+    for (size_t idx = begin; idx < end; ++idx) {
+      blend_sum += weight(idx) * (f.blend_c[source(idx)] * value(idx));
+    }
+  }
+  const double value_at_dst = f.u[dst] * sum;
+  return f.has_blend() ? value_at_dst + blend_sum : value_at_dst;
+}
 
 /// A plain Gauss-Seidel loop over the transposed graph, kept as the
 /// reference SolvePagerankGaussSeidel (the one-block case of the block
@@ -53,7 +77,7 @@ PagerankResult ReferenceGaussSeidel(const CsrGraph& graph,
       const auto source = [&](size_t e) {
         return static_cast<size_t>(sources[e]);
       };
-      const double incoming = PullLive(
+      const double incoming = ReferencePullLive(
           factors, static_cast<size_t>(v), begin, end, source,
           [&](size_t e) { return x[source(e)]; },
           [&](size_t e) { return reverse_weights[e]; });

@@ -94,6 +94,10 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
   const CsrGraph unweighted = UnweightedGraph();
   const CsrGraph weighted = WeightedDirectedGraph();
+  // The reference gathers along the whole graph (GatherColumns); the
+  // matrix must reach the block sweep's sink-term and blend variants.
+  bool saw_sink = false;
+  bool saw_blend = false;
   for (const CsrGraph* graph : {&unweighted, &weighted}) {
     for (double p : {0.0, 0.7, -0.5}) {
       TransitionConfig config;
@@ -101,6 +105,8 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
       config.beta = graph->weighted() ? 0.3 : 0.0;
       auto transition = TransitionMatrix::Build(*graph, config);
       ASSERT_TRUE(transition.ok());
+      saw_sink = saw_sink || transition->factors().has_sink();
+      saw_blend = saw_blend || transition->factors().has_blend();
 
       for (DanglingPolicy policy :
            {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
@@ -152,6 +158,8 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
       }
     }
   }
+  EXPECT_TRUE(saw_sink);
+  EXPECT_TRUE(saw_blend);
 }
 
 TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
