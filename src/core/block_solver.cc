@@ -57,9 +57,7 @@ struct GlobalIndex {
         node_dangling(transition.dangling().data()) {}
 
   size_t dst(size_t k) const { return static_cast<size_t>(owned[k]); }
-  size_t source(size_t idx) const {
-    return static_cast<size_t>(in_sources[idx]);
-  }
+  const NodeId* sources() const { return in_sources; }
   double weight(size_t idx) const {
     return arc_weights[static_cast<size_t>(in_arc_index[idx])];
   }

@@ -64,6 +64,11 @@
 // pointers taken once per call. Tested per row, those decisions cost
 // 11–18% of a 10k-node block power solve and ~9% of a Gauss-Seidel
 // solve on one pinned core of a 4-vCPU Xeon VM (results/partition_bench.md).
+// A power sweep then pulls its rows four at a time (PullRows): a row's
+// in-arc loop ends at a count the branch predictor cannot know, and on
+// a Barabási–Albert shard those exits, one per row, cost about a third
+// of the sweep. Gauss-Seidel rows may read the row before them, so they
+// pull one at a time.
 
 #ifndef D2PR_CORE_BLOCK_SOLVER_H_
 #define D2PR_CORE_BLOCK_SOLVER_H_
@@ -128,10 +133,11 @@ decltype(auto) WithPolicy(DanglingPolicy policy, Fn&& fn) {
 /// next[index.dst(k)].
 ///
 /// `index` maps rows into the caller's index space: dst(k) indexes the
-/// destination factors, the teleport and both iterates; source(idx)
-/// indexes the source factors, the products and both iterates;
-/// weight(idx) is in-arc idx's weight; dangling(k) flags a row without
-/// out-arcs. Power reads `products` (y = c∘x) and `x`. Gauss-Seidel
+/// destination factors, the teleport and both iterates; sources()[idx]
+/// (an array of any integer type) indexes the source factors, the
+/// products and both iterates; weight(idx) is in-arc idx's weight;
+/// dangling(k) flags a row without out-arcs. Power reads `products`
+/// (y = c∘x) and `x`. Gauss-Seidel
 /// updates `next` in place and reads every source from it, so `next`
 /// must enter holding the values each source should read — x's values,
 /// and on a shard worker the frozen exchange copy at its boundary slots
@@ -141,7 +147,9 @@ decltype(auto) WithPolicy(DanglingPolicy policy, Fn&& fn) {
 /// Every decision fixed for the call — the method, the sink and blend
 /// terms, the dangling policy, and whether partials are folded — is made
 /// here once; the one row loop below is compiled per combination and
-/// tests none of them per row.
+/// tests none of them per row. Power rows are pulled in groups of four
+/// and finished in ascending order, so every value, sum and partial has
+/// the bits of the row-at-a-time loop.
 template <typename Index>
 void BlockSweep(const TransitionFactors& f,
                 std::span<const EdgeIndex> in_offsets, const Index& index,
@@ -155,6 +163,7 @@ void BlockSweep(const TransitionFactors& f,
     constexpr DanglingPolicy kDangling = decltype(dangling)::value;
     const EdgeIndex* offsets = in_offsets.data();
     const size_t num_rows = in_offsets.size() - 1;
+    const auto* sources = index.sources();
     const double* old = x.data();
     double* out = next.data();
     const double* teleport = params.teleport.data();
@@ -162,40 +171,51 @@ void BlockSweep(const TransitionFactors& f,
     const double dangling_mass = params.dangling_mass;
     const PullArrays in = kGaussSeidel ? PullArrays::Live(f, out)
                                        : PullArrays::Products(f, products);
-    const auto source = [&](size_t idx) { return index.source(idx); };
     const auto weight = [&](size_t idx) { return index.weight(idx); };
     double dangling_sum = 0.0;
     double residual_sum = 0.0;
-    for (size_t k = 0; k < num_rows; ++k) {
-      const size_t dst = index.dst(k);
-      const double pulled =
-          Pull<decltype(sink)::value, decltype(blend)::value, kGaussSeidel>(
-              in, dst, static_cast<size_t>(offsets[k]),
-              static_cast<size_t>(offsets[k + 1]), source, weight);
-      double value;
-      if constexpr (!kGaussSeidel) {
-        value = pulled;
-        if constexpr (kDangling == DanglingPolicy::kTeleport) {
-          if (dangling_mass > 0.0) value += dangling_mass * teleport[dst];
-        } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
-          if (index.dangling(k)) value += old[dst];
+    // Rows [k, k + W): pulled together, then finished in ascending order.
+    const auto group = [&](auto width, size_t k) {
+      constexpr size_t W = decltype(width)::value;
+      size_t dst[W];
+      for (size_t r = 0; r < W; ++r) dst[r] = index.dst(k + r);
+      double pulled[W];
+      PullRows<W, decltype(sink)::value, decltype(blend)::value, kGaussSeidel>(
+          in, dst, offsets + k, sources, weight, pulled);
+      for (size_t r = 0; r < W; ++r) {
+        double value;
+        if constexpr (!kGaussSeidel) {
+          value = pulled[r];
+          if constexpr (kDangling == DanglingPolicy::kTeleport) {
+            if (dangling_mass > 0.0) value += dangling_mass * teleport[dst[r]];
+          } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
+            if (index.dangling(k + r)) value += old[dst[r]];
+          }
+          value = alpha * value + (1.0 - alpha) * teleport[dst[r]];
+        } else {
+          const double t = teleport[dst[r]];
+          value = alpha * pulled[r] + (1.0 - alpha) * t;
+          if constexpr (kDangling == DanglingPolicy::kTeleport) {
+            value += alpha * dangling_mass * t;
+          } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
+            if (index.dangling(k + r)) value /= (1.0 - alpha);
+          }
         }
-        value = alpha * value + (1.0 - alpha) * teleport[dst];
-      } else {
-        const double t = teleport[dst];
-        value = alpha * pulled + (1.0 - alpha) * t;
-        if constexpr (kDangling == DanglingPolicy::kTeleport) {
-          value += alpha * dangling_mass * t;
-        } else if constexpr (kDangling == DanglingPolicy::kSelfLoop) {
-          if (index.dangling(k)) value /= (1.0 - alpha);
+        if constexpr (kFold) {
+          if (index.dangling(k + r)) dangling_sum += value;
+          residual_sum += std::abs(value - old[dst[r]]);
         }
+        out[dst[r]] = value;
       }
-      if constexpr (kFold) {
-        if (index.dangling(k)) dangling_sum += value;
-        residual_sum += std::abs(value - old[dst]);
-      }
-      out[dst] = value;
+    };
+    // Power rows read only the frozen products, so four pull at once;
+    // a Gauss-Seidel row may read the row before it, so rows pull alone.
+    constexpr size_t kWidth = kGaussSeidel ? 1 : 4;
+    size_t k = 0;
+    for (; k + kWidth <= num_rows; k += kWidth) {
+      group(std::integral_constant<size_t, kWidth>{}, k);
     }
+    for (; k < num_rows; ++k) group(std::integral_constant<size_t, 1>{}, k);
     if constexpr (kFold) *partials = {dangling_sum, residual_sum};
   };
   WithFlag(params.gauss_seidel, [&](auto gauss_seidel) {

@@ -15,14 +15,12 @@ namespace {
 /// The whole graph as one block: row k is node k, and its in-arcs are
 /// the graph's in-row of k.
 struct WholeGraphIndex {
-  const NodeId* sources;
+  const NodeId* in_sources;
   const double* weights;
   const uint8_t* node_dangling;
 
   size_t dst(size_t k) const { return k; }
-  size_t source(size_t idx) const {
-    return static_cast<size_t>(sources[idx]);
-  }
+  const NodeId* sources() const { return in_sources; }
   double weight(size_t idx) const { return weights[idx]; }
   bool dangling(size_t k) const { return node_dangling[k] != 0; }
 };

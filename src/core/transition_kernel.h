@@ -6,19 +6,21 @@
 // and one u∘ pass. Every path gathers: the whole-graph solves
 // (GatherColumns, under TransitionMatrix::Multiply and the power solvers
 // of core/pagerank.h) along the graph's in-rows (WholeGraphInRows), the
-// block solvers (Pull, under core/block_solver.h's BlockSweep) and the
+// block solvers (PullRows, under core/block_solver.h's BlockSweep) and the
 // shard workers (dist/shard_worker.h) along a shard's in-CSR. Every path
 // folds a destination's terms in ascending global source order from
 // +0.0, each term is the same single product, and every path ends in the
-// same u∘ multiply and blend add (FinishDestination, or Pull's own last
-// line), so all of them agree bit for bit by construction.
+// same u∘ multiply and blend add (FinishDestination, or PullRows' own
+// last lines), so all of them agree bit for bit by construction.
 //
 // Gauss-Seidel sweeps read a live iterate, so they multiply c by x per
-// arc (Pull over PullArrays::Live) instead of precomputing y; the
-// product is the same double either way. Pull takes the transition's
-// terms as template arguments, so a sweep decides them once per call
-// rather than per row; GatherColumns decides its sink term once per
-// call the same way.
+// arc (PullRows over PullArrays::Live) instead of precomputing y; the
+// product is the same double either way. PullRows takes the
+// transition's terms as template arguments, so a sweep decides them
+// once per call rather than per row; GatherColumns decides its sink term
+// once per call the same way. A power sweep pulls four rows at a time:
+// their folds interleave, each still in its own order, so one row's
+// add chain and its unpredictable loop exit no longer hold up the next.
 
 #ifndef D2PR_CORE_TRANSITION_KERNEL_H_
 #define D2PR_CORE_TRANSITION_KERNEL_H_
@@ -262,40 +264,70 @@ struct PullArrays {
   }
 };
 
-/// \brief Gather form of T·x at destination `dst`, whose in-arcs occupy
-/// positions [begin, end): source(idx) maps an in-arc to its index into
-/// the source-side arrays, weight(idx) is its arc weight. kSink and
-/// kBlend are the factors' has_sink() and has_blend(), and kLive says
-/// whether `in` reads a live iterate (each term is then c·x formed per
-/// arc, the same double a product holds).
-template <bool kSink, bool kBlend, bool kLive, typename SourceFn,
+/// \brief Gather form of T·x at the R consecutive rows of an in-CSR
+/// whose in-arcs `offsets[0 .. R]` bound: row r's in-arcs are positions
+/// [offsets[r], offsets[r + 1]), `sources` maps a position to its index
+/// into the source-side arrays and weight(idx) is its arc weight. Row r's
+/// value goes to value[r]; dst[r] is its destination. kSink and kBlend
+/// are the factors' has_sink() and has_blend(), and kLive says whether
+/// `in` reads a live iterate (each term is then c·x formed per arc, the
+/// same double a product holds).
+///
+/// Every row folds its own terms in ascending position order from +0.0,
+/// so each value is the one-row fold's bits. The R folds interleave
+/// while every row still has terms, then each row finishes alone: one
+/// loop exit per group instead of one per row, whose trip count the
+/// branch predictor cannot know, and R independent add chains in flight.
+/// A live iterate may be written between rows, so kLive pulls one row.
+template <size_t R, bool kSink, bool kBlend, bool kLive, typename Source,
           typename WeightFn>
-inline double Pull(const PullArrays& in, size_t dst, size_t begin,
-                   size_t end, SourceFn source, WeightFn weight) {
-  const double* scale = kSink && in.sink[dst] ? in.sink_scale : in.scale;
-  double sum = 0.0;
-  for (size_t idx = begin; idx < end; ++idx) {
-    const size_t i = source(idx);
+inline void PullRows(const PullArrays& in, const size_t (&dst)[R],
+                     const EdgeIndex* offsets, const Source* sources,
+                     WeightFn weight, double (&value)[R]) {
+  static_assert(!kLive || R == 1, "a live pull reads rows written before it");
+  const double* scale[R];
+  const Source* row[R];
+  size_t count[R];
+  size_t common = static_cast<size_t>(offsets[1] - offsets[0]);
+  for (size_t r = 0; r < R; ++r) {
+    scale[r] = kSink && in.sink[dst[r]] ? in.sink_scale : in.scale;
+    row[r] = sources + offsets[r];
+    count[r] = static_cast<size_t>(offsets[r + 1] - offsets[r]);
+    common = count[r] < common ? count[r] : common;
+  }
+  const auto term = [&](const double* a, size_t i) {
     if constexpr (kLive) {
-      sum += scale[i] * in.live[i];
+      return a[i] * in.live[i];
     } else {
-      sum += scale[i];
+      return a[i];
+    }
+  };
+  // The loops over the group's rows are unrolled, so each row's sum
+  // stays in a register and each row's tail gets its own loop.
+  double sum[R] = {};
+  for (size_t j = 0; j < common; ++j) {
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      sum[r] += term(scale[r], static_cast<size_t>(row[r][j]));
     }
   }
-  const double value = in.u[dst] * sum;
-  if constexpr (!kBlend) {
-    return value;
-  } else {
-    double blend_sum = 0.0;
-    for (size_t idx = begin; idx < end; ++idx) {
-      const size_t i = source(idx);
-      if constexpr (kLive) {
-        blend_sum += weight(idx) * (in.blend[i] * in.live[i]);
-      } else {
-        blend_sum += weight(idx) * in.blend[i];
-      }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t j = common; j < count[r]; ++j) {
+      sum[r] += term(scale[r], static_cast<size_t>(row[r][j]));
     }
-    return value + blend_sum;
+    value[r] = in.u[dst[r]] * sum[r];
+  }
+  if constexpr (kBlend) {
+    for (size_t r = 0; r < R; ++r) {
+      const size_t begin = static_cast<size_t>(offsets[r]);
+      double blend_sum = 0.0;
+      for (size_t j = 0; j < count[r]; ++j) {
+        blend_sum += weight(begin + j) *
+                     term(in.blend, static_cast<size_t>(row[r][j]));
+      }
+      value[r] += blend_sum;
+    }
   }
 }
 

@@ -51,12 +51,12 @@ void StatusReply(uint64_t request_id, const Status& status,
 /// source is a slot of the [owned | boundary] scratch, so one array holds
 /// the live owned prefix and the frozen boundary tail.
 struct SlotIndex {
-  const size_t* src_slot;
+  const uint32_t* src_slot;
   const double* in_weights;
   const uint8_t* owned_dangling;
 
   size_t dst(size_t k) const { return k; }
-  size_t source(size_t idx) const { return src_slot[idx]; }
+  const uint32_t* sources() const { return src_slot; }
   double weight(size_t idx) const { return in_weights[idx]; }
   bool dangling(size_t k) const { return owned_dangling[k] != 0; }
 };
@@ -112,11 +112,11 @@ void ShardWorker::InitDerivedIndexes() {
     if (shard.in_interior[idx]) {
       const auto it =
           std::lower_bound(shard.owned.begin(), shard.owned.end(), src);
-      src_slot_[idx] = static_cast<size_t>(it - shard.owned.begin());
+      src_slot_[idx] = static_cast<uint32_t>(it - shard.owned.begin());
     } else {
       const auto it = std::lower_bound(boundary.begin(), boundary.end(), src);
-      src_slot_[idx] = shard.owned.size() +
-                       static_cast<size_t>(it - boundary.begin());
+      src_slot_[idx] = static_cast<uint32_t>(
+          shard.owned.size() + static_cast<size_t>(it - boundary.begin()));
     }
   }
 }
@@ -296,7 +296,7 @@ void ShardWorker::HandleSolveBegin(const ShardFrame& request,
   teleport_ = std::move(begin.teleport);
   vals_.assign(num_owned + cut_.boundary_sources.size(), 0.0);
   std::copy(begin.initial.begin(), begin.initial.end(), vals_.begin());
-  next_.assign(params_.gauss_seidel ? 0 : num_owned, 0.0);
+  next_.assign(params_.gauss_seidel ? 0 : vals_.size(), 0.0);
   last_sweep_ = 0;
 
   return StatusReply(request.request_id, Status::OK(), reply);
@@ -356,8 +356,9 @@ void ShardWorker::HandleSweep(const ShardFrame& request,
     params_.teleport = teleport_;
     // Gauss-Seidel sweeps the owned prefix in place: interior sources
     // read live (possibly already-updated) slots, boundary slots hold
-    // the coordinator's frozen exchange copy. Power writes next_, and
-    // retains it once every row has read the old slice.
+    // the coordinator's frozen exchange copy. Power writes next_ and
+    // swaps it in once every row has read the old slice; the old buffer's
+    // tail takes the next request's boundary list.
     const bool gauss_seidel = params_.gauss_seidel;
     if (!gauss_seidel) products_.Compute(factors_, vals_);
     BlockSweep(factors_, cut_.shard.in_offsets,
@@ -365,7 +366,7 @@ void ShardWorker::HandleSweep(const ShardFrame& request,
                          owned_dangling_.data()},
                params_, products_, vals_, gauss_seidel ? vals_ : next_,
                &partials_);
-    if (!gauss_seidel) std::copy(next_.begin(), next_.end(), vals_.begin());
+    if (!gauss_seidel) vals_.swap(next_);
     last_sweep_ = sweep.sweep;
     ++sweeps_executed_;
   }

@@ -50,6 +50,7 @@
 // Copy discipline per sweep: the request's boundary list is copied once,
 // straight from the payload into the tail of the iterate scratch; the
 // advisory partials fold inside the sweep's node loop (no extra pass);
+// a power sweep's new slice is swapped in as the iterate, not copied;
 // and the reply is encoded once, straight from the retained owned slice
 // into the caller's reply frame, whose payload capacity the next sweep
 // reuses — nothing is staged or cached as bytes.
@@ -179,8 +180,8 @@ class ShardWorker {
   std::vector<uint8_t> owned_dangling_;
   /// Scratch slot of each in-CSR position: local owned index, or
   /// num_owned + boundary index. Precomputed so the sweep's inner loop
-  /// never searches.
-  std::vector<size_t> src_slot_;
+  /// never searches; 32 bits, as a slot is below the graph's node count.
+  std::vector<uint32_t> src_slot_;
 
   mutable std::mutex mu_;
   /// Session currently claiming the shard; 0 = unclaimed.
@@ -197,8 +198,9 @@ class ShardWorker {
   /// src_slot_. The owned prefix is the retained slice; a sweep request's
   /// boundary list is copied straight into the tail.
   std::vector<double> vals_;
-  /// Power's double buffer for the new owned slice (empty under
-  /// Gauss-Seidel, which sweeps in place).
+  /// Power's double buffer, shaped like vals_: a sweep writes the new
+  /// owned slice here and the two swap, so the retained slice is never
+  /// copied (empty under Gauss-Seidel, which sweeps in place).
   std::vector<double> next_;
   /// Last executed sweep (0 before the first) and its advisory partials.
   /// Its reply is re-encoded from these and the untouched owned prefix
